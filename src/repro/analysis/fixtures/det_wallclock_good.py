@@ -1,9 +1,9 @@
-"""Fixture: benchmark timing goes through the allowlisted helper."""
+"""Fixture: elapsed time is simulated time, read off the event kernel."""
 
-from repro.bench import bench_timer
+from typing import Any
 
 
-def measure() -> float:
-    with bench_timer() as timer:
-        sum(range(1000))
-    return timer.elapsed_s
+def measure(sim: Any) -> float:
+    start = sim.now
+    sim.run()
+    return sim.now - start

@@ -5,9 +5,10 @@ store (``DynamicPartitionedStore``) pins the live graph inside a
 ``with store.read_view():`` block, and every neighbor/attribute read
 issued during a sample must happen under that pin — a read outside it
 can interleave with a concurrent mutation batch and tear the walk
-across two epochs (the exact failure ``repro mutate-bench``'s
-torn-read probe looks for). On the static store ``read_view()`` is a
-free no-op, so the discipline costs nothing where mutation is off.
+across two epochs (the exact failure the torn-read probe in
+``tests/test_memstore_ingest.py`` looks for). On the static store
+``read_view()`` is a free no-op, so the discipline costs nothing where
+mutation is off.
 
 The rule walks the resolved call graph from sampler entry points
 (``sample``/``negative_sample`` methods on ``*Sampler*`` classes),

@@ -7,10 +7,8 @@ enforce the two ways host nondeterminism leaks in:
 
 ``det-wallclock``
     The host clock (``time.*``, ``datetime.*``) is banned everywhere in
-    ``repro`` except the explicit benchmark-timing allowlist
-    (``repro/bench.py``). Simulated components take time from the event
-    kernel, and CLI benchmarking goes through
-    :func:`repro.bench.bench_timer`.
+    ``repro``. Simulated components take time from the event kernel;
+    host timing is done from outside the package, by ``bench/``.
 
 ``det-rng``
     Randomness must be an injected, explicitly-seeded
@@ -23,13 +21,14 @@ enforce the two ways host nondeterminism leaks in:
 from __future__ import annotations
 
 import ast
-from typing import List, Set
+from typing import FrozenSet, List, Set
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules import FileContext, Rule, dotted_name, register
 
-#: Modules allowed to read the host clock (benchmark timing only).
-WALLCLOCK_ALLOWLIST = frozenset({"repro/bench.py"})
+#: Modules allowed to read the host clock: none. Timing lives in
+#: ``bench/``, outside the package.
+WALLCLOCK_ALLOWLIST: FrozenSet[str] = frozenset()
 
 #: Host-clock callables, by dotted name relative to their module.
 CLOCK_CALLS = frozenset(
@@ -78,12 +77,12 @@ def _module_aliases(tree: ast.Module, module: str) -> Set[str]:
 
 class WallClockRule(Rule):
     rule_id = "det-wallclock"
-    title = "no host-clock reads outside the benchmark allowlist"
+    title = "no host-clock reads inside the package"
     rationale = (
         "Simulated latencies, SLO accounting, and replay equivalence are "
-        "only trustworthy if no simulator code reads the wall clock. All "
-        "host timing flows through repro.bench (allowlisted); everything "
-        "else takes time from the deterministic event kernel."
+        "only trustworthy if no simulator code reads the wall clock. Host "
+        "timing is taken from outside the package (bench/); everything "
+        "inside takes time from the deterministic event kernel."
     )
 
     def signature(self) -> str:
@@ -104,9 +103,8 @@ class WallClockRule(Rule):
                                 self.rule_id,
                                 node,
                                 f"host-clock module 'import {alias.name}' is "
-                                "banned outside repro/bench.py; use "
-                                "repro.bench.bench_timer for benchmark "
-                                "timing or the simulator clock for "
+                                "banned in repro; time the code from "
+                                "bench/ or use the simulator clock for "
                                 "simulated time",
                             )
                         )
@@ -116,8 +114,7 @@ class WallClockRule(Rule):
                         ctx.finding(
                             self.rule_id,
                             node,
-                            "'from time import ...' is banned outside "
-                            "repro/bench.py",
+                            "'from time import ...' is banned in repro",
                         )
                     )
                 elif node.module == "datetime":
@@ -147,9 +144,9 @@ class WallClockRule(Rule):
                         ctx.finding(
                             self.rule_id,
                             node,
-                            f"host-clock call '{dotted}()' is banned; use "
-                            "repro.bench.bench_timer (benchmarks) or the "
-                            "simulator clock",
+                            f"host-clock call '{dotted}()' is banned; time "
+                            "the code from bench/ or use the simulator "
+                            "clock",
                         )
                     )
                 elif parts[0] in datetime_aliases and parts[-1] in (

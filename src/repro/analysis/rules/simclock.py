@@ -27,12 +27,12 @@ SIM_MODULES = frozenset(
         # gateway's virtual clock, so Mutation.time_s must be sim time.
         "repro/graph/dynamic.py",
         "repro/memstore/ingest.py",
-        # Layout/kernel tier: benchmarked via perf_counter at the CLI
-        # only; the modules themselves must stay clock-free.
+        # Layout/kernel tier: timed from outside the package (bench/,
+        # benchmarks/); the modules themselves must stay clock-free.
         "repro/memstore/locality.py",
         "repro/framework/kernels.py",
-        # Pipelined trainer: epoch wall-clock is measured by the
-        # train-bench CLI via bench_timer; the trainer itself (and its
+        # Pipelined trainer: epoch wall-clock is measured from outside
+        # (bench/ train_* workloads); the trainer itself (and its
         # neighborhood cache) must stay clock-free so runs are a pure
         # function of the seed.
         "repro/gnn/pipeline.py",

@@ -75,7 +75,7 @@ class GnnSession:
         Run the software sampler's vectorized fast path (per-hop
         frontier dedup + batch store calls). Same access accounting,
         statistically equivalent samples, large constant-factor
-        speedup; see ``repro bench-sampler``.
+        speedup; see ``benchmarks/test_bench_batched_sampler.py``.
     workers:
         Shard worker processes for the parallel execution engine
         (:class:`~repro.parallel.ParallelSampler`). ``0`` (the

@@ -12,8 +12,8 @@ This module checks that contract mechanically: :class:`ReplaySelector`
 feeds the batched result's own picks back through
 :class:`~repro.framework.sampler.MultiHopSampler`'s per-node walk, so
 the walk reproduces the exact same layers and its store/cache counters
-can be compared 1:1 with the batched run's. Tests, the benchmark, and
-``repro bench-sampler`` all lean on it.
+can be compared 1:1 with the batched run's. The tests, the pytest
+benchmarks and the ``bench/`` workload checks all lean on it.
 """
 
 from __future__ import annotations

@@ -46,8 +46,9 @@ class ServiceConfig:
     #: Model servers running the batched sampler fast path: per-key
     #: service time is divided by ``batched_speedup``.
     batched_sampling: bool = False
-    #: Measured batched-vs-reference speedup to apply when
-    #: ``batched_sampling`` is set (see ``repro bench-sampler``).
+    #: Batched-vs-reference speedup to apply when ``batched_sampling``
+    #: is set: the floor ``benchmarks/test_bench_batched_sampler.py``
+    #: asserts.
     batched_speedup: float = 5.0
     #: Fixed RPC round-trip network latency (excluding queueing).
     rpc_latency_s: float = 25.0 * US

@@ -74,7 +74,8 @@ class EndToEndModel:
     batched_sampling, batched_speedup:
         Model workers running the batched sampler fast path: the
         sampling stage time is divided by ``batched_speedup`` (the
-        measured factor from ``repro bench-sampler``). Off by default
+        floor ``benchmarks/test_bench_batched_sampler.py`` asserts).
+        Off by default
         so historical breakdowns stay bit-for-bit.
     """
 

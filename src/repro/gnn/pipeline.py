@@ -29,8 +29,8 @@ counters are occurrence-accurate and flow into the store's
 :meth:`~repro.memstore.store.PartitionedStore.record_neighborhood`.
 
 This module is enrolled in the sim-clock lint scope: it must stay
-clock-free. All wall-clock measurement happens in the ``repro
-train-bench`` CLI through :func:`repro.bench.bench_timer`.
+clock-free. All wall-clock measurement happens outside the package,
+in the ``train_fresh``/``train_cached`` workloads of ``bench/``.
 """
 
 from __future__ import annotations
@@ -191,8 +191,8 @@ class TrainReport:
     """Outcome of a :meth:`PipelinedTrainer.train` run.
 
     Wall-clock rates are deliberately absent — this module is
-    clock-free; the ``repro train-bench`` CLI times epochs externally
-    and derives samples/sec itself.
+    clock-free; ``bench/`` times passes externally and derives
+    samples/sec itself.
     """
 
     epochs: int = 0

@@ -418,9 +418,6 @@ class DynamicPartitionedStore(PartitionedStore):
         self,
         nodes: Sequence[int],
         from_partition: Optional[int] = None,
-        dedup: bool = False,
     ) -> np.ndarray:
         self._observe_epoch()
-        return super().get_attributes(
-            nodes, from_partition=from_partition, dedup=dedup
-        )
+        return super().get_attributes(nodes, from_partition=from_partition)

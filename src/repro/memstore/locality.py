@@ -26,8 +26,8 @@ DRAM. This module attacks the layout side:
 The win is measured, not asserted: ``PartitionedStore`` stores built
 with ``track_locality=True`` account every batched gather's
 contiguous-run structure in ``AccessSummary`` (``gather_runs`` /
-``gather_span_bytes``), and ``repro layout-bench`` records the
-before/after to ``BENCH_layout.json``.
+``gather_span_bytes``), and ``benchmarks/test_bench_layout.py``
+compares the before/after.
 """
 
 from __future__ import annotations

@@ -596,38 +596,16 @@ class PartitionedStore:
         self,
         nodes: Sequence[int],
         from_partition: Optional[int] = None,
-        dedup: bool = False,
     ) -> np.ndarray:
         """Attribute rows for ``nodes``.
 
         Each node costs one index lookup (structure) plus one attribute
-        row transfer. With ``dedup`` the underlying row gather and the
-        accounting run once per *unique* node (with occurrence
-        multiplicity), producing the same summary totals as the plain
-        walk; the reliable remote path still walks node-by-node so its
-        failure ordering is preserved.
+        row transfer; :meth:`get_attributes_batch` is the deduplicated
+        form with the same summary totals.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         locality = self._locality(nodes, from_partition)
         row_bytes = self.graph.attr_len * 4
-        if dedup and (self.reliability is None or locality.all()):
-            unique, inverse, counts = np.unique(
-                nodes, return_inverse=True, return_counts=True
-            )
-            unique_locality = self._locality(unique, from_partition)
-            self._record_batch(
-                AccessKind.STRUCTURE,
-                np.full(unique.shape, self.index_entry_bytes, dtype=np.int64),
-                unique_locality,
-                counts,
-            )
-            self._record_batch(
-                AccessKind.ATTRIBUTE,
-                np.full(unique.shape, row_bytes, dtype=np.int64),
-                unique_locality,
-                counts,
-            )
-            return self.graph.attributes(unique)[inverse]
         if self.reliability is not None and not locality.all():
             # Interleave reliable reads with records so a failure
             # mid-batch leaves earlier rows consistently accounted and

@@ -63,6 +63,9 @@ class _Pending:
     members: Dict[int, np.ndarray]
     remaining: Set[int]
     layers: List[np.ndarray] = field(default_factory=list)
+    #: First shard failure reported for this batch; raised by the
+    #: batch's own collect/discard once every shard has reported.
+    error: Optional[str] = None
 
 
 class ParallelSampler:
@@ -294,7 +297,7 @@ class ParallelSampler:
         while any(
             p.slot == slot and p.remaining for p in self._pending.values()
         ):
-            self._pump(block=True)
+            self._pump()
         owners = self.store.partitioner.partition_of(roots)
         members = {
             shard: np.flatnonzero(owners == shard)
@@ -329,9 +332,17 @@ class ParallelSampler:
         return seq
 
     def _run_inline(self, task: ShardTask, entry: _Pending) -> None:
-        layers, summary = self._inline.run_shard(
-            task, self.seed, self.worker_partition
-        )
+        try:
+            layers, summary = self._inline.run_shard(
+                task, self.seed, self.worker_partition
+            )
+        except Exception as exc:
+            # Nothing else of this batch is in flight (inline shards run
+            # one by one), so dropping the entry frees its slot.
+            del self._pending[task.seq]
+            raise ParallelExecutionError(
+                f"shard {task.shard} of micro-batch {task.seq} failed: {exc}"
+            ) from exc
         rows = entry.members[task.shard]
         for hop, layer in enumerate(layers):
             entry.layers[hop][rows] = layer
@@ -346,36 +357,39 @@ class ParallelSampler:
                 f"shard worker(s) died unexpectedly: {', '.join(dead)}"
             )
 
-    def _pump(self, block: bool = True) -> bool:
-        """Process one ShardDone message; returns whether one arrived."""
-        if self.workers == 0:
-            return False  # inline tasks complete during submit
+    def _pump(self) -> None:
+        """Block for one ShardDone message and merge it into its batch.
+
+        A shard failure is recorded on the batch and counts as that
+        shard's completion; :meth:`_finish` raises it once the batch's
+        other shards have reported, so no completion is left behind.
+        """
         idle = 0
         while True:
             try:
-                msg: ShardDone = self._done.get(
-                    timeout=DONE_POLL_S if block else 0.001
-                )
+                msg: ShardDone = self._done.get(timeout=DONE_POLL_S)
                 break
             except queue_mod.Empty:
-                if not block:
-                    return False
                 self._check_alive()
                 idle += 1
                 if idle >= MAX_IDLE_POLLS:
                     raise ParallelExecutionError(
                         "timed out waiting for shard workers"
                     )
-        if msg.error is not None:
-            raise ParallelExecutionError(
-                f"shard {msg.shard} of micro-batch {msg.seq} failed:\n{msg.error}"
-            )
         entry = self._pending.get(msg.seq)
         if entry is None or msg.shard not in entry.remaining:
             raise ParallelExecutionError(
                 f"unexpected completion for micro-batch {msg.seq}, "
                 f"shard {msg.shard}"
             )
+        entry.remaining.discard(msg.shard)
+        if msg.error is not None:
+            if entry.error is None:
+                entry.error = (
+                    f"shard {msg.shard} of micro-batch {msg.seq} "
+                    f"failed:\n{msg.error}"
+                )
+            return
         rows = entry.members[msg.shard]
         views = read_layers(
             self._arenas[entry.slot].buf,
@@ -386,17 +400,28 @@ class ParallelSampler:
         for hop, view in enumerate(views):
             entry.layers[hop][rows] = view
         self.store.absorb_summary(msg.summary)
-        entry.remaining.discard(msg.shard)
-        return True
 
-    def collect(self, seq: int) -> SampleResult:
-        """Merge micro-batch ``seq``: hop layers + attribute gather."""
+    def _finish(self, seq: int) -> _Pending:
+        """Wait out micro-batch ``seq``'s shards and drop its entry.
+
+        The entry goes (and its arena slot frees) however the wait
+        ends; a shard failure is raised only after that.
+        """
         entry = self._pending.get(seq)
         if entry is None:
             raise ParallelExecutionError(f"unknown micro-batch {seq}")
-        while entry.remaining:
-            self._pump(block=True)
-        del self._pending[seq]
+        try:
+            while entry.remaining:
+                self._pump()
+        finally:
+            del self._pending[seq]
+        if entry.error is not None:
+            raise ParallelExecutionError(entry.error)
+        return entry
+
+    def collect(self, seq: int) -> SampleResult:
+        """Merge micro-batch ``seq``: hop layers + attribute gather."""
+        entry = self._finish(seq)
         result = SampleResult()
         result.layers.append(entry.request.roots.copy())
         result.layers.extend(entry.layers)
@@ -439,16 +464,7 @@ class ParallelSampler:
         already merged stays in the store summary: the sampling work
         really happened.
         """
-        entry = self._pending.get(seq)
-        if entry is None:
-            raise ParallelExecutionError(f"unknown micro-batch {seq}")
-        try:
-            while entry.remaining:
-                self._pump(block=True)
-        finally:
-            # Even if a shard reported an error, the slot must not stay
-            # occupied by a batch nobody will ever collect.
-            del self._pending[seq]
+        self._finish(seq)
 
     # -------------------------------------------------------------- sampling
     def sample(self, request: SampleRequest) -> SampleResult:

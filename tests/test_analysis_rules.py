@@ -61,9 +61,10 @@ def test_wallclock_flags_from_import_and_alias():
     assert "det-wallclock" in fired
 
 
-def test_wallclock_allows_bench_module():
+def test_wallclock_flags_bench_module():
+    # No module is exempt: timing lives in bench/, outside repro.
     source = "import time\n\n\ndef f():\n    return time.perf_counter()\n"
-    assert rules_fired(source, module_path="repro/bench.py") == set()
+    assert "det-wallclock" in rules_fired(source, module_path="repro/bench.py")
 
 
 def test_wallclock_allows_timedelta_import():

@@ -1,7 +1,12 @@
 """Tests for the repro CLI."""
 
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
 
 
@@ -138,71 +143,6 @@ class TestFaultsCommand:
         assert "faults" in build_parser().format_help()
 
 
-class TestBenchSamplerCommand:
-    def test_bench_sampler_smoke(self, capsys):
-        assert main([
-            "bench-sampler", "--max-nodes", "1200", "--batch-size", "32",
-            "--fanouts", "4,4", "--repeats", "1",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out
-        assert "accounting match (replayed reference): yes" in out
-
-    def test_bench_sampler_with_cache(self, capsys):
-        assert main([
-            "bench-sampler", "--max-nodes", "800", "--batch-size", "16",
-            "--fanouts", "3,3", "--repeats", "1", "--cache-nodes", "4000",
-        ]) == 0
-        assert "accounting match (replayed reference): yes" in capsys.readouterr().out
-
-    def test_parser_lists_bench_sampler(self):
-        assert "bench-sampler" in build_parser().format_help()
-
-
-class TestMutateBenchCommand:
-    def test_mutate_bench_smoke(self, capsys):
-        assert main(["mutate-bench", "--smoke"]) == 0
-        out = capsys.readouterr().out
-        assert "consistency (one epoch per sample): yes" in out
-        assert "rate-0 parity vs static store: yes" in out
-        assert "rate-0 replay-harness parity:  yes" in out
-        assert "torn-read probe (mutation mid-sample): ok" in out
-
-    def test_mutate_bench_json(self, capsys):
-        import json
-
-        assert main(["mutate-bench", "--smoke", "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert len(report["sweep"]) == 3
-        assert report["consistent_epochs"] is True
-        assert report["rate0_static_match"] is True
-        assert report["rate0_replay_match"] is True
-        assert report["torn_read_ok"] is True
-        rates = [row["rate"] for row in report["sweep"]]
-        assert rates == sorted(rates) and rates[0] == 0
-        # Mutating rates actually hit the append log.
-        assert all(row["delta_hits"] > 0 for row in report["sweep"][1:])
-
-    def test_mutate_bench_with_cache(self, capsys):
-        assert main([
-            "mutate-bench", "--smoke", "--cache-nodes", "512", "--json",
-        ]) == 0
-        import json
-
-        report = json.loads(capsys.readouterr().out)
-        assert report["rate0_static_match"] is True
-        assert all(
-            row["cache_invalidations"] > 0 for row in report["sweep"][1:]
-        )
-
-    def test_mutate_bench_needs_three_rates(self):
-        with pytest.raises(SystemExit):
-            main(["mutate-bench", "--rates", "0,8", "--max-nodes", "600"])
-
-    def test_parser_lists_mutate_bench(self):
-        assert "mutate-bench" in build_parser().format_help()
-
-
 class TestServiceNaNGuard:
     def test_zero_batch_runs_print_na(self, capsys, monkeypatch):
         import repro.framework.service as service_mod
@@ -245,30 +185,30 @@ class TestServiceNaNGuard:
         assert "nan" not in out.lower()
 
 
-class TestLayoutBench:
-    def test_layout_bench_smoke(self, capsys):
-        assert main(["layout-bench", "--smoke"]) == 0
-        out = capsys.readouterr().out
-        assert "locality win: yes" in out
-        assert "replay parity (layout path): yes" in out
+def test_cli_surface_matches_its_documentation():
+    """The module docstring and the README list the parser's
+    subcommands, exactly; the retired bench subcommands are gone."""
+    (subparsers,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    commands = sorted(subparsers.choices)
 
-    def test_layout_bench_json(self, capsys):
-        import json
+    in_docstring = re.findall(r"python -m repro ([\w-]+)", repro.cli.__doc__)
+    assert sorted(in_docstring) == commands
 
-        assert main(["layout-bench", "--smoke", "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["locality_win"] is True
-        assert report["replay_match"] is True
-        assert report["crossing_reduction"] > 0
-        assert report["run_length_gain"] > 1.0
-        assert (
-            report["layout"]["gather_nodes"]
-            == report["baseline"]["gather_nodes"]
-        )
-        if not report["kernels"]["compiled_available"]:
-            assert "numba" in report["kernels"]["reason"]
-        else:
-            assert report["kernels"]["bit_identical"] is True
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (listed,) = re.findall(
+        r"Or use the CLI: `python -m repro \{([^}]*)\}`",
+        readme.read_text(encoding="utf-8"),
+    )
+    assert sorted(listed.split(",")) == commands
 
-    def test_parser_lists_layout_bench(self):
-        assert "layout-bench" in build_parser().format_help()
+    for removed in (
+        "bench-sampler", "layout-bench", "mutate-bench", "train-bench"
+    ):
+        assert removed not in commands
+        with pytest.raises(SystemExit) as exit_info:
+            main([removed])
+        assert exit_info.value.code == 2

@@ -146,11 +146,14 @@ class TestDedupCountsAllRepeated:
 
     def test_dedup_get_attributes_every_key_repeated(self):
         nodes = np.array([3, 1, 3, 1, 3], dtype=np.int64)
+        unique, inverse, counts = np.unique(
+            nodes, return_inverse=True, return_counts=True
+        )
         deduped = PartitionedStore(chain_graph(), HashPartitioner(2))
-        rows = deduped.get_attributes(nodes, 0, dedup=True)
+        batch = deduped.get_attributes_batch(unique, 0, counts=counts)
         plain = PartitionedStore(chain_graph(), HashPartitioner(2))
         expected = plain.get_attributes(nodes, 0)
-        np.testing.assert_array_equal(rows, expected)
+        np.testing.assert_array_equal(batch.rows[inverse], expected)
         assert deduped.summary == plain.summary
 
     def test_counts_shape_mismatch_rejected(self):

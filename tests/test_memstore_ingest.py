@@ -113,6 +113,45 @@ class TestRateZeroParity:
         replay_reference(result, request, fresh)
         assert fresh.summary == dynamic.summary
 
+    def test_batched_parity_with_registered_cache(self):
+        """A hot-node cache registered for invalidation changes nothing
+        at rate zero: warm-cache batches match the static store's."""
+        graph = make_graph()
+        static = PartitionedStore(graph, HashPartitioner(2))
+        dynamic = make_store(graph)
+        static_cache, dynamic_cache = HotNodeCache(32), HotNodeCache(32)
+        dynamic.register_cache(dynamic_cache)
+        samplers = [
+            MultiHopSampler(store, seed=1, cache=cache, batched=True)
+            for store, cache in ((static, static_cache), (dynamic, dynamic_cache))
+        ]
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            request = SampleRequest(
+                roots=rng.integers(0, graph.num_nodes, size=16), fanouts=(5, 2)
+            )
+            res_s, res_d = (sampler.sample(request) for sampler in samplers)
+            for a, b in zip(res_s.layers, res_d.layers):
+                assert np.array_equal(a, b)
+            for a, b in zip(res_s.attributes, res_d.attributes):
+                assert np.array_equal(a, b)
+        assert static.summary == dynamic.summary
+        assert static_cache.neighbor_hits == dynamic_cache.neighbor_hits > 0
+        assert dynamic.ingest_stats.cache_invalidations == 0
+
+    def test_replay_parity_rate_zero_with_cache(self):
+        graph = make_graph()
+        dynamic = make_store(graph)
+        cache = HotNodeCache(1000)
+        dynamic.register_cache(cache)
+        request = SampleRequest(roots=np.arange(8), fanouts=(4, 3))
+        result = MultiHopSampler(
+            dynamic, seed=0, cache=cache, batched=True
+        ).sample(request)
+        fresh = make_store(graph)
+        replay_reference(result, request, fresh, cache=HotNodeCache(1000))
+        assert fresh.summary == dynamic.summary
+
 
 class TestDeltaAccounting:
     def test_delta_hit_counters(self):
@@ -183,9 +222,7 @@ class TestPinning:
         sampler.sample(SampleRequest(roots=np.arange(4), fanouts=(3, 2)))
         assert len(store.last_sample_epochs) == 1
 
-    def test_mid_sample_mutation_not_torn(self):
-        """A mutation landing between selector calls must not tear the
-        multi-hop sample: every read still resolves at one epoch."""
+    def _fire_mutation_mid_sample(self, batched):
         store = make_store()
         fired = []
 
@@ -195,12 +232,24 @@ class TestPinning:
                 store.apply(growth_trace(64, 8, new_node_probability=1.0, seed=9))
             return rng.choice(neighbors, size=fanout, replace=True)
 
-        sampler = MultiHopSampler(store, seed=0, selector=selector)
+        sampler = MultiHopSampler(
+            store, seed=0, selector=selector, batched=batched
+        )
         result = sampler.sample(SampleRequest(roots=np.arange(4), fanouts=(3, 2)))
+        assert fired
         assert len(store.last_sample_epochs) == 1
         new_ids = set(range(64, store.view.num_nodes))
+        assert new_ids
         for layer in result.layers:
             assert not (set(layer.reshape(-1).tolist()) & new_ids)
+
+    def test_mid_sample_mutation_not_torn(self):
+        """A mutation landing between selector calls must not tear the
+        multi-hop sample: every read still resolves at one epoch."""
+        self._fire_mutation_mid_sample(batched=False)
+
+    def test_mid_sample_mutation_not_torn_batched(self):
+        self._fire_mutation_mid_sample(batched=True)
 
     def test_pin_survives_compaction(self):
         store = make_store(CSRGraph.from_edges(4, [(0, 1)]), compact_threshold=2)

@@ -224,6 +224,8 @@ class TestSamplerWithRelabeling:
         )
         for a, b in zip(result.layers, replayed.layers):
             assert np.array_equal(a, b)
+        # The per-node walk charges the layout path's layers identically.
+        assert store.summary == fresh.summary
 
     def test_negative_sampling_in_original_space(self, graph, layout):
         _, sampler = self._sampler(layout)

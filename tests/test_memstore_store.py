@@ -131,11 +131,16 @@ class TestVectorizedBatch:
 
     def test_attributes_dedup_same_totals_and_rows(self, store):
         nodes = np.array([2, 5, 2, 2, 5])
-        rows = store.get_attributes(nodes, from_partition=0, dedup=True)
+        unique, inverse, counts = np.unique(
+            nodes, return_inverse=True, return_counts=True
+        )
+        batch = store.get_attributes_batch(
+            unique, from_partition=0, counts=counts
+        )
         reference = PartitionedStore(store.graph, store.partitioner)
         expected = reference.get_attributes(nodes, from_partition=0)
         assert store.summary == reference.summary
-        assert np.array_equal(rows, expected)
+        assert np.array_equal(batch.rows[inverse], expected)
 
     def test_neighbor_batch_supports_indexing(self, store):
         batch = store.get_neighbors_batch([0, 1])

@@ -7,6 +7,8 @@ bit-identical at every worker count — ``workers=0`` (inline) is the
 reference the process pools are compared against.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from repro.parallel import (
     micro_batches,
     shard_seed,
 )
+from repro.parallel.worker import ShardRuntime
 
 NUM_NODES = 600
 FANOUTS = (4, 3)
@@ -262,6 +265,98 @@ class TestErrorPaths:
         engine.sample(make_request(make_graph()))
         engine.close()
         engine.close()
+
+
+def fail_shard(monkeypatch, seq: int, shard: int):
+    """Make ``run_shard`` raise for one (seq, shard) task.
+
+    Patched on the class before the pool starts, so forked shard
+    workers inherit it.
+    """
+    real = ShardRuntime.run_shard
+
+    def run_shard(self, task, seed, worker_partition):
+        if (task.seq, task.shard) == (seq, shard):
+            raise RuntimeError("injected shard failure")
+        return real(self, task, seed, worker_partition)
+
+    monkeypatch.setattr(ShardRuntime, "run_shard", run_shard)
+
+
+def segment_paths(engine):
+    """Backing paths of every shared block the engine owns right now."""
+    handles = [arena.handle for arena in engine._arenas]
+    if engine._plane is not None:
+        handles.append(engine._plane.handle.block)
+    return [
+        os.path.join("/dev/shm", h.name) if h.backend == "shm" else h.name
+        for h in handles
+    ]
+
+
+class TestShardFailure:
+    """A failed shard must cost one micro-batch, never an arena slot."""
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_failed_batch_frees_its_slot(self, monkeypatch, workers):
+        graph = make_graph()
+        requests = [make_request(graph, seed=s) for s in (1, 2, 3)]
+        with ParallelSampler(make_store(graph), workers=0, seed=3) as fresh:
+            expected = [fresh.sample(r) for r in requests][1:]
+
+        fail_shard(monkeypatch, seq=0, shard=1)
+        engine = ParallelSampler(
+            make_store(graph), workers=workers, seed=3, slots=2
+        )
+        with engine:
+            with pytest.raises(ParallelExecutionError, match="injected"):
+                engine.sample(requests[0])
+            # Checked before resubmitting: a leaked entry would make
+            # the seq-2 submit below wait on slot 0 instead of failing.
+            assert not engine._pending
+            got = [engine.collect(engine.submit(r)) for r in requests[1:]]
+            segments = segment_paths(engine)
+        for mine, theirs in zip(got, expected):
+            for a, b in zip(mine.layers, theirs.layers):
+                np.testing.assert_array_equal(a, b)
+        assert len(segments) == (3 if workers else 0)
+        assert not [path for path in segments if os.path.exists(path)]
+
+    def test_failure_is_raised_by_its_own_batch(self, monkeypatch):
+        """collect(1) reads seq 0's failure off the done queue while it
+        waits; that is seq 0's error to raise, not seq 1's."""
+        graph = make_graph()
+        fail_shard(monkeypatch, seq=0, shard=1)
+        with ParallelSampler(
+            make_store(graph), workers=1, seed=3, slots=2
+        ) as engine:
+            first = engine.submit(make_request(graph, seed=1))
+            second = engine.submit(make_request(graph, seed=2))
+            assert len(engine.collect(second).layers) == 1 + len(FANOUTS)
+            with pytest.raises(ParallelExecutionError, match="injected"):
+                engine.collect(first)
+            assert not engine._pending
+
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_trainer_recovers_after_shard_failure(self, monkeypatch, workers):
+        """A shard failure costs the epoch it hits, not the trainer:
+        the next epoch on the same trainer runs through."""
+        from repro.gnn.pipeline import PipelinedTrainer
+
+        graph = make_graph()
+        labels = np.zeros((graph.num_nodes, 2), dtype=np.float32)
+        roots = np.arange(graph.num_nodes)
+        # Before the trainer exists: its pool forks at construction.
+        fail_shard(monkeypatch, seq=2, shard=1)
+        with PipelinedTrainer(
+            make_store(graph), labels, FANOUTS, workers=workers
+        ) as trainer:
+            with pytest.raises(ParallelExecutionError, match="injected"):
+                trainer.train_epoch(roots)
+            assert not trainer.engine._pending
+            assert not trainer.executor._in_flight
+            assert np.isfinite(trainer.train_epoch(roots))
 
 
 class TestGnnSessionIntegration:
