@@ -22,7 +22,6 @@ class SampleRequest:
     roots: np.ndarray
     fanouts: Tuple[int, ...]
     with_attributes: bool = True
-    with_edge_weights: bool = False
 
     def __post_init__(self) -> None:
         roots = np.asarray(self.roots, dtype=np.int64)

@@ -24,8 +24,96 @@ from repro.framework.requests import (
     SampleResult,
 )
 from repro.framework.kernels import NUMPY_KERNELS, get_kernels
-from repro.framework.selectors import get_bucket_selector, select_uniform
+from repro.framework.selectors import (
+    get_bucket_selector,
+    get_ragged_picker,
+    select_uniform,
+)
 from repro.memstore.store import PartitionedStore
+
+#: ``dedup_ids`` counts into a dense ``num_nodes`` table (O(n + N), no
+#: sort) when ``num_nodes <= DENSE_DEDUP_RATIO * n`` and sorts otherwise.
+#: Measured crossover (uniform int64 IDs, numpy 2.4, n = 256 .. 256k):
+#: the table wins at N = 2n for every n (1.4-1.9x) and loses at N = 4n
+#: once n >= 25k (it no longer fits in cache), so 2. A small frontier on
+#: a hyperscale graph never pays the O(N) pass.
+DENSE_DEDUP_RATIO = 2
+
+
+def dedup_ids(flat: np.ndarray, num_nodes: int):
+    """``np.unique(flat, return_inverse=True, return_counts=True)`` for
+    node IDs in ``[0, num_nodes)`` -- same three arrays in both regimes."""
+    if num_nodes > DENSE_DEDUP_RATIO * flat.size:
+        return np.unique(flat, return_inverse=True, return_counts=True)
+    table = np.bincount(flat, minlength=num_nodes)
+    unique = np.flatnonzero(table)
+    counts = table[unique]
+    # The table turns from ID -> occurrences into ID -> slot in
+    # ``unique``; only the entries of IDs that occur are read back.
+    table[unique] = np.arange(unique.size)
+    return unique, table[flat], counts
+
+
+def gather_layer_attributes(
+    store: PartitionedStore,
+    layer: np.ndarray,
+    worker_partition: Optional[int],
+    dedup=None,
+    cache: Optional[HotNodeCache] = None,
+    degraded_ok: bool = False,
+):
+    """Attribute rows of one sampled layer: dedup + one store batch call.
+
+    Returns ``(attributes, fallbacks)``; ``attributes`` is a fresh
+    ``layer.shape + (attr_len,)`` array. ``dedup`` is the layer's
+    ``dedup_ids`` triple when the caller already holds it. The caller
+    must hold the store's ``read_view()`` pin.
+
+    Occurrence accounting matches the per-node walk: attribute cache
+    inserts happen only after *all* lookups of a layer, so an uncached
+    node's ``c`` occurrences are ``c`` misses, and the store is touched
+    ``c`` times. Degraded rows stay zero and are never cached (see the
+    cache-poisoning regression in the walk path).
+    """
+    attr_len = store.graph.attr_len
+    flat = layer.reshape(-1)
+    if flat.size == 0:
+        return np.empty(layer.shape + (attr_len,), dtype=np.float32), 0
+    unique, inverse, counts = (
+        dedup_ids(flat, store.graph.num_nodes) if dedup is None else dedup
+    )
+    if cache is None:
+        batch = store.get_attributes_batch(
+            unique, worker_partition, counts=counts, degraded_ok=degraded_ok
+        )
+        rows, fallbacks = batch.rows, batch.fallbacks
+    else:
+        rows = np.empty((unique.size, attr_len), dtype=np.float32)
+        hit_mask = np.zeros(unique.size, dtype=bool)
+        for j, node in enumerate(unique):
+            hit = cache.get_attributes(int(node))
+            if hit is not None:
+                rows[j] = hit
+                hit_mask[j] = True
+        cache.bump_attribute_stats(
+            hits=int((counts[hit_mask] - 1).sum()),
+            misses=int((counts[~hit_mask] - 1).sum()),
+        )
+        fallbacks = 0
+        missing_indices = np.flatnonzero(~hit_mask)
+        if missing_indices.size:
+            batch = store.get_attributes_batch(
+                unique[missing_indices],
+                worker_partition,
+                counts=counts[missing_indices],
+                degraded_ok=degraded_ok,
+            )
+            fallbacks = batch.fallbacks
+            rows[missing_indices] = batch.rows
+            for position, j in enumerate(missing_indices):
+                if batch.served[position]:
+                    cache.put_attributes(int(unique[j]), batch.rows[position])
+    return rows[inverse].reshape(layer.shape + (attr_len,)), fallbacks
 
 
 class MultiHopSampler:
@@ -58,15 +146,18 @@ class MultiHopSampler:
         is counted in ``degraded_fallbacks``. ``False`` (the default)
         propagates :class:`~repro.errors.ReplicaUnavailableError`.
     batched:
-        Use the vectorized fast path: per-hop frontier dedup, one
-        store batch call per hop, per-degree-bucket selector
-        application, batched cache probes. Produces identical
-        ``AccessSummary`` totals, cache hit/miss counters, and
-        degraded-fallback counts as the per-node walk for the same
-        sampled layers, and statistically equivalent sample marginals
-        (the RNG consumption order differs, so the draws themselves are
-        not stream-identical). ``False`` (the default) keeps the
-        historical per-node reference walk bit-for-bit.
+        Use the vectorized fast path: one dedup per layer (shared by
+        the hop expansion and the attribute fetch), one store batch
+        call per hop, one ragged RNG pick per hop for the degree-only
+        selectors (``uniform``/``streaming``; the weighted selectors
+        go degree bucket by degree bucket), batched cache probes.
+        Produces identical ``AccessSummary`` totals, cache hit/miss
+        counters, and degraded-fallback counts as the per-node walk
+        for the same sampled layers, and statistically equivalent
+        sample marginals (the RNG consumption order differs from the
+        walk's, so the draws themselves are not stream-identical to
+        it). ``False`` (the default) keeps the historical per-node
+        reference walk bit-for-bit.
     kernels:
         Kernel tier for the batched hot path's array primitives — a
         tier name (``"numpy"``/``"compiled"``/``"auto"``) or a tier
@@ -180,13 +271,18 @@ class MultiHopSampler:
         result.layers.append(roots.copy())
         frontier = roots
         width = 1
+        # Batched path: each layer is deduplicated once, and the triple
+        # serves both its hop expansion and its attribute fetch.
+        dedups = []
+        num_nodes = self.store.graph.num_nodes
         for fanout in request.fanouts:
             width *= fanout
             if self.batched:
                 flat = frontier.reshape(-1)
-                sampled = self._sample_neighbors_batch(flat, fanout).reshape(
-                    roots.size, width
-                )
+                dedups.append(dedup_ids(flat, num_nodes))
+                sampled = self._sample_neighbors_batch(
+                    flat, fanout, dedups[-1]
+                ).reshape(roots.size, width)
             else:
                 sampled = np.empty((roots.size, width), dtype=np.int64)
                 flat = frontier.reshape(roots.size, -1)
@@ -199,12 +295,16 @@ class MultiHopSampler:
             result.layers.append(sampled)
             frontier = sampled
         if request.with_attributes:
-            fetch = (
-                self._fetch_attributes_batched
-                if self.batched
-                else self._fetch_attributes
-            )
-            result.attributes = [fetch(layer) for layer in result.layers]
+            if self.batched:
+                dedups.append(None)  # the last layer was never expanded
+                result.attributes = [
+                    self._fetch_attributes_batched(layer, dedup)
+                    for layer, dedup in zip(result.layers, dedups)
+                ]
+            else:
+                result.attributes = [
+                    self._fetch_attributes(layer) for layer in result.layers
+                ]
         if self.relabeling is not None:
             # Attributes were fetched with internal IDs above (same
             # nodes, same rows); only the visible layers need mapping.
@@ -214,21 +314,23 @@ class MultiHopSampler:
         return result
 
     # ------------------------------------------------------- batched path
-    def _sample_neighbors_batch(self, flat: np.ndarray, fanout: int) -> np.ndarray:
+    def _sample_neighbors_batch(
+        self, flat: np.ndarray, fanout: int, dedup
+    ) -> np.ndarray:
         """Sample ``fanout`` neighbors for every frontier position at once.
 
-        The flat frontier is deduplicated, adjacency is gathered in one
-        store batch call, and same-degree positions are selected
-        together through the bucket variant of the configured selector.
-        Zero-degree (and degraded) positions keep the self-loop
-        fallback of the per-node walk.
+        ``dedup`` is the frontier's :func:`dedup_ids` triple. Adjacency
+        of the distinct nodes is gathered in one store batch call;
+        positions are then sorted by degree and either picked all at
+        once (degree-only selectors: one ragged RNG call, one flat
+        gather) or bucket by bucket through the selector's ``(k, d)``
+        variant (weighted selectors). Zero-degree (and degraded)
+        positions keep the self-loop fallback of the per-node walk.
         """
         out = np.empty((flat.size, fanout), dtype=np.int64)
         if flat.size == 0:
             return out
-        unique, inverse, counts = np.unique(
-            flat, return_inverse=True, return_counts=True
-        )
+        unique, inverse, counts = dedup
         values, offsets, _served = self._neighbors_batch(unique, counts)
         degrees = offsets[1:] - offsets[:-1]
         position_degrees = degrees[inverse]
@@ -259,12 +361,21 @@ class MultiHopSampler:
                         self.selector(neighbors, fanout, self.rng), dtype=np.int64
                     )
             return out
-        # Group positions by degree so each bucket is a dense (k, d)
-        # matrix the vectorized selector consumes in one shot.
         nonzero_degrees = position_degrees[nonzero]
         order = np.argsort(nonzero_degrees, kind="stable")
         sorted_positions = nonzero[order]
-        boundaries = np.flatnonzero(np.diff(nonzero_degrees[order])) + 1
+        sorted_degrees = nonzero_degrees[order]
+        picker = get_ragged_picker(self.selector)
+        if picker is not None:
+            picks = picker(sorted_degrees, fanout, self.rng)
+            index = offsets[inverse[sorted_positions], None] + picks
+            out[sorted_positions] = self.kernels.take_picks(
+                values[None, :], index.reshape(1, -1)
+            ).reshape(index.shape)
+            return out
+        # Weighted selectors need a CDF per row: group positions by
+        # degree so each bucket is a dense (k, d) matrix.
+        boundaries = np.flatnonzero(np.diff(sorted_degrees)) + 1
         for bucket in np.split(sorted_positions, boundaries):
             d = int(position_degrees[bucket[0]])
             u = inverse[bucket]
@@ -356,49 +467,18 @@ class MultiHopSampler:
         )
         return values.astype(np.int64, copy=False), offsets, served
 
-    def _fetch_attributes_batched(self, layer: np.ndarray) -> np.ndarray:
-        """Batched twin of :meth:`_fetch_attributes` (dedup + one store call).
-
-        Occurrence accounting matches the walk: attribute cache inserts
-        happen only after *all* lookups of a layer, so an uncached
-        node's ``c`` occurrences are ``c`` misses, and the store is
-        touched ``c`` times. Degraded rows stay zero and are never
-        cached (see the cache-poisoning regression in the walk path).
-        """
-        attr_len = self.store.graph.attr_len
-        flat = layer.reshape(-1)
-        if flat.size == 0:
-            return np.empty(layer.shape + (attr_len,), dtype=np.float32)
-        unique, inverse, counts = np.unique(
-            flat, return_inverse=True, return_counts=True
+    def _fetch_attributes_batched(self, layer: np.ndarray, dedup) -> np.ndarray:
+        """Batched twin of :meth:`_fetch_attributes` (dedup + one store call)."""
+        attributes, fallbacks = gather_layer_attributes(
+            self.store,
+            layer,
+            self.worker_partition,
+            dedup=dedup,
+            cache=self.cache,
+            degraded_ok=self.degraded_ok,
         )
-        rows = np.empty((unique.size, attr_len), dtype=np.float32)
-        hit_mask = np.zeros(unique.size, dtype=bool)
-        if self.cache is not None:
-            for j, node in enumerate(unique):
-                hit = self.cache.get_attributes(int(node))
-                if hit is not None:
-                    rows[j] = hit
-                    hit_mask[j] = True
-            self.cache.bump_attribute_stats(
-                hits=int((counts[hit_mask] - 1).sum()),
-                misses=int((counts[~hit_mask] - 1).sum()),
-            )
-        missing_indices = np.flatnonzero(~hit_mask)
-        if missing_indices.size:
-            batch = self.store.get_attributes_batch(
-                unique[missing_indices],
-                self.worker_partition,
-                counts=counts[missing_indices],
-                degraded_ok=self.degraded_ok,
-            )
-            self.degraded_fallbacks += batch.fallbacks
-            rows[missing_indices] = batch.rows
-            if self.cache is not None:
-                for position, j in enumerate(missing_indices):
-                    if batch.served[position]:
-                        self.cache.put_attributes(int(unique[j]), batch.rows[position])
-        return rows[inverse].reshape(layer.shape + (attr_len,))
+        self.degraded_fallbacks += fallbacks
+        return attributes
 
     def _fetch_attributes(self, layer: np.ndarray) -> np.ndarray:
         flat = layer.reshape(-1)

@@ -150,12 +150,15 @@ def select_streaming_weighted(
 
 
 # --------------------------------------------------------------- batched
-# Bucket variants: the batched sampler groups frontier positions by
-# degree, so each variant selects for a whole ``(k, d)`` matrix of
+# Bucket variants: each selects for a whole ``(k, d)`` matrix of
 # same-degree neighbor lists at once. They draw from the same RNG with
 # the same per-row distributions as their scalar counterparts, but the
 # *consumption order* differs (row-blocked instead of per node), so the
-# equivalence contract is statistical, not stream-identical.
+# equivalence contract with the scalar selectors is statistical, not
+# stream-identical. The batched sampler runs the weighted variants
+# bucket by bucket (they need per-row CDFs); the degree-only selectors
+# go through the ragged pickers below, which consume the RNG exactly as
+# their bucket variants called in ascending-degree order would.
 
 
 def _validate_bucket(matrix: np.ndarray, fanout: int) -> None:
@@ -279,6 +282,61 @@ def select_streaming_weighted_bucket(
     return kernels.take_picks(matrix, all_picks)
 
 
+# Ragged pickers: picks for rows of *different* degrees in one RNG call.
+# ``sorted_degrees`` is ascending (the batched sampler's stable degree
+# argsort); the result is the ``(n, fanout)`` matrix of positions into
+# each row's own neighbor list. ``Generator.integers`` draws element by
+# element in C order whether its bounds are scalars or broadcast arrays
+# (one Lemire draw each, none when the range is a single value), so
+# laying the bounds out in the order the bucket variants consume them
+# makes the stream -- picks and generator end state -- bit-identical to
+# calling the bucket variant once per distinct degree.
+
+
+def ragged_uniform_picks(
+    sorted_degrees: np.ndarray, fanout: int, rng: np.random.Generator
+) -> np.ndarray:
+    """:func:`select_uniform_bucket` picks for every degree bucket at once.
+
+    The buckets draw row-major and follow each other in degree order,
+    which is plain row-major over the degree-sorted rows.
+    """
+    return rng.integers(
+        0, sorted_degrees[:, None], size=(sorted_degrees.size, fanout)
+    )
+
+
+def ragged_streaming_picks(
+    sorted_degrees: np.ndarray, fanout: int, rng: np.random.Generator
+) -> np.ndarray:
+    """:func:`select_streaming_bucket` picks for every degree bucket at once.
+
+    The buckets draw group by group (all rows of group 0, then group
+    1, ...), so the flat draw order is bucket -> group -> row.
+    """
+    n = sorted_degrees.size
+    firsts = np.flatnonzero(np.diff(sorted_degrees, prepend=-1))
+    sizes = np.diff(firsts, append=n)
+    degrees = sorted_degrees[firsts, None]
+    groups = np.arange(fanout)
+    low = degrees * groups // fanout
+    high = degrees * (groups + 1) // fanout
+    # Degenerate groups (degree < fanout) pick from the whole list.
+    degenerate = high <= low
+    low[degenerate] = 0
+    high = np.where(degenerate, degrees, high)
+    repeats = np.repeat(sizes, fanout)
+    draws = rng.integers(
+        np.repeat(low.ravel(), repeats), np.repeat(high.ravel(), repeats)
+    )
+    # Row i (rank r in a bucket of k rows starting at row s) finds its
+    # group-g draw at s * fanout + g * k + r.
+    row_sizes = np.repeat(sizes, sizes)
+    row_firsts = np.repeat(firsts, sizes)
+    base = row_firsts * (fanout - 1) + np.arange(n)
+    return draws[base[:, None] + groups * row_sizes[:, None]]
+
+
 #: Scalar selector -> its vectorized bucket variant. Custom selectors
 #: without an entry fall back to per-position scalar application in the
 #: batched sampler (the fetch is still amortized).
@@ -289,10 +347,22 @@ BUCKET_SELECTORS = {
     select_streaming_weighted: select_streaming_weighted_bucket,
 }
 
+#: Degree-only scalar selector -> its ragged picker. The weighted
+#: selectors have none: they need a CDF per row, i.e. the dense bucket.
+RAGGED_PICKERS = {
+    select_uniform: ragged_uniform_picks,
+    select_streaming: ragged_streaming_picks,
+}
+
 
 def get_bucket_selector(selector):
     """Bucket variant of a scalar selector, or ``None`` if unknown."""
     return BUCKET_SELECTORS.get(selector)
+
+
+def get_ragged_picker(selector):
+    """Ragged picker of a degree-only selector, or ``None``."""
+    return RAGGED_PICKERS.get(selector)
 
 
 SELECTORS = {

@@ -368,13 +368,13 @@ class DynamicPartitionedStore(PartitionedStore):
         locality = self._locality(nodes, from_partition)
         self._record_batch(
             AccessKind.STRUCTURE,
-            np.full(nodes.shape, self.index_entry_bytes, dtype=np.int64),
+            self.index_entry_bytes,
             locality,
             counts,
         )
         self._record_batch(
             AccessKind.STRUCTURE,
-            np.full(nodes.shape, self.offset_entry_bytes, dtype=np.int64),
+            self.offset_entry_bytes,
             locality,
             counts,
         )

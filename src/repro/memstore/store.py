@@ -316,40 +316,48 @@ class PartitionedStore:
     def _record_batch(
         self,
         kind: AccessKind,
-        nbytes: np.ndarray,
+        nbytes,
         local: np.ndarray,
         counts: Optional[np.ndarray] = None,
     ) -> None:
         """Record a whole group of same-kind accesses in O(1) summary updates.
 
-        ``nbytes``/``local`` are per-entry; ``counts`` is the number of
+        ``local`` is per-entry; ``nbytes`` is per-entry too, or one
+        scalar when every entry moves the same number of bytes (index
+        and offset lookups, attribute rows); ``counts`` is the number of
         identical accesses each entry stands for (occurrence
         multiplicity after dedup). Totals match issuing each access
         through :meth:`_record`; only the trace *ordering* may differ
         from the per-node walk.
         """
-        nbytes = np.asarray(nbytes, dtype=np.int64)
         local = np.asarray(local, dtype=bool)
         if counts is None:
-            counts = np.ones(nbytes.shape, dtype=np.int64)
+            counts = np.ones(local.shape, dtype=np.int64)
         else:
             counts = np.asarray(counts, dtype=np.int64)
         total = int(counts.sum())
         if total == 0:
             return
-        total_bytes = int((nbytes * counts).sum())
+        remote = ~local
+        remote_total = int(counts[remote].sum())
+        if np.ndim(nbytes) == 0:
+            total_bytes = int(nbytes) * total
+            remote_bytes = int(nbytes) * remote_total
+        else:
+            nbytes = np.asarray(nbytes, dtype=np.int64)
+            total_bytes = int((nbytes * counts).sum())
+            remote_bytes = int((nbytes[remote] * counts[remote]).sum())
         if kind is AccessKind.STRUCTURE:
             self._summary.structure_count += total
             self._summary.structure_bytes += total_bytes
         else:
             self._summary.attribute_count += total
             self._summary.attribute_bytes += total_bytes
-        remote = ~local
-        if remote.any():
-            self._summary.remote_count += int(counts[remote].sum())
-            self._summary.remote_bytes += int((nbytes[remote] * counts[remote]).sum())
+        self._summary.remote_count += remote_total
+        self._summary.remote_bytes += remote_bytes
         if self.tracing:
-            for b, loc, c in zip(nbytes, local, counts):
+            per_entry = np.broadcast_to(nbytes, local.shape)
+            for b, loc, c in zip(per_entry, local, counts):
                 if c:
                     record = AccessRecord(kind, int(b), bool(loc))
                     self._trace.extend([record] * int(c))
@@ -466,13 +474,13 @@ class PartitionedStore:
         def _emit(recorded: np.ndarray) -> None:
             self._record_batch(
                 AccessKind.STRUCTURE,
-                np.full(nodes.shape, self.index_entry_bytes, dtype=np.int64),
+                self.index_entry_bytes,
                 locality,
                 recorded,
             )
             self._record_batch(
                 AccessKind.STRUCTURE,
-                np.full(nodes.shape, self.offset_entry_bytes, dtype=np.int64),
+                self.offset_entry_bytes,
                 locality,
                 recorded,
             )
@@ -554,13 +562,13 @@ class PartitionedStore:
         def _emit(recorded: np.ndarray) -> None:
             self._record_batch(
                 AccessKind.STRUCTURE,
-                np.full(nodes.shape, self.index_entry_bytes, dtype=np.int64),
+                self.index_entry_bytes,
                 locality,
                 recorded,
             )
             self._record_batch(
                 AccessKind.ATTRIBUTE,
-                np.full(nodes.shape, row_bytes, dtype=np.int64),
+                row_bytes,
                 locality,
                 recorded,
             )
@@ -587,8 +595,10 @@ class PartitionedStore:
                 served[i] = successes > 0
         _emit(recorded)
 
-        rows = np.zeros((nodes.size, self.graph.attr_len), dtype=np.float32)
-        if served.any():
+        if served.all():
+            rows = self.graph.attributes(nodes)
+        else:
+            rows = np.zeros((nodes.size, self.graph.attr_len), dtype=np.float32)
             rows[served] = self.graph.attributes(nodes[served])
         return AttributeBatch(nodes, rows, served, fallbacks)
 

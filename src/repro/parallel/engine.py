@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, GraphError, ParallelExecutionError
 from repro.framework.requests import NegativeSampleRequest, SampleRequest, SampleResult
-from repro.framework.sampler import MultiHopSampler
+from repro.framework.sampler import MultiHopSampler, gather_layer_attributes
 from repro.framework.selectors import get_selector
 from repro.memstore.store import PartitionedStore
 from repro.parallel.shm import GraphPlane, SharedBlock
@@ -427,31 +427,18 @@ class ParallelSampler:
         result.layers.extend(entry.layers)
         if entry.request.with_attributes:
             # One pinned snapshot for the whole gather: on a mutable
-            # store the per-layer batches must not straddle epochs.
+            # store the per-layer batches must not straddle epochs. The
+            # sampler's own per-layer dedup + one store batch call, so
+            # the coordinator store's summary accrues exactly what a
+            # serial sampler would have recorded for the same layers.
             with self.store.read_view():
                 result.attributes = [
-                    self._gather_attributes(layer) for layer in result.layers
+                    gather_layer_attributes(
+                        self.store, layer, self.worker_partition
+                    )[0]
+                    for layer in result.layers
                 ]
         return result
-
-    def _gather_attributes(self, layer: np.ndarray) -> np.ndarray:
-        """Coordinator-side attribute gather, occurrence-accounted.
-
-        Mirrors the batched sampler's per-layer dedup + one store batch
-        call, so the coordinator store's summary accrues exactly what a
-        serial sampler would have recorded for the same layers.
-        """
-        attr_len = self.store.graph.attr_len
-        flat = layer.reshape(-1)
-        if flat.size == 0:
-            return np.empty(layer.shape + (attr_len,), dtype=np.float32)
-        unique, inverse, counts = np.unique(
-            flat, return_inverse=True, return_counts=True
-        )
-        batch = self.store.get_attributes_batch(
-            unique, self.worker_partition, counts=counts
-        )
-        return batch.rows[inverse].reshape(layer.shape + (attr_len,))
 
     def discard(self, seq: int) -> None:
         """Abandon in-flight micro-batch ``seq`` without consuming it.

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.framework.selectors import (
+    RAGGED_PICKERS,
     SELECTORS,
     _rowwise_weighted_picks,
+    get_bucket_selector,
+    get_ragged_picker,
     get_selector,
     select_streaming,
     select_streaming_bucket,
@@ -246,3 +251,74 @@ class TestBucketEdgeCases:
             select_uniform_bucket(np.arange(3), 2, rng)
         with pytest.raises(ConfigurationError):
             select_streaming_bucket(np.empty((2, 0)), 2, rng)
+
+
+def bucket_oracle_picks(bucket_selector, sorted_degrees, fanout, rng):
+    """Per-degree ``select_*_bucket`` calls in ascending degree order.
+
+    Each bucket's matrix is ``arange(d)`` per row, so the selected
+    values *are* the picks.
+    """
+    boundaries = np.flatnonzero(np.diff(sorted_degrees)) + 1
+    return np.concatenate(
+        [
+            bucket_selector(
+                np.tile(np.arange(int(bucket[0])), (bucket.size, 1)), fanout, rng
+            )
+            for bucket in np.split(sorted_degrees, boundaries)
+        ]
+    )
+
+
+#: Degree vectors: mixed (degree 1 and degree < fanout included), a
+#: single bucket, all-distinct degrees, and tiny degrees only.
+degree_vectors = st.one_of(
+    st.lists(st.integers(1, 40), min_size=1, max_size=60),
+    st.builds(lambda d, k: [d] * k, st.integers(1, 30), st.integers(1, 40)),
+    st.integers(1, 50).map(lambda n: list(range(1, n + 1))),
+    st.lists(st.integers(1, 3), min_size=1, max_size=60),
+)
+
+
+class TestRaggedStreamIdentity:
+    """The ragged pickers consume the RNG exactly as the bucket loop did."""
+
+    @pytest.mark.parametrize("name", ["uniform", "streaming"])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        degrees=degree_vectors,
+        fanout=st.integers(1, 14),
+        seed=st.integers(0, 2**32 - 1),
+        odd_offset=st.booleans(),
+    )
+    def test_picks_and_end_state_match_bucket_loop(
+        self, name, degrees, fanout, seed, odd_offset
+    ):
+        selector = SELECTORS[name]
+        sorted_degrees = np.sort(np.asarray(degrees, dtype=np.int64))
+        ragged_rng = np.random.default_rng(seed)
+        oracle_rng = np.random.default_rng(seed)
+        if odd_offset:
+            # Leave half a 64-bit word in the generator's 32-bit buffer.
+            assert ragged_rng.integers(0, 5) == oracle_rng.integers(0, 5)
+        picks = get_ragged_picker(selector)(sorted_degrees, fanout, ragged_rng)
+        expected = bucket_oracle_picks(
+            get_bucket_selector(selector), sorted_degrees, fanout, oracle_rng
+        )
+        assert picks.shape == (sorted_degrees.size, fanout)
+        assert np.array_equal(picks, expected)
+        assert (picks >= 0).all() and (picks < sorted_degrees[:, None]).all()
+        assert ragged_rng.random() == oracle_rng.random()
+
+    def test_degree_one_rows_consume_nothing(self):
+        for picker in RAGGED_PICKERS.values():
+            rng = np.random.default_rng(3)
+            untouched = np.random.default_rng(3)
+            picks = picker(np.ones(7, dtype=np.int64), 5, rng)
+            assert (picks == 0).all()
+            assert rng.random() == untouched.random()
+
+    def test_only_degree_only_selectors_have_a_picker(self):
+        assert set(RAGGED_PICKERS) == {select_uniform, select_streaming}
+        assert get_ragged_picker(SELECTORS["weighted"]) is None
+        assert get_ragged_picker(SELECTORS["streaming_weighted"]) is None

@@ -157,3 +157,36 @@ class TestVectorizedBatch:
             reference.get_neighbors(node, from_partition=0)
         assert sorted((r.kind.value, r.nbytes, r.local) for r in store.trace) == \
             sorted((r.kind.value, r.nbytes, r.local) for r in reference.trace)
+
+
+class TestRecordBatchScalarBytes:
+    def test_scalar_nbytes_equals_array_form(self, store):
+        """A scalar byte size is shorthand for the same size per entry:
+        totals, remote split and the per-record trace all match."""
+        twin = PartitionedStore(store.graph, store.partitioner)
+        store.tracing = twin.tracing = True
+        local = np.array([True, False, False, True, False])
+        counts = np.array([2, 0, 3, 1, 1])
+        for kind, nbytes in ((AccessKind.STRUCTURE, 16), (AccessKind.ATTRIBUTE, 608)):
+            for c in (counts, None, np.zeros(5, dtype=np.int64)):
+                store._record_batch(kind, nbytes, local, c)
+                twin._record_batch(kind, np.full(local.shape, nbytes), local, c)
+        assert store.summary == twin.summary
+        assert store.trace == twin.trace
+        assert store.summary.remote_count == 2 * (3 + 1 + 3)
+        assert store.summary.remote_bytes == (3 + 1 + 3) * (16 + 608)
+
+    def test_batch_trace_is_a_permutation_of_single_reads(self, store):
+        nodes, counts = np.array([0, 1, 9, 6]), np.array([2, 1, 3, 1])
+        twin = PartitionedStore(store.graph, store.partitioner)
+        store.tracing = twin.tracing = True
+        store.get_neighbors_batch(nodes, 0, counts=counts)
+        store.get_attributes_batch(nodes, 0, counts=counts)
+        for node, count in zip(nodes, counts):
+            for _ in range(count):
+                twin.get_neighbors(int(node), 0)
+        for node, count in zip(nodes, counts):
+            for _ in range(count):
+                twin.get_attributes([int(node)], 0)
+        assert store.summary == twin.summary
+        assert sorted(store.trace, key=repr) == sorted(twin.trace, key=repr)
