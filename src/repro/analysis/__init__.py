@@ -6,26 +6,24 @@ unwritten invariants: randomness flows through injected seeded
 generators, no simulator code reads the host clock, unit conversions go
 through :mod:`repro.units`, and accounting counters are mutated only by
 their recording helpers. This package enforces those invariants
-mechanically with an AST-based rule engine, per-line suppressions
-(``# repro: allow[rule-id] reason``), and a committed baseline for
-grandfathered findings. See ``repro lint --list-rules``.
+mechanically with an AST-based rule engine and per-line suppressions
+(``# repro: allow[rule-id] reason``), the one exemption mechanism.
+See ``repro lint --list-rules``.
 
-The engine has two tiers: per-file :class:`Rule` checks run on every
-``repro lint``, and whole-program :class:`ProjectRule` checks
-(``repro lint --deep``) run over a :class:`ProjectGraph` — an import
-graph plus symbol tables and a call-graph approximation — to catch
-violations that span modules (shared-memory view writes, snapshot-pin
-escapes, laundered RNG seeds, cross-module counter mutations).
+Every ``repro lint`` run is one pass over two kinds of rule: per-file
+:class:`Rule` checks against each parsed file, and whole-program
+:class:`ProjectRule` checks over a :class:`ProjectGraph` — symbol
+tables and a call-graph approximation built from the same parsed files
+— to catch violations that span modules (shared-memory view writes,
+snapshot-pin escapes, laundered RNG seeds, cross-module counter
+mutations).
 """
 
-from repro.analysis.baseline import Baseline, BaselineEntry, BaselineResult
 from repro.analysis.engine import (
     AnalysisEngine,
     AnalysisResult,
-    DeepAnalysisResult,
     FileResult,
     analyze_source,
-    derive_module_path,
 )
 from repro.analysis.findings import Finding
 from repro.analysis.project import ProjectGraph, build_project_from_sources
@@ -35,6 +33,7 @@ from repro.analysis.rules import (
     Rule,
     all_project_rules,
     all_rules,
+    derive_module_path,
     get_rule,
     register,
 )
@@ -42,10 +41,6 @@ from repro.analysis.rules import (
 __all__ = [
     "AnalysisEngine",
     "AnalysisResult",
-    "Baseline",
-    "BaselineEntry",
-    "BaselineResult",
-    "DeepAnalysisResult",
     "FileResult",
     "Finding",
     "ProjectGraph",

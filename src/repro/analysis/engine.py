@@ -1,11 +1,12 @@
-"""The analysis engine: file walker, parse cache, rule driver.
+"""The analysis engine: file walker, rule driver, suppressions.
 
 One :class:`AnalysisEngine` run walks a tree (or explicit files),
-parses each ``*.py`` once, runs every registered rule against the
-shared AST, applies per-line suppressions, and returns structured
-findings. Results are cached per file content hash, so re-linting an
-unchanged tree (locally or in CI via a cached ``.repro-lint-cache.json``)
-skips parsing and rule execution entirely.
+parses each ``*.py`` once, runs every file rule against the shared
+AST, builds the :class:`~repro.analysis.project.graph.ProjectGraph`
+over the same parsed files and runs the whole-program rules on it,
+applies per-line suppressions to both kinds of finding, and returns
+them together. There is no result cache: a full run over ``src/repro``
+takes a few seconds.
 
 Fixture files under ``repro/analysis/fixtures/`` are deliberate rule
 violations used by the tests and ``repro lint --explain``; the walker
@@ -15,45 +16,24 @@ skips them.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding
+from repro.analysis.project.graph import build_project
 from repro.analysis.rules import (
-    MODULE_MARKER_RE,
     FileContext,
     ProjectRule,
     Rule,
     all_rules,
+    derive_module_path,
+    resolve_module_path,
 )
 from repro.analysis.suppress import apply_suppressions, parse_suppressions
 
-#: Bump when engine semantics change in a way that invalidates caches.
-ENGINE_VERSION = "1"
-
-#: Bump when project-layer semantics change (invalidates deep caches).
-PROJECT_VERSION = "1"
-
 #: Module-path prefix of deliberate-violation fixture files.
 FIXTURE_PREFIX = "repro/analysis/fixtures/"
-
-
-def derive_module_path(path: Union[str, Path]) -> str:
-    """Module path (``repro/axe/core.py``) from a filesystem path.
-
-    Anchors on the last ``repro`` directory component so the result is
-    the same whether the file is addressed as ``src/repro/axe/core.py``
-    or ``/abs/checkout/src/repro/axe/core.py``. Files outside a
-    ``repro`` tree keep their path relative to the scan root.
-    """
-    parts = Path(path).parts
-    for index in range(len(parts) - 1, -1, -1):
-        if parts[index] == "repro":
-            return "/".join(parts[index:])
-    return Path(path).name
 
 
 @dataclass
@@ -63,31 +43,64 @@ class FileResult:
     path: str
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    from_cache: bool = False
 
 
 @dataclass
 class AnalysisResult:
-    """Aggregate outcome of one engine run (pre-baseline)."""
+    """Aggregate outcome of one engine run."""
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
-    cache_hits: int = 0
+    #: Modules in the project graph the whole-program rules ran over.
+    modules: int = 0
 
 
-@dataclass
-class DeepAnalysisResult(AnalysisResult):
-    """File-layer outcome plus the ``--deep`` project-layer outcome."""
+def _check_file(
+    source: str, path: str, module_path: str, rules: Sequence[Rule]
+) -> Tuple[Optional[FileContext], List[Finding]]:
+    """Parse one file and run the file rules: (context, raw findings).
 
-    project_findings: List[Finding] = field(default_factory=list)
-    project_suppressed: List[Finding] = field(default_factory=list)
-    #: Modules whose dependency-closure hash matched the cache.
-    project_cache_hits: int = 0
-    project_modules: int = 0
-    #: True when the whole project pass was served from cache (no
-    #: module changed, so the graph was never rebuilt).
-    project_reused: bool = False
+    A file that does not parse yields no context and a single
+    ``parse-error`` finding.
+    """
+    try:
+        tree = ast.parse(source)
+    except SyntaxError as exc:
+        return None, [
+            Finding(
+                path=module_path,
+                line=int(exc.lineno or 1),
+                col=int(exc.offset or 0) + 1,
+                rule="parse-error",
+                message=f"syntax error: {exc.msg}",
+                snippet=(exc.text or "").strip(),
+            )
+        ]
+    ctx = FileContext(
+        path=path,
+        module_path=module_path,
+        tree=tree,
+        lines=source.splitlines(),
+    )
+    findings: List[Finding] = []
+    for rule in rules:
+        findings.extend(rule.check(ctx))
+    return ctx, findings
+
+
+def _suppress(
+    module_path: str,
+    source: str,
+    findings: List[Finding],
+    rules: Sequence[Rule],
+) -> Tuple[List[Finding], List[Finding]]:
+    """Split one file's raw findings into sorted (kept, suppressed)."""
+    by_line, bad_suppressions = parse_suppressions(
+        module_path, source, [rule.rule_id for rule in rules]
+    )
+    kept, suppressed = apply_suppressions(findings, by_line)
+    return sorted(kept + bad_suppressions), sorted(suppressed)
 
 
 def analyze_source(
@@ -97,70 +110,37 @@ def analyze_source(
     module_path: Optional[str] = None,
     rules: Optional[Sequence[Rule]] = None,
 ) -> FileResult:
-    """Analyze one source string (the unit the tests drive directly).
+    """Run the file rules on one source string (the unit the rule tests
+    drive directly; the whole-program rules need :meth:`AnalysisEngine.run`).
 
     ``module_path`` defaults to ``path``; a ``# repro-module:`` marker
     in the first three lines overrides both.
     """
     active_rules = list(rules) if rules is not None else all_rules()
-    lines = source.splitlines()
-    resolved_module = module_path if module_path is not None else path
-    for raw in lines[:3]:
-        match = MODULE_MARKER_RE.match(raw.strip())
-        if match:
-            resolved_module = match.group(1)
-            break
+    resolved_module = resolve_module_path(
+        source, module_path if module_path is not None else path
+    )
     result = FileResult(path=resolved_module)
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        result.findings.append(
-            Finding(
-                path=resolved_module,
-                line=int(exc.lineno or 1),
-                col=int(exc.offset or 0) + 1,
-                rule="parse-error",
-                message=f"syntax error: {exc.msg}",
-                snippet=(exc.text or "").strip(),
-            )
+    ctx, findings = _check_file(source, path, resolved_module, active_rules)
+    if ctx is None:
+        result.findings = findings
+    else:
+        result.findings, result.suppressed = _suppress(
+            resolved_module, source, findings, active_rules
         )
-        return result
-    ctx = FileContext(
-        path=path, module_path=resolved_module, tree=tree, lines=lines
-    )
-    raw_findings: List[Finding] = []
-    for rule in active_rules:
-        raw_findings.extend(rule.check(ctx))
-    by_line, bad_suppressions = parse_suppressions(
-        resolved_module, source, [rule.rule_id for rule in active_rules]
-    )
-    kept, suppressed = apply_suppressions(raw_findings, by_line)
-    kept.extend(bad_suppressions)
-    result.findings = sorted(kept)
-    result.suppressed = sorted(suppressed)
     return result
 
 
 class AnalysisEngine:
-    """Walks files, caches per-content results, aggregates findings."""
+    """Walks files, runs file and project rules, aggregates findings."""
 
-    def __init__(
-        self,
-        rules: Optional[Sequence[Rule]] = None,
-        cache_path: Optional[Path] = None,
-    ) -> None:
+    def __init__(self, rules: Optional[Sequence[Rule]] = None) -> None:
         self.rules: List[Rule] = (
             list(rules) if rules is not None else all_rules()
         )
         self.project_rules: List[ProjectRule] = [
             rule for rule in self.rules if isinstance(rule, ProjectRule)
         ]
-        self.cache_path = cache_path
-        self._cache: Dict[str, Dict[str, object]] = {}
-        self._project_cache: Dict[str, Dict[str, object]] = {}
-        self._cache_dirty = False
-        if cache_path is not None:
-            self._load_cache(cache_path)
 
     # ------------------------------------------------------------- walking
     @staticmethod
@@ -186,221 +166,40 @@ class AnalysisEngine:
 
     # ------------------------------------------------------------- running
     def run(self, paths: Sequence[Path]) -> AnalysisResult:
+        """Lint ``paths``: file rules per file, then the project rules
+        over the graph of everything that parsed, then suppressions."""
         result = AnalysisResult()
+        #: One (context, source, raw findings) record per parsed file.
+        files: List[Tuple[FileContext, str, List[Finding]]] = []
         for path in self.expand_paths(paths):
-            file_result = self.analyze_file(path)
-            result.files_scanned += 1
-            if file_result.from_cache:
-                result.cache_hits += 1
-            result.findings.extend(file_result.findings)
-            result.suppressed.extend(file_result.suppressed)
-        result.findings.sort()
-        result.suppressed.sort()
-        if self.cache_path is not None and self._cache_dirty:
-            self._save_cache(self.cache_path)
-        return result
-
-    def analyze_file(
-        self, path: Path, data: Optional[bytes] = None
-    ) -> FileResult:
-        if data is None:
-            data = path.read_bytes()
-        digest = hashlib.sha1(data).hexdigest()
-        module_path = derive_module_path(path)
-        cached = self._cache.get(module_path)
-        if cached is not None and cached.get("sha") == digest:
-            result = FileResult(path=module_path, from_cache=True)
-            result.findings = [
-                Finding.from_dict(d) for d in cached.get("findings", [])  # type: ignore[union-attr]
-            ]
-            result.suppressed = [
-                Finding.from_dict(d) for d in cached.get("suppressed", [])  # type: ignore[union-attr]
-            ]
-            return result
-        result = analyze_source(
-            data.decode("utf-8"),
-            path=str(path),
-            module_path=module_path,
-            rules=self.rules,
-        )
-        self._cache[module_path] = {
-            "sha": digest,
-            "findings": [f.to_dict() for f in result.findings],
-            "suppressed": [f.to_dict() for f in result.suppressed],
-        }
-        self._cache_dirty = True
-        return result
-
-    # ---------------------------------------------------------- deep pass
-    def run_deep(self, paths: Sequence[Path]) -> DeepAnalysisResult:
-        """File pass plus the whole-program (``--deep``) project pass.
-
-        Project findings are cached per module, keyed on the sha of the
-        module's *dependency closure*: an edit to anything a module
-        (transitively) imports invalidates its cached project results.
-        When no module changed at all, the cached findings are served
-        without even rebuilding the project graph — that is the warm
-        path CI and local re-runs hit.
-        """
-        result = DeepAnalysisResult()
-        sources: Dict[str, str] = {}
-        shas: Dict[str, str] = {}
-        for path in self.expand_paths(paths):
-            data = path.read_bytes()
-            file_result = self.analyze_file(path, data)
-            result.files_scanned += 1
-            if file_result.from_cache:
-                result.cache_hits += 1
-            result.findings.extend(file_result.findings)
-            result.suppressed.extend(file_result.suppressed)
-            source = data.decode("utf-8")
-            module_path = resolve_module_path(path, source)
-            sources[module_path] = source
-            shas[module_path] = hashlib.sha1(data).hexdigest()
-        result.findings.sort()
-        result.suppressed.sort()
-        result.project_modules = len(sources)
-
-        if self._project_unchanged(shas):
-            for module_path in sorted(sources):
-                entry = self._project_cache[module_path]
-                result.project_findings.extend(
-                    Finding.from_dict(d)
-                    for d in _as_list(entry.get("findings"))
-                )
-                result.project_suppressed.extend(
-                    Finding.from_dict(d)
-                    for d in _as_list(entry.get("suppressed"))
-                )
-            result.project_cache_hits = len(sources)
-            result.project_reused = True
-        else:
-            self._run_project_pass(sources, shas, result)
-            self._cache_dirty = True
-        result.project_findings.sort()
-        result.project_suppressed.sort()
-        if self.cache_path is not None and self._cache_dirty:
-            self._save_cache(self.cache_path)
-        return result
-
-    def _project_unchanged(self, shas: Dict[str, str]) -> bool:
-        if set(shas) != set(self._project_cache):
-            return False
-        return all(
-            self._project_cache[module].get("sha") == sha
-            for module, sha in shas.items()
-        )
-
-    def _run_project_pass(
-        self,
-        sources: Dict[str, str],
-        shas: Dict[str, str],
-        result: DeepAnalysisResult,
-    ) -> None:
-        from repro.analysis.project.graph import build_project_from_sources
-
-        graph = build_project_from_sources(sources)
-        edges = graph.import_edges()
-        closures: Dict[str, str] = {}
-        for module_path in graph.modules:
-            closure = sorted(graph.import_closure(module_path))
-            text = ";".join(
-                f"{dep}:{shas.get(dep, 'missing')}" for dep in closure
+            source = path.read_text(encoding="utf-8")
+            module_path = resolve_module_path(
+                source, derive_module_path(path)
             )
-            closures[module_path] = hashlib.sha1(
-                text.encode("utf-8")
-            ).hexdigest()
+            ctx, findings = _check_file(
+                source, str(path), module_path, self.rules
+            )
+            result.files_scanned += 1
+            if ctx is None:
+                result.findings.extend(findings)
+            else:
+                files.append((ctx, source, findings))
 
-        raw: List[Finding] = []
+        graph = build_project([ctx for ctx, _, _ in files])
+        result.modules = len(graph.modules)
+        # Two files can claim one module path; the graph keeps the later
+        # one, so project findings join that file's list.
+        by_module = {ctx.module_path: found for ctx, _, found in files}
         for rule in self.project_rules:
-            raw.extend(rule.check_project(graph))
-        by_module: Dict[str, List[Finding]] = {}
-        for finding in raw:
-            by_module.setdefault(finding.path, []).append(finding)
+            for finding in rule.check_project(graph):
+                by_module[finding.path].append(finding)
 
-        project_rule_ids = [rule.rule_id for rule in self.rules]
-        new_cache: Dict[str, Dict[str, object]] = {}
-        for module_path in sorted(graph.modules):
-            source = sources.get(
-                module_path, "\n".join(graph.modules[module_path].lines)
+        for ctx, source, findings in files:
+            kept, suppressed = _suppress(
+                ctx.module_path, source, findings, self.rules
             )
-            by_line, _bad = parse_suppressions(
-                module_path, source, project_rule_ids
-            )
-            kept, suppressed = apply_suppressions(
-                by_module.get(module_path, []), by_line
-            )
-            cached = self._project_cache.get(module_path)
-            if (
-                cached is not None
-                and cached.get("closure_sha") == closures[module_path]
-            ):
-                result.project_cache_hits += 1
-            result.project_findings.extend(kept)
-            result.project_suppressed.extend(suppressed)
-            new_cache[module_path] = {
-                "sha": shas.get(module_path, ""),
-                "imports": sorted(edges.get(module_path, set())),
-                "closure_sha": closures[module_path],
-                "findings": [f.to_dict() for f in sorted(kept)],
-                "suppressed": [f.to_dict() for f in sorted(suppressed)],
-            }
-        self._project_cache = new_cache
-
-    # ------------------------------------------------------------- caching
-    def _rules_signature(self) -> str:
-        key = ENGINE_VERSION + ";" + ",".join(
-            sorted(rule.signature() for rule in self.rules)
-        )
-        return hashlib.sha1(key.encode("utf-8")).hexdigest()
-
-    def _project_signature(self) -> str:
-        key = (
-            ENGINE_VERSION
-            + ";"
-            + PROJECT_VERSION
-            + ";"
-            + ",".join(sorted(rule.signature() for rule in self.project_rules))
-        )
-        return hashlib.sha1(key.encode("utf-8")).hexdigest()
-
-    def _load_cache(self, path: Path) -> None:
-        self._cache = {}
-        self._project_cache = {}
-        if not path.exists():
-            return
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return
-        if data.get("rules_sig") == self._rules_signature():
-            files = data.get("files")
-            if isinstance(files, dict):
-                self._cache = dict(files)
-        if data.get("project_sig") == self._project_signature():
-            project = data.get("project")
-            if isinstance(project, dict):
-                self._project_cache = dict(project)
-
-    def _save_cache(self, path: Path) -> None:
-        payload = {
-            "version": 1,
-            "rules_sig": self._rules_signature(),
-            "files": self._cache,
-            "project_sig": self._project_signature(),
-            "project": self._project_cache,
-        }
-        path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-
-
-def resolve_module_path(path: Union[str, Path], source: str) -> str:
-    """Module path of ``path``, honoring a ``# repro-module:`` marker."""
-    for raw in source.splitlines()[:3]:
-        match = MODULE_MARKER_RE.match(raw.strip())
-        if match:
-            return match.group(1)
-    return derive_module_path(path)
-
-
-def _as_list(value: object) -> List[Dict[str, object]]:
-    return list(value) if isinstance(value, list) else []
+            result.findings.extend(kept)
+            result.suppressed.extend(suppressed)
+        result.findings.sort()
+        result.suppressed.sort()
+        return result

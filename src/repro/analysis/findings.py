@@ -2,17 +2,12 @@
 
 A :class:`Finding` is one rule violation at one source location. The
 ``path`` is the *module path* (``repro/framework/sampler.py``), not a
-filesystem path: it is stable across checkouts, which makes it usable
-as a baseline key. The :meth:`Finding.fingerprint` deliberately hashes
-the rule, the module path, and the *text* of the offending line — not
-the line number — so a committed baseline survives unrelated edits
-above the finding.
+filesystem path, so a report reads the same from any checkout.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict
 
 
@@ -27,33 +22,9 @@ class Finding:
     message: str
     snippet: str = ""
 
-    def fingerprint(self) -> str:
-        """Line-number-independent identity used for baseline matching."""
-        key = f"{self.rule}::{self.path}::{self.snippet}"
-        return hashlib.sha1(key.encode("utf-8")).hexdigest()
-
     def format(self) -> str:
         """One-line human-readable rendering."""
         return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-            "snippet": self.snippet,
-            "fingerprint": self.fingerprint(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Finding":
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            rule=str(data["rule"]),
-            message=str(data["message"]),
-            snippet=str(data.get("snippet", "")),
-        )
+        return asdict(self)

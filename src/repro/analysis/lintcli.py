@@ -1,15 +1,11 @@
 """Implementation of the ``repro lint`` CLI subcommand.
 
-Exit-code semantics:
+Every run applies every rule (file and whole-program) to the scanned
+tree. Exit-code semantics:
 
-* ``0`` — no unsuppressed, unbaselined findings and no stale baseline
-  entries (also after a successful ``--update-baseline`` or for the
-  informational modes ``--explain`` / ``--list-rules``).
-* ``1`` — new findings, or stale baseline entries that need
-  ``--update-baseline``.
-
-Stale entries fail the run on purpose: the baseline is a reviewed
-artifact, and letting it rot silently would hide how much debt remains.
+* ``0`` — no unsuppressed findings (also for the informational modes
+  ``--explain`` / ``--list-rules``).
+* ``1`` — findings, or ``--explain`` of an unknown rule id.
 """
 
 from __future__ import annotations
@@ -18,37 +14,16 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 import repro
-from repro.analysis.baseline import Baseline, BaselineResult
-from repro.analysis.engine import (
-    AnalysisEngine,
-    AnalysisResult,
-    DeepAnalysisResult,
-)
+from repro.analysis.engine import AnalysisEngine
 from repro.analysis.rules import all_rules, get_rule
-
-#: File name of the committed baseline, looked up at the repo root.
-BASELINE_FILENAME = "lint-baseline.json"
 
 
 def default_scan_root() -> Path:
     """The installed ``repro`` package directory."""
     return Path(repro.__file__).resolve().parent
-
-
-def default_baseline_path(scan_root: Path) -> Path:
-    """Locate the committed baseline for ``scan_root``.
-
-    Prefers ``lint-baseline.json`` at the repo root (the directory
-    holding ``pyproject.toml`` two levels above ``src/repro``), falling
-    back to the current working directory.
-    """
-    repo_root = scan_root.parent.parent
-    if (repo_root / "pyproject.toml").exists():
-        return repo_root / BASELINE_FILENAME
-    return Path.cwd() / BASELINE_FILENAME
 
 
 def fixture_path(rule_id: str, kind: str) -> Path:
@@ -117,22 +92,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="output format",
     )
     parser.add_argument(
-        "--deep", action="store_true",
-        help="also run the whole-program (cross-module) rules",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help=f"baseline file (default: {BASELINE_FILENAME} at the repo root)",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    parser.add_argument(
-        "--cache", default=None, metavar="PATH",
-        help="persist per-file results here keyed by content hash",
-    )
-    parser.add_argument(
         "--explain", default=None, metavar="RULE_ID",
         help="print a rule's doc plus its bad/good fixture pair",
     )
@@ -153,139 +112,33 @@ def run_lint(args: argparse.Namespace, out: Any = None) -> int:
     scan_paths = (
         [Path(p) for p in args.paths] if args.paths else [default_scan_root()]
     )
-    baseline_path = (
-        Path(args.baseline)
-        if args.baseline is not None
-        else default_baseline_path(default_scan_root())
-    )
-    engine = AnalysisEngine(
-        cache_path=Path(args.cache) if args.cache else None
-    )
-    deep: Optional[DeepAnalysisResult] = None
-    if args.deep:
-        deep = engine.run_deep(scan_paths)
-        result: AnalysisResult = deep
-    else:
-        result = engine.run(scan_paths)
-
-    if args.update_baseline:
-        updated = Baseline.from_findings(
-            result.findings,
-            deep.project_findings if deep is not None else None,
-        )
-        if deep is None:
-            # Shallow update: preserve the --deep section untouched.
-            updated.project_entries = Baseline.load(
-                baseline_path
-            ).project_entries
-        updated.save(baseline_path)
-        recorded = len(result.findings) + (
-            len(deep.project_findings) if deep is not None else 0
-        )
-        print(
-            f"baseline updated: {recorded} finding(s) recorded "
-            f"in {baseline_path}",
-            file=out,
-        )
-        return 0
-
-    baseline = Baseline.load(baseline_path)
-    applied = baseline.apply(result.findings)
-    applied_project = (
-        baseline.apply_project(deep.project_findings)
-        if deep is not None
-        else None
-    )
-    exit_code = 1 if (applied.new or applied.stale) else 0
-    if applied_project is not None and (
-        applied_project.new or applied_project.stale
-    ):
-        exit_code = 1
+    result = AnalysisEngine().run(scan_paths)
+    exit_code = 1 if result.findings else 0
 
     if args.format == "json":
-        report = _json_report(result, applied, exit_code)
-        if deep is not None and applied_project is not None:
-            report["project"] = _json_project_report(deep, applied_project)
+        report = {
+            "files_scanned": result.files_scanned,
+            "modules": result.modules,
+            "findings": [f.to_dict() for f in result.findings],
+            "suppressed": len(result.suppressed),
+            "exit_code": exit_code,
+        }
         print(json.dumps(report), file=out)
-    else:
-        _text_report(result, applied, exit_code, out, deep, applied_project)
-    return exit_code
+        return exit_code
 
-
-def _json_report(
-    result: AnalysisResult, applied: BaselineResult, exit_code: int
-) -> Dict[str, Any]:
-    return {
-        "files_scanned": result.files_scanned,
-        "cache_hits": result.cache_hits,
-        "findings": [f.to_dict() for f in applied.new],
-        "baselined": applied.baselined_count,
-        "suppressed": len(result.suppressed),
-        "stale_baseline": [e.to_dict() for e in applied.stale],
-        "exit_code": exit_code,
-    }
-
-
-def _json_project_report(
-    deep: DeepAnalysisResult, applied: BaselineResult
-) -> Dict[str, Any]:
-    return {
-        "modules": deep.project_modules,
-        "cache_hits": deep.project_cache_hits,
-        "reused": deep.project_reused,
-        "findings": [f.to_dict() for f in applied.new],
-        "baselined": applied.baselined_count,
-        "suppressed": len(deep.project_suppressed),
-        "stale_baseline": [e.to_dict() for e in applied.stale],
-    }
-
-
-def _text_report(
-    result: AnalysisResult,
-    applied: BaselineResult,
-    exit_code: int,
-    out: Any,
-    deep: Optional[DeepAnalysisResult] = None,
-    applied_project: Optional[BaselineResult] = None,
-) -> None:
-    sections = [("", applied)]
-    if applied_project is not None:
-        sections.append(("deep: ", applied_project))
-    for prefix, section in sections:
-        for finding in section.new:
-            print(prefix + finding.format(), file=out)
-            if finding.snippet:
-                print(f"    {finding.line} | {finding.snippet}", file=out)
-        for entry in section.stale:
-            print(
-                f"{prefix}stale baseline entry: [{entry.rule}] {entry.path} "
-                f"({entry.count}x) — fixed? run --update-baseline",
-                file=out,
-            )
-    summary = (
-        f"{len(applied.new)} finding(s), {applied.baselined_count} "
-        f"baselined, {len(result.suppressed)} suppressed, "
-        f"{len(applied.stale)} stale baseline entr(y/ies) across "
-        f"{result.files_scanned} file(s)"
+    for finding in result.findings:
+        print(finding.format(), file=out)
+        if finding.snippet:
+            print(f"    {finding.line} | {finding.snippet}", file=out)
+    print(
+        f"{len(result.findings)} finding(s), {len(result.suppressed)} "
+        f"suppressed across {result.files_scanned} file(s); project "
+        f"rules ran over {result.modules} module(s)",
+        file=out,
     )
-    if result.cache_hits:
-        summary += f" [{result.cache_hits} cached]"
-    print(summary, file=out)
-    if deep is not None and applied_project is not None:
-        deep_summary = (
-            f"deep: {len(applied_project.new)} finding(s), "
-            f"{applied_project.baselined_count} baselined, "
-            f"{len(deep.project_suppressed)} suppressed, "
-            f"{len(applied_project.stale)} stale across "
-            f"{deep.project_modules} module(s)"
-        )
-        if deep.project_reused:
-            deep_summary += " [project cache reused]"
-        elif deep.project_cache_hits:
-            deep_summary += f" [{deep.project_cache_hits} closure-cached]"
-        print(deep_summary, file=out)
     if exit_code == 0:
         print("lint: clean", file=out)
+    return exit_code
 
 
 def main(argv: Optional[List[str]] = None) -> int:

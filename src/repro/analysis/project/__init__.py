@@ -1,8 +1,8 @@
-"""Whole-program analysis layer: the project graph behind ``--deep``.
+"""Whole-program analysis layer: the project graph.
 
-Where :mod:`repro.analysis.engine` sees one parsed file at a time, this
-package builds a *project* view over a set of files: the module import
-graph, a per-module symbol table (top-level functions, classes, their
+Where a file rule sees one parsed file at a time, this package builds
+a *project* view over a set of files: the import bindings of each
+module, a per-module symbol table (top-level functions, classes, their
 methods and ``self.*`` attribute types), an intraprocedural def-use
 approximation (:class:`~repro.analysis.project.graph.Origin`), and a
 call-graph approximation resolving dotted calls through imports,

@@ -1,11 +1,11 @@
 """Project graph: imports, symbols, def-use origins, and calls.
 
-One :func:`build_project` call turns a set of source files into a
-:class:`ProjectGraph`:
+One :func:`build_project` call turns a set of parsed source files into
+a :class:`ProjectGraph`:
 
 * **Module identity** is the *module path* (``repro/parallel/shm.py``),
   derived from the file path or overridden by a ``# repro-module:``
-  marker — exactly like the per-file engine, so fixture mini-projects
+  marker — the same identity the file rules see, so fixture mini-projects
   can impersonate real modules. Imports resolve against the dotted form
   of that identity (``repro.parallel.shm``), which is how multi-file
   fixtures import each other through canonical ``repro.*`` paths.
@@ -35,29 +35,29 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
-from repro.analysis.rules import MODULE_MARKER_RE, dotted_name
+from repro.analysis.rules import (
+    FileContext,
+    derive_module_path,
+    dotted_name,
+    resolve_module_path,
+)
 
 #: Builtins that matter to rules (resolved as external callees).
 _KNOWN_BUILTINS = frozenset(
     {"set", "frozenset", "dict", "sorted", "list", "tuple", "hash", "id"}
 )
-
-
-def module_path_for(path: Union[str, Path], root: Optional[Path] = None) -> str:
-    """Module path for a file: anchored on ``repro`` or root-relative."""
-    parts = Path(path).parts
-    for index in range(len(parts) - 1, -1, -1):
-        if parts[index] == "repro":
-            return "/".join(parts[index:])
-    if root is not None:
-        try:
-            return Path(path).resolve().relative_to(root.resolve()).as_posix()
-        except ValueError:
-            pass
-    return Path(path).name
 
 
 def dotted_for(module_path: str) -> str:
@@ -173,14 +173,6 @@ class ModuleInfo:
         return ""
 
 
-def _resolve_marker(source: str) -> Optional[str]:
-    for raw in source.splitlines()[:3]:
-        match = MODULE_MARKER_RE.match(raw.strip())
-        if match:
-            return match.group(1)
-    return None
-
-
 def _harvest_imports(
     tree: ast.Module, module_dotted: str, is_package: bool
 ) -> Dict[str, str]:
@@ -234,17 +226,17 @@ def _function_info(
     )
 
 
-def _parse_module(path: str, source: str, root: Optional[Path]) -> ModuleInfo:
-    module_path = _resolve_marker(source) or module_path_for(path, root)
-    tree = ast.parse(source)
+def _module_info(ctx: FileContext) -> ModuleInfo:
+    """Symbol tables of one already-parsed file."""
+    module_path, tree = ctx.module_path, ctx.tree
     dotted = dotted_for(module_path)
     is_package = module_path.endswith("/__init__.py") or module_path == "__init__.py"
     minfo = ModuleInfo(
-        path=path,
+        path=ctx.path,
         module_path=module_path,
         dotted=dotted,
         tree=tree,
-        lines=source.splitlines(),
+        lines=ctx.lines,
         imports=_harvest_imports(tree, dotted, is_package),
     )
     for stmt in tree.body:
@@ -367,7 +359,6 @@ class ProjectGraph:
         }
         self._env_cache: Dict[Tuple[str, str], Dict[str, Origin]] = {}
         self._calls_cache: Dict[Tuple[str, str], List[CallSite]] = {}
-        self._import_edges: Optional[Dict[str, Set[str]]] = None
 
     # ----------------------------------------------------------- iteration
     def functions(self) -> Iterator[FunctionInfo]:
@@ -397,42 +388,6 @@ class ProjectGraph:
 
     def is_class(self, module_path: str, name: str) -> bool:
         return self.class_info(module_path, name) is not None
-
-    # ------------------------------------------------------ import closure
-    def import_edges(self) -> Dict[str, Set[str]]:
-        """Module path -> project module paths it imports."""
-        if self._import_edges is None:
-            edges: Dict[str, Set[str]] = {}
-            for module_path, minfo in self.modules.items():
-                targets: Set[str] = set()
-                for target_dotted in minfo.imports.values():
-                    resolved = self._resolve_module_prefix(target_dotted)
-                    if resolved is not None and resolved != module_path:
-                        targets.add(resolved)
-                edges[module_path] = targets
-            self._import_edges = edges
-        return self._import_edges
-
-    def import_closure(self, module_path: str) -> Set[str]:
-        """``module_path`` plus everything it transitively imports."""
-        edges = self.import_edges()
-        seen: Set[str] = set()
-        stack = [module_path]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(edges.get(current, ()))
-        return seen
-
-    def _resolve_module_prefix(self, dotted: str) -> Optional[str]:
-        parts = dotted.split(".")
-        for length in range(len(parts), 0, -1):
-            prefix = ".".join(parts[:length])
-            if prefix in self._dotted_index:
-                return self._dotted_index[prefix]
-        return None
 
     # ------------------------------------------------------ call resolution
     def resolve_dotted(self, dotted: str) -> Optional[Callee]:
@@ -799,29 +754,31 @@ def annotation_is_set(annotation: ast.expr) -> bool:
     return dotted.split(".")[-1] in ("Set", "set", "FrozenSet", "frozenset")
 
 
-def build_project_from_sources(
-    sources: Dict[str, str], root: Optional[Path] = None
-) -> ProjectGraph:
+def build_project(contexts: Iterable[FileContext]) -> ProjectGraph:
+    """Build a project graph over already-parsed files.
+
+    When two files claim one module path the later one wins.
+    """
+    return ProjectGraph(
+        {ctx.module_path: _module_info(ctx) for ctx in contexts}
+    )
+
+
+def build_project_from_sources(sources: Dict[str, str]) -> ProjectGraph:
     """Build a project graph from ``{file path: source text}``.
 
-    Files that fail to parse are skipped (the per-file engine already
-    reports them as ``parse-error`` findings).
+    Files that fail to parse are skipped (the engine reports them as
+    ``parse-error`` findings).
     """
-    modules: Dict[str, ModuleInfo] = {}
+    contexts: List[FileContext] = []
     for path in sorted(sources):
+        source = sources[path]
         try:
-            minfo = _parse_module(path, sources[path], root)
+            tree = ast.parse(source)
         except SyntaxError:
             continue
-        modules[minfo.module_path] = minfo
-    return ProjectGraph(modules)
-
-
-def build_project(
-    files: Sequence[Union[str, Path]], root: Optional[Path] = None
-) -> ProjectGraph:
-    """Build a project graph by reading ``files`` from disk."""
-    sources: Dict[str, str] = {}
-    for file in files:
-        sources[str(file)] = Path(file).read_text(encoding="utf-8")
-    return build_project_from_sources(sources, root)
+        module_path = resolve_module_path(source, derive_module_path(path))
+        contexts.append(
+            FileContext(path, module_path, tree, source.splitlines())
+        )
+    return build_project(contexts)

@@ -21,12 +21,37 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Optional
+from pathlib import Path
+from typing import Dict, List, Optional, Union
 
 from repro.analysis.findings import Finding
 
 #: Marker comment overriding the derived module path (first 3 lines).
 MODULE_MARKER_RE = re.compile(r"^#\s*repro-module:\s*(\S+)\s*$")
+
+
+def derive_module_path(path: Union[str, Path]) -> str:
+    """Module path (``repro/axe/core.py``) from a filesystem path.
+
+    Anchors on the last ``repro`` directory component so the result is
+    the same whether the file is addressed as ``src/repro/axe/core.py``
+    or ``/abs/checkout/src/repro/axe/core.py``. Files outside a
+    ``repro`` tree keep only their file name.
+    """
+    parts = Path(path).parts
+    for index in range(len(parts) - 1, -1, -1):
+        if parts[index] == "repro":
+            return "/".join(parts[index:])
+    return Path(path).name
+
+
+def resolve_module_path(source: str, default: str) -> str:
+    """``default``, unless a ``# repro-module:`` marker overrides it."""
+    for raw in source.splitlines()[:3]:
+        match = MODULE_MARKER_RE.match(raw.strip())
+        if match:
+            return match.group(1)
+    return default
 
 
 class FileContext:
@@ -66,7 +91,7 @@ class FileContext:
 class Rule:
     """Base class: one statically-checkable invariant."""
 
-    #: Stable identifier used in findings, suppressions, and baselines.
+    #: Stable identifier used in findings and suppressions.
     rule_id: str = ""
     #: One-line summary for ``repro lint --list-rules``.
     title: str = ""
@@ -75,18 +100,6 @@ class Rule:
 
     def check(self, ctx: FileContext) -> List[Finding]:
         raise NotImplementedError
-
-    def signature(self) -> str:
-        """Cache-key contribution of this rule.
-
-        Must change whenever the rule's *configuration* changes in a
-        way that can change its findings — scope lists, allowlists,
-        ownership registries. The engine folds every rule's signature
-        into the result-cache key, so widening a rule's scope re-lints
-        cached files instead of serving stale clean results. Rules
-        with config beyond their id must override this.
-        """
-        return self.rule_id
 
 
 class MetaRule(Rule):
@@ -99,11 +112,11 @@ class MetaRule(Rule):
 class ProjectRule(Rule):
     """A whole-program rule: consumes the project graph, not one file.
 
-    Project rules run only under ``repro lint --deep``. They register
-    in the same registry as file rules (so suppressions validate and
-    ``--explain`` documents them), but their per-file :meth:`check` is
-    a no-op; the deep engine calls :meth:`check_project` once with the
-    cross-module view built by :mod:`repro.analysis.project`.
+    Project rules register in the same registry as file rules (so
+    suppressions validate and ``--explain`` documents them), but their
+    per-file :meth:`check` is a no-op; the engine calls
+    :meth:`check_project` once per run with the cross-module view
+    built by :mod:`repro.analysis.project`.
     """
 
     def check(self, ctx: FileContext) -> List[Finding]:
@@ -161,8 +174,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
 def _load_builtin_rules() -> None:
     """Import the built-in rule modules (self-registering)."""
     from repro.analysis.rules import (  # noqa: F401
-        accounting,
-        defaults,
         determinism,
         exceptions,
         meta,

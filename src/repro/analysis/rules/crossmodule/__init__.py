@@ -1,8 +1,8 @@
 """Whole-program rules: contracts no single file can witness.
 
 The four rules in this package consume the
-:class:`~repro.analysis.project.graph.ProjectGraph` built by
-``repro lint --deep`` and check the cross-cutting contracts the paper's
+:class:`~repro.analysis.project.graph.ProjectGraph` every ``repro lint``
+run builds and check the cross-cutting contracts the paper's
 architecture depends on:
 
 ``shm-view-write``
@@ -18,9 +18,8 @@ architecture depends on:
     Registered counter classes mutate only in their owning modules,
     resolved by receiver *type* rather than attribute name.
 
-Shared helpers live here; the ownership registry in
-:mod:`repro.analysis.rules.crossmodule.registry` is the declared source
-of truth that the per-file ``acct-mutation`` rule also imports.
+Shared helpers live here; the counter ownership registry is
+:mod:`repro.analysis.rules.crossmodule.registry`.
 """
 
 from __future__ import annotations

@@ -1,26 +1,20 @@
 """counter-ownership: counter classes mutate only in owning modules.
 
-The per-file ``acct-mutation`` rule approximates ownership by
-*attribute name*: it flags ``x.remote_count += 1`` anywhere outside
-the owner module, but it cannot tell an ``AccessSummary`` from an
-unrelated object that happens to have a ``remote_count`` attribute,
-and it knows nothing about counters whose names are not in its list.
-
-This whole-program rule checks the same contract by receiver *type*:
-it resolves the class of every mutation target through the project
-graph (constructor calls, helper returns, ``self.*`` attribute
-origins, parameter annotations), looks the class up in the declared
+Ownership is checked by receiver *type*, not attribute name, so an
+``AccessSummary`` is never confused with an unrelated object that
+happens to have a ``remote_count`` attribute. The rule resolves the
+class of every mutation target through the project graph (constructor
+calls, helper returns, ``self.*`` attribute origins, parameter
+annotations), looks the class up in the declared
 :data:`~repro.analysis.rules.crossmodule.registry.COUNTER_CLASSES`
 registry (or its ``__counter_class__ = True`` opt-in marker), and
 flags mutations of that class's *discovered* counter fields outside
-the owning modules — program-wide, including counters the per-file
-list has never heard of.
+the owning modules.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from typing import Dict, FrozenSet, List, Optional, Tuple, cast
 
 from repro.analysis.findings import Finding
@@ -34,7 +28,6 @@ from repro.analysis.rules.crossmodule import module_finding, param_annotation
 from repro.analysis.rules.crossmodule.registry import (
     COUNTER_CLASSES,
     counter_fields,
-    registry_signature,
 )
 
 _MAX_DEPTH = 5
@@ -51,15 +44,9 @@ class CounterOwnershipRule(ProjectRule):
         "cache calibration, and the replay-equivalence checks; they are "
         "only meaningful while every mutation goes through the owning "
         "module's recording helpers. Resolving the receiver's type "
-        "program-wide catches strays the per-file attribute-name "
-        "approximation cannot (and never misfires on lookalike names)."
+        "program-wide catches strays a single file cannot witness (and "
+        "never misfires on lookalike attribute names)."
     )
-
-    def signature(self) -> str:
-        digest = hashlib.sha1(
-            registry_signature().encode("utf-8")
-        ).hexdigest()
-        return f"{self.rule_id}:{digest}"
 
     def check_project(self, project: object) -> List[Finding]:
         pg = cast(ProjectGraph, project)

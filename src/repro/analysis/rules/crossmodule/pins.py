@@ -58,10 +58,6 @@ class PinDisciplineRule(ProjectRule):
         "replay-equivalence checks assume stable."
     )
 
-    def signature(self) -> str:
-        scope = sorted(READ_METHODS) + [STORE_MODULE_PREFIX]
-        return f"{self.rule_id}:{','.join(scope)}"
-
     def check_project(self, project: object) -> List[Finding]:
         pg = cast(ProjectGraph, project)
         entries = [

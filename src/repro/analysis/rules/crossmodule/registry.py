@@ -1,18 +1,12 @@
 """Declared ownership registry for accounting counters.
 
-Two views of the same contract live here:
-
-* :data:`COUNTER_CLASSES` — the *class-level* registry consumed by the
-  whole-program ``counter-ownership`` rule. Keys are
-  ``"module_path::ClassName"``; values are the modules allowed to
-  mutate instances of that class. Counter *fields* are discovered from
-  the class definition itself (numeric-defaulted dataclass fields and
-  ``self.x = 0`` initializers), so adding a counter to a registered
-  class is automatically covered without touching this file.
-* :data:`COUNTER_OWNERS` — the *attribute-name* approximation used by
-  the per-file ``acct-mutation`` rule (which cannot see types). It
-  stays useful because it runs on every ``repro lint`` without the
-  project graph, at the cost of keying on attribute names.
+:data:`COUNTER_CLASSES` is the registry consumed by the whole-program
+``counter-ownership`` rule. Keys are ``"module_path::ClassName"``;
+values are the modules allowed to mutate instances of that class.
+Counter *fields* are discovered from the class definition itself
+(numeric-defaulted dataclass fields and ``self.x = 0`` initializers),
+so adding a counter to a registered class is automatically covered
+without touching this file.
 
 A class outside this registry can opt in by declaring
 ``__counter_class__ = True`` in its class body; its owning module is
@@ -52,71 +46,6 @@ COUNTER_CLASSES: Dict[str, FrozenSet[str]] = {
         {"repro/gnn/pipeline.py"}
     ),
 }
-
-#: Counter attribute name -> modules allowed to mutate it (the per-file
-#: approximation; see module docstring).
-COUNTER_OWNERS: Dict[str, FrozenSet[str]] = {
-    # AccessSummary (repro/memstore/store.py): _record/_record_batch/
-    # _record_gather only.
-    "structure_count": frozenset({"repro/memstore/store.py"}),
-    "structure_bytes": frozenset({"repro/memstore/store.py"}),
-    "attribute_count": frozenset({"repro/memstore/store.py"}),
-    "attribute_bytes": frozenset({"repro/memstore/store.py"}),
-    "remote_count": frozenset({"repro/memstore/store.py"}),
-    "remote_bytes": frozenset({"repro/memstore/store.py"}),
-    "gather_nodes": frozenset({"repro/memstore/store.py"}),
-    "gather_runs": frozenset({"repro/memstore/store.py"}),
-    "gather_span_bytes": frozenset({"repro/memstore/store.py"}),
-    # FaultStats (repro/memstore/faults.py); retry counters are shared
-    # with the closed-loop service model's own _RetryCounters.
-    "reads": frozenset({"repro/memstore/faults.py"}),
-    "attempts": frozenset({"repro/memstore/faults.py"}),
-    "retries": frozenset(
-        {"repro/memstore/faults.py", "repro/framework/service.py"}
-    ),
-    "timeouts": frozenset(
-        {"repro/memstore/faults.py", "repro/framework/service.py"}
-    ),
-    "hedges": frozenset(
-        {"repro/memstore/faults.py", "repro/framework/service.py"}
-    ),
-    "hedge_wins": frozenset(
-        {"repro/memstore/faults.py", "repro/framework/service.py"}
-    ),
-    "failovers": frozenset({"repro/memstore/faults.py"}),
-    "failed_reads": frozenset({"repro/memstore/faults.py"}),
-    # HotNodeCache hit/miss/invalidation counters (repro/framework/cache.py).
-    "neighbor_hits": frozenset({"repro/framework/cache.py"}),
-    "neighbor_misses": frozenset({"repro/framework/cache.py"}),
-    "attribute_hits": frozenset({"repro/framework/cache.py"}),
-    "attribute_misses": frozenset({"repro/framework/cache.py"}),
-    "invalidations": frozenset({"repro/framework/cache.py"}),
-    # Online-mutation ingest counters (repro/memstore/ingest.py).
-    "delta_hits": frozenset({"repro/memstore/ingest.py"}),
-    "delta_edges_read": frozenset({"repro/memstore/ingest.py"}),
-    "cache_invalidations": frozenset({"repro/memstore/ingest.py"}),
-    # CoalescingCache stats (repro/axe/cache.py).
-    "line_hits": frozenset({"repro/axe/cache.py"}),
-    "line_misses": frozenset({"repro/axe/cache.py"}),
-    "element_accesses": frozenset({"repro/axe/cache.py"}),
-    # NeighborhoodCache occurrence counters (repro/gnn/pipeline.py).
-    "root_hits": frozenset({"repro/gnn/pipeline.py"}),
-    "root_misses": frozenset({"repro/gnn/pipeline.py"}),
-    # AccessSummary neighborhood-cache counters: mutate only via
-    # PartitionedStore.record_neighborhood.
-    "neighborhood_hits": frozenset({"repro/memstore/store.py"}),
-    "neighborhood_misses": frozenset({"repro/memstore/store.py"}),
-}
-
-
-def registry_signature() -> str:
-    """Stable text form of both registries, for rule cache signatures."""
-    parts: List[str] = []
-    for key in sorted(COUNTER_CLASSES):
-        parts.append(f"{key}={','.join(sorted(COUNTER_CLASSES[key]))}")
-    for attr in sorted(COUNTER_OWNERS):
-        parts.append(f"{attr}={','.join(sorted(COUNTER_OWNERS[attr]))}")
-    return ";".join(parts)
 
 
 def counter_fields(cinfo: ClassInfo) -> FrozenSet[str]:

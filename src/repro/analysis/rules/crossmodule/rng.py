@@ -41,7 +41,6 @@ from repro.analysis.rules import ProjectRule, register
 from repro.analysis.rules.crossmodule import module_finding, param_annotation
 from repro.analysis.rules.crossmodule.registry import (
     COUNTER_CLASSES,
-    COUNTER_OWNERS,
     counter_fields,
 )
 
@@ -80,14 +79,6 @@ class RngProvenanceRule(ProjectRule):
         "per process, so a set-driven loop that feeds AccessSummary-"
         "style occurrence counters diverges from its replay."
     )
-
-    def signature(self) -> str:
-        scope = (
-            sorted(AMBIENT_CALLS)
-            + sorted(AMBIENT_PREFIXES)
-            + sorted(ACCOUNTING_SINKS)
-        )
-        return f"{self.rule_id}:{','.join(scope)}"
 
     def check_project(self, project: object) -> List[Finding]:
         pg = cast(ProjectGraph, project)
@@ -294,7 +285,7 @@ class RngProvenanceRule(ProjectRule):
 
     @staticmethod
     def _counter_names(pg: ProjectGraph) -> Set[str]:
-        names: Set[str] = set(COUNTER_OWNERS)
+        names: Set[str] = set()
         for key in COUNTER_CLASSES:
             module, class_name = key.split("::", 1)
             cinfo = pg.class_info(module, class_name)

@@ -72,14 +72,6 @@ class ShmViewWriteRule(ProjectRule):
     def __init__(self) -> None:
         self._return_taint: Dict[Tuple[str, str], Optional[str]] = {}
 
-    def signature(self) -> str:
-        scope = (
-            sorted(GRAPH_PRODUCERS)
-            + sorted(RAW_PRODUCERS)
-            + sorted(RAW_WRITERS)
-        )
-        return f"{self.rule_id}:{SHM_MODULE}:{','.join(scope)}"
-
     def check_project(self, project: object) -> List[Finding]:
         pg = cast(ProjectGraph, project)
         findings: Dict[Tuple[str, int, int], Finding] = {}

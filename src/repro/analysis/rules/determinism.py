@@ -21,14 +21,10 @@ enforce the two ways host nondeterminism leaks in:
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, List, Set
+from typing import List, Set
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules import FileContext, Rule, dotted_name, register
-
-#: Modules allowed to read the host clock: none. Timing lives in
-#: ``bench/``, outside the package.
-WALLCLOCK_ALLOWLIST: FrozenSet[str] = frozenset()
 
 #: Host-clock callables, by dotted name relative to their module.
 CLOCK_CALLS = frozenset(
@@ -85,12 +81,7 @@ class WallClockRule(Rule):
         "inside takes time from the deterministic event kernel."
     )
 
-    def signature(self) -> str:
-        return f"{self.rule_id}:{','.join(sorted(WALLCLOCK_ALLOWLIST))}"
-
     def check(self, ctx: FileContext) -> List[Finding]:
-        if ctx.module_path in WALLCLOCK_ALLOWLIST:
-            return []
         findings: List[Finding] = []
         time_aliases = _module_aliases(ctx.tree, "time")
         datetime_aliases = _module_aliases(ctx.tree, "datetime")

@@ -70,10 +70,6 @@ class ExceptionSwallowRule(Rule):
         "record to stats."
     )
 
-    def signature(self) -> str:
-        scope = sorted(FAULT_PATH_MODULES) + sorted(FAULT_PATH_PREFIXES)
-        return f"{self.rule_id}:{','.join(scope)}"
-
     def check(self, ctx: FileContext) -> List[Finding]:
         findings: List[Finding] = []
         fault_path = _on_fault_path(ctx.module_path)

@@ -56,10 +56,6 @@ class SimulatedClockRule(Rule):
         "arithmetic, silently corrupting latency and SLO accounting."
     )
 
-    def signature(self) -> str:
-        scope = sorted(SIM_MODULES) + sorted(SIM_MODULE_PREFIXES)
-        return f"{self.rule_id}:{','.join(scope)}"
-
     def check(self, ctx: FileContext) -> List[Finding]:
         if not _is_sim_module(ctx.module_path):
             return []

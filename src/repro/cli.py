@@ -16,7 +16,7 @@ Usage::
     python -m repro serve              # online SLO-aware serving gateway
     python -m repro cluster            # multi-replica cost-driven autoscaling
     python -m repro faults             # fault-tolerant remote-memory path
-    python -m repro lint               # AST-based invariant linter
+    python -m repro lint               # invariant linter (every rule, one pass)
 
 Timing lives outside the package: ``python3 bench/run.py``.
 """
@@ -400,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--seed", type=int, default=0)
     faults.set_defaults(fn=_cmd_faults)
     lint = sub.add_parser(
-        "lint", help="AST-based invariant linter (repro.analysis)"
+        "lint",
+        help="invariant linter: file and whole-program rules in one pass",
     )
     add_lint_arguments(lint)
     lint.set_defaults(fn=_cmd_lint)

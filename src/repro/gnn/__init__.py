@@ -13,7 +13,6 @@ from repro.gnn.models import DSSM, GraphSageEncoder
 from repro.gnn.gcn import GcnEncoder, GcnLayer
 from repro.gnn.embedding import (
     EmbeddingShard,
-    EmbeddingTable,
     ShardedEmbeddingTable,
 )
 from repro.gnn.pipeline import (
@@ -44,7 +43,6 @@ __all__ = [
     "GcnEncoder",
     "GcnLayer",
     "EmbeddingShard",
-    "EmbeddingTable",
     "ShardedEmbeddingTable",
     "NeighborhoodCache",
     "PipelinedTrainer",

@@ -5,12 +5,12 @@ instead of) raw attributes; the paper keeps this stage on CPU. The
 table supports sparse gather/scatter-grad SGD, which is all the
 mini-batch workflow needs.
 
-:class:`ShardedEmbeddingTable` splits the same table across the store
+:class:`ShardedEmbeddingTable` splits the table across the store
 partitioner's shards for the pipelined trainer: gathers deduplicate
 rows per micro-batch, gradients scatter-add back to the owning shard,
 and because every occurrence of a node routes to exactly one shard in
-occurrence order, the float32 sums are bit-identical to the dense
-:class:`EmbeddingTable` at any shard count.
+occurrence order, the float32 sums are bit-identical at any shard
+count — one shard (``HashPartitioner(1)``) is the dense table.
 """
 
 from __future__ import annotations
@@ -22,72 +22,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.gnn.layers import segment_sum
 from repro.graph.partition import Partitioner
-
-
-class EmbeddingTable:
-    """Dense embedding matrix with sparse mini-batch updates."""
-
-    def __init__(self, num_nodes: int, dim: int, seed: int = 0) -> None:
-        if num_nodes <= 0 or dim <= 0:
-            raise ConfigurationError("num_nodes and dim must be positive")
-        rng = np.random.default_rng(seed)
-        scale = 1.0 / np.sqrt(dim)
-        self.table = rng.uniform(-scale, scale, size=(num_nodes, dim)).astype(
-            np.float32
-        )
-        self._pending_nodes = np.empty(0, dtype=np.int64)
-        self._pending_grads = np.empty((0, dim), dtype=np.float32)
-
-    @property
-    def num_nodes(self) -> int:
-        return int(self.table.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.table.shape[1])
-
-    def lookup(self, nodes: np.ndarray) -> np.ndarray:
-        """Gather embeddings; works for any integer-shaped index tensor."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= self.num_nodes):
-            raise ConfigurationError("embedding lookup outside [0, num_nodes)")
-        return self.table[nodes]
-
-    def accumulate_grad(self, nodes: np.ndarray, grads: np.ndarray) -> None:
-        """Accumulate gradients for the looked-up rows.
-
-        Duplicate node IDs within a batch sum their gradients, matching
-        dense autograd semantics. The merge is one segment-sum scatter
-        over the pending rows plus the batch — no per-row Python loop
-        (``np.add.at`` applies additions in occurrence order, so the
-        float32 sums match the historical loop bit for bit).
-        """
-        nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
-        grads = np.asarray(grads, dtype=np.float32).reshape(-1, self.dim)
-        if nodes.size != grads.shape[0]:
-            raise ConfigurationError(
-                f"{nodes.size} indices but {grads.shape[0]} gradient rows"
-            )
-        all_nodes = np.concatenate([self._pending_nodes, nodes])
-        all_grads = np.concatenate([self._pending_grads, grads])
-        unique, inverse = np.unique(all_nodes, return_inverse=True)
-        self._pending_nodes = unique
-        self._pending_grads = segment_sum(all_grads, inverse, unique.size)
-
-    def step(self, lr: float) -> None:
-        """Apply pending sparse SGD updates.
-
-        Pending node IDs are unique (deduplicated at accumulation), so
-        the scatter-subtract is a plain fancy-index update.
-        """
-        self.table[self._pending_nodes] -= lr * self._pending_grads
-        self._pending_nodes = np.empty(0, dtype=np.int64)
-        self._pending_grads = np.empty((0, self.dim), dtype=np.float32)
-
-    @property
-    def pending_rows(self) -> int:
-        """Number of rows with accumulated (unapplied) gradients."""
-        return int(self._pending_nodes.size)
 
 
 class EmbeddingShard:
@@ -122,9 +56,13 @@ class EmbeddingShard:
     def _local(self, nodes: np.ndarray) -> np.ndarray:
         """Map global node IDs to local row indices (raises if unowned)."""
         local = np.searchsorted(self.node_ids, nodes)
-        bad = (local >= self.node_ids.size) | (
-            self.node_ids[np.minimum(local, self.node_ids.size - 1)] != nodes
-        )
+        if self.node_ids.size == 0:  # an empty shard owns nothing
+            bad = np.ones(nodes.shape, dtype=bool)
+        else:
+            bad = (local >= self.node_ids.size) | (
+                self.node_ids[np.minimum(local, self.node_ids.size - 1)]
+                != nodes
+            )
         if nodes.size and bad.any():
             offenders = np.asarray(nodes)[bad][:5].tolist()
             raise ConfigurationError(
@@ -140,9 +78,11 @@ class EmbeddingShard:
     def accumulate_grad(self, nodes: np.ndarray, grads: np.ndarray) -> None:
         """Scatter-add gradients for owned rows (occurrence order).
 
-        Same dedup-merge as :meth:`EmbeddingTable.accumulate_grad`; the
-        segment-sum applies additions in occurrence order, so per-node
-        float32 sums match the dense table bit for bit.
+        Duplicate node IDs within a batch sum their gradients, matching
+        dense autograd semantics. The merge is one segment-sum scatter
+        over the pending rows plus the batch; it applies additions in
+        occurrence order, so per-node float32 sums do not depend on how
+        the table is sharded.
         """
         nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
         grads = np.asarray(grads, dtype=np.float32).reshape(-1, self.dim)
@@ -170,11 +110,11 @@ class EmbeddingShard:
 class ShardedEmbeddingTable:
     """Embedding table sharded by the store's partitioner.
 
-    Initialization draws the *same* RNG stream as ``EmbeddingTable(
-    num_nodes, dim, seed)`` and then splits rows by owner, so a sharded
-    table at any partition count starts bit-identical to the dense one
-    and — because all occurrences of a node route to its single owning
-    shard in occurrence order — stays bit-identical under training.
+    Initialization draws one ``(num_nodes, dim)`` matrix from the
+    seeded RNG stream and then splits rows by owner, so tables at any
+    partition count start bit-identical and — because all occurrences
+    of a node route to its single owning shard in occurrence order —
+    stay bit-identical under training.
     """
 
     def __init__(
@@ -236,8 +176,8 @@ class ShardedEmbeddingTable:
         """Route each gradient row to its owning shard (scatter-add).
 
         Boolean-mask routing preserves occurrence order within a shard,
-        which keeps per-node float32 accumulation bit-identical to the
-        dense table.
+        which keeps per-node float32 accumulation bit-identical at any
+        shard count.
         """
         nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
         self._check_range(nodes)

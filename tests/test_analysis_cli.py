@@ -1,6 +1,7 @@
 """``repro lint`` CLI tests: exit codes, JSON output, --explain /
---list-rules, the --update-baseline round trip, and the CI guarantee
-that a deliberately introduced violation fails the run."""
+--list-rules, the retired options, and the CI guarantee that a
+deliberately introduced violation — file-level or cross-module — fails
+a plain ``repro lint``."""
 
 import argparse
 import io
@@ -12,11 +13,13 @@ import pytest
 
 import repro
 from repro.analysis.lintcli import add_lint_arguments, main, run_lint
+from repro.cli import main as repro_main
 
 SRC_ROOT = Path(repro.__file__).resolve().parent
+CROSSMODULE_FIXTURES = SRC_ROOT / "analysis" / "fixtures" / "crossmodule"
 
 
-def lint(argv, cwd_baseline=None):
+def lint(argv):
     """Parse ``argv`` like the CLI and run; return (exit_code, output)."""
     parser = argparse.ArgumentParser()
     add_lint_arguments(parser)
@@ -26,89 +29,45 @@ def lint(argv, cwd_baseline=None):
     return code, out.getvalue()
 
 
-@pytest.fixture
-def empty_baseline(tmp_path):
-    path = tmp_path / "lint-baseline.json"
-    path.write_text('{"version": 1, "entries": []}', encoding="utf-8")
-    return path
-
-
 # ------------------------------------------------------------ happy paths
 def test_repo_is_lint_clean():
     code, output = lint([str(SRC_ROOT)])
     assert code == 0, output
     assert "lint: clean" in output
+    # The report shows the whole-program rules ran over the tree.
+    assert "project rules ran over 1" in output
 
 
-def test_json_report_shape(tmp_path, empty_baseline):
+def test_json_report_shape(tmp_path):
     target = tmp_path / "clean.py"
     target.write_text("x = 1\n", encoding="utf-8")
-    code, output = lint(
-        [str(target), "--format", "json", "--baseline", str(empty_baseline)]
-    )
+    code, output = lint([str(target), "--format", "json"])
     assert code == 0
-    report = json.loads(output)
-    assert report["exit_code"] == 0
-    assert report["files_scanned"] == 1
-    assert report["findings"] == []
-    assert report["stale_baseline"] == []
+    assert json.loads(output) == {
+        "files_scanned": 1,
+        "modules": 1,
+        "findings": [],
+        "suppressed": 0,
+        "exit_code": 0,
+    }
 
 
-def test_new_finding_exits_one(tmp_path, empty_baseline):
+def test_new_finding_exits_one(tmp_path):
     target = tmp_path / "bad.py"
     target.write_text("import random\n", encoding="utf-8")
-    code, output = lint([str(target), "--baseline", str(empty_baseline)])
+    code, output = lint([str(target)])
     assert code == 1
     assert "[det-rng]" in output
 
 
-def test_stale_baseline_exits_one(tmp_path, empty_baseline):
-    stale = {
-        "version": 1,
-        "entries": [
-            {
-                "rule": "det-rng",
-                "path": "repro/ghost.py",
-                "snippet": "import random",
-                "message": "gone",
-                "count": 1,
-            }
-        ],
-    }
-    empty_baseline.write_text(json.dumps(stale), encoding="utf-8")
-    target = tmp_path / "clean.py"
-    target.write_text("x = 1\n", encoding="utf-8")
-    code, output = lint([str(target), "--baseline", str(empty_baseline)])
-    assert code == 1
-    assert "stale baseline entry" in output
-
-
-def test_update_baseline_round_trips(tmp_path):
-    target = tmp_path / "bad.py"
-    target.write_text("import random\n", encoding="utf-8")
-    baseline = tmp_path / "lint-baseline.json"
-
-    code, output = lint(
-        [str(target), "--update-baseline", "--baseline", str(baseline)]
-    )
-    assert code == 0
-    assert "baseline updated: 1 finding(s)" in output
-
-    code, output = lint([str(target), "--baseline", str(baseline)])
-    assert code == 0, output
-    assert "1 baselined" in output
-
-    # Fixing the violation leaves a stale entry, which fails the run
-    # until the baseline is refreshed.
-    target.write_text("x = 1\n", encoding="utf-8")
-    code, _ = lint([str(target), "--baseline", str(baseline)])
-    assert code == 1
-    code, _ = lint(
-        [str(target), "--update-baseline", "--baseline", str(baseline)]
-    )
-    assert code == 0
-    code, output = lint([str(target), "--baseline", str(baseline)])
-    assert code == 0, output
+@pytest.mark.parametrize(
+    "option", ["--deep", "--cache x", "--baseline x", "--update-baseline"]
+)
+def test_retired_options_are_usage_errors(option):
+    """One pass, no cache, no baseline: the old switches exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        repro_main(["lint", *option.split()])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------- informational modes
@@ -129,22 +88,25 @@ def test_explain_unknown_rule_exits_one():
 def test_list_rules_names_the_rule_pack():
     code, output = lint(["--list-rules"])
     assert code == 0
-    for rule_id in (
-        "det-wallclock",
+    assert [line.split()[0] for line in output.splitlines()] == [
+        "counter-ownership",
         "det-rng",
-        "units-magic",
-        "acct-mutation",
+        "det-wallclock",
         "except-swallow",
-        "mutable-default",
+        "parse-error",
+        "pin-discipline",
+        "rng-provenance",
+        "shm-view-write",
         "sim-clock",
-    ):
-        assert rule_id in output
+        "suppress-format",
+        "units-magic",
+    ]
 
 
-def test_standalone_main_entry_point(tmp_path, empty_baseline):
+def test_standalone_main_entry_point(tmp_path):
     target = tmp_path / "clean.py"
     target.write_text("x = 1\n", encoding="utf-8")
-    assert main([str(target), "--baseline", str(empty_baseline)]) == 0
+    assert main([str(target)]) == 0
 
 
 # ------------------------------------------------------- the CI guarantee
@@ -155,7 +117,7 @@ def test_standalone_main_entry_point(tmp_path, empty_baseline):
         ("import time\n\n_T0 = time.time()\n", "det-wallclock"),
     ],
 )
-def test_injected_violation_fails_lint(tmp_path, empty_baseline, payload, rule):
+def test_injected_violation_fails_lint(tmp_path, payload, rule):
     """Introducing a seedless RNG or wall-clock call into a copy of
     ``repro/framework`` makes ``repro lint`` exit nonzero — the check CI
     relies on."""
@@ -168,14 +130,32 @@ def test_injected_violation_fails_lint(tmp_path, empty_baseline, payload, rule):
     assert "import numpy as np" in source
     sampler.write_text(source + "\n" + payload, encoding="utf-8")
 
-    code, output = lint(
-        [str(framework), "--baseline", str(empty_baseline)]
-    )
+    code, output = lint([str(framework)])
     assert code == 1
     assert f"[{rule}]" in output
     assert "repro/framework/sampler.py" in output
 
     # The pristine copy minus the injection is clean.
     sampler.write_text(source, encoding="utf-8")
-    code, output = lint([str(framework), "--baseline", str(empty_baseline)])
+    code, output = lint([str(framework)])
+    assert code == 0, output
+
+
+@pytest.mark.parametrize(
+    "rule",
+    ["counter-ownership", "pin-discipline", "rng-provenance", "shm-view-write"],
+)
+def test_injected_crossmodule_violation_fails_lint(tmp_path, rule):
+    """The same guarantee for violations no single file can witness:
+    each ``bad/`` fixture project fails a plain ``repro lint`` (no
+    flag), each ``good/`` twin passes."""
+    fixtures = CROSSMODULE_FIXTURES / rule.replace("-", "_")
+    for kind in ("bad", "good"):
+        shutil.copytree(fixtures / kind, tmp_path / kind)
+
+    code, output = lint([str(tmp_path / "bad")])
+    assert code == 1
+    assert f"[{rule}]" in output
+
+    code, output = lint([str(tmp_path / "good")])
     assert code == 0, output

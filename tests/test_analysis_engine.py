@@ -1,5 +1,5 @@
 """Engine-level tests: file walking, module-path derivation, the
-parse cache, and the ``# repro-module:`` marker override."""
+``# repro-module:`` marker override, and the one-pass run."""
 
 from pathlib import Path
 
@@ -29,8 +29,7 @@ def test_marker_overrides_derived_path(tmp_path):
         "# repro-module: repro/serving/stamp.py\nimport time\n",
         encoding="utf-8",
     )
-    engine = AnalysisEngine()
-    result = engine.analyze_file(target)
+    result = AnalysisEngine().run([target])
     assert {f.rule for f in result.findings} >= {"sim-clock"}
     assert all(f.path == "repro/serving/stamp.py" for f in result.findings)
 
@@ -57,48 +56,47 @@ def test_expand_paths_accepts_file_and_directory(tmp_path):
     assert sorted(p.name for p in found) == ["a.py", "b.py"]
 
 
-# ----------------------------------------------------------------- caching
-def test_cache_round_trip(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text("import random\n", encoding="utf-8")
-    cache = tmp_path / "cache.json"
-
-    first = AnalysisEngine(cache_path=cache).run([target])
-    assert first.cache_hits == 0
-    assert [f.rule for f in first.findings] == ["det-rng"]
-    assert cache.exists()
-
-    second = AnalysisEngine(cache_path=cache).run([target])
-    assert second.cache_hits == 1
-    assert [f.to_dict() for f in second.findings] == [
-        f.to_dict() for f in first.findings
+# ------------------------------------------------------------ the one pass
+def test_run_applies_file_and_project_rules_and_suppressions(tmp_path):
+    """One ``run`` reports a file-rule and a project-rule finding side
+    by side, and an inline suppression covers either kind."""
+    (tmp_path / "stats.py").write_text(
+        "# repro-module: repro/framework/tstats.py\n"
+        "class TStats:\n"
+        "    __counter_class__ = True\n"
+        "\n"
+        "    def __init__(self):\n"
+        "        self.zorp_count = 0\n",
+        encoding="utf-8",
+    )
+    worker = tmp_path / "worker.py"
+    body = (
+        "# repro-module: repro/gnn/tworker.py\n"
+        "import random\n"
+        "from repro.framework.tstats import TStats\n"
+        "\n"
+        "\n"
+        "def run_once():\n"
+        "    s = TStats()\n"
+        "    s.zorp_count += 1{allow}\n"
+        "    return s\n"
+    )
+    worker.write_text(body.format(allow=""), encoding="utf-8")
+    result = AnalysisEngine().run([tmp_path])
+    assert (result.files_scanned, result.modules) == (2, 2)
+    assert [(f.rule, f.path, f.line) for f in result.findings] == [
+        ("det-rng", "repro/gnn/tworker.py", 2),
+        ("counter-ownership", "repro/gnn/tworker.py", 8),
     ]
+    assert result.suppressed == []
 
-    # Editing the file invalidates its entry (content-hash keyed).
-    target.write_text("import random  # still bad\nx = 1\n", encoding="utf-8")
-    third = AnalysisEngine(cache_path=cache).run([target])
-    assert third.cache_hits == 0
-    assert [f.rule for f in third.findings] == ["det-rng"]
-
-
-def test_cache_ignores_other_engine_versions(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text("x = 1\n", encoding="utf-8")
-    cache = tmp_path / "cache.json"
-    cache.write_text('{"rules_sig": "bogus", "files": {}}', encoding="utf-8")
-    result = AnalysisEngine(cache_path=cache).run([target])
-    assert result.cache_hits == 0
-    assert result.files_scanned == 1
-
-
-def test_corrupt_cache_is_not_fatal(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text("x = 1\n", encoding="utf-8")
-    cache = tmp_path / "cache.json"
-    cache.write_text("{not json", encoding="utf-8")
-    result = AnalysisEngine(cache_path=cache).run([target])
-    assert result.files_scanned == 1
-    assert result.findings == []
+    worker.write_text(
+        body.format(allow="  # repro: allow[counter-ownership] test"),
+        encoding="utf-8",
+    )
+    result = AnalysisEngine().run([tmp_path])
+    assert [f.rule for f in result.findings] == ["det-rng"]
+    assert [f.rule for f in result.suppressed] == ["counter-ownership"]
 
 
 # -------------------------------------------------------------- error paths
@@ -114,8 +112,8 @@ def test_findings_sorted_by_location():
         "import random\n"
         "import time\n"
         "\n"
-        "def f(xs=[]):\n"
-        "    return xs\n"
+        "def f():\n"
+        "    return 8 * 1024 ** 3\n"
     )
     result = analyze_source(source, module_path="repro/framework/sampler.py")
     locations = [(f.line, f.col) for f in result.findings]

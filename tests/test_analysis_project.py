@@ -1,16 +1,12 @@
-"""Project-layer (``--deep``) analyzer tests: the crossmodule fixture
-pairs, the per-file engine's provable blindness to them, dependency-
-closure cache invalidation, and rule-signature cache keying."""
+"""Project-rule tests: the crossmodule fixture pairs and the file
+rules' provable blindness to them."""
 
-import time
 from pathlib import Path
 
 import repro
-from repro.analysis import AnalysisEngine, analyze_source
+from repro.analysis import analyze_source
 from repro.analysis.project import build_project_from_sources
-from repro.analysis.rules import MODULE_MARKER_RE, all_project_rules
-from repro.analysis.rules import determinism
-from repro.analysis.rules.crossmodule import registry
+from repro.analysis.rules import all_project_rules
 from repro.analysis.rules.crossmodule.counters import CounterOwnershipRule
 from repro.analysis.rules.crossmodule.pins import PinDisciplineRule
 from repro.analysis.rules.crossmodule.rng import RngProvenanceRule
@@ -28,18 +24,11 @@ RULE_DIRS = {
 
 
 def load_sources(directory):
-    """Fixture dir -> {module_path: source}, keyed by the marker line."""
-    sources = {}
-    for path in sorted(directory.glob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        module_path = str(path)
-        for line in text.splitlines()[:3]:
-            match = MODULE_MARKER_RE.search(line)
-            if match:
-                module_path = match.group(1)
-                break
-        sources[module_path] = text
-    return sources
+    """Fixture dir -> {file path: source}; the markers name the modules."""
+    return {
+        str(path): path.read_text(encoding="utf-8")
+        for path in sorted(directory.glob("*.py"))
+    }
 
 
 def run_fixture(rule_dir, kind):
@@ -78,9 +67,14 @@ def test_rng_provenance_fixture_pair():
 
 def test_counter_ownership_fixture_pair():
     findings = run_fixture("counter_ownership", "bad")
-    assert [f.rule for f in findings] == ["counter-ownership"]
-    assert findings[0].path == "repro/gnn/stats_worker.py"
-    assert ".widget_count" in findings[0].message
+    # The factory-typed ``+=`` and the annotation-typed plain store (the
+    # violation the retired per-file acct-mutation fixture showed).
+    assert [f.rule for f in findings] == ["counter-ownership"] * 2
+    assert {f.path for f in findings} == {"repro/gnn/stats_worker.py"}
+    assert [f.snippet.split("  #")[0] for f in findings] == [
+        "s.widget_count += 1",
+        "stats.widget_count = 0",
+    ]
     assert run_fixture("counter_ownership", "good") == []
 
 
@@ -99,148 +93,6 @@ def test_per_file_engine_cannot_flag_bad_fixtures():
             )
             checked += 1
     assert checked >= 8
-
-
-# ------------------------------------------------ deep cache behavior
-STATS_SRC = """\
-# repro-module: repro/framework/tstats.py
-class TStats:
-    __counter_class__ = True
-
-    def __init__(self):
-        self.zorp_count = 0
-
-    def record_zorp(self):
-        self.zorp_count += 1
-
-
-def make_tstats():
-    return TStats()
-"""
-
-WORKER_SRC = """\
-# repro-module: repro/gnn/tworker.py
-from repro.framework.tstats import make_tstats
-
-
-def run_once():
-    s = make_tstats()
-    s.zorp_count += 1
-    return s
-"""
-
-OTHER_SRC = """\
-# repro-module: repro/gnn/tother.py
-def noop():
-    return 0
-"""
-
-
-def write_project(root):
-    (root / "stats.py").write_text(STATS_SRC, encoding="utf-8")
-    (root / "worker.py").write_text(WORKER_SRC, encoding="utf-8")
-    (root / "other.py").write_text(OTHER_SRC, encoding="utf-8")
-
-
-def test_deep_cache_full_reuse_and_closure_invalidation(tmp_path):
-    proj = tmp_path / "proj"
-    proj.mkdir()
-    write_project(proj)
-    cache = tmp_path / "cache.json"
-
-    cold = AnalysisEngine(cache_path=cache).run_deep([proj])
-    assert not cold.project_reused
-    assert cold.project_cache_hits == 0
-    assert [f.rule for f in cold.project_findings] == ["counter-ownership"]
-    assert cold.project_findings[0].path == "repro/gnn/tworker.py"
-
-    # Nothing changed: the whole pass is served from cache without
-    # rebuilding the graph.
-    warm = AnalysisEngine(cache_path=cache).run_deep([proj])
-    assert warm.project_reused
-    assert warm.project_cache_hits == warm.project_modules == 3
-    assert [f.to_dict() for f in warm.project_findings] == [
-        f.to_dict() for f in cold.project_findings
-    ]
-
-    # Editing the *imported* module invalidates the importer's closure
-    # even though the importer's own bytes are untouched: dropping the
-    # counter marker makes worker's finding disappear.
-    (proj / "stats.py").write_text(
-        STATS_SRC.replace("    __counter_class__ = True\n\n", ""),
-        encoding="utf-8",
-    )
-    third = AnalysisEngine(cache_path=cache).run_deep([proj])
-    assert not third.project_reused
-    # Only the unrelated module's dependency closure still matches.
-    assert third.project_cache_hits == 1
-    assert third.project_findings == []
-
-
-def test_deep_warm_run_is_5x_faster_than_cold(tmp_path):
-    cache = tmp_path / "cache.json"
-
-    start = time.perf_counter()
-    cold = AnalysisEngine(cache_path=cache).run_deep([SRC_ROOT])
-    cold_s = time.perf_counter() - start
-    assert not cold.project_reused
-    assert cold.project_modules > 50
-
-    start = time.perf_counter()
-    warm = AnalysisEngine(cache_path=cache).run_deep([SRC_ROOT])
-    warm_s = time.perf_counter() - start
-    assert warm.project_reused
-    assert warm.project_cache_hits == warm.project_modules
-    assert [f.to_dict() for f in warm.project_findings] == [
-        f.to_dict() for f in cold.project_findings
-    ]
-    assert warm_s * 5 <= cold_s, (
-        f"warm deep run not >=5x faster: cold={cold_s:.3f}s "
-        f"warm={warm_s:.3f}s"
-    )
-
-
-# ------------------------------------------------- signature keying
-def test_rule_scope_config_changes_rules_signature(monkeypatch):
-    engine = AnalysisEngine()
-    before = engine._rules_signature()
-    monkeypatch.setattr(
-        determinism,
-        "WALLCLOCK_ALLOWLIST",
-        set(determinism.WALLCLOCK_ALLOWLIST) | {"repro/extra.py"},
-    )
-    assert engine._rules_signature() != before
-
-
-def test_registry_change_alters_both_signatures(monkeypatch):
-    engine = AnalysisEngine()
-    rules_before = engine._rules_signature()
-    project_before = engine._project_signature()
-    patched = dict(registry.COUNTER_OWNERS)
-    patched["zorp_count"] = ("repro/framework/tstats.py",)
-    monkeypatch.setattr(registry, "COUNTER_OWNERS", patched)
-    # acct-mutation (file tier) and counter-ownership (project tier)
-    # both fold the registry into their signatures.
-    assert engine._rules_signature() != rules_before
-    assert engine._project_signature() != project_before
-
-
-def test_signature_change_invalidates_file_cache(tmp_path, monkeypatch):
-    target = tmp_path / "mod.py"
-    target.write_text("x = 1\n", encoding="utf-8")
-    cache = tmp_path / "cache.json"
-
-    AnalysisEngine(cache_path=cache).run([target])
-    warm = AnalysisEngine(cache_path=cache).run([target])
-    assert warm.cache_hits == 1
-
-    monkeypatch.setattr(
-        determinism,
-        "WALLCLOCK_ALLOWLIST",
-        set(determinism.WALLCLOCK_ALLOWLIST) | {"repro/extra.py"},
-    )
-    rescanned = AnalysisEngine(cache_path=cache).run([target])
-    assert rescanned.cache_hits == 0
 
 
 def test_all_project_rules_registered():

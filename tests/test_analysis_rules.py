@@ -1,20 +1,22 @@
-"""Per-rule tests: every rule fires on its bad fixture, stays quiet on
-its good fixture, and handles the edge cases the fixtures don't show."""
-
-from pathlib import Path
+"""Per-rule tests: every file rule fires on its bad fixture, stays quiet
+on its good fixture, and handles the edge cases the fixtures don't show
+(the project rules' fixture pairs are in test_analysis_project.py)."""
 
 import pytest
 
-from repro.analysis import analyze_source, all_rules, get_rule
+from repro.analysis import (
+    all_rules,
+    analyze_source,
+    build_project_from_sources,
+    get_rule,
+)
 from repro.analysis.lintcli import fixture_path
 
-#: The enforced rule pack (meta rules are engine-emitted and excluded).
+#: The file rules (meta rules are engine-emitted and excluded).
 RULE_IDS = [
-    "acct-mutation",
     "det-rng",
     "det-wallclock",
     "except-swallow",
-    "mutable-default",
     "sim-clock",
     "units-magic",
 ]
@@ -122,25 +124,51 @@ def test_units_ignores_non_conversion_ints():
     assert "units-magic" not in fired
 
 
-# ----------------------------------------------------------- acct-mutation
+# ------------------------------------------------------- counter-ownership
+FAULTS_SRC = """\
+class FaultStats:
+    failed_reads: int = 0
+
+    def record_failure(self):
+        self.failed_reads += 1
+"""
+
+
+def ownership_findings(module_path, source):
+    """counter-ownership over the registered FaultStats owner + one module."""
+    sources = {"repro/memstore/faults.py": FAULTS_SRC}
+    sources[module_path] = sources.get(module_path, "") + source
+    project = build_project_from_sources(sources)
+    return get_rule("counter-ownership").check_project(project)
+
+
 def test_accounting_allows_owner_module():
-    source = "def record(s):\n    s.structure_count += 1\n"
-    assert (
-        "acct-mutation"
-        not in rules_fired(source, module_path="repro/memstore/store.py")
-    )
+    source = "\ndef reset(stats: FaultStats):\n    stats.failed_reads = 0\n"
+    assert ownership_findings("repro/memstore/faults.py", source) == []
 
 
 def test_accounting_flags_reset_outside_owner():
-    source = "def reset(stats):\n    stats.failed_reads = 0\n"
-    fired = rules_fired(source, module_path="repro/serving/gateway.py")
-    assert "acct-mutation" in fired
+    source = (
+        "from repro.memstore.faults import FaultStats\n\n\n"
+        "def reset(stats: FaultStats):\n    stats.failed_reads = 0\n"
+    )
+    findings = ownership_findings("repro/serving/gateway.py", source)
+    assert [(f.rule, f.path, f.line) for f in findings] == [
+        ("counter-ownership", "repro/serving/gateway.py", 5)
+    ]
 
 
 def test_accounting_ignores_unrelated_attributes():
-    source = "def f(obj):\n    obj.total = 3\n    obj.total += 1\n"
-    fired = rules_fired(source, module_path="repro/serving/gateway.py")
-    assert "acct-mutation" not in fired
+    # Ownership follows the receiver's type: a non-counter attribute of
+    # a counter class and a counter-named attribute of anything else
+    # are both fine.
+    source = (
+        "from repro.memstore.faults import FaultStats\n\n\n"
+        "def f(stats: FaultStats, obj):\n"
+        "    stats.label = 3\n"
+        "    obj.failed_reads += 1\n"
+    )
+    assert ownership_findings("repro/serving/gateway.py", source) == []
 
 
 # ---------------------------------------------------------- except-swallow
@@ -162,27 +190,6 @@ def test_recording_handler_ok_on_fault_path():
     )
     fired = rules_fired(source, module_path="repro/memstore/faults.py")
     assert "except-swallow" not in fired
-
-
-# ---------------------------------------------------------- mutable-default
-def test_mutable_default_in_lambda_and_kwonly():
-    fired = rules_fired(
-        "f = lambda xs=[]: xs\n", module_path="repro/gnn/train.py"
-    )
-    assert "mutable-default" in fired
-    fired = rules_fired(
-        "def f(*, table={}):\n    return table\n",
-        module_path="repro/gnn/train.py",
-    )
-    assert "mutable-default" in fired
-
-
-def test_none_default_is_clean():
-    fired = rules_fired(
-        "def f(xs=None):\n    return xs or []\n",
-        module_path="repro/gnn/train.py",
-    )
-    assert "mutable-default" not in fired
 
 
 # ---------------------------------------------------------------- sim-clock

@@ -4,75 +4,79 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.gnn.embedding import (
-    EmbeddingShard,
-    EmbeddingTable,
-    ShardedEmbeddingTable,
-)
+from repro.gnn.embedding import EmbeddingShard, ShardedEmbeddingTable
 from repro.gnn.metrics import accuracy, hits_at_k, micro_f1
 from repro.graph.partition import HashPartitioner
 
 
+def one_shard(num_nodes, dim, seed=0):
+    """The dense table: every row in a single shard."""
+    return ShardedEmbeddingTable(num_nodes, dim, HashPartitioner(1), seed=seed)
+
+
 class TestEmbeddingTable:
     def test_lookup_shape(self):
-        table = EmbeddingTable(100, 8, seed=0)
+        table = one_shard(100, 8)
         out = table.lookup(np.array([[1, 2], [3, 4]]))
         assert out.shape == (2, 2, 8)
 
     def test_lookup_out_of_range(self):
-        table = EmbeddingTable(10, 4)
+        table = one_shard(10, 4)
         with pytest.raises(ConfigurationError):
             table.lookup(np.array([10]))
 
     def test_sparse_update(self):
-        table = EmbeddingTable(10, 4, seed=0)
-        before = table.table.copy()
+        table = one_shard(10, 4)
+        before = table.to_dense()
         table.accumulate_grad(np.array([3]), np.ones((1, 4)))
         table.step(0.5)
-        assert np.allclose(table.table[3], before[3] - 0.5)
+        after = table.to_dense()
+        assert np.allclose(after[3], before[3] - 0.5)
         untouched = [i for i in range(10) if i != 3]
-        assert np.allclose(table.table[untouched], before[untouched])
+        assert np.array_equal(after[untouched], before[untouched])
 
     def test_duplicate_indices_sum(self):
-        table = EmbeddingTable(10, 2, seed=0)
-        before = table.table[5].copy()
+        table = one_shard(10, 2)
+        before = table.to_dense()[5]
         table.accumulate_grad(np.array([5, 5]), np.ones((2, 2)))
         table.step(1.0)
-        assert np.allclose(table.table[5], before - 2.0)
+        assert np.allclose(table.to_dense()[5], before - 2.0)
 
     def test_pending_rows(self):
-        table = EmbeddingTable(10, 2)
+        table = one_shard(10, 2)
         table.accumulate_grad(np.array([1, 2]), np.zeros((2, 2)))
         assert table.pending_rows == 2
         table.step(0.1)
         assert table.pending_rows == 0
 
     def test_grad_shape_mismatch(self):
-        table = EmbeddingTable(10, 2)
+        table = one_shard(10, 2)
         with pytest.raises(ConfigurationError):
             table.accumulate_grad(np.array([1]), np.zeros((2, 2)))
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            EmbeddingTable(0, 4)
+            one_shard(0, 4)
 
     def test_training_moves_embedding_toward_target(self):
-        table = EmbeddingTable(5, 3, seed=1)
+        table = one_shard(5, 3, seed=1)
         target = np.array([1.0, 2.0, 3.0], dtype=np.float32)
         for _ in range(200):
             emb = table.lookup(np.array([2]))
             grad = emb - target
             table.accumulate_grad(np.array([2]), grad)
             table.step(0.1)
-        assert np.allclose(table.table[2], target, atol=1e-2)
+        assert np.allclose(table.to_dense()[2], target, atol=1e-2)
 
 
 class TestShardedEmbeddingTable:
+    """k shards == 1 shard, bit for bit ("dense" is the one-shard table)."""
+
     NODES = 60
     DIM = 6
 
     def _tables(self, partitions=3, seed=5):
-        dense = EmbeddingTable(self.NODES, self.DIM, seed=seed)
+        dense = one_shard(self.NODES, self.DIM, seed=seed)
         sharded = ShardedEmbeddingTable(
             self.NODES, self.DIM, HashPartitioner(partitions), seed=seed
         )
@@ -80,7 +84,12 @@ class TestShardedEmbeddingTable:
 
     def test_init_bit_identical_to_dense(self):
         dense, sharded = self._tables()
-        assert np.array_equal(dense.table, sharded.to_dense())
+        scale = 1.0 / np.sqrt(self.DIM)
+        draw = np.random.default_rng(5).uniform(
+            -scale, scale, size=(self.NODES, self.DIM)
+        )
+        assert np.array_equal(dense.to_dense(), draw.astype(np.float32))
+        assert np.array_equal(dense.to_dense(), sharded.to_dense())
 
     def test_shard_count_follows_partitioner(self):
         _, sharded = self._tables(partitions=4)
@@ -92,10 +101,11 @@ class TestShardedEmbeddingTable:
         dense, sharded = self._tables()
         nodes = np.array([[0, 7, 7], [59, 3, 0]])
         assert np.array_equal(dense.lookup(nodes), sharded.lookup(nodes))
+        assert np.array_equal(dense.lookup(nodes), dense.to_dense()[nodes])
 
     def test_duplicate_root_batches_bit_identical(self):
         """Duplicate-root micro-batches: occurrence-order float32 sums
-        must match the dense table bit for bit (satellite 3)."""
+        must not depend on the shard count."""
         dense, sharded = self._tables()
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -105,17 +115,19 @@ class TestShardedEmbeddingTable:
             sharded.accumulate_grad(nodes, grads)
             dense.step(0.1)
             sharded.step(0.1)
-        assert np.array_equal(dense.table, sharded.to_dense())
+        assert np.array_equal(dense.to_dense(), sharded.to_dense())
 
     def test_single_partition_matches_dense(self):
-        dense, sharded = self._tables(partitions=1)
+        """One shard against plain array arithmetic (0.25 sums exactly)."""
+        table, _ = self._tables()
+        expected = table.to_dense()
+        expected[1] -= np.float32(0.75)
+        expected[2] -= np.float32(0.25)
         nodes = np.array([1, 1, 2, 1])
         grads = np.full((4, self.DIM), 0.25, dtype=np.float32)
-        dense.accumulate_grad(nodes, grads)
-        sharded.accumulate_grad(nodes, grads)
-        dense.step(1.0)
-        sharded.step(1.0)
-        assert np.array_equal(dense.table, sharded.to_dense())
+        table.accumulate_grad(nodes, grads)
+        table.step(1.0)
+        assert np.array_equal(table.to_dense(), expected)
 
     def test_shard_rejects_out_of_shard_nodes(self):
         _, sharded = self._tables()
@@ -127,6 +139,26 @@ class TestShardedEmbeddingTable:
             )
         # a rejected batch must not leave partial pending state
         assert shard.pending_rows == 0
+
+    def test_empty_shard_rejects_instead_of_crashing(self):
+        """A shard that owns no rows (more partitions than nodes) raises
+        the documented error, not IndexError, and stays usable."""
+        empty = EmbeddingShard(
+            0, np.empty(0, np.int64), np.empty((0, 4), np.float32)
+        )
+        with pytest.raises(ConfigurationError, match="not owned by"):
+            empty.lookup(np.array([3]))
+        assert empty.lookup(np.empty(0, np.int64)).shape == (0, 4)
+
+        table = ShardedEmbeddingTable(2, 4, HashPartitioner(4))
+        assert [s.node_ids.size for s in table.shards] == [1, 1, 0, 0]
+        with pytest.raises(ConfigurationError, match="not owned by"):
+            table.shards[3].accumulate_grad(
+                np.array([1]), np.ones((1, 4), dtype=np.float32)
+            )
+        table.accumulate_grad(np.array([0, 1]), np.ones((2, 4)))
+        table.step(1.0)  # steps the empty shards too
+        assert table.pending_rows == 0
 
     def test_table_routes_instead_of_rejecting(self):
         _, sharded = self._tables()

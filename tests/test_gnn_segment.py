@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.gnn.embedding import EmbeddingTable
+from repro.gnn.embedding import EmbeddingShard
 from repro.gnn.layers import ragged_segment_sum, segment_mean, segment_sum
 
 
@@ -115,11 +115,25 @@ class TestRaggedSegmentSum:
             ragged_segment_sum(values, np.array([0, 2, 1, 3]))  # decreasing
 
 
-class LoopEmbeddingTable(EmbeddingTable):
+def shard_pair(num_nodes, dim, seed):
+    """The vectorized shard and its loop oracle over the same rows."""
+    rows = (
+        np.random.default_rng(seed)
+        .uniform(-1.0, 1.0, size=(num_nodes, dim))
+        .astype(np.float32)
+    )
+    node_ids = np.arange(num_nodes)
+    return (
+        EmbeddingShard(0, node_ids, rows.copy()),
+        LoopEmbeddingShard(0, node_ids, rows.copy()),
+    )
+
+
+class LoopEmbeddingShard(EmbeddingShard):
     """The historical per-row dict accumulation, kept as the oracle."""
 
-    def __init__(self, num_nodes, dim, seed=0):
-        super().__init__(num_nodes, dim, seed=seed)
+    def __init__(self, shard, node_ids, rows):
+        super().__init__(shard, node_ids, rows)
         self._dict = {}
 
     def accumulate_grad(self, nodes, grads):
@@ -134,16 +148,14 @@ class LoopEmbeddingTable(EmbeddingTable):
 
     def step(self, lr):
         for node, grad in self._dict.items():
-            self.table[node] -= lr * grad
+            self.rows[node] -= lr * grad
         self._dict.clear()
 
 
 class TestEmbeddingEquivalence:
     def test_vectorized_matches_loop(self):
         rng = np.random.default_rng(3)
-        fast = EmbeddingTable(50, 8, seed=4)
-        slow = LoopEmbeddingTable(50, 8, seed=4)
-        np.testing.assert_array_equal(fast.table, slow.table)
+        fast, slow = shard_pair(50, 8, seed=4)
         for _ in range(5):
             nodes = rng.integers(0, 50, size=32)
             grads = rng.normal(size=(32, 8)).astype(np.float32)
@@ -153,11 +165,10 @@ class TestEmbeddingEquivalence:
         # float32 accumulation is bit-identical to the loop.
         fast.step(0.1)
         slow.step(0.1)
-        np.testing.assert_array_equal(fast.table, slow.table)
+        np.testing.assert_array_equal(fast.rows, slow.rows)
 
     def test_duplicate_heavy_batch(self):
-        fast = EmbeddingTable(10, 4, seed=0)
-        slow = LoopEmbeddingTable(10, 4, seed=0)
+        fast, slow = shard_pair(10, 4, seed=0)
         nodes = np.array([7, 7, 7, 7])
         grads = np.arange(16, dtype=np.float32).reshape(4, 4)
         fast.accumulate_grad(nodes, grads)
@@ -165,10 +176,10 @@ class TestEmbeddingEquivalence:
         assert fast.pending_rows == 1
         fast.step(1.0)
         slow.step(1.0)
-        np.testing.assert_array_equal(fast.table, slow.table)
+        np.testing.assert_array_equal(fast.rows, slow.rows)
 
     def test_pending_rows_across_batches(self):
-        table = EmbeddingTable(20, 2, seed=0)
+        table, _ = shard_pair(20, 2, seed=0)
         table.accumulate_grad(np.array([1, 2]), np.ones((2, 2)))
         table.accumulate_grad(np.array([2, 3]), np.ones((2, 2)))
         assert table.pending_rows == 3
