@@ -31,10 +31,6 @@ FAULT_PATH_MODULES = frozenset(
         # a half-applied mutation batch is a correctness bug.
         # (repro/memstore/ingest.py is covered by the prefix above.)
         "repro/graph/dynamic.py",
-        # Kernel-tier loading: a failed numba import/compile must be
-        # recorded (get_kernels reports it), never silently dropped.
-        # (repro/memstore/locality.py is covered by the prefix above.)
-        "repro/framework/kernels.py",
         # Pipelined trainer: a failed micro-batch must drain the
         # pipeline (counted in drain_failures) and propagate, never be
         # swallowed mid-epoch.

@@ -27,8 +27,8 @@ SIM_MODULES = frozenset(
         # gateway's virtual clock, so Mutation.time_s must be sim time.
         "repro/graph/dynamic.py",
         "repro/memstore/ingest.py",
-        # Layout/kernel tier: timed from outside the package (bench/,
-        # benchmarks/); the modules themselves must stay clock-free.
+        # Layout and kernels: timed from outside the package (bench/);
+        # the modules themselves must stay clock-free.
         "repro/memstore/locality.py",
         "repro/framework/kernels.py",
         # Pipelined trainer: epoch wall-clock is measured from outside

@@ -74,8 +74,9 @@ class GnnSession:
     batched:
         Run the software sampler's vectorized fast path (per-hop
         frontier dedup + batch store calls). Same access accounting,
-        statistically equivalent samples, large constant-factor
-        speedup; see ``benchmarks/test_bench_batched_sampler.py``.
+        statistically equivalent samples; the ``sample_wide`` bench
+        workload times it. (The serving models' ``batched_speedup =
+        5.0`` is a modelled constant pending ROADMAP 1c.)
     workers:
         Shard worker processes for the parallel execution engine
         (:class:`~repro.parallel.ParallelSampler`). ``0`` (the
@@ -98,14 +99,6 @@ class GnnSession:
         Incompatible with a ``DynamicGraph`` (the renumbering permutes
         an immutable CSR) and with ``workers > 0`` (shard workers
         attach the shared graph plane in original ID space).
-    kernels:
-        Kernel tier for the batched sampler's array primitives:
-        ``"numpy"`` (reference, default), ``"compiled"`` (numba;
-        raises when unavailable), or ``"auto"``. All tiers are
-        bit-identical — the NumPy fallback is mandatory and the
-        compiled tier changes wall clock only. ``None`` keeps the
-        reference tier. Incompatible with ``workers > 0`` (shard
-        workers run their own fixed NumPy path).
     """
 
     def __init__(
@@ -120,7 +113,6 @@ class GnnSession:
         batched: bool = False,
         workers: int = 0,
         layout: Optional[str] = None,
-        kernels: Optional[str] = None,
     ) -> None:
         if cache_nodes < 0:
             raise ConfigurationError(
@@ -132,11 +124,6 @@ class GnnSession:
             raise ConfigurationError(
                 "layout and workers are mutually exclusive; shard workers "
                 "attach the shared graph plane in original ID space"
-            )
-        if workers > 0 and kernels is not None:
-            raise ConfigurationError(
-                "kernels and workers are mutually exclusive; shard workers "
-                "run their own fixed NumPy path"
             )
         self.graph = graph
         self.layout = layout
@@ -201,7 +188,6 @@ class GnnSession:
                 selector=get_selector(sampling_method),
                 degraded_ok=reliability is not None,
                 batched=batched,
-                kernels=kernels,
                 relabeling=self.relabeling,
             )
         if engine_config is None:

@@ -93,12 +93,6 @@ class VectorUnit:
             result = _REDUCTIONS[op](np.swapaxes(neighbors, 0, 1))
         return result.astype(np.float32), max(cycles, 1)
 
-    def output_reduction_factor(self, fanout: int) -> float:
-        """Output-traffic shrink when aggregating on-FPGA."""
-        if fanout <= 0:
-            raise ConfigurationError(f"fanout must be positive, got {fanout}")
-        return float(fanout)
-
     def resources(self) -> ResourceEstimate:
         """~5 DSPs and modest logic per FP32 lane."""
         lanes = self.config.lanes

@@ -43,11 +43,6 @@ class HealthConfig:
                 f"{self.fail_threshold}"
             )
 
-    @property
-    def detection_latency_s(self) -> float:
-        """Worst-case probe time between a kill and its detection."""
-        return self.fail_threshold * self.probe_interval_s
-
 
 class HealthMonitor:
     """Consecutive-miss failure detector over watched replicas."""

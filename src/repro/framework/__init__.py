@@ -12,13 +12,7 @@ from repro.framework.selectors import (
     select_streaming,
     select_uniform,
 )
-from repro.framework.kernels import (
-    NUMPY_KERNELS,
-    compiled_available,
-    default_kernels,
-    get_kernels,
-    set_default_kernels,
-)
+from repro.framework.kernels import NUMPY_KERNELS
 from repro.framework.service import ServiceConfig, ServiceReport, run_service
 from repro.framework.export import batch_nbytes, load_batch, save_batch
 from repro.framework.replay import ReplaySelector, replay_reference
@@ -37,10 +31,6 @@ __all__ = [
     "get_bucket_selector",
     "get_selector",
     "NUMPY_KERNELS",
-    "compiled_available",
-    "default_kernels",
-    "get_kernels",
-    "set_default_kernels",
     "ReplaySelector",
     "replay_reference",
     "select_streaming",

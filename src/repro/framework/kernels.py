@@ -1,34 +1,19 @@
-"""Optional compiled kernel tier for the batched sampler hot path.
+"""Array primitives of the batched sampler hot path.
 
 The paper's Figure 2 (and "Exploring Memory Access Patterns for Graph
-Processing Accelerators") argue the sampler wall is memory behavior,
-not FLOPs — but once the locality layout removes the cache misses, the
-remaining cost of the software path is Python/NumPy dispatch on three
-small primitives: hop expansion (dense adjacency gathers), inverse-CDF
-weighted picks, and segment reductions. This module packages those
-primitives as swappable *kernel tiers*:
-
-* :class:`NumpyKernels` — the mandatory reference tier. Pure NumPy,
-  always available, and the ground truth every other tier must match
-  bit for bit (checked by the replay harness and the parity tests).
-* the ``compiled`` tier — ``numba``-jitted loops, import-guarded: the
-  dependency is optional and its absence is recorded, never fatal.
-  Kernels consume pre-drawn uniforms and never touch the RNG, so the
-  compiled tier is deterministic and byte-identical to NumPy by
-  construction (same floating-point operations in the same order).
-
-Select a tier with :func:`get_kernels`: ``"numpy"`` (reference),
-``"compiled"`` (numba; raises when unavailable), or ``"auto"``
-(compiled when importable, else the reference tier).
+Processing Accelerators") put the software sampling wall in
+fine-grained, latency-bound memory access, not in FLOPs; what is left
+on the host is NumPy dispatch on a handful of small primitives: hop
+expansion (dense adjacency gathers), inverse-CDF weighted picks, and
+segment reductions. :class:`NumpyKernels` holds them as one object so
+the batched sampler reaches every primitive through a single attribute
+(``MultiHopSampler.kernels``) that a timing proxy can stand in for.
+Kernels consume pre-drawn uniforms and never touch the RNG.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 import numpy as np
-
-from repro.errors import ConfigurationError
 
 
 def rowwise_weighted_picks(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -59,11 +44,10 @@ def rowwise_weighted_picks(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
 
 
 class NumpyKernels:
-    """Reference kernel tier: pure NumPy, always available.
+    """The kernel object: pure NumPy.
 
-    Every other tier must be bit-identical to this one — the replay
-    harness (:mod:`repro.framework.replay`) states the accounting
-    contract against the layers these kernels produce.
+    The replay harness (:mod:`repro.framework.replay`) states the
+    accounting contract against the layers these kernels produce.
     """
 
     name = "numpy"
@@ -122,245 +106,10 @@ class NumpyKernels:
         return out
 
 
-#: Lazily constructed compiled tier (or the recorded import failure).
-_COMPILED_TIER: Optional["_CompiledKernels"] = None
-_COMPILED_ERROR: Optional[str] = None
-
-
-def _load_compiled():
-    """Import-guarded constructor for the numba tier.
-
-    A missing/broken numba is recorded in ``_COMPILED_ERROR`` (surfaced
-    through :func:`compiled_unavailable_reason`), never raised from
-    here — ``"auto"`` callers fall back to the reference tier.
-    """
-    global _COMPILED_TIER, _COMPILED_ERROR
-    if _COMPILED_TIER is not None or _COMPILED_ERROR is not None:
-        return _COMPILED_TIER
-    try:
-        import numba
-    except ImportError as exc:
-        _COMPILED_ERROR = f"numba unavailable: {exc}"
-        return None
-    try:
-        _COMPILED_TIER = _CompiledKernels(numba)
-    except Exception as exc:  # jit compilation failure: record, fall back
-        _COMPILED_ERROR = f"numba kernel compilation failed: {exc}"
-        return None
-    return _COMPILED_TIER
+#: The kernel object every sampler and GNN segment op uses.
+NUMPY_KERNELS = NumpyKernels()
 
 
 def compiled_available() -> bool:
-    """Whether the compiled (numba) tier can be constructed."""
-    return _load_compiled() is not None
-
-
-def compiled_unavailable_reason() -> Optional[str]:
-    """Why the compiled tier is unavailable (``None`` when it is)."""
-    _load_compiled()
-    return _COMPILED_ERROR
-
-
-class _CompiledKernels:
-    """numba-jitted tier; byte-identical to :class:`NumpyKernels`.
-
-    Kernels are pure functions of arrays (all randomness is pre-drawn
-    by the caller), and each loop performs the same floating-point
-    operations in the same order as its NumPy twin, so results match
-    bit for bit — the parity tests and the replay harness enforce it.
-    Shapes/dtypes outside the jitted signatures fall back to the
-    reference tier.
-    """
-
-    name = "compiled"
-    compiled = True
-
-    def __init__(self, numba) -> None:
-        njit = numba.njit
-
-        @njit(cache=True)
-        def _picks(cdf, draws):
-            k, d = cdf.shape
-            m = draws.shape[1]
-            out = np.empty((k, m), dtype=np.int64)
-            for r in range(k):
-                total = cdf[r, d - 1]
-                last = d - 1
-                for j in range(d):
-                    if cdf[r, j] == total:
-                        last = j
-                        break
-                for c in range(m):
-                    x = draws[r, c]
-                    # searchsorted(cdf[r], x, side="right")
-                    lo, hi = 0, d
-                    while lo < hi:
-                        mid = (lo + hi) // 2
-                        if cdf[r, mid] <= x:
-                            lo = mid + 1
-                        else:
-                            hi = mid
-                    pick = lo
-                    if pick > last:
-                        pick = last
-                    out[r, c] = pick
-            return out
-
-        @njit(cache=True)
-        def _gather_rows(values, starts, width):
-            k = starts.shape[0]
-            out = np.empty((k, width), dtype=values.dtype)
-            for i in range(k):
-                s = starts[i]
-                for j in range(width):
-                    out[i, j] = values[s + j]
-            return out
-
-        @njit(cache=True)
-        def _take_picks(matrix, picks):
-            k, m = picks.shape
-            out = np.empty((k, m), dtype=matrix.dtype)
-            for i in range(k):
-                for j in range(m):
-                    out[i, j] = matrix[i, picks[i, j]]
-            return out
-
-        @njit(cache=True)
-        def _segment_sum_2d(values, segment_ids, num_segments):
-            out = np.zeros((num_segments, values.shape[1]), dtype=values.dtype)
-            for i in range(values.shape[0]):
-                s = segment_ids[i]
-                for j in range(values.shape[1]):
-                    out[s, j] += values[i, j]
-            return out
-
-        @njit(cache=True)
-        def _ragged_segment_sum_2d(values, offsets):
-            num_segments = offsets.shape[0] - 1
-            out = np.zeros((num_segments, values.shape[1]), dtype=values.dtype)
-            for i in range(num_segments):
-                for r in range(offsets[i], offsets[i + 1]):
-                    for j in range(values.shape[1]):
-                        out[i, j] += values[r, j]
-            return out
-
-        self._picks = _picks
-        self._gather_rows = _gather_rows
-        self._take_picks = _take_picks
-        self._segment_sum_2d = _segment_sum_2d
-        self._ragged_segment_sum_2d = _ragged_segment_sum_2d
-        # Compile eagerly so a broken numba surfaces at construction
-        # (recorded by _load_compiled), not mid-sample.
-        self._picks(
-            np.array([[1.0]], dtype=np.float64), np.array([[0.5]], dtype=np.float64)
-        )
-
-    def rowwise_weighted_picks(
-        self, cdf: np.ndarray, draws: np.ndarray
-    ) -> np.ndarray:
-        return self._picks(
-            np.ascontiguousarray(cdf, dtype=np.float64),
-            np.ascontiguousarray(draws, dtype=np.float64),
-        )
-
-    def gather_rows(
-        self, values: np.ndarray, starts: np.ndarray, width: int
-    ) -> np.ndarray:
-        if values.ndim != 1:
-            return NumpyKernels.gather_rows(values, starts, width)
-        return self._gather_rows(
-            np.ascontiguousarray(values),
-            np.ascontiguousarray(starts, dtype=np.int64),
-            width,
-        )
-
-    def take_picks(self, matrix: np.ndarray, picks: np.ndarray) -> np.ndarray:
-        if matrix.ndim != 2 or picks.ndim != 2:
-            return NumpyKernels.take_picks(matrix, picks)
-        return self._take_picks(
-            np.ascontiguousarray(matrix),
-            np.ascontiguousarray(picks, dtype=np.int64),
-        )
-
-    def segment_sum(
-        self, values: np.ndarray, segment_ids: np.ndarray, num_segments: int
-    ) -> np.ndarray:
-        if values.ndim != 2:
-            return NumpyKernels.segment_sum(values, segment_ids, num_segments)
-        return self._segment_sum_2d(
-            np.ascontiguousarray(values),
-            np.ascontiguousarray(segment_ids, dtype=np.int64),
-            num_segments,
-        )
-
-    def ragged_segment_sum(
-        self, values: np.ndarray, offsets: np.ndarray
-    ) -> np.ndarray:
-        if values.ndim != 2:
-            return NumpyKernels.ragged_segment_sum(values, offsets)
-        return self._ragged_segment_sum_2d(
-            np.ascontiguousarray(values),
-            np.ascontiguousarray(offsets, dtype=np.int64),
-        )
-
-
-#: The always-available reference tier singleton.
-NUMPY_KERNELS = NumpyKernels()
-
-KERNEL_TIERS = ("auto", "numpy", "compiled")
-
-KernelsLike = Union[str, NumpyKernels, "_CompiledKernels", None]
-
-
-def get_kernels(name: KernelsLike = "numpy"):
-    """Resolve a kernel tier by name (or pass a tier object through).
-
-    ``"numpy"``/``None`` return the reference tier; ``"compiled"``
-    requires numba and raises a ConfigurationError naming the import
-    failure otherwise; ``"auto"`` prefers the compiled tier and falls
-    back to the reference tier silently.
-    """
-    if name is None:
-        return NUMPY_KERNELS
-    if not isinstance(name, str):
-        if hasattr(name, "rowwise_weighted_picks"):
-            return name
-        raise ConfigurationError(
-            f"kernels must be one of {KERNEL_TIERS} or a kernel tier "
-            f"object, got {name!r}"
-        )
-    if name == "numpy":
-        return NUMPY_KERNELS
-    if name == "compiled":
-        tier = _load_compiled()
-        if tier is None:
-            raise ConfigurationError(
-                f"compiled kernel tier requested but {_COMPILED_ERROR}; "
-                "install numba or use kernels='numpy'/'auto'"
-            )
-        return tier
-    if name == "auto":
-        tier = _load_compiled()
-        return NUMPY_KERNELS if tier is None else tier
-    raise ConfigurationError(
-        f"unknown kernel tier {name!r}; expected one of {KERNEL_TIERS}"
-    )
-
-
-#: Process-wide default tier used by call sites without an explicit
-#: tier (e.g. the GNN segment ops). Stays the reference tier unless
-#: switched programmatically — opting the whole process into compiled
-#: kernels is an explicit act, not an import side effect.
-_DEFAULT_KERNELS = NUMPY_KERNELS
-
-
-def default_kernels():
-    """The process-wide default kernel tier."""
-    return _DEFAULT_KERNELS
-
-
-def set_default_kernels(name: KernelsLike):
-    """Set the process-wide default tier; returns the resolved tier."""
-    global _DEFAULT_KERNELS
-    _DEFAULT_KERNELS = get_kernels(name)
-    return _DEFAULT_KERNELS
+    """Always ``False``: there is no compiled kernel implementation."""
+    return False

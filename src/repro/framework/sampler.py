@@ -23,7 +23,7 @@ from repro.framework.requests import (
     SampleRequest,
     SampleResult,
 )
-from repro.framework.kernels import NUMPY_KERNELS, get_kernels
+from repro.framework.kernels import NUMPY_KERNELS
 from repro.framework.selectors import (
     get_bucket_selector,
     get_ragged_picker,
@@ -158,13 +158,6 @@ class MultiHopSampler:
         walk's, so the draws themselves are not stream-identical to
         it). ``False`` (the default) keeps the historical per-node
         reference walk bit-for-bit.
-    kernels:
-        Kernel tier for the batched hot path's array primitives — a
-        tier name (``"numpy"``/``"compiled"``/``"auto"``) or a tier
-        object from :func:`repro.framework.kernels.get_kernels`.
-        ``None`` keeps the reference NumPy tier. Every tier is
-        bit-identical (the RNG never leaves NumPy), so this changes
-        wall clock only.
     relabeling:
         Optional :class:`repro.memstore.locality.Relabeling` when the
         store's graph was physically renumbered by the locality
@@ -182,7 +175,6 @@ class MultiHopSampler:
         selector=select_uniform,
         degraded_ok: bool = False,
         batched: bool = False,
-        kernels=None,
         relabeling=None,
     ) -> None:
         self.store = store
@@ -192,7 +184,9 @@ class MultiHopSampler:
         self.selector = selector
         self.degraded_ok = degraded_ok
         self.batched = batched
-        self.kernels = NUMPY_KERNELS if kernels is None else get_kernels(kernels)
+        #: The one object through which the batched path (and the
+        #: bucket selectors it calls) reaches every array primitive.
+        self.kernels = NUMPY_KERNELS
         self.relabeling = relabeling
         #: Reads completed without data because a shard was unreachable.
         self.degraded_fallbacks = 0

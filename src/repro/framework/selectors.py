@@ -20,11 +20,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.framework.kernels import (
-    NUMPY_KERNELS,
-    get_kernels,
-    rowwise_weighted_picks,
-)
+from repro.framework.kernels import NUMPY_KERNELS, rowwise_weighted_picks
 
 
 def select_uniform(
@@ -181,9 +177,8 @@ def _validate_bucket_weights(matrix: np.ndarray, weights: np.ndarray) -> np.ndar
     return weights
 
 
-# Canonical implementation lives in the kernel tier so the compiled
-# variant has a single reference to match bit for bit; re-exported under
-# the historical private name for the tests that call it directly.
+# Canonical implementation lives with the other kernels; re-exported
+# under the historical private name for the tests that call it directly.
 _rowwise_weighted_picks = rowwise_weighted_picks
 
 
@@ -191,12 +186,11 @@ def select_uniform_bucket(
     matrix: np.ndarray,
     fanout: int,
     rng: np.random.Generator,
-    kernels=None,
+    kernels=NUMPY_KERNELS,
 ) -> np.ndarray:
     """Batched :func:`select_uniform`: sample each row of ``matrix``."""
     matrix = np.asarray(matrix)
     _validate_bucket(matrix, fanout)
-    kernels = NUMPY_KERNELS if kernels is None else get_kernels(kernels)
     picks = rng.integers(0, matrix.shape[1], size=(matrix.shape[0], fanout))
     return kernels.take_picks(matrix, picks)
 
@@ -205,12 +199,11 @@ def select_streaming_bucket(
     matrix: np.ndarray,
     fanout: int,
     rng: np.random.Generator,
-    kernels=None,
+    kernels=NUMPY_KERNELS,
 ) -> np.ndarray:
     """Batched :func:`select_streaming`: one pick per group per row."""
     matrix = np.asarray(matrix)
     _validate_bucket(matrix, fanout)
-    kernels = NUMPY_KERNELS if kernels is None else get_kernels(kernels)
     k, n = matrix.shape
     all_picks = np.empty((k, fanout), dtype=np.int64)
     for group in range(fanout):
@@ -228,14 +221,13 @@ def select_weighted_bucket(
     fanout: int,
     rng: np.random.Generator,
     weights: Optional[np.ndarray] = None,
-    kernels=None,
+    kernels=NUMPY_KERNELS,
 ) -> np.ndarray:
     """Batched :func:`select_weighted` over a ``(k, d)`` weight matrix."""
     matrix = np.asarray(matrix)
     _validate_bucket(matrix, fanout)
     if weights is None:
         return select_uniform_bucket(matrix, fanout, rng, kernels=kernels)
-    kernels = NUMPY_KERNELS if kernels is None else get_kernels(kernels)
     weights = _validate_bucket_weights(matrix, weights)
     cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
     draws = rng.random((matrix.shape[0], fanout))
@@ -248,14 +240,13 @@ def select_streaming_weighted_bucket(
     fanout: int,
     rng: np.random.Generator,
     weights: Optional[np.ndarray] = None,
-    kernels=None,
+    kernels=NUMPY_KERNELS,
 ) -> np.ndarray:
     """Batched :func:`select_streaming_weighted`: weighted pick per group."""
     matrix = np.asarray(matrix)
     _validate_bucket(matrix, fanout)
     if weights is None:
         return select_streaming_bucket(matrix, fanout, rng, kernels=kernels)
-    kernels = NUMPY_KERNELS if kernels is None else get_kernels(kernels)
     weights = _validate_bucket_weights(matrix, weights)
     k, n = matrix.shape
     all_picks = np.empty((k, fanout), dtype=np.int64)

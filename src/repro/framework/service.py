@@ -47,8 +47,8 @@ class ServiceConfig:
     #: service time is divided by ``batched_speedup``.
     batched_sampling: bool = False
     #: Batched-vs-reference speedup to apply when ``batched_sampling``
-    #: is set: the floor ``benchmarks/test_bench_batched_sampler.py``
-    #: asserts.
+    #: is set: a modelled constant, not a measurement, pending
+    #: ROADMAP 1c.
     batched_speedup: float = 5.0
     #: Fixed RPC round-trip network latency (excluding queueing).
     rpc_latency_s: float = 25.0 * US
@@ -74,8 +74,6 @@ class ServiceConfig:
     request_loss_rate: float = 0.0
     #: ``(server_index, time_s)`` kill events.
     kill_server_at: Tuple[Tuple[int, float], ...] = ()
-    #: ``(server_index, time_s)`` restore events.
-    restore_server_at: Tuple[Tuple[int, float], ...] = ()
     #: Open-loop graph mutations per second offered alongside the read
     #: workload (Poisson arrivals, uniform target server). Each
     #: mutation occupies one vCPU on its server like a read RPC does,
@@ -109,7 +107,7 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"request_loss_rate must be in [0, 1), got {self.request_loss_rate}"
             )
-        for server, at_s in (*self.kill_server_at, *self.restore_server_at):
+        for server, at_s in self.kill_server_at:
             if not 0 <= server < self.num_servers:
                 raise ConfigurationError(
                     f"fault event references server {server} outside "
@@ -158,8 +156,8 @@ class _ServerSim:
         self.mutations_served = 0
         self.max_queue_depth = 0
         self.alive = True
-        #: Bumped on kill/restore; in-flight work from an older epoch
-        #: is dropped instead of mutating the reborn server's state.
+        #: Bumped on kill; work in flight at the time is dropped when
+        #: it completes instead of replying from a dead server.
         self._epoch = 0
 
     def kill(self) -> None:
@@ -167,14 +165,6 @@ class _ServerSim:
             return
         self.alive = False
         self._epoch += 1
-        self._queue.clear()
-
-    def restore(self) -> None:
-        if self.alive:
-            return
-        self.alive = True
-        self._epoch += 1
-        self._idle_vcpus = self.config.vcpus_per_server
         self._queue.clear()
 
     def request(self, num_keys: int, reply: Callable[[], None]) -> None:
@@ -216,7 +206,7 @@ class _ServerSim:
                 n=num_keys, cb=reply, epoch=self._epoch, mut=is_mutation
             ) -> None:
                 if epoch != self._epoch:
-                    return  # the server died (or was reborn) mid-service
+                    return  # the server died mid-service
                 self._idle_vcpus += 1
                 if mut:
                     # Tiny ack: no NIC serialization, just the return trip.
@@ -315,14 +305,13 @@ def run_service(config: Optional[ServiceConfig] = None, seed: int = 0) -> Servic
     servers = [_ServerSim(sim, config, i) for i in range(config.num_servers)]
     latencies: List[float] = []
     counters = _FaultCounters()
-    #: Time of the last batch completion — stray timeout no-op events
-    #: may outlive the workload, so ``sim.now`` at drain overstates it.
+    #: Time of the last batch completion — stray timeout no-ops and a
+    #: trailing mutation tick may outlive the read workload, so
+    #: ``sim.now`` at drain overstates it.
     last_done = [0.0]
 
     for server_index, at_s in config.kill_server_at:
         sim.at(at_s, lambda s=server_index: servers[s].kill())
-    for server_index, at_s in config.restore_server_at:
-        sim.at(at_s, lambda s=server_index: servers[s].restore())
 
     def send_plain(shard: int, keys: int, on_done: Callable[[], None]) -> None:
         # Request travels half the RTT before hitting the server.
@@ -476,10 +465,9 @@ def run_service(config: Optional[ServiceConfig] = None, seed: int = 0) -> Servic
         # Stagger worker starts to avoid an artificial convoy.
         sim.at(worker * US, lambda w=worker: start_batch(w, config.batches_per_worker))
     sim.run()
-    total_time_s = sim.now if config.retry is None else last_done[0]
     return ServiceReport(
         batch_latencies_s=latencies,
-        total_time_s=total_time_s,
+        total_time_s=last_done[0],
         total_batches=len(latencies),
         server_max_queue=max(s.max_queue_depth for s in servers),
         retries=counters.retries,

@@ -73,8 +73,8 @@ class EndToEndModel:
         vCPU sampling cost model (shared with the characterization).
     batched_sampling, batched_speedup:
         Model workers running the batched sampler fast path: the
-        sampling stage time is divided by ``batched_speedup`` (the
-        floor ``benchmarks/test_bench_batched_sampler.py`` asserts).
+        sampling stage time is divided by ``batched_speedup`` (a
+        modelled constant, not a measurement, pending ROADMAP 1c).
         Off by default
         so historical breakdowns stay bit-for-bit.
     """

@@ -18,7 +18,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.framework.kernels import default_kernels
+from repro.framework.kernels import NUMPY_KERNELS
 
 
 def segment_sum(
@@ -30,8 +30,8 @@ def segment_sum(
     unbuffered scatter-add, so duplicate segment IDs accumulate —
     unlike plain fancy-index assignment which silently drops them).
     Row ``i`` of the result is ``sum(values[segment_ids == i])``; empty
-    segments are zero. Validation runs here; the reduction is delegated
-    to the process default kernel tier (every tier is bit-identical).
+    segments are zero. Validation runs here; the reduction is
+    :meth:`repro.framework.kernels.NumpyKernels.segment_sum`.
     """
     values = np.asarray(values)
     segment_ids = np.asarray(segment_ids, dtype=np.int64).reshape(-1)
@@ -43,7 +43,7 @@ def segment_sum(
         segment_ids.min() < 0 or segment_ids.max() >= num_segments
     ):
         raise ConfigurationError("segment ids outside [0, num_segments)")
-    return default_kernels().segment_sum(values, segment_ids, num_segments)
+    return NUMPY_KERNELS.segment_sum(values, segment_ids, num_segments)
 
 
 def segment_mean(
@@ -81,7 +81,7 @@ def ragged_segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         )
     if np.any(np.diff(offsets) < 0):
         raise ConfigurationError("offsets must be non-decreasing")
-    return default_kernels().ragged_segment_sum(values, offsets)
+    return NUMPY_KERNELS.ragged_segment_sum(values, offsets)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

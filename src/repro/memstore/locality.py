@@ -26,7 +26,7 @@ DRAM. This module attacks the layout side:
 The win is measured, not asserted: ``PartitionedStore`` stores built
 with ``track_locality=True`` account every batched gather's
 contiguous-run structure in ``AccessSummary`` (``gather_runs`` /
-``gather_span_bytes``), and ``benchmarks/test_bench_layout.py``
+``gather_span_bytes``), and ``tests/test_memstore_locality.py``
 compares the before/after.
 """
 

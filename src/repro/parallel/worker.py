@@ -87,16 +87,6 @@ class ShardDone:
     error: Optional[str]
 
 
-def layer_sizes(count: int, fanouts: Tuple[int, ...]) -> List[int]:
-    """Element counts of hop layers 1..H for ``count`` roots."""
-    sizes = []
-    width = 1
-    for fanout in fanouts:
-        width *= fanout
-        sizes.append(count * width)
-    return sizes
-
-
 def hop_elements(fanouts: Tuple[int, ...]) -> int:
     """Sampled node occurrences per root across all hops (excl. root)."""
     total = 0

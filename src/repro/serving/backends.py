@@ -83,9 +83,8 @@ class SoftwareBackend(ServingBackend):
     overhead plus a per-touched-key software cost, divided across the
     worker pool's vCPU parallelism. When the wrapped sampler runs the
     batched fast path, the per-key cost is divided by
-    ``batched_speedup`` (the floor
-    ``benchmarks/test_bench_batched_sampler.py`` asserts). A sharded
-    parallel sampler
+    ``batched_speedup`` (a modelled constant, not a measurement,
+    pending ROADMAP 1c). A sharded parallel sampler
     (:class:`~repro.parallel.ParallelSampler` with ``workers >= 1``)
     additionally divides by its worker count, discounted by
     ``parallel_efficiency`` for merge/gather time on the coordinator.

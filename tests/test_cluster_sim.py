@@ -42,11 +42,13 @@ class TestPolicyComparison:
             assert report.offered == report.completed + report.shed_requests
 
     def test_cost_policy_beats_static_on_price_at_equal_slo(self, reports):
-        """The acceptance bar: >= static's attainment at lower $/hr."""
+        """The headline: >= static's attainment at <= 0.70x its $/hr
+        (9.344 vs 14.304 on this trace; ``repro cluster --compare
+        --json`` prints the full reports)."""
         static = reports["static"]
         cost = reports["cost"]
         assert cost.attainment >= static.attainment
-        assert cost.dollars_per_hour < static.dollars_per_hour
+        assert cost.dollars_per_hour <= 0.70 * static.dollars_per_hour
 
     def test_static_fleet_never_changes(self, reports):
         static = reports["static"]

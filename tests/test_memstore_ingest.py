@@ -102,6 +102,8 @@ class TestRateZeroParity:
         res_d = MultiHopSampler(dynamic, seed=1, batched=True).sample(request)
         for a, b in zip(res_s.layers, res_d.layers):
             assert np.array_equal(a, b)
+        for a, b in zip(res_s.attributes, res_d.attributes):
+            assert np.array_equal(a, b)
         assert static.summary == dynamic.summary
 
     def test_replay_parity_rate_zero(self):
@@ -193,6 +195,28 @@ class TestDeltaAccounting:
             store_a.ingest_stats.delta_edges_read
             == store_b.ingest_stats.delta_edges_read
         )
+
+    def test_delta_hits_grow_with_mutation_rate(self):
+        """Mutations interleaved with batched sampling: no append-log
+        traffic at rate 0, and more of it the faster the graph grows."""
+        graph = make_graph(256)
+        rng = np.random.default_rng(0)
+        requests = [
+            SampleRequest(roots=rng.integers(0, 256, size=32), fanouts=(4, 3))
+            for _ in range(4)
+        ]
+        hits = []
+        for rate in (0, 8, 32, 128):
+            store = make_store(graph)
+            sampler = MultiHopSampler(store, seed=0, batched=True)
+            trace = growth_trace(256, rate * len(requests), seed=1)
+            for i, request in enumerate(requests):
+                store.apply(trace[i * rate : (i + 1) * rate])
+                sampler.sample(request)
+                assert len(store.last_sample_epochs) == 1
+            hits.append(store.ingest_stats.delta_hits)
+        assert hits[0] == 0
+        assert hits == sorted(hits) and hits[-1] > hits[1]
 
     def test_replay_parity_with_live_delta(self):
         graph = make_graph()

@@ -257,7 +257,10 @@ class TestLocalityTracking:
         assert store.summary.gather_runs == 4
         assert store.summary.gather_span_bytes > 0
 
-    def test_layout_improves_run_length(self, graph):
+    @pytest.fixture(scope="class")
+    def hash_vs_layout(self, graph):
+        """One workload over the hash baseline and the LDG layout:
+        ``(summary, sampled crossings)`` per side."""
         layout = build_locality_layout(graph, 4)
         # Random roots: sequential IDs would already be contiguous in
         # the original layout, hiding the renumbering win.
@@ -276,13 +279,32 @@ class TestLocalityTracking:
                 store, seed=0, worker_partition=0, batched=True,
                 relabeling=relabeling,
             )
-            sampler.sample(request)
-            return store.summary
+            layers = sampler.sample(request).layers
+            if relabeling is not None:
+                layers = [relabeling.to_internal(layer) for layer in layers]
+            # Parent->pick pairs whose owners differ: the sampled edge cut.
+            crossings = sum(
+                int(np.count_nonzero(
+                    partitioner.partition_of(np.repeat(parents.reshape(-1), fanout))
+                    != partitioner.partition_of(picks.reshape(-1))
+                ))
+                for parents, picks, fanout in zip(layers, layers[1:], request.fanouts)
+            )
+            return store.summary, crossings
 
-        base = run(graph, HashPartitioner(4), None)
-        laid = run(layout.graph, layout.partitioner, layout.relabeling)
+        return (
+            run(graph, HashPartitioner(4), None),
+            run(layout.graph, layout.partitioner, layout.relabeling),
+        )
+
+    def test_layout_improves_run_length(self, hash_vs_layout):
+        (base, _), (laid, _) = hash_vs_layout
         assert laid.gather_nodes == base.gather_nodes
         assert laid.mean_run_length > base.mean_run_length
+
+    def test_layout_cuts_sampled_crossings(self, hash_vs_layout):
+        (_, base), (_, laid) = hash_vs_layout
+        assert laid < base
 
 
 class TestSessionIntegration:
@@ -297,19 +319,8 @@ class TestSessionIntegration:
         for root, row in zip(roots, picks):
             assert set(row.tolist()) <= set(graph.neighbors(int(root)).tolist())
 
-    def test_session_kernels_numpy_matches_default(self, graph):
-        roots = np.arange(16)
-        a = GnnSession(graph, num_partitions=4, batched=True)
-        b = GnnSession(graph, num_partitions=4, batched=True, kernels="numpy")
-        ra = a.sample(roots, fanouts=(4, 4))
-        rb = b.sample(roots, fanouts=(4, 4))
-        for la, lb in zip(ra.layers, rb.layers):
-            assert np.array_equal(la, lb)
-
     def test_session_guards(self, graph):
         with pytest.raises(ConfigurationError):
             GnnSession(graph, workers=2, layout="ldg")
-        with pytest.raises(ConfigurationError):
-            GnnSession(graph, workers=2, kernels="numpy")
         with pytest.raises(ConfigurationError):
             GnnSession(graph, layout="metis")
