@@ -26,6 +26,8 @@ FAULT_PATH_PREFIXES = (
 FAULT_PATH_MODULES = frozenset(
     {
         "repro/framework/sampler.py",
+        # The reference walk's degraded-read handlers live here.
+        "repro/framework/replay.py",
         "repro/framework/service.py",
         # Compaction/ingest errors must surface, not be swallowed —
         # a half-applied mutation batch is a correctness bug.

@@ -72,11 +72,9 @@ class GnnSession:
         degraded completion enabled so a dead shard costs data quality
         (self-loop / zero-row fallbacks), not the run.
     batched:
-        Run the software sampler's vectorized fast path (per-hop
-        frontier dedup + batch store calls). Same access accounting,
-        statistically equivalent samples; the ``sample_wide`` bench
-        workload times it. (The serving models' ``batched_speedup =
-        5.0`` is a modelled constant pending ROADMAP 1c.)
+        Selects nothing: the software sampler has one (vectorized)
+        path. Accepted only because the frozen ``bench/`` still spells
+        ``batched=True``; ``False`` raises.
     workers:
         Shard worker processes for the parallel execution engine
         (:class:`~repro.parallel.ParallelSampler`). ``0`` (the
@@ -84,10 +82,10 @@ class GnnSession:
         replaces the software sampler with the sharded engine —
         results and access accounting are bit-identical at every
         worker count, including the in-process reference. Parallel
-        mode always runs batched and is incompatible with
-        ``cache_nodes`` and ``reliability`` (shard workers run the
-        zero-fault fast path). Call :meth:`close` (or use the session
-        as a context manager) to shut the pool down.
+        mode is incompatible with ``cache_nodes`` and ``reliability``
+        (shard workers run the zero-fault fast path). Call
+        :meth:`close` (or use the session as a context manager) to
+        shut the pool down.
     layout:
         Locality-preserving physical layout for the store: ``"ldg"``,
         ``"hash"``, or ``"range"`` (see
@@ -110,7 +108,7 @@ class GnnSession:
         cache_nodes: int = 0,
         seed: int = 0,
         reliability: Optional["ReliableReadPath"] = None,
-        batched: bool = False,
+        batched: bool = True,
         workers: int = 0,
         layout: Optional[str] = None,
     ) -> None:
@@ -120,6 +118,11 @@ class GnnSession:
             )
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
+        if not batched:
+            raise ConfigurationError(
+                "the software sampler has one (vectorized) path; the per-node "
+                "walk is the oracle repro.framework.replay.ReferenceWalkSampler"
+            )
         if workers > 0 and layout is not None:
             raise ConfigurationError(
                 "layout and workers are mutually exclusive; shard workers "
@@ -187,7 +190,6 @@ class GnnSession:
                 cache=cache,
                 selector=get_selector(sampling_method),
                 degraded_ok=reliability is not None,
-                batched=batched,
                 relabeling=self.relabeling,
             )
         if engine_config is None:

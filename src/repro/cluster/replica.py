@@ -173,7 +173,8 @@ def session_backends(
     Each replica wraps the session's sampler (the sharded parallel
     engine when the session was built with ``workers=k``) in a
     :class:`SoftwareBackend`; service time follows the backend's cost
-    model while payloads are genuine sample layers.
+    model (per-key cost over the constant ``BATCHED_SPEEDUP``, whatever
+    the sampler) while payloads are genuine sample layers.
     """
     sampler = getattr(session, "sampler", None)
     if sampler is None:

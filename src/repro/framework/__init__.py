@@ -15,7 +15,11 @@ from repro.framework.selectors import (
 from repro.framework.kernels import NUMPY_KERNELS
 from repro.framework.service import ServiceConfig, ServiceReport, run_service
 from repro.framework.export import batch_nbytes, load_batch, save_batch
-from repro.framework.replay import ReplaySelector, replay_reference
+from repro.framework.replay import (
+    ReferenceWalkSampler,
+    ReplaySelector,
+    replay_reference,
+)
 
 __all__ = [
     "NegativeSampleRequest",
@@ -31,6 +35,7 @@ __all__ = [
     "get_bucket_selector",
     "get_selector",
     "NUMPY_KERNELS",
+    "ReferenceWalkSampler",
     "ReplaySelector",
     "replay_reference",
     "select_streaming",

@@ -133,10 +133,11 @@ class HotNodeCache:
     def bump_neighbor_stats(self, hits: int = 0, misses: int = 0) -> None:
         """Credit extra neighbor lookups served without touching entries.
 
-        The batched sampler deduplicates a frontier before probing the
-        cache, so repeat occurrences of a node never reach
+        The sampler deduplicates a frontier before probing the cache,
+        so repeat occurrences of a node never reach
         :meth:`get_neighbors`; this keeps the hit/miss counters
-        occurrence-accurate with the per-node walk.
+        per occurrence, as the reference walk
+        (:class:`~repro.framework.replay.ReferenceWalkSampler`) counts.
         """
         self.neighbor_hits += hits
         self.neighbor_misses += misses

@@ -1,33 +1,188 @@
-"""Replay a batched sampling result through the reference walk.
+"""The sampler's oracle: the per-node walk, and replay through it.
 
-The batched fast path and the per-node reference walk consume the RNG
-in different orders, so two live runs sample different layers and their
-``AccessSummary`` totals legitimately differ (ID-block bytes depend on
-which nodes got sampled). The equivalence contract is therefore stated
-*conditionally*: for any fixed sampled layers, the batched path's
-accounting — access counts, bytes, locality split, cache hit/miss
-counters, degraded fallbacks — is identical to the reference walk's.
+:class:`~repro.framework.sampler.MultiHopSampler` is vectorized; what
+it must preserve is the access accounting of the AliGraph per-node
+walk. :class:`ReferenceWalkSampler` is that walk, kept here as an
+independent implementation: it shares no code with
+``framework/sampler.py`` and reads the store one node at a time.
 
-This module checks that contract mechanically: :class:`ReplaySelector`
-feeds the batched result's own picks back through
-:class:`~repro.framework.sampler.MultiHopSampler`'s per-node walk, so
-the walk reproduces the exact same layers and its store/cache counters
-can be compared 1:1 with the batched run's. The tests, the pytest
-benchmarks and the ``bench/`` workload checks all lean on it.
+The two consume the RNG in different orders, so two live runs sample
+different layers and their ``AccessSummary`` totals legitimately differ
+(ID-block bytes depend on which nodes got sampled). The equivalence
+contract is therefore stated *conditionally*: for any fixed sampled
+layers, the sampler's accounting — access counts, bytes, locality
+split, cache hit/miss counters, degraded fallbacks — is identical to
+the walk's. :class:`ReplaySelector` feeds a result's own picks back
+through the walk, so the walk reproduces the exact same layers and its
+store/cache counters can be compared 1:1 with the sampler's. The tests
+and the ``bench/`` workload checks lean on it.
 """
 
 from __future__ import annotations
 
+import inspect
 from typing import Optional
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, GraphError, ReplicaUnavailableError
 from repro.framework.cache import HotNodeCache
 from repro.framework.requests import SampleRequest, SampleResult
-from repro.framework.sampler import MultiHopSampler
+from repro.framework.selectors import select_uniform
 from repro.graph.csr import CSRGraph
 from repro.memstore.store import PartitionedStore
+
+
+class ReferenceWalkSampler:
+    """The per-node multi-hop walk ``MultiHopSampler`` is checked against.
+
+    Same constructor arguments and ``sample()`` contract as
+    :class:`~repro.framework.sampler.MultiHopSampler`, one Python-level
+    store read per frontier position. It is a test oracle, ~10x slower
+    than the sampler, and has no ``negative_sample``.
+    """
+
+    def __init__(
+        self,
+        store: PartitionedStore,
+        seed: int = 0,
+        cache: Optional[HotNodeCache] = None,
+        worker_partition: Optional[int] = None,
+        selector=select_uniform,
+        degraded_ok: bool = False,
+        relabeling=None,
+    ) -> None:
+        self.store = store
+        self.rng = np.random.default_rng(seed)
+        self.cache = cache
+        self.worker_partition = worker_partition
+        self.selector = selector
+        self.degraded_ok = degraded_ok
+        self.relabeling = relabeling
+        #: Reads completed without data because a shard was unreachable.
+        self.degraded_fallbacks = 0
+        # Weighted selectors take an extra ``weights`` argument, fed
+        # from the graph's per-edge attributes when present.
+        self._selector_takes_weights = (
+            "weights" in inspect.signature(selector).parameters
+        )
+
+    def _neighbors(self, node: int) -> np.ndarray:
+        if self.cache is not None:
+            hit = self.cache.get_neighbors(node)
+            if hit is not None:
+                return hit
+        try:
+            neighbors = self.store.get_neighbors(node, self.worker_partition)
+        except ReplicaUnavailableError:
+            if not self.degraded_ok:
+                raise
+            # Degraded completion: treat the node as isolated, which
+            # downstream becomes the zero-degree self-loop fallback.
+            # The empty list is NOT cached — the shard may come back.
+            self.degraded_fallbacks += 1
+            return np.empty(0, dtype=np.int64)
+        if self.cache is not None:
+            self.cache.put_neighbors(node, neighbors)
+        return neighbors
+
+    def _sample_neighbors(self, node: int, fanout: int) -> np.ndarray:
+        """Sample ``fanout`` neighbors of ``node`` through the selector.
+
+        Zero-degree nodes sample themselves (AliGraph's self-loop
+        fallback), so layer shapes stay dense.
+        """
+        neighbors = self._neighbors(node)
+        if neighbors.size == 0:
+            return np.full(fanout, node, dtype=np.int64)
+        if self._selector_takes_weights and self.store.graph.edge_attr is not None:
+            start = int(self.store.graph.indptr[node])
+            weights = self.store.graph.edge_attr[start : start + neighbors.size]
+            return np.asarray(
+                self.selector(neighbors, fanout, self.rng, weights=weights),
+                dtype=np.int64,
+            )
+        return np.asarray(
+            self.selector(neighbors, fanout, self.rng), dtype=np.int64
+        )
+
+    def sample(self, request: SampleRequest) -> SampleResult:
+        """Walk the request hop by hop, position by position, under one
+        pinned store view (one epoch per sample on a mutable store)."""
+        with self.store.read_view():
+            return self._sample_pinned(request)
+
+    def _sample_pinned(self, request: SampleRequest) -> SampleResult:
+        result = SampleResult()
+        roots = request.roots
+        if roots.max(initial=-1) >= self.store.graph.num_nodes or roots.min(initial=0) < 0:
+            raise GraphError("request roots outside [0, num_nodes)")
+        if self.relabeling is not None:
+            # The store runs in internal layout IDs; callers speak
+            # original IDs. Map in here, map every layer back below.
+            roots = self.relabeling.to_internal(roots)
+        result.layers.append(roots.copy())
+        for fanout in request.fanouts:
+            frontier = result.layers[-1].reshape(-1)
+            sampled = [self._sample_neighbors(int(node), fanout) for node in frontier]
+            result.layers.append(np.concatenate(sampled).reshape(roots.size, -1))
+        if request.with_attributes:
+            result.attributes = [
+                self._fetch_attributes(layer) for layer in result.layers
+            ]
+        if self.relabeling is not None:
+            result.layers = [
+                self.relabeling.to_original(layer) for layer in result.layers
+            ]
+        return result
+
+    def _fetch_attributes(self, layer: np.ndarray) -> np.ndarray:
+        flat = layer.reshape(-1)
+        served = np.zeros(flat.size, dtype=bool)
+        rows = np.empty((flat.size, self.store.graph.attr_len), dtype=np.float32)
+        if self.cache is not None:
+            for i, node in enumerate(flat):
+                hit = self.cache.get_attributes(int(node))
+                if hit is not None:
+                    rows[i] = hit
+                    served[i] = True
+        missing = np.flatnonzero(~served)
+        if missing.size:
+            fetched_rows, fetched = self._fetch_missing(flat[missing])
+            rows[missing] = fetched_rows
+            if self.cache is not None:
+                # Inserts come after every lookup of the layer, and only
+                # for rows that were actually fetched: a degraded zero
+                # row must not outlive the outage (the shard may come
+                # back, and a poisoned entry would keep serving zeros).
+                for i, node, ok in zip(missing, flat[missing], fetched):
+                    if ok:
+                        self.cache.put_attributes(int(node), rows[i])
+        return rows.reshape(layer.shape + (self.store.graph.attr_len,))
+
+    def _fetch_missing(self, nodes: np.ndarray):
+        """Fetch uncached attribute rows, degrading per node if allowed.
+
+        Returns ``(rows, fetched)`` where ``fetched[i]`` is False for
+        rows that degraded to zeros (shard unreachable).
+        """
+        if not self.degraded_ok or self.store.reliability is None:
+            return (
+                self.store.get_attributes(nodes, self.worker_partition),
+                np.ones(nodes.size, dtype=bool),
+            )
+        # Node by node, so one dead shard only blanks its own rows.
+        rows = np.zeros((nodes.size, self.store.graph.attr_len), dtype=np.float32)
+        fetched = np.zeros(nodes.size, dtype=bool)
+        for i, node in enumerate(nodes):
+            try:
+                rows[i] = self.store.get_attributes(
+                    np.asarray([node], dtype=np.int64), self.worker_partition
+                )[0]
+                fetched[i] = True
+            except ReplicaUnavailableError:
+                self.degraded_fallbacks += 1
+        return rows, fetched
 
 
 def _parent_degrees(graph, parents: np.ndarray) -> np.ndarray:
@@ -114,10 +269,10 @@ def replay_reference(
     replayed against the internal-ID store. After this returns,
     ``store.summary`` and ``cache`` counters hold exactly what the
     per-node reference walk charges for those layers, ready to compare
-    against the batched run's.
+    against the recorded run's.
     """
     selector = ReplaySelector(result, request, store.graph, relabeling=relabeling)
-    sampler = MultiHopSampler(
+    sampler = ReferenceWalkSampler(
         store,
         seed=0,
         cache=cache,

@@ -1,12 +1,14 @@
-"""Reference multi-hop random sampler (the CPU software path).
+"""Multi-hop random sampler (the CPU software path).
 
 Implements the AliGraph programming model from Section 2.1: given a
 root node ``v``, sample a subset ``S(v)`` of the neighbor set ``N(v)``,
 fetch attributes of sampled nodes, and iterate for multiple hops. Also
 implements negative sampling (used by link-prediction losses).
 
-This is the functional ground truth the AxE hardware model is checked
-against, and the workload generator for the characterization figures.
+This is the software baseline the AxE hardware model is compared with
+and the workload generator for the characterization figures. Its
+access accounting is checked against an independent per-node walk,
+:class:`repro.framework.replay.ReferenceWalkSampler`.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ def gather_layer_attributes(
     Occurrence accounting matches the per-node walk: attribute cache
     inserts happen only after *all* lookups of a layer, so an uncached
     node's ``c`` occurrences are ``c`` misses, and the store is touched
-    ``c`` times. Degraded rows stay zero and are never cached (see the
-    cache-poisoning regression in the walk path).
+    ``c`` times. Degraded rows stay zero and are never cached: the shard
+    may come back, and a poisoned entry would keep serving zeros.
     """
     attr_len = store.graph.attr_len
     flat = layer.reshape(-1)
@@ -119,6 +121,14 @@ def gather_layer_attributes(
 class MultiHopSampler:
     """Random multi-hop sampler over a partitioned store.
 
+    Vectorized: one dedup per layer (shared by the hop expansion and
+    the attribute fetch), one store batch call and one ragged RNG pick
+    per hop (weighted selectors pick degree bucket by degree bucket),
+    batched cache probes. For the layers it samples, ``AccessSummary``
+    totals, cache counters and degraded-fallback counts equal the
+    per-node walk's; its RNG consumption order differs, so the draws
+    are statistically equivalent to the walk's, not stream-identical.
+
     Parameters
     ----------
     store:
@@ -146,18 +156,8 @@ class MultiHopSampler:
         is counted in ``degraded_fallbacks``. ``False`` (the default)
         propagates :class:`~repro.errors.ReplicaUnavailableError`.
     batched:
-        Use the vectorized fast path: one dedup per layer (shared by
-        the hop expansion and the attribute fetch), one store batch
-        call per hop, one ragged RNG pick per hop for the degree-only
-        selectors (``uniform``/``streaming``; the weighted selectors
-        go degree bucket by degree bucket), batched cache probes.
-        Produces identical ``AccessSummary`` totals, cache hit/miss
-        counters, and degraded-fallback counts as the per-node walk
-        for the same sampled layers, and statistically equivalent
-        sample marginals (the RNG consumption order differs from the
-        walk's, so the draws themselves are not stream-identical to
-        it). ``False`` (the default) keeps the historical per-node
-        reference walk bit-for-bit.
+        Selects nothing; accepted only because the frozen ``bench/``
+        still spells ``batched=True``. ``False`` raises.
     relabeling:
         Optional :class:`repro.memstore.locality.Relabeling` when the
         store's graph was physically renumbered by the locality
@@ -174,18 +174,22 @@ class MultiHopSampler:
         worker_partition: Optional[int] = None,
         selector=select_uniform,
         degraded_ok: bool = False,
-        batched: bool = False,
+        batched: bool = True,
         relabeling=None,
     ) -> None:
+        if not batched:
+            raise ConfigurationError(
+                "MultiHopSampler has one (vectorized) path; the per-node walk "
+                "is the oracle repro.framework.replay.ReferenceWalkSampler"
+            )
         self.store = store
         self.rng = np.random.default_rng(seed)
         self.cache = cache
         self.worker_partition = worker_partition
         self.selector = selector
         self.degraded_ok = degraded_ok
-        self.batched = batched
-        #: The one object through which the batched path (and the
-        #: bucket selectors it calls) reaches every array primitive.
+        #: The one object through which the sampler (and the bucket
+        #: selectors it calls) reaches every array primitive.
         self.kernels = NUMPY_KERNELS
         self.relabeling = relabeling
         #: Reads completed without data because a shard was unreachable.
@@ -203,45 +207,6 @@ class MultiHopSampler:
         return self.store.fault_stats
 
     # ------------------------------------------------------------- sampling
-    def _neighbors(self, node: int) -> np.ndarray:
-        if self.cache is not None:
-            hit = self.cache.get_neighbors(node)
-            if hit is not None:
-                return hit
-        try:
-            neighbors = self.store.get_neighbors(node, self.worker_partition)
-        except ReplicaUnavailableError:
-            if not self.degraded_ok:
-                raise
-            # Degraded completion: treat the node as isolated, which
-            # downstream becomes the zero-degree self-loop fallback.
-            # The empty list is NOT cached — the shard may come back.
-            self.degraded_fallbacks += 1
-            return np.empty(0, dtype=np.int64)
-        if self.cache is not None:
-            self.cache.put_neighbors(node, neighbors)
-        return neighbors
-
-    def _sample_neighbors(self, node: int, fanout: int) -> np.ndarray:
-        """Uniformly sample ``fanout`` neighbors of ``node`` with replacement.
-
-        Zero-degree nodes sample themselves (AliGraph's self-loop
-        fallback), so layer shapes stay dense.
-        """
-        neighbors = self._neighbors(node)
-        if neighbors.size == 0:
-            return np.full(fanout, node, dtype=np.int64)
-        if self._selector_takes_weights and self.store.graph.edge_attr is not None:
-            start = int(self.store.graph.indptr[node])
-            weights = self.store.graph.edge_attr[start : start + neighbors.size]
-            return np.asarray(
-                self.selector(neighbors, fanout, self.rng, weights=weights),
-                dtype=np.int64,
-            )
-        return np.asarray(
-            self.selector(neighbors, fanout, self.rng), dtype=np.int64
-        )
-
     def sample(self, request: SampleRequest) -> SampleResult:
         """Execute a multi-hop sampling request.
 
@@ -263,42 +228,23 @@ class MultiHopSampler:
             # original IDs. Map in here, map every layer back below.
             roots = self.relabeling.to_internal(roots)
         result.layers.append(roots.copy())
-        frontier = roots
         width = 1
-        # Batched path: each layer is deduplicated once, and the triple
-        # serves both its hop expansion and its attribute fetch.
+        # Each layer is deduplicated once, and the triple serves both
+        # its hop expansion and its attribute fetch.
         dedups = []
         num_nodes = self.store.graph.num_nodes
         for fanout in request.fanouts:
             width *= fanout
-            if self.batched:
-                flat = frontier.reshape(-1)
-                dedups.append(dedup_ids(flat, num_nodes))
-                sampled = self._sample_neighbors_batch(
-                    flat, fanout, dedups[-1]
-                ).reshape(roots.size, width)
-            else:
-                sampled = np.empty((roots.size, width), dtype=np.int64)
-                flat = frontier.reshape(roots.size, -1)
-                for batch_index in range(roots.size):
-                    row = [
-                        self._sample_neighbors(int(node), fanout)
-                        for node in flat[batch_index]
-                    ]
-                    sampled[batch_index] = np.concatenate(row)
-            result.layers.append(sampled)
-            frontier = sampled
+            flat = result.layers[-1].reshape(-1)
+            dedups.append(dedup_ids(flat, num_nodes))
+            sampled = self._sample_neighbors_batch(flat, fanout, dedups[-1])
+            result.layers.append(sampled.reshape(roots.size, width))
         if request.with_attributes:
-            if self.batched:
-                dedups.append(None)  # the last layer was never expanded
-                result.attributes = [
-                    self._fetch_attributes_batched(layer, dedup)
-                    for layer, dedup in zip(result.layers, dedups)
-                ]
-            else:
-                result.attributes = [
-                    self._fetch_attributes(layer) for layer in result.layers
-                ]
+            dedups.append(None)  # the last layer was never expanded
+            result.attributes = [
+                self._fetch_attributes(layer, dedup)
+                for layer, dedup in zip(result.layers, dedups)
+            ]
         if self.relabeling is not None:
             # Attributes were fetched with internal IDs above (same
             # nodes, same rows); only the visible layers need mapping.
@@ -307,7 +253,6 @@ class MultiHopSampler:
             ]
         return result
 
-    # ------------------------------------------------------- batched path
     def _sample_neighbors_batch(
         self, flat: np.ndarray, fanout: int, dedup
     ) -> np.ndarray:
@@ -319,7 +264,7 @@ class MultiHopSampler:
         once (degree-only selectors: one ragged RNG call, one flat
         gather) or bucket by bucket through the selector's ``(k, d)``
         variant (weighted selectors). Zero-degree (and degraded)
-        positions keep the self-loop fallback of the per-node walk.
+        positions sample themselves (AliGraph's self-loop fallback).
         """
         out = np.empty((flat.size, fanout), dtype=np.int64)
         if flat.size == 0:
@@ -461,8 +406,7 @@ class MultiHopSampler:
         )
         return values.astype(np.int64, copy=False), offsets, served
 
-    def _fetch_attributes_batched(self, layer: np.ndarray, dedup) -> np.ndarray:
-        """Batched twin of :meth:`_fetch_attributes` (dedup + one store call)."""
+    def _fetch_attributes(self, layer: np.ndarray, dedup) -> np.ndarray:
         attributes, fallbacks = gather_layer_attributes(
             self.store,
             layer,
@@ -474,58 +418,27 @@ class MultiHopSampler:
         self.degraded_fallbacks += fallbacks
         return attributes
 
-    def _fetch_attributes(self, layer: np.ndarray) -> np.ndarray:
-        flat = layer.reshape(-1)
-        served = np.zeros(flat.size, dtype=bool)
-        rows = np.empty((flat.size, self.store.graph.attr_len), dtype=np.float32)
-        if self.cache is not None:
-            for i, node in enumerate(flat):
-                hit = self.cache.get_attributes(int(node))
-                if hit is not None:
-                    rows[i] = hit
-                    served[i] = True
-        missing = np.flatnonzero(~served)
-        if missing.size:
-            fetched_rows, fetched = self._fetch_missing(flat[missing])
-            rows[missing] = fetched_rows
-            if self.cache is not None:
-                # Cache only rows that were actually fetched: a
-                # degraded zero row must not outlive the outage (the
-                # shard may come back, and a poisoned entry would keep
-                # serving zeros forever).
-                for i, node, ok in zip(missing, flat[missing], fetched):
-                    if ok:
-                        self.cache.put_attributes(int(node), rows[i])
-        return rows.reshape(layer.shape + (self.store.graph.attr_len,))
-
-    def _fetch_missing(self, nodes: np.ndarray):
-        """Fetch uncached attribute rows, degrading per node if allowed.
-
-        Returns ``(rows, fetched)`` where ``fetched[i]`` is False for
-        rows that degraded to zeros (shard unreachable) — those must
-        not be cached.
-        """
-        if not self.degraded_ok or self.store.reliability is None:
-            return (
-                self.store.get_attributes(nodes, self.worker_partition),
-                np.ones(nodes.size, dtype=bool),
-            )
-        # Fetch node-by-node so one dead shard only blanks its own rows
-        # (zero vectors), not the whole batch. Per-node fetches record
-        # the same access sequence as the batch path.
-        rows = np.zeros((nodes.size, self.store.graph.attr_len), dtype=np.float32)
-        fetched = np.zeros(nodes.size, dtype=bool)
-        for i, node in enumerate(nodes):
-            try:
-                rows[i] = self.store.get_attributes(
-                    np.asarray([node], dtype=np.int64), self.worker_partition
-                )[0]
-                fetched[i] = True
-            except ReplicaUnavailableError:
-                self.degraded_fallbacks += 1
-        return rows, fetched
-
     # ------------------------------------------------------ negative sample
+    def _neighbors(self, node: int) -> np.ndarray:
+        # ``negative_sample`` only: a one-node read is not a batched
+        # gather, so it must not charge the store's gather counters.
+        if self.cache is not None:
+            hit = self.cache.get_neighbors(node)
+            if hit is not None:
+                return hit
+        try:
+            neighbors = self.store.get_neighbors(node, self.worker_partition)
+        except ReplicaUnavailableError:
+            if not self.degraded_ok:
+                raise
+            # Degraded completion: treat the node as isolated. The empty
+            # list is NOT cached — the shard may come back.
+            self.degraded_fallbacks += 1
+            return np.empty(0, dtype=np.int64)
+        if self.cache is not None:
+            self.cache.put_neighbors(node, neighbors)
+        return neighbors
+
     def negative_sample(self, request: NegativeSampleRequest) -> np.ndarray:
         """Sample ``rate`` negatives per pair, rejecting true neighbors.
 
@@ -549,10 +462,8 @@ class MultiHopSampler:
             pairs = self.relabeling.to_internal(pairs)
         out = np.empty((pairs.shape[0], rate), dtype=np.int64)
         # RNG consumption is row-by-row in pair order, drawn in
-        # rejection blocks per row; the draw stream therefore differs
-        # from the historical one-draw-at-a-time loop, but each row is
-        # still an independent uniform rejection sampler over the
-        # non-neighbor set.
+        # rejection blocks per row: each row is an independent uniform
+        # rejection sampler over the non-neighbor set.
         for row, (src, _dst) in enumerate(pairs):
             src = int(src)
             forbidden = np.union1d(

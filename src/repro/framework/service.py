@@ -43,13 +43,6 @@ class ServiceConfig:
     vcpus_per_server: int = 8
     #: Server-side software time per requested key.
     per_key_service_s: float = 3.0 * US
-    #: Model servers running the batched sampler fast path: per-key
-    #: service time is divided by ``batched_speedup``.
-    batched_sampling: bool = False
-    #: Batched-vs-reference speedup to apply when ``batched_sampling``
-    #: is set: a modelled constant, not a measurement, pending
-    #: ROADMAP 1c.
-    batched_speedup: float = 5.0
     #: Fixed RPC round-trip network latency (excluding queueing).
     rpc_latency_s: float = 25.0 * US
     #: Per-server NIC bandwidth for responses.
@@ -92,10 +85,6 @@ class ServiceConfig:
             raise ConfigurationError("bandwidth and attr_bytes must be positive")
         if self.batch_size <= 0 or not self.fanouts:
             raise ConfigurationError("batch_size and fanouts must be set")
-        if self.batched_speedup < 1.0:
-            raise ConfigurationError(
-                f"batched_speedup must be >= 1, got {self.batched_speedup}"
-            )
         if self.batches_per_worker <= 0:
             raise ConfigurationError("batches_per_worker must be positive")
         if not 1 <= self.replication_factor <= self.num_servers:
@@ -133,13 +122,6 @@ class ServiceConfig:
                 "fault injection (loss or server kills) requires a retry "
                 "policy, or the closed loop would hang on lost replies"
             )
-
-    @property
-    def effective_per_key_service_s(self) -> float:
-        """Per-key service time after the batched-sampling speedup."""
-        if self.batched_sampling:
-            return self.per_key_service_s / self.batched_speedup
-        return self.per_key_service_s
 
 
 class _ServerSim:
@@ -199,7 +181,7 @@ class _ServerSim:
                 service = self.config.per_mutation_service_s
                 self.mutations_served += 1
             else:
-                service = num_keys * self.config.effective_per_key_service_s
+                service = num_keys * self.config.per_key_service_s
                 self.keys_served += num_keys
 
             def done(

@@ -1,6 +1,6 @@
 """Access-pattern characterization (Figure 2c).
 
-Runs the reference sampler over a dataset instance with store tracing
+Runs the software sampler over a dataset instance with store tracing
 enabled and reports the structure-vs-attribute access mix — the paper's
 finding is that ~48% of accesses (by count) are fine-grained indirect
 structure accesses.

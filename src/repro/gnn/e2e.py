@@ -71,12 +71,6 @@ class EndToEndModel:
         Memory bandwidth of the embedding gather/scatter stage.
     cpu_model:
         vCPU sampling cost model (shared with the characterization).
-    batched_sampling, batched_speedup:
-        Model workers running the batched sampler fast path: the
-        sampling stage time is divided by ``batched_speedup`` (a
-        modelled constant, not a measurement, pending ROADMAP 1c).
-        Off by default
-        so historical breakdowns stay bit-for-bit.
     """
 
     def __init__(
@@ -90,18 +84,12 @@ class EndToEndModel:
         gpu_effective_tflops: float = 0.9,
         embed_bandwidth: float = 90 * GB,
         cpu_model: Optional[CpuSamplingModel] = None,
-        batched_sampling: bool = False,
-        batched_speedup: float = 5.0,
     ) -> None:
         if batch_size <= 0 or hidden_dim <= 0:
             raise ConfigurationError("batch_size and hidden_dim must be positive")
         if negative_rate < 0:
             raise ConfigurationError(
                 f"negative_rate must be non-negative, got {negative_rate}"
-            )
-        if batched_speedup < 1.0:
-            raise ConfigurationError(
-                f"batched_speedup must be >= 1, got {batched_speedup}"
             )
         self.spec = get_dataset(dataset)
         self.batch_size = batch_size
@@ -112,8 +100,6 @@ class EndToEndModel:
         self.gpu_effective_tflops = gpu_effective_tflops
         self.embed_bandwidth = embed_bandwidth
         self.cpu_model = cpu_model or CpuSamplingModel()
-        self.batched_sampling = batched_sampling
-        self.batched_speedup = batched_speedup
         self.train_shape = WorkloadShape.from_spec(
             self.spec, negative_rate=negative_rate
         )
@@ -157,10 +143,7 @@ class EndToEndModel:
         per_vcpu = self.cpu_model.roots_per_second(
             self._shape(training), self.num_servers
         )
-        seconds = self.batch_size / (per_vcpu * self.worker_vcpus)
-        if self.batched_sampling:
-            seconds /= self.batched_speedup
-        return seconds
+        return self.batch_size / (per_vcpu * self.worker_vcpus)
 
     def embedding_time(self, training: bool = True) -> float:
         """Embedding stage: bandwidth-bound gather (+ scatter update)."""

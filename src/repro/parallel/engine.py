@@ -121,8 +121,6 @@ class ParallelSampler:
         self.worker_partition = worker_partition
         self.slots = slots
         self.plane_backend = plane_backend
-        #: MultiHopSampler interface: the engine always runs batched.
-        self.batched = True
         #: Parallel mode forbids caches/reliability, so never degrades.
         self.degraded_fallbacks = 0
         self.cache = None

@@ -164,11 +164,7 @@ class ShardRuntime:
             offset_entry_bytes=store.offset_entry_bytes,
             id_bytes=store.id_bytes,
         )
-        sampler = MultiHopSampler(
-            shadow,
-            selector=get_selector(sampling_method),
-            batched=True,
-        )
+        sampler = MultiHopSampler(shadow, selector=get_selector(sampling_method))
         return cls(shadow, sampler)
 
     @classmethod
@@ -185,7 +181,6 @@ class ShardRuntime:
             store,
             worker_partition=config.worker_partition,
             selector=get_selector(config.sampling_method),
-            batched=True,
         )
         runtime = cls(store, sampler)
         runtime._attached = attached  # keep the mapping alive

@@ -28,6 +28,11 @@ from repro.framework.requests import SampleRequest
 from repro.framework.sampler import MultiHopSampler
 from repro.units import US
 
+#: Modelled per-key speedup of the vectorized sampler over the per-node
+#: walk that ``per_key_s`` describes: a constant, not a measurement,
+#: pending ROADMAP 1c.
+BATCHED_SPEEDUP = 5.0
+
 
 def nodes_per_root(fanouts: Tuple[int, ...]) -> int:
     """Total nodes touched per root (root + every sampled hop)."""
@@ -81,10 +86,9 @@ class SoftwareBackend(ServingBackend):
     Service time follows the same first-order cost model as
     :class:`repro.framework.service.ServiceConfig`: a fixed RPC/setup
     overhead plus a per-touched-key software cost, divided across the
-    worker pool's vCPU parallelism. When the wrapped sampler runs the
-    batched fast path, the per-key cost is divided by
-    ``batched_speedup`` (a modelled constant, not a measurement,
-    pending ROADMAP 1c). A sharded parallel sampler
+    worker pool's vCPU parallelism. ``per_key_s`` is the per-node
+    walk's cost; every sampler is vectorized, so it is always divided
+    by :data:`BATCHED_SPEEDUP`. A sharded parallel sampler
     (:class:`~repro.parallel.ParallelSampler` with ``workers >= 1``)
     additionally divides by its worker count, discounted by
     ``parallel_efficiency`` for merge/gather time on the coordinator.
@@ -98,7 +102,6 @@ class SoftwareBackend(ServingBackend):
         base_overhead_s: float = 150.0 * US,
         per_key_s: float = 3.0 * US,
         parallelism: int = 8,
-        batched_speedup: float = 5.0,
         parallel_efficiency: float = 0.85,
         name: str = "software",
     ) -> None:
@@ -109,10 +112,6 @@ class SoftwareBackend(ServingBackend):
             raise ConfigurationError(
                 f"parallelism must be positive, got {parallelism}"
             )
-        if batched_speedup < 1.0:
-            raise ConfigurationError(
-                f"batched_speedup must be >= 1, got {batched_speedup}"
-            )
         if not 0.0 < parallel_efficiency <= 1.0:
             raise ConfigurationError(
                 f"parallel_efficiency must be in (0, 1], got {parallel_efficiency}"
@@ -122,14 +121,11 @@ class SoftwareBackend(ServingBackend):
         self.base_overhead_s = base_overhead_s
         self.per_key_s = per_key_s
         self.parallelism = parallelism
-        self.batched_speedup = batched_speedup
         self.parallel_efficiency = parallel_efficiency
 
     def sampling_speedup(self) -> float:
         """Modeled speedup of the wrapped sampler over the reference walk."""
-        speedup = 1.0
-        if getattr(self.sampler, "batched", False):
-            speedup *= self.batched_speedup
+        speedup = BATCHED_SPEEDUP
         workers = getattr(self.sampler, "workers", 0)
         if workers >= 1:
             speedup *= max(1.0, workers * self.parallel_efficiency)

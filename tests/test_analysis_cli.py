@@ -115,28 +115,47 @@ def test_standalone_main_entry_point(tmp_path):
     [
         ("rng = np.random.default_rng()\n", "det-rng"),
         ("import time\n\n_T0 = time.time()\n", "det-wallclock"),
+        # (old, new) pairs edit the reference walk in framework/replay.py:
+        # a degraded read that is no longer counted, a walk that lost its pin.
+        pytest.param(
+            ("self.degraded_fallbacks += 1", "pass"),
+            "except-swallow",
+            id="oracle-uncounted-fallback",
+        ),
+        pytest.param(
+            ("with self.store.read_view():", "if True:"),
+            "pin-discipline",
+            id="oracle-unpinned-walk",
+        ),
     ],
 )
 def test_injected_violation_fails_lint(tmp_path, payload, rule):
     """Introducing a seedless RNG or wall-clock call into a copy of
-    ``repro/framework`` makes ``repro lint`` exit nonzero — the check CI
-    relies on."""
+    ``repro/framework``, or un-counting / un-pinning the oracle there,
+    makes ``repro lint`` exit nonzero — the check CI relies on."""
     framework = tmp_path / "repro" / "framework"
     framework.parent.mkdir()
     shutil.copytree(SRC_ROOT / "framework", framework)
 
-    sampler = framework / "sampler.py"
-    source = sampler.read_text(encoding="utf-8")
-    assert "import numpy as np" in source
-    sampler.write_text(source + "\n" + payload, encoding="utf-8")
+    if isinstance(payload, tuple):
+        target = framework / "replay.py"
+        source = target.read_text(encoding="utf-8")
+        assert payload[0] in source
+        injected = source.replace(*payload)
+    else:
+        target = framework / "sampler.py"
+        source = target.read_text(encoding="utf-8")
+        assert "import numpy as np" in source
+        injected = source + "\n" + payload
+    target.write_text(injected, encoding="utf-8")
 
     code, output = lint([str(framework)])
     assert code == 1
     assert f"[{rule}]" in output
-    assert "repro/framework/sampler.py" in output
+    assert f"repro/framework/{target.name}" in output
 
     # The pristine copy minus the injection is clean.
-    sampler.write_text(source, encoding="utf-8")
+    target.write_text(source, encoding="utf-8")
     code, output = lint([str(framework)])
     assert code == 0, output
 

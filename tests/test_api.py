@@ -165,8 +165,7 @@ class TestServingLevel:
 class TestBatchedSession:
     def test_batched_session_samples(self):
         graph = power_law_graph(300, 6.0, attr_len=4, seed=1)
-        session = GnnSession(graph, num_partitions=2, batched=True)
-        assert session.sampler.batched
+        session = GnnSession(graph, num_partitions=2)
         result = session.sample(np.array([1, 2, 3]), (4, 2))
         assert result.layers[2].shape == (3, 8)
         for hop in range(2):
@@ -178,10 +177,6 @@ class TestBatchedSession:
                     assert (picks[i] == parent).all()
                 else:
                     assert np.isin(picks[i], neighbors).all()
-
-    def test_default_is_reference_path(self):
-        graph = power_law_graph(100, 4.0, attr_len=2, seed=2)
-        assert not GnnSession(graph).sampler.batched
 
 
 class TestDynamicSession:

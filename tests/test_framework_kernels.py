@@ -120,7 +120,6 @@ class TestSamplerReachesKernelsThroughOneAttribute:
             seed=9,
             worker_partition=1,
             selector=SELECTORS[selector_name],
-            batched=True,
         )
         proxy = None
         if proxied:

@@ -1,11 +1,12 @@
-"""Batched sampling fast path: equivalence with the reference walk.
+"""The vectorized sampler: equivalence with the reference walk.
 
-The contract under test: for any fixed sampled layers, the batched
-path's accounting (AccessSummary, cache hit/miss counters, degraded
-fallbacks, fault stats) is identical to the per-node reference walk's,
-and the samples themselves are statistically equivalent (chi-squared
-per fanout). Replay (:mod:`repro.framework.replay`) pins the walk to
-the batched result's layers so accounting can be compared exactly.
+The contract under test: for any fixed sampled layers,
+``MultiHopSampler``'s accounting (AccessSummary, cache hit/miss
+counters, degraded fallbacks, fault stats) is identical to that of the
+per-node oracle ``ReferenceWalkSampler``, and the samples themselves
+are statistically equivalent (chi-squared per fanout). Replay
+(:mod:`repro.framework.replay`) pins the walk to the sampler's layers
+so accounting can be compared exactly.
 """
 
 import hashlib
@@ -13,8 +14,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.api import GnnSession
 from repro.framework.cache import HotNodeCache
-from repro.framework.replay import replay_reference
+from repro.errors import ConfigurationError
+from repro.framework.replay import ReferenceWalkSampler, replay_reference
 from repro.framework.requests import NegativeSampleRequest, SampleRequest
 from repro.framework.sampler import DENSE_DEDUP_RATIO, MultiHopSampler, dedup_ids
 from repro.framework.selectors import SELECTORS
@@ -24,9 +27,18 @@ from repro.graph.generators import power_law_graph
 from repro.graph.partition import HashPartitioner, RangePartitioner
 from repro.memstore.faults import FaultInjector, ReliableReadPath
 from repro.memstore.ingest import NODE, DynamicPartitionedStore, Mutation
+from repro.memstore.locality import build_locality_layout
 from repro.memstore.replication import ReplicaPlacement
 from repro.memstore.retry import RetryPolicy
 from repro.memstore.store import PartitionedStore
+
+
+#: Both implementations: the oracle, then the sampler under test. The
+#: ids are the values of the ``batched`` flag these cases used to be
+#: parametrized over, kept so their test names do not change.
+both_samplers = pytest.mark.parametrize(
+    "sampler_cls", [ReferenceWalkSampler, MultiHopSampler], ids=["False", "True"]
+)
 
 
 def chi2_critical(df: int, z: float = 4.5) -> float:
@@ -91,7 +103,6 @@ class TestAccountingEquivalence:
             cache=batched_cache,
             worker_partition=0,
             selector=SELECTORS[selector_name],
-            batched=True,
         )
         result = sampler.sample(request)
 
@@ -122,7 +133,6 @@ class TestAccountingEquivalence:
             seed=9,
             worker_partition=1,
             selector=SELECTORS["weighted"],
-            batched=True,
         )
         result = sampler.sample(request)
         replay_store = PartitionedStore(graph, partitioner)
@@ -132,7 +142,7 @@ class TestAccountingEquivalence:
     def test_layer_shapes_and_membership(self):
         graph = power_law_graph(600, 7.0, attr_len=5, seed=4)
         store = PartitionedStore(graph, HashPartitioner(4))
-        sampler = MultiHopSampler(store, seed=3, batched=True)
+        sampler = MultiHopSampler(store, seed=3)
         request = SampleRequest(roots=np.array([1, 2, 3]), fanouts=(4, 3))
         result = sampler.sample(request)
         assert result.layers[0].shape == (3,)
@@ -151,7 +161,7 @@ class TestAccountingEquivalence:
     def test_attributes_match_node_attr(self):
         graph = star_graph(6)
         store = PartitionedStore(graph, HashPartitioner(2))
-        sampler = MultiHopSampler(store, seed=0, batched=True)
+        sampler = MultiHopSampler(store, seed=0)
         request = SampleRequest(
             roots=np.array([0, 0]), fanouts=(3,), with_attributes=True
         )
@@ -166,7 +176,7 @@ class TestAccountingEquivalence:
 
         graph = power_law_graph(300, 5.0, attr_len=3, seed=5)
         store = PartitionedStore(graph, HashPartitioner(2))
-        sampler = MultiHopSampler(store, seed=0, selector=take_first, batched=True)
+        sampler = MultiHopSampler(store, seed=0, selector=take_first)
         result = sampler.sample(SampleRequest(roots=np.array([7, 9]), fanouts=(4,)))
         for i, root in enumerate((7, 9)):
             neighbors = graph.neighbors(root)
@@ -176,7 +186,7 @@ class TestAccountingEquivalence:
     def test_zero_degree_roots_self_loop(self):
         graph = star_graph(5)  # leaves 1..5 are isolated
         store = PartitionedStore(graph, HashPartitioner(2))
-        sampler = MultiHopSampler(store, seed=0, batched=True)
+        sampler = MultiHopSampler(store, seed=0)
         result = sampler.sample(
             SampleRequest(roots=np.array([2, 4]), fanouts=(3,))
         )
@@ -185,20 +195,15 @@ class TestAccountingEquivalence:
 
 class TestStatisticalEquivalence:
     @pytest.mark.parametrize("selector_name", ["uniform", "streaming"])
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_uniform_marginals(self, selector_name, batched):
+    @both_samplers
+    def test_uniform_marginals(self, selector_name, sampler_cls):
         # Degree divisible by fanout: both selectors have an exactly
         # uniform per-neighbor marginal, so one chi-squared test covers
         # both. 200 repetitions x fanout 4 over 12 neighbors.
         degree, fanout, repeats = 12, 4, 200
         graph = star_graph(degree)
         store = PartitionedStore(graph, HashPartitioner(2))
-        sampler = MultiHopSampler(
-            store,
-            seed=11,
-            selector=SELECTORS[selector_name],
-            batched=batched,
-        )
+        sampler = sampler_cls(store, seed=11, selector=SELECTORS[selector_name])
         request = SampleRequest(
             roots=np.zeros(repeats, dtype=np.int64), fanouts=(fanout,)
         )
@@ -208,8 +213,8 @@ class TestStatisticalEquivalence:
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         assert chi2 < chi2_critical(degree - 1)
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_weighted_marginals(self, batched):
+    @both_samplers
+    def test_weighted_marginals(self, sampler_cls):
         degree, fanout, repeats = 4, 5, 300
         base = star_graph(degree)
         weights = np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32)
@@ -220,9 +225,7 @@ class TestStatisticalEquivalence:
             edge_attr=weights,
         )
         store = PartitionedStore(graph, HashPartitioner(2))
-        sampler = MultiHopSampler(
-            store, seed=13, selector=SELECTORS["weighted"], batched=batched
-        )
+        sampler = sampler_cls(store, seed=13, selector=SELECTORS["weighted"])
         request = SampleRequest(
             roots=np.zeros(repeats, dtype=np.int64), fanouts=(fanout,)
         )
@@ -233,29 +236,63 @@ class TestStatisticalEquivalence:
         assert chi2 < chi2_critical(degree - 1)
 
 
-def make_fault_run(batched, cache_nodes=0, graph=None, kill=True):
+FAULT_STAT_FIELDS = ("reads", "attempts", "retries", "timeouts", "failed_reads")
+
+
+def make_fault_run(
+    sampler_cls,
+    cache_nodes=0,
+    graph=None,
+    partitioner=None,
+    replication=1,
+    kills=((1, 0),),
+    worker_partition=0,
+):
+    """A sampler over a store whose ``kills`` (partition, replica) are dead."""
     graph = graph if graph is not None else chain_graph(10)
-    partitioner = RangePartitioner(2, graph.num_nodes)
-    placement = ReplicaPlacement(num_partitions=2, replication_factor=1)
+    partitioner = partitioner or RangePartitioner(2, graph.num_nodes)
+    placement = ReplicaPlacement(partitioner.num_partitions, replication)
     injector = FaultInjector()
     # hedge=False + jitter_sigma=0 keeps the reliable path order-independent
-    # so both sampler paths see identical per-read outcomes.
+    # so both sampler classes see identical per-read outcomes.
     path = ReliableReadPath(
         placement, RetryPolicy(hedge=False), injector, seed=0, jitter_sigma=0.0
     )
-    if kill:
-        injector.kill_replica(1, 0)
+    for partition, replica in kills:
+        injector.kill_replica(partition, replica)
     store = PartitionedStore(graph, partitioner, reliability=path)
     cache = HotNodeCache(cache_nodes) if cache_nodes else None
-    sampler = MultiHopSampler(
+    sampler = sampler_cls(
         store,
         seed=5,
         cache=cache,
-        worker_partition=0,
+        worker_partition=worker_partition,
         degraded_ok=True,
-        batched=batched,
     )
     return sampler, store, cache, injector
+
+
+def assert_live_runs_agree(requests, context=None, **fault_run):
+    """Sample ``requests`` on the oracle and on the sampler, each over its
+    own ``make_fault_run(**fault_run)``; on graphs whose layers do not
+    depend on the RNG the two must agree down to every fault counter."""
+    walk, walk_store, walk_cache, _ = make_fault_run(ReferenceWalkSampler, **fault_run)
+    fast, fast_store, fast_cache, _ = make_fault_run(MultiHopSampler, **fault_run)
+    for request in requests:
+        want, got = walk.sample(request), fast.sample(request)
+        for a, b in zip(want.layers, got.layers):
+            assert np.array_equal(a, b), context
+        for a, b in zip(want.attributes or (), got.attributes or ()):
+            assert np.array_equal(a, b), context
+    assert walk_store.summary == fast_store.summary, context
+    assert walk.degraded_fallbacks == fast.degraded_fallbacks, context
+    for name in FAULT_STAT_FIELDS:
+        assert getattr(walk_store.fault_stats, name) == getattr(
+            fast_store.fault_stats, name
+        ), (context, name)
+    if walk_cache is not None:
+        assert cache_stats(walk_cache) == cache_stats(fast_cache), context
+    return walk
 
 
 class TestDegradedParity:
@@ -264,27 +301,14 @@ class TestDegradedParity:
         request = SampleRequest(
             roots=np.array([0, 3, 7, 7, 8]), fanouts=(2, 2), with_attributes=True
         )
-        ref_sampler, ref_store, ref_cache, _ = make_fault_run(False, cache_nodes)
-        ref_result = ref_sampler.sample(request)
-        bat_sampler, bat_store, bat_cache, _ = make_fault_run(True, cache_nodes)
-        bat_result = bat_sampler.sample(request)
         # The chain graph pins the layers, so the two live runs are
-        # directly comparable, down to every fault counter.
-        for ref_layer, bat_layer in zip(ref_result.layers, bat_result.layers):
-            assert np.array_equal(ref_layer, bat_layer)
-        for ref_attr, bat_attr in zip(ref_result.attributes, bat_result.attributes):
-            assert np.array_equal(ref_attr, bat_attr)
-        assert ref_store.summary == bat_store.summary
-        assert ref_sampler.degraded_fallbacks == bat_sampler.degraded_fallbacks
-        ref_stats, bat_stats = ref_store.fault_stats, bat_store.fault_stats
-        for field in ("reads", "attempts", "retries", "timeouts", "failed_reads"):
-            assert getattr(ref_stats, field) == getattr(bat_stats, field)
-        if cache_nodes:
-            assert cache_stats(ref_cache) == cache_stats(bat_cache)
+        # directly comparable.
+        walk = assert_live_runs_agree([request], cache_nodes=cache_nodes)
+        assert walk.degraded_fallbacks > 0
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_degraded_reads_degrade_not_raise(self, batched):
-        sampler, _store, _cache, _ = make_fault_run(batched)
+    @both_samplers
+    def test_degraded_reads_degrade_not_raise(self, sampler_cls):
+        sampler, _store, _cache, _ = make_fault_run(sampler_cls)
         request = SampleRequest(
             roots=np.array([7, 8]), fanouts=(2,), with_attributes=True
         )
@@ -296,15 +320,15 @@ class TestDegradedParity:
 
 
 class TestCachePoisoningRegression:
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_recovered_shard_serves_real_attributes(self, batched):
+    @both_samplers
+    def test_recovered_shard_serves_real_attributes(self, sampler_cls):
         """Kill shard -> sample -> restore -> real attributes again.
 
         Degraded zero rows must not be cached: before the fix the first
         degraded run poisoned HotNodeCache and kept serving zeros after
         the shard came back.
         """
-        sampler, _store, cache, injector = make_fault_run(batched, cache_nodes=100)
+        sampler, _store, cache, injector = make_fault_run(sampler_cls, cache_nodes=100)
         graph = sampler.store.graph
         request = SampleRequest(
             roots=np.array([7, 8]), fanouts=(1,), with_attributes=True
@@ -321,9 +345,9 @@ class TestCachePoisoningRegression:
             row = cache.get_attributes(int(root))
             assert row is not None and (row != 0).any()
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_recovered_shard_serves_real_neighbors(self, batched):
-        sampler, _store, cache, injector = make_fault_run(batched, cache_nodes=100)
+    @both_samplers
+    def test_recovered_shard_serves_real_neighbors(self, sampler_cls):
+        sampler, _store, cache, injector = make_fault_run(sampler_cls, cache_nodes=100)
         request = SampleRequest(roots=np.array([7]), fanouts=(2,))
         degraded = sampler.sample(request)
         assert (degraded.layers[1] == 7).all()  # self-loop fallback
@@ -333,11 +357,148 @@ class TestCachePoisoningRegression:
         assert cache.get_neighbors(7) is not None
 
 
+def random_graph(rng, weighted):
+    """Small random graph: isolated nodes, hubs and multi-edges included."""
+    num_nodes = int(rng.integers(20, 200))
+    degrees = rng.poisson(rng.uniform(1.0, 6.0), size=num_nodes)
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    num_edges = int(indptr[-1])
+    return CSRGraph(
+        indptr=indptr,
+        indices=rng.integers(0, num_nodes, size=num_edges),
+        node_attr=rng.random((num_nodes, 3)).astype(np.float32),
+        # Strictly positive, so no adjacency row has an all-zero CDF.
+        edge_attr=(
+            (rng.random(num_edges) + 0.05).astype(np.float32) if weighted else None
+        ),
+    )
+
+
+def functional_graph(rng):
+    """Out-degree <= 1 everywhere: the sampled layers do not depend on
+    the RNG, so two live samplers can be compared without replay."""
+    num_nodes = int(rng.integers(8, 60))
+    degrees = (rng.random(num_nodes) < 0.8).astype(np.int64)
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    return CSRGraph(
+        indptr=indptr,
+        indices=rng.integers(0, num_nodes, size=int(indptr[-1])),
+        node_attr=rng.random((num_nodes, 2)).astype(np.float32) + 1.0,
+    )
+
+
+def random_requests(rng, num_nodes, max_hops):
+    num_hops = rng.integers(1, max_hops + 1)
+    fanouts = tuple(int(f) for f in rng.integers(1, 5, size=num_hops))
+    return [
+        SampleRequest(
+            roots=rng.integers(0, num_nodes, size=rng.integers(1, 24)),
+            fanouts=fanouts,
+            with_attributes=bool(rng.integers(0, 2)),
+        )
+        for _ in range(rng.integers(1, 3))
+    ]
+
+
+class TestSeededParitySweep:
+    """The two random sweeps that sized the one-sampler change, seeded
+    and cut down to tier-1 size."""
+
+    def test_replayed_walk_charges_the_same(self):
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            selector_name = sorted(SELECTORS)[seed % len(SELECTORS)]
+            graph = random_graph(rng, weighted=bool(rng.integers(0, 2)))
+            num_partitions = int(rng.integers(1, 5))
+            layout = [None, None, "ldg", "hash", "range"][rng.integers(0, 5)]
+            # Capacity above the node count: the cache never thrashes.
+            cache_nodes = graph.num_nodes + 1 if rng.integers(0, 2) else 0
+            requests = random_requests(rng, graph.num_nodes, max_hops=2)
+            if seed < 2:
+                # Two of the inputs are sessions built the default way.
+                cache_nodes = graph.num_nodes + 1
+                sampler = GnnSession(
+                    graph,
+                    num_partitions=num_partitions,
+                    sampling_method=selector_name,
+                    cache_nodes=cache_nodes,
+                    layout="ldg" if seed else None,
+                ).sampler
+            else:
+                partitioner, relabeling = HashPartitioner(num_partitions), None
+                if layout is not None:
+                    built = build_locality_layout(graph, num_partitions, method=layout)
+                    graph, partitioner = built.graph, built.partitioner
+                    relabeling = built.relabeling
+                sampler = MultiHopSampler(
+                    PartitionedStore(graph, partitioner),
+                    seed=seed,
+                    cache=HotNodeCache(cache_nodes) if cache_nodes else None,
+                    worker_partition=[None, 0, num_partitions - 1][rng.integers(0, 3)],
+                    selector=SELECTORS[selector_name],
+                    relabeling=relabeling,
+                )
+            store = sampler.store
+            replay_store = PartitionedStore(store.graph, store.partitioner)
+            replay_cache = HotNodeCache(cache_nodes) if cache_nodes else None
+            for request in requests:
+                replay_reference(
+                    sampler.sample(request),
+                    request,
+                    replay_store,
+                    worker_partition=sampler.worker_partition,
+                    cache=replay_cache,
+                    relabeling=sampler.relabeling,
+                )
+            assert store.summary == replay_store.summary, seed
+            if cache_nodes:
+                assert cache_stats(sampler.cache) == cache_stats(replay_cache), seed
+
+    def test_live_runs_agree_under_replica_kills(self):
+        for seed in range(60):
+            rng = np.random.default_rng(1000 + seed)
+            graph = functional_graph(rng)
+            num_partitions = int(rng.integers(2, 5))
+            replication = int(rng.integers(1, 3))
+            assert_live_runs_agree(
+                random_requests(rng, graph.num_nodes, max_hops=3),
+                context=seed,
+                cache_nodes=graph.num_nodes + 1 if rng.integers(0, 2) else 0,
+                graph=graph,
+                partitioner=HashPartitioner(num_partitions),
+                replication=replication,
+                kills=[
+                    (partition, replica)
+                    for partition in range(num_partitions)
+                    for replica in range(replication)
+                    if rng.random() < 0.4
+                ],
+                worker_partition=int(rng.integers(0, num_partitions)),
+            )
+
+
+class TestOnePath:
+    """``batched`` selects nothing any more: ``False`` names the oracle."""
+
+    def test_sampler_rejects_batched_false(self):
+        store = PartitionedStore(star_graph(4), HashPartitioner(2))
+        with pytest.raises(ConfigurationError, match="ReferenceWalkSampler"):
+            MultiHopSampler(store, batched=False)
+        for sampler in (MultiHopSampler(store), ReferenceWalkSampler(store)):
+            assert not hasattr(sampler, "batched")
+
+    def test_session_rejects_batched_false(self):
+        with pytest.raises(ConfigurationError, match="ReferenceWalkSampler"):
+            GnnSession(star_graph(4), batched=False)
+
+
 class TestPartiallyUnservedBatch:
     @pytest.mark.parametrize("cache_nodes", [0, 100])
     def test_unserved_rows_zero_and_never_cached(self, cache_nodes):
         """One attribute batch with a live and a dead shard in it."""
-        sampler, _store, cache, _ = make_fault_run(True, cache_nodes)
+        sampler, _store, cache, _ = make_fault_run(MultiHopSampler, cache_nodes)
         graph = sampler.store.graph
         # Range partitioner: 0..4 live on the worker's shard, 5..9 on
         # the dead one.
@@ -394,7 +555,6 @@ def golden_layers_digest(selector_name):
         seed=13,
         worker_partition=0,
         selector=SELECTORS[selector_name],
-        batched=True,
     )
     digest = hashlib.sha256()
     for _ in range(3):
@@ -448,7 +608,7 @@ class TestDedupParity:
         )
         assert num_nodes <= DENSE_DEDUP_RATIO * roots.size  # dense regime
         assert_dedup_equals_unique(roots, num_nodes)
-        sampler = MultiHopSampler(store, seed=2, worker_partition=0, batched=True)
+        sampler = MultiHopSampler(store, seed=2, worker_partition=0)
         request = SampleRequest(roots=roots, fanouts=(3, 2), with_attributes=True)
         result = sampler.sample(request)
         # A new node's only neighbour is the node it attached to.
@@ -477,8 +637,7 @@ class TestAttributeOwnership:
                 PartitionedStore(graph, HashPartitioner(2)),
                 seed=4,
                 cache=HotNodeCache(cache_nodes) if cache_nodes else None,
-                batched=True,
-            )
+                )
 
         sampler = make()
         first = sampler.sample(request)
@@ -501,10 +660,10 @@ class TestAttributeOwnership:
 
 
 class TestNegativeSample:
-    def _sampler(self, batched=False, num_nodes=400, avg_degree=6.0):
+    def _sampler(self, num_nodes=400, avg_degree=6.0):
         graph = power_law_graph(num_nodes, avg_degree, attr_len=2, seed=8)
         store = PartitionedStore(graph, HashPartitioner(2))
-        return MultiHopSampler(store, seed=2, batched=batched)
+        return MultiHopSampler(store, seed=2)
 
     def test_rejects_neighbors_and_source(self):
         sampler = self._sampler()

@@ -147,26 +147,6 @@ class TestReportEdgeCases:
         assert a.batch_latencies_s != b.batch_latencies_s
 
 
-class TestBatchedSampling:
-    def test_batched_speeds_up_service(self):
-        slow = run_service(ServiceConfig(batches_per_worker=2), seed=0)
-        fast = run_service(
-            ServiceConfig(batches_per_worker=2, batched_sampling=True), seed=0
-        )
-        assert fast.p50 < slow.p50
-        assert fast.total_time_s < slow.total_time_s
-
-    def test_effective_per_key_service(self):
-        config = ServiceConfig(batched_sampling=True, batched_speedup=4.0)
-        assert config.effective_per_key_service_s == config.per_key_service_s / 4.0
-        off = ServiceConfig()
-        assert off.effective_per_key_service_s == off.per_key_service_s
-
-    def test_speedup_below_one_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(batched_speedup=0.5)
-
-
 class TestMutationTraffic:
     def test_rps_zero_is_bit_identical(self):
         """Regression: adding the mutation path must not perturb the

@@ -74,19 +74,3 @@ class TestStageBreakdown:
         assert breakdown.total_s == 10.0
         assert breakdown.sampling_fraction == pytest.approx(0.6)
         assert breakdown.nn_fraction == pytest.approx(0.4)
-
-
-class TestBatchedSampling:
-    def test_batched_divides_sampling_time(self):
-        base = EndToEndModel()
-        fast = EndToEndModel(batched_sampling=True, batched_speedup=5.0)
-        assert fast.sampling_time(True) == pytest.approx(
-            base.sampling_time(True) / 5.0
-        )
-        # Non-sampling stages are untouched.
-        assert fast.nn_time(True) == base.nn_time(True)
-        assert fast.breakdown(True).sampling_fraction < base.breakdown(True).sampling_fraction
-
-    def test_speedup_below_one_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EndToEndModel(batched_speedup=0.9)

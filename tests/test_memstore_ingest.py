@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.framework.cache import HotNodeCache
-from repro.framework.replay import replay_reference
+from repro.framework.replay import ReferenceWalkSampler, replay_reference
 from repro.framework.requests import SampleRequest
 from repro.framework.sampler import MultiHopSampler
 from repro.graph.csr import CSRGraph
@@ -85,8 +85,9 @@ class TestRateZeroParity:
         static = PartitionedStore(graph, HashPartitioner(2))
         dynamic = make_store(graph)
         request = SampleRequest(roots=np.arange(8), fanouts=(4, 3))
-        res_s = MultiHopSampler(static, seed=0).sample(request)
-        res_d = MultiHopSampler(dynamic, seed=0).sample(request)
+        # The oracle is the only sampler on the per-node store reads.
+        res_s = ReferenceWalkSampler(static, seed=0).sample(request)
+        res_d = ReferenceWalkSampler(dynamic, seed=0).sample(request)
         for a, b in zip(res_s.layers, res_d.layers):
             assert np.array_equal(a, b)
         for a, b in zip(res_s.attributes, res_d.attributes):
@@ -98,8 +99,8 @@ class TestRateZeroParity:
         static = PartitionedStore(graph, HashPartitioner(2))
         dynamic = make_store(graph)
         request = SampleRequest(roots=np.arange(16), fanouts=(5, 2))
-        res_s = MultiHopSampler(static, seed=1, batched=True).sample(request)
-        res_d = MultiHopSampler(dynamic, seed=1, batched=True).sample(request)
+        res_s = MultiHopSampler(static, seed=1).sample(request)
+        res_d = MultiHopSampler(dynamic, seed=1).sample(request)
         for a, b in zip(res_s.layers, res_d.layers):
             assert np.array_equal(a, b)
         for a, b in zip(res_s.attributes, res_d.attributes):
@@ -110,7 +111,7 @@ class TestRateZeroParity:
         graph = make_graph()
         dynamic = make_store(graph)
         request = SampleRequest(roots=np.arange(8), fanouts=(4,))
-        result = MultiHopSampler(dynamic, seed=0, batched=True).sample(request)
+        result = MultiHopSampler(dynamic, seed=0).sample(request)
         fresh = make_store(graph)
         replay_reference(result, request, fresh)
         assert fresh.summary == dynamic.summary
@@ -124,7 +125,7 @@ class TestRateZeroParity:
         static_cache, dynamic_cache = HotNodeCache(32), HotNodeCache(32)
         dynamic.register_cache(dynamic_cache)
         samplers = [
-            MultiHopSampler(store, seed=1, cache=cache, batched=True)
+            MultiHopSampler(store, seed=1, cache=cache)
             for store, cache in ((static, static_cache), (dynamic, dynamic_cache))
         ]
         rng = np.random.default_rng(0)
@@ -147,9 +148,7 @@ class TestRateZeroParity:
         cache = HotNodeCache(1000)
         dynamic.register_cache(cache)
         request = SampleRequest(roots=np.arange(8), fanouts=(4, 3))
-        result = MultiHopSampler(
-            dynamic, seed=0, cache=cache, batched=True
-        ).sample(request)
+        result = MultiHopSampler(dynamic, seed=0, cache=cache).sample(request)
         fresh = make_store(graph)
         replay_reference(result, request, fresh, cache=HotNodeCache(1000))
         assert fresh.summary == dynamic.summary
@@ -208,7 +207,7 @@ class TestDeltaAccounting:
         hits = []
         for rate in (0, 8, 32, 128):
             store = make_store(graph)
-            sampler = MultiHopSampler(store, seed=0, batched=True)
+            sampler = MultiHopSampler(store, seed=0)
             trace = growth_trace(256, rate * len(requests), seed=1)
             for i, request in enumerate(requests):
                 store.apply(trace[i * rate : (i + 1) * rate])
@@ -224,7 +223,7 @@ class TestDeltaAccounting:
         trace = growth_trace(64, 60, new_node_probability=0.0, seed=2)
         store.apply(trace)
         request = SampleRequest(roots=np.arange(8), fanouts=(4, 3))
-        result = MultiHopSampler(store, seed=0, batched=True).sample(request)
+        result = MultiHopSampler(store, seed=0).sample(request)
         fresh = make_store(graph)
         fresh.apply(trace)
         replay_reference(result, request, fresh)
@@ -246,7 +245,7 @@ class TestPinning:
         sampler.sample(SampleRequest(roots=np.arange(4), fanouts=(3, 2)))
         assert len(store.last_sample_epochs) == 1
 
-    def _fire_mutation_mid_sample(self, batched):
+    def _fire_mutation_mid_sample(self, sampler_cls):
         store = make_store()
         fired = []
 
@@ -256,9 +255,7 @@ class TestPinning:
                 store.apply(growth_trace(64, 8, new_node_probability=1.0, seed=9))
             return rng.choice(neighbors, size=fanout, replace=True)
 
-        sampler = MultiHopSampler(
-            store, seed=0, selector=selector, batched=batched
-        )
+        sampler = sampler_cls(store, seed=0, selector=selector)
         result = sampler.sample(SampleRequest(roots=np.arange(4), fanouts=(3, 2)))
         assert fired
         assert len(store.last_sample_epochs) == 1
@@ -270,10 +267,10 @@ class TestPinning:
     def test_mid_sample_mutation_not_torn(self):
         """A mutation landing between selector calls must not tear the
         multi-hop sample: every read still resolves at one epoch."""
-        self._fire_mutation_mid_sample(batched=False)
+        self._fire_mutation_mid_sample(ReferenceWalkSampler)
 
     def test_mid_sample_mutation_not_torn_batched(self):
-        self._fire_mutation_mid_sample(batched=True)
+        self._fire_mutation_mid_sample(MultiHopSampler)
 
     def test_pin_survives_compaction(self):
         store = make_store(CSRGraph.from_edges(4, [(0, 1)]), compact_threshold=2)

@@ -180,7 +180,6 @@ class TestSamplerWithRelabeling:
             store,
             seed=0,
             worker_partition=0,
-            batched=True,
             relabeling=layout.relabeling,
             **kwargs,
         )
@@ -276,8 +275,7 @@ class TestLocalityTracking:
                 store_graph, partitioner, track_locality=True
             )
             sampler = MultiHopSampler(
-                store, seed=0, worker_partition=0, batched=True,
-                relabeling=relabeling,
+                store, seed=0, worker_partition=0, relabeling=relabeling
             )
             layers = sampler.sample(request).layers
             if relabeling is not None:
@@ -309,7 +307,7 @@ class TestLocalityTracking:
 
 class TestSessionIntegration:
     def test_session_layout_end_to_end(self, graph):
-        session = GnnSession(graph, num_partitions=4, layout="ldg", batched=True)
+        session = GnnSession(graph, num_partitions=4, layout="ldg")
         assert session.relabeling is not None
         rng = np.random.default_rng(1)
         roots = rng.integers(0, graph.num_nodes, size=16)

@@ -91,7 +91,6 @@ class TestConstruction:
 
     def test_duck_types_sampler_surface(self):
         engine = ParallelSampler(make_store(make_graph()))
-        assert engine.batched is True
         assert engine.cache is None
         assert engine.degraded_fallbacks == 0
         assert engine.fault_stats is engine.store.fault_stats

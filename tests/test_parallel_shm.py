@@ -158,7 +158,7 @@ class TestGraphPlane:
 
         def run(g):
             store = PartitionedStore(g, HashPartitioner(2))
-            sampler = MultiHopSampler(store, seed=7, batched=True)
+            sampler = MultiHopSampler(store, seed=7)
             return sampler.sample(request), store.summary
 
         plane = export_graph(graph, backend="mmap")

