@@ -51,6 +51,13 @@ if TYPE_CHECKING:
 class GnnSession:
     """One graph, every programming level above the ISA.
 
+    ``layout``, ``workers`` and ``cache_nodes`` compose behind one
+    sampler contract, original node IDs in and out. Two rules remain: a
+    :class:`~repro.graph.dynamic.DynamicGraph` runs the inline software
+    sampler only (no ``layout``, ``workers`` or ``reliability``), and
+    :class:`~repro.parallel.ParallelSampler` refuses a ``reliability``
+    store (shard workers run the zero-fault path).
+
     Parameters
     ----------
     graph:
@@ -81,22 +88,19 @@ class GnnSession:
         default) keeps the single-process sampler. Any ``workers >= 1``
         replaces the software sampler with the sharded engine —
         results and access accounting are bit-identical at every
-        worker count, including the in-process reference. Parallel
-        mode is incompatible with ``cache_nodes`` and ``reliability``
-        (shard workers run the zero-fault fast path). Call
-        :meth:`close` (or use the session as a context manager) to
-        shut the pool down.
+        worker count, including the in-process reference. With
+        ``cache_nodes`` the cache fronts the coordinator's reads
+        (attribute gather, negative sampling); shard-side structure
+        reads stay uncached. Call :meth:`close` (or use the session as
+        a context manager) to shut the pool down.
     layout:
         Locality-preserving physical layout for the store: ``"ldg"``,
         ``"hash"``, or ``"range"`` (see
         :func:`~repro.memstore.locality.build_locality_layout`). The
         graph is renumbered partition-block-contiguous with hot
-        high-degree nodes front-loaded, and the sampler transparently
-        remaps IDs, so callers keep speaking original IDs. ``None``
+        high-degree nodes front-loaded, and the store maps IDs at its
+        boundary, so callers keep speaking original IDs. ``None``
         (the default) keeps the historical hash layout bit-for-bit.
-        Incompatible with a ``DynamicGraph`` (the renumbering permutes
-        an immutable CSR) and with ``workers > 0`` (shard workers
-        attach the shared graph plane in original ID space).
     """
 
     def __init__(
@@ -123,74 +127,60 @@ class GnnSession:
                 "the software sampler has one (vectorized) path; the per-node "
                 "walk is the oracle repro.framework.replay.ReferenceWalkSampler"
             )
-        if workers > 0 and layout is not None:
-            raise ConfigurationError(
-                "layout and workers are mutually exclusive; shard workers "
-                "attach the shared graph plane in original ID space"
-            )
         self.graph = graph
         self.layout = layout
-        #: ID bijection when a locality layout is active, else ``None``.
-        self.relabeling = None
         #: The mutable graph when the session is dynamic, else ``None``.
         self.dynamic: Optional[DynamicGraph] = (
             graph if isinstance(graph, DynamicGraph) else None
         )
         if self.dynamic is not None:
-            if layout is not None:
+            given = {
+                "layout": layout is not None,
+                "workers": workers > 0,
+                "reliability": reliability is not None,
+            }
+            if any(given.values()):
+                refused = ", ".join(name for name in given if given[name])
                 raise ConfigurationError(
-                    "layout and a DynamicGraph are mutually exclusive; the "
-                    "locality renumbering permutes an immutable CSR"
-                )
-            if workers > 0:
-                raise ConfigurationError(
-                    "workers and a DynamicGraph are mutually exclusive; shard "
-                    "workers attach an immutable shared-memory graph plane"
-                )
-            if reliability is not None:
-                raise ConfigurationError(
-                    "reliability and a DynamicGraph are mutually exclusive; "
-                    "the replicated read path serves immutable shards"
+                    f"{refused} cannot be combined with a "
+                    "DynamicGraph: a mutable graph runs the inline software "
+                    "sampler only (layout renumbers, shard workers attach, "
+                    "and replicas and the AxE model serve, an immutable CSR)"
                 )
             self.store: PartitionedStore = DynamicPartitionedStore(
                 self.dynamic, HashPartitioner(num_partitions)
             )
-        elif layout is not None:
-            built = build_locality_layout(graph, num_partitions, method=layout)
-            self.store = PartitionedStore(
-                built.graph, built.partitioner, reliability=reliability
-            )
-            self.relabeling = built.relabeling
         else:
+            stored, partitioner, relabeling = graph, HashPartitioner(num_partitions), None
+            if layout is not None:
+                built = build_locality_layout(graph, num_partitions, method=layout)
+                stored, partitioner, relabeling = (
+                    built.graph, built.partitioner, built.relabeling
+                )
             self.store = PartitionedStore(
-                graph, HashPartitioner(num_partitions), reliability=reliability
+                stored, partitioner, reliability=reliability, relabeling=relabeling
             )
         self.workers = workers
+        cache = HotNodeCache(cache_nodes) if cache_nodes else None
+        if cache is not None and self.dynamic is not None:
+            # Mutated nodes must drop out of the cache, or samples
+            # pinned to a fresh epoch would read pre-mutation data.
+            self.store.register_cache(cache)
         if workers > 0:
-            if cache_nodes:
-                raise ConfigurationError(
-                    "workers and cache_nodes are mutually exclusive; the "
-                    "parallel engine accounts shard accesses without a cache"
-                )
-            self.sampler = ParallelSampler(
+            self.sampler: MultiHopSampler = ParallelSampler(
                 self.store,
                 workers=workers,
                 seed=seed,
                 sampling_method=sampling_method,
+                cache=cache,
             )
         else:
-            cache = HotNodeCache(cache_nodes) if cache_nodes else None
-            if cache is not None and self.dynamic is not None:
-                # Mutated nodes must drop out of the cache, or samples
-                # pinned to a fresh epoch would read pre-mutation data.
-                self.store.register_cache(cache)
             self.sampler = MultiHopSampler(
                 self.store,
                 seed=seed,
                 cache=cache,
                 selector=get_selector(sampling_method),
                 degraded_ok=reliability is not None,
-                relabeling=self.relabeling,
             )
         if engine_config is None:
             engine_config = EngineConfig(
@@ -205,6 +195,12 @@ class GnnSession:
         self.engine = AxeEngine(engine_graph, engine_config)
         self._seed = seed
         self._sampling_method = sampling_method
+
+    @property
+    def relabeling(self):
+        """The store's ID bijection when a locality layout is active,
+        else ``None``."""
+        return self.store.relabeling
 
     # -------------------------------------------------------- mutation level
     def mutate(self, mutations: Sequence[Mutation]) -> int:
@@ -223,9 +219,7 @@ class GnnSession:
     # --------------------------------------------------------- lifecycle
     def close(self) -> None:
         """Release session resources (shard workers, plane, arenas)."""
-        closer = getattr(self.sampler, "close", None)
-        if closer is not None:
-            closer()
+        self.sampler.close()
 
     def __enter__(self) -> "GnnSession":
         return self
@@ -360,7 +354,8 @@ class GnnSession:
         elif include_hardware and self.dynamic is not None:
             raise ConfigurationError(
                 "include_hardware=True is incompatible with a DynamicGraph "
-                "session: the AxE model serves an immutable base snapshot"
+                "session: a mutable graph runs the inline software sampler "
+                "only (the AxE model serves an immutable base snapshot)"
             )
         software = SoftwareBackend(self.sampler, functional=functional)
         backends = [software]
@@ -502,19 +497,16 @@ class GnnSession:
 
         ``roots`` defaults to every node; ``cached_epochs >= 1``
         enables the multi-hop :class:`~repro.gnn.pipeline.
-        NeighborhoodCache` for repeated-epoch training. Requires a
-        static session (shard workers attach an immutable graph plane)
-        without a locality layout (the trainer speaks store IDs).
+        NeighborhoodCache` for repeated-epoch training. ``labels`` and
+        ``roots`` are in original IDs under every layout. Requires a
+        static session: a mutable graph runs the inline software
+        sampler only, and the trainer drives the sharded engine.
         """
         if self.dynamic is not None:
             raise ConfigurationError(
-                "train() requires a static graph session; shard workers "
-                "attach an immutable shared-memory graph plane"
-            )
-        if self.relabeling is not None:
-            raise ConfigurationError(
-                "train() is incompatible with a locality layout; the "
-                "pipelined trainer addresses embeddings by store ID"
+                "train() requires a static graph session: a mutable graph "
+                "runs the inline software sampler only, and the trainer "
+                "drives the sharded engine"
             )
         if roots is None:
             roots = np.arange(self.graph.num_nodes, dtype=np.int64)

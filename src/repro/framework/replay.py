@@ -29,7 +29,6 @@ from repro.errors import ConfigurationError, GraphError, ReplicaUnavailableError
 from repro.framework.cache import HotNodeCache
 from repro.framework.requests import SampleRequest, SampleResult
 from repro.framework.selectors import select_uniform
-from repro.graph.csr import CSRGraph
 from repro.memstore.store import PartitionedStore
 
 
@@ -50,7 +49,6 @@ class ReferenceWalkSampler:
         worker_partition: Optional[int] = None,
         selector=select_uniform,
         degraded_ok: bool = False,
-        relabeling=None,
     ) -> None:
         self.store = store
         self.rng = np.random.default_rng(seed)
@@ -58,7 +56,6 @@ class ReferenceWalkSampler:
         self.worker_partition = worker_partition
         self.selector = selector
         self.degraded_ok = degraded_ok
-        self.relabeling = relabeling
         #: Reads completed without data because a shard was unreachable.
         self.degraded_fallbacks = 0
         # Weighted selectors take an extra ``weights`` argument, fed
@@ -117,11 +114,9 @@ class ReferenceWalkSampler:
         roots = request.roots
         if roots.max(initial=-1) >= self.store.graph.num_nodes or roots.min(initial=0) < 0:
             raise GraphError("request roots outside [0, num_nodes)")
-        if self.relabeling is not None:
-            # The store runs in internal layout IDs; callers speak
-            # original IDs. Map in here, map every layer back below.
-            roots = self.relabeling.to_internal(roots)
-        result.layers.append(roots.copy())
+        # The walk runs in store IDs; callers speak original IDs. Map
+        # in here, map every layer back below.
+        result.layers.append(self.store.to_internal(roots).copy())
         for fanout in request.fanouts:
             frontier = result.layers[-1].reshape(-1)
             sampled = [self._sample_neighbors(int(node), fanout) for node in frontier]
@@ -130,10 +125,7 @@ class ReferenceWalkSampler:
             result.attributes = [
                 self._fetch_attributes(layer) for layer in result.layers
             ]
-        if self.relabeling is not None:
-            result.layers = [
-                self.relabeling.to_original(layer) for layer in result.layers
-            ]
+        result.layers = [self.store.to_original(layer) for layer in result.layers]
         return result
 
     def _fetch_attributes(self, layer: np.ndarray) -> np.ndarray:
@@ -214,22 +206,17 @@ class ReplaySelector:
     """
 
     def __init__(
-        self,
-        result: SampleResult,
-        request: SampleRequest,
-        graph: CSRGraph,
-        relabeling=None,
+        self, result: SampleResult, request: SampleRequest, store: PartitionedStore
     ) -> None:
         self._rows = []
         for hop, fanout in enumerate(request.fanouts):
-            parents = result.layers[hop].reshape(-1)
-            picks = result.layers[hop + 1].reshape(parents.size, fanout)
-            if relabeling is not None:
-                # Recorded layers are in original IDs; the walk (and
-                # ``graph``) run in the relabeled internal space.
-                parents = relabeling.to_internal(parents)
-                picks = relabeling.to_internal(picks)
-            degrees = _parent_degrees(graph, parents)
+            # Recorded layers are in original IDs; the walk (and the
+            # store's graph) run in store IDs.
+            parents = store.to_internal(result.layers[hop].reshape(-1))
+            picks = store.to_internal(
+                result.layers[hop + 1].reshape(parents.size, fanout)
+            )
+            degrees = _parent_degrees(store.graph, parents)
             for i in np.flatnonzero(degrees > 0):
                 self._rows.append(picks[i].astype(np.int64))
         self._cursor = 0
@@ -257,7 +244,6 @@ def replay_reference(
     store: PartitionedStore,
     worker_partition: Optional[int] = None,
     cache: Optional[HotNodeCache] = None,
-    relabeling=None,
 ) -> SampleResult:
     """Re-run the reference walk pinned to ``result``'s sampled layers.
 
@@ -265,20 +251,19 @@ def replay_reference(
     (and typically no reliability path — replay assumes every position's
     neighbor list has its full graph degree, which degraded completions
     violate). When the result was sampled through a locality layout,
-    pass the same ``relabeling`` so the recorded original-ID layers are
-    replayed against the internal-ID store. After this returns,
+    ``store`` must carry the same ``relabeling``: the recorded layers
+    are in original IDs, the walk runs in the store's. After this returns,
     ``store.summary`` and ``cache`` counters hold exactly what the
     per-node reference walk charges for those layers, ready to compare
     against the recorded run's.
     """
-    selector = ReplaySelector(result, request, store.graph, relabeling=relabeling)
+    selector = ReplaySelector(result, request, store)
     sampler = ReferenceWalkSampler(
         store,
         seed=0,
         cache=cache,
         worker_partition=worker_partition,
         selector=selector,
-        relabeling=relabeling,
     )
     replayed = sampler.sample(request)
     for recorded, walked in zip(result.layers, replayed.layers):

@@ -15,6 +15,16 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 
+def nodes_per_root(fanouts: Tuple[int, ...]) -> int:
+    """Total nodes touched per root (root + every sampled hop)."""
+    total = 1
+    layer = 1
+    for fanout in fanouts:
+        layer *= fanout
+        total += layer
+    return total
+
+
 @dataclass(frozen=True)
 class SampleRequest:
     """A multi-hop sampling request for a mini-batch of root nodes."""
@@ -43,12 +53,7 @@ class SampleRequest:
 
     def nodes_per_root(self) -> int:
         """Total nodes touched per root (root + all sampled hops)."""
-        total = 1
-        layer = 1
-        for fanout in self.fanouts:
-            layer *= fanout
-            total += layer
-        return total
+        return nodes_per_root(self.fanouts)
 
 
 @dataclass(frozen=True)
@@ -79,7 +84,6 @@ class SampleResult:
 
     layers: List[np.ndarray] = field(default_factory=list)
     attributes: Optional[List[np.ndarray]] = None
-    edge_weights: Optional[List[np.ndarray]] = None
 
     @property
     def num_hops(self) -> int:

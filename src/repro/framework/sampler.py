@@ -56,68 +56,6 @@ def dedup_ids(flat: np.ndarray, num_nodes: int):
     return unique, table[flat], counts
 
 
-def gather_layer_attributes(
-    store: PartitionedStore,
-    layer: np.ndarray,
-    worker_partition: Optional[int],
-    dedup=None,
-    cache: Optional[HotNodeCache] = None,
-    degraded_ok: bool = False,
-):
-    """Attribute rows of one sampled layer: dedup + one store batch call.
-
-    Returns ``(attributes, fallbacks)``; ``attributes`` is a fresh
-    ``layer.shape + (attr_len,)`` array. ``dedup`` is the layer's
-    ``dedup_ids`` triple when the caller already holds it. The caller
-    must hold the store's ``read_view()`` pin.
-
-    Occurrence accounting matches the per-node walk: attribute cache
-    inserts happen only after *all* lookups of a layer, so an uncached
-    node's ``c`` occurrences are ``c`` misses, and the store is touched
-    ``c`` times. Degraded rows stay zero and are never cached: the shard
-    may come back, and a poisoned entry would keep serving zeros.
-    """
-    attr_len = store.graph.attr_len
-    flat = layer.reshape(-1)
-    if flat.size == 0:
-        return np.empty(layer.shape + (attr_len,), dtype=np.float32), 0
-    unique, inverse, counts = (
-        dedup_ids(flat, store.graph.num_nodes) if dedup is None else dedup
-    )
-    if cache is None:
-        batch = store.get_attributes_batch(
-            unique, worker_partition, counts=counts, degraded_ok=degraded_ok
-        )
-        rows, fallbacks = batch.rows, batch.fallbacks
-    else:
-        rows = np.empty((unique.size, attr_len), dtype=np.float32)
-        hit_mask = np.zeros(unique.size, dtype=bool)
-        for j, node in enumerate(unique):
-            hit = cache.get_attributes(int(node))
-            if hit is not None:
-                rows[j] = hit
-                hit_mask[j] = True
-        cache.bump_attribute_stats(
-            hits=int((counts[hit_mask] - 1).sum()),
-            misses=int((counts[~hit_mask] - 1).sum()),
-        )
-        fallbacks = 0
-        missing_indices = np.flatnonzero(~hit_mask)
-        if missing_indices.size:
-            batch = store.get_attributes_batch(
-                unique[missing_indices],
-                worker_partition,
-                counts=counts[missing_indices],
-                degraded_ok=degraded_ok,
-            )
-            fallbacks = batch.fallbacks
-            rows[missing_indices] = batch.rows
-            for position, j in enumerate(missing_indices):
-                if batch.served[position]:
-                    cache.put_attributes(int(unique[j]), batch.rows[position])
-    return rows[inverse].reshape(layer.shape + (attr_len,)), fallbacks
-
-
 class MultiHopSampler:
     """Random multi-hop sampler over a partitioned store.
 
@@ -158,13 +96,15 @@ class MultiHopSampler:
     batched:
         Selects nothing; accepted only because the frozen ``bench/``
         still spells ``batched=True``. ``False`` raises.
-    relabeling:
-        Optional :class:`repro.memstore.locality.Relabeling` when the
-        store's graph was physically renumbered by the locality
-        layout: roots are mapped to internal IDs on the way in and
-        sampled layers back to original IDs on the way out, so callers
-        see original IDs throughout.
+
+    Callers speak original node IDs throughout: roots go through
+    ``store.to_internal`` on the way in and sampled layers through
+    ``store.to_original`` on the way out (both the identity unless the
+    store carries a locality-layout relabeling).
     """
+
+    #: Shard worker processes (the sharded subclass sets its count).
+    workers = 0
 
     def __init__(
         self,
@@ -175,7 +115,6 @@ class MultiHopSampler:
         selector=select_uniform,
         degraded_ok: bool = False,
         batched: bool = True,
-        relabeling=None,
     ) -> None:
         if not batched:
             raise ConfigurationError(
@@ -191,7 +130,6 @@ class MultiHopSampler:
         #: The one object through which the sampler (and the bucket
         #: selectors it calls) reaches every array primitive.
         self.kernels = NUMPY_KERNELS
-        self.relabeling = relabeling
         #: Reads completed without data because a shard was unreachable.
         self.degraded_fallbacks = 0
         # Weighted selectors take an extra ``weights`` argument, fed
@@ -206,6 +144,10 @@ class MultiHopSampler:
         reliable path configured on the store)."""
         return self.store.fault_stats
 
+    def close(self) -> None:
+        """Release sampler resources: none here, a worker pool on the
+        sharded subclass."""
+
     # ------------------------------------------------------------- sampling
     def sample(self, request: SampleRequest) -> SampleResult:
         """Execute a multi-hop sampling request.
@@ -216,41 +158,49 @@ class MultiHopSampler:
         hops. On the static store the pin is a no-op.
         """
         with self.store.read_view():
-            return self._sample_pinned(request)
+            roots = self._internal_roots(request)
+            layers, dedups = self._expand(roots, request.fanouts)
+            return self._finish_result(request, layers, dedups)
 
-    def _sample_pinned(self, request: SampleRequest) -> SampleResult:
-        result = SampleResult()
+    def _internal_roots(self, request: SampleRequest) -> np.ndarray:
+        """The request's roots in store IDs: layer 0 of its result, a
+        fresh array."""
         roots = request.roots
         if roots.max(initial=-1) >= self.store.graph.num_nodes or roots.min(initial=0) < 0:
             raise GraphError("request roots outside [0, num_nodes)")
-        if self.relabeling is not None:
-            # The store runs in internal layout IDs; callers speak
-            # original IDs. Map in here, map every layer back below.
-            roots = self.relabeling.to_internal(roots)
-        result.layers.append(roots.copy())
-        width = 1
-        # Each layer is deduplicated once, and the triple serves both
-        # its hop expansion and its attribute fetch.
+        return self.store.to_internal(roots).copy()
+
+    def _expand(self, roots: np.ndarray, fanouts):
+        """Hop expansion in store IDs: ``(layers, dedups)``.
+
+        Each expanded layer is deduplicated once, and the triple serves
+        both its hop expansion and its attribute fetch; the last layer
+        is never expanded, so its entry is ``None``.
+        """
+        layers = [roots]
         dedups = []
+        width = 1
         num_nodes = self.store.graph.num_nodes
-        for fanout in request.fanouts:
+        for fanout in fanouts:
             width *= fanout
-            flat = result.layers[-1].reshape(-1)
+            flat = layers[-1].reshape(-1)
             dedups.append(dedup_ids(flat, num_nodes))
             sampled = self._sample_neighbors_batch(flat, fanout, dedups[-1])
-            result.layers.append(sampled.reshape(roots.size, width))
+            layers.append(sampled.reshape(roots.size, width))
+        dedups.append(None)
+        return layers, dedups
+
+    def _finish_result(self, request: SampleRequest, layers, dedups) -> SampleResult:
+        """Attribute fetch in store IDs, then the layers back in the
+        caller's IDs. The caller must hold the store's ``read_view()``
+        pin."""
+        result = SampleResult()
         if request.with_attributes:
-            dedups.append(None)  # the last layer was never expanded
             result.attributes = [
                 self._fetch_attributes(layer, dedup)
-                for layer, dedup in zip(result.layers, dedups)
+                for layer, dedup in zip(layers, dedups)
             ]
-        if self.relabeling is not None:
-            # Attributes were fetched with internal IDs above (same
-            # nodes, same rows); only the visible layers need mapping.
-            result.layers = [
-                self.relabeling.to_original(layer) for layer in result.layers
-            ]
+        result.layers = [self.store.to_original(layer) for layer in layers]
         return result
 
     def _sample_neighbors_batch(
@@ -407,16 +357,60 @@ class MultiHopSampler:
         return values.astype(np.int64, copy=False), offsets, served
 
     def _fetch_attributes(self, layer: np.ndarray, dedup) -> np.ndarray:
-        attributes, fallbacks = gather_layer_attributes(
-            self.store,
-            layer,
-            self.worker_partition,
-            dedup=dedup,
-            cache=self.cache,
-            degraded_ok=self.degraded_ok,
+        """Attribute rows of one sampled layer: dedup + one store batch call.
+
+        Returns a fresh ``layer.shape + (attr_len,)`` array. ``dedup``
+        is the layer's :func:`dedup_ids` triple when its hop expansion
+        already computed it, else ``None``.
+
+        Occurrence accounting matches the per-node walk: attribute cache
+        inserts happen only after *all* lookups of a layer, so an uncached
+        node's ``c`` occurrences are ``c`` misses, and the store is touched
+        ``c`` times. Degraded rows stay zero and are never cached: the shard
+        may come back, and a poisoned entry would keep serving zeros.
+        """
+        attr_len = self.store.graph.attr_len
+        flat = layer.reshape(-1)
+        unique, inverse, counts = (
+            dedup_ids(flat, self.store.graph.num_nodes) if dedup is None else dedup
         )
-        self.degraded_fallbacks += fallbacks
-        return attributes
+        if self.cache is None:
+            batch = self.store.get_attributes_batch(
+                unique,
+                self.worker_partition,
+                counts=counts,
+                degraded_ok=self.degraded_ok,
+            )
+            rows = batch.rows
+            self.degraded_fallbacks += batch.fallbacks
+        else:
+            rows = np.empty((unique.size, attr_len), dtype=np.float32)
+            hit_mask = np.zeros(unique.size, dtype=bool)
+            for j, node in enumerate(unique):
+                hit = self.cache.get_attributes(int(node))
+                if hit is not None:
+                    rows[j] = hit
+                    hit_mask[j] = True
+            self.cache.bump_attribute_stats(
+                hits=int((counts[hit_mask] - 1).sum()),
+                misses=int((counts[~hit_mask] - 1).sum()),
+            )
+            missing_indices = np.flatnonzero(~hit_mask)
+            if missing_indices.size:
+                batch = self.store.get_attributes_batch(
+                    unique[missing_indices],
+                    self.worker_partition,
+                    counts=counts[missing_indices],
+                    degraded_ok=self.degraded_ok,
+                )
+                self.degraded_fallbacks += batch.fallbacks
+                rows[missing_indices] = batch.rows
+                for position, j in enumerate(missing_indices):
+                    if batch.served[position]:
+                        self.cache.put_attributes(
+                            int(unique[j]), batch.rows[position]
+                        )
+        return rows[inverse].reshape(layer.shape + (attr_len,))
 
     # ------------------------------------------------------ negative sample
     def _neighbors(self, node: int) -> np.ndarray:
@@ -455,11 +449,9 @@ class MultiHopSampler:
                 "negative sampling needs at least 2 nodes in the graph"
             )
         rate = request.rate
-        pairs = request.pairs
-        if self.relabeling is not None:
-            # Rejection runs in internal space (uniform over internal
-            # IDs is uniform over nodes); results map back at the end.
-            pairs = self.relabeling.to_internal(pairs)
+        # Rejection runs in store IDs (uniform over store IDs is uniform
+        # over nodes); results map back at the end.
+        pairs = self.store.to_internal(request.pairs)
         out = np.empty((pairs.shape[0], rate), dtype=np.int64)
         # RNG consumption is row-by-row in pair order, drawn in
         # rejection blocks per row: each row is an independent uniform
@@ -490,6 +482,4 @@ class MultiHopSampler:
                 take = min(accepted.size, need)
                 out[row, filled : filled + take] = accepted[:take]
                 filled += take
-        if self.relabeling is not None:
-            out = self.relabeling.to_original(out)
-        return out
+        return self.store.to_original(out)

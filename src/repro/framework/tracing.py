@@ -1,9 +1,10 @@
 """Access-pattern characterization (Figure 2c).
 
-Runs the software sampler over a dataset instance with store tracing
-enabled and reports the structure-vs-attribute access mix — the paper's
-finding is that ~48% of accesses (by count) are fine-grained indirect
-structure accesses.
+Runs the software sampler over a dataset instance and reads the
+structure-vs-attribute access mix off ``store.summary`` (the aggregate
+counters; it never turns on the per-access ``store.tracing`` list) —
+the paper's finding is that ~48% of accesses (by count) are
+fine-grained indirect structure accesses.
 """
 
 from __future__ import annotations

@@ -213,9 +213,12 @@ class PipelinedTrainer:
     store:
         The coordinator's :class:`PartitionedStore`; its partitioner
         also shards the embedding table, so embedding ownership is
-        fixed across worker counts.
+        fixed across worker counts. Embedding rows are addressed in
+        store IDs (``store.to_internal``), so a locality-layout store
+        trains like any other.
     labels:
-        ``(num_nodes, num_labels)`` multi-label targets.
+        ``(num_nodes, num_labels)`` multi-label targets, one row per
+        original (caller) node ID, like ``roots``.
     fanouts:
         Hop fanouts of the sampled neighborhoods.
     workers:
@@ -422,6 +425,9 @@ class PipelinedTrainer:
         self, layers: List[np.ndarray], labels: np.ndarray
     ) -> float:
         """Gather → forward/backward → scatter-add → step (one batch)."""
+        # Layers arrive in caller IDs; the embedding shards follow the
+        # store's partitioner, which owns store IDs.
+        layers = [self.store.to_internal(layer) for layer in layers]
         features = [self.embeddings.lookup(layer) for layer in layers]
 
         def grad_fn(embeddings: np.ndarray) -> Tuple[float, np.ndarray]:

@@ -161,9 +161,6 @@ class DynamicPartitionedStore(PartitionedStore):
         self,
         dynamic: DynamicGraph,
         partitioner: Partitioner,
-        index_entry_bytes: int = 16,
-        offset_entry_bytes: int = 16,
-        id_bytes: int = 8,
         reliability: Optional[object] = None,
     ) -> None:
         if reliability is not None:
@@ -172,14 +169,7 @@ class DynamicPartitionedStore(PartitionedStore):
                 "use a static PartitionedStore for fault-injection studies"
             )
         self.dynamic = dynamic
-        super().__init__(
-            dynamic.view(),
-            partitioner,
-            index_entry_bytes=index_entry_bytes,
-            offset_entry_bytes=offset_entry_bytes,
-            id_bytes=id_bytes,
-            reliability=None,
-        )
+        super().__init__(dynamic.view(), partitioner)
         self.ingest_stats = IngestStats()
         self._caches: List[HotNodeCache] = []
         self._pin_depth = 0

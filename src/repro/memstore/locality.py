@@ -13,7 +13,8 @@ DRAM. This module attacks the layout side:
 * :func:`apply_layout` — physically permutes the CSR + attribute
   arrays into that order and returns a :class:`Relabeling` that maps
   original IDs to internal ones and back. Callers keep speaking
-  original IDs; the store and sampler run entirely in internal space.
+  original IDs; the store carries the relabeling and maps at its
+  boundary, and everything behind it runs in internal space.
 * :class:`BlockPartitioner` — ownership over the contiguous ID blocks
   (a searchsorted over ``num_partitions + 1`` bounds), replacing the
   hash scatter while preserving the partition assignment the ordering
@@ -21,7 +22,7 @@ DRAM. This module attacks the layout side:
 * :func:`build_locality_layout` — the one-call bundle: derive an
   assignment (LDG by default, so partition crossings genuinely drop
   versus the hash baseline), renumber, and return graph + partitioner
-  + relabeling ready for ``PartitionedStore``.
+  + relabeling, all three of which ``PartitionedStore`` takes.
 
 The win is measured, not asserted: ``PartitionedStore`` stores built
 with ``track_locality=True`` account every batched gather's
@@ -56,9 +57,9 @@ class Relabeling:
     """Bijection between original node IDs and internal (layout) IDs.
 
     ``to_internal_map[original] == internal`` and
-    ``to_original_map[internal] == original``. The sampler remaps roots
-    on the way in and sampled layers on the way out, so callers never
-    see internal IDs.
+    ``to_original_map[internal] == original``. The store that holds the
+    renumbered graph carries it; samplers map roots in and sampled
+    layers out through the store, so callers never see internal IDs.
     """
 
     to_internal_map: np.ndarray

@@ -20,6 +20,7 @@ import numpy as np
 from repro.errors import ConfigurationError, PartitionError, ReplicaUnavailableError
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import Partitioner
+from repro.memstore.locality import Relabeling
 
 if TYPE_CHECKING:  # import cycle: faults rides the axe event kernel
     from repro.memstore.faults import ReliableReadPath
@@ -194,12 +195,6 @@ class PartitionedStore:
         The (scaled) dataset instance.
     partitioner:
         Node-to-server ownership map.
-    index_entry_bytes:
-        Size of one node-index lookup (hash bucket entry).
-    offset_entry_bytes:
-        Size of one CSR offset-pair read.
-    id_bytes:
-        Size of one neighbor ID on the wire.
     reliability:
         Optional fault-tolerant remote path
         (:class:`~repro.memstore.faults.ReliableReadPath`). When set,
@@ -217,28 +212,55 @@ class PartitionedStore:
         predate the locality layout — the batched gather pattern is not
         reproduced by the per-node replay walk, so parity checks must
         compare untracked stores.
+    relabeling:
+        The :class:`~repro.memstore.locality.Relabeling` that produced
+        ``graph`` when a locality layout renumbered it. The store owns
+        its ID space: every read method, the partitioner and the shard
+        workers run in store IDs, and :meth:`to_internal` /
+        :meth:`to_original` are the one boundary to the original IDs
+        callers speak. ``None``: the two spaces coincide.
     """
+
+    #: Size of one node-index lookup (hash bucket entry).
+    index_entry_bytes = 16
+    #: Size of one CSR offset-pair read.
+    offset_entry_bytes = 16
+    #: Size of one neighbor ID on the wire.
+    id_bytes = 8
 
     def __init__(
         self,
         graph: CSRGraph,
         partitioner: Partitioner,
-        index_entry_bytes: int = 16,
-        offset_entry_bytes: int = 16,
-        id_bytes: int = 8,
         reliability: Optional["ReliableReadPath"] = None,
         track_locality: bool = False,
+        relabeling: Optional[Relabeling] = None,
     ) -> None:
+        if relabeling is not None and relabeling.num_nodes != graph.num_nodes:
+            raise ConfigurationError(
+                f"relabeling covers {relabeling.num_nodes} nodes, the graph "
+                f"has {graph.num_nodes}"
+            )
         self.graph = graph
         self.partitioner = partitioner
-        self.index_entry_bytes = index_entry_bytes
-        self.offset_entry_bytes = offset_entry_bytes
-        self.id_bytes = id_bytes
         self.reliability = reliability
         self.track_locality = track_locality
+        self.relabeling = relabeling
         self._trace: List[AccessRecord] = []
         self._summary = AccessSummary()
         self.tracing = False
+
+    def to_internal(self, nodes: np.ndarray) -> np.ndarray:
+        """Original (caller) IDs -> store IDs; identity without a layout."""
+        if self.relabeling is None:
+            return nodes
+        return self.relabeling.to_internal(nodes)
+
+    def to_original(self, nodes: np.ndarray) -> np.ndarray:
+        """Store IDs -> original (caller) IDs; identity without a layout."""
+        if self.relabeling is None:
+            return nodes
+        return self.relabeling.to_original(nodes)
 
     @property
     def num_partitions(self) -> int:

@@ -1,13 +1,15 @@
 """Sharded parallel sampling engine (coordinator side).
 
-:class:`ParallelSampler` duck-types :class:`~repro.framework.sampler.
-MultiHopSampler` — same ``sample``/``negative_sample`` surface, same
-``store`` accounting — but fans every micro-batch out across shards:
-the partitioner splits the roots by owning partition, each shard slice
+:class:`ParallelSampler` is a :class:`~repro.framework.sampler.
+MultiHopSampler` — inherited root mapping, attribute gather, negative
+sampling, cache and ``store`` accounting — that replaces one step, hop
+expansion, by fanning every micro-batch out across shards: the
+partitioner splits the roots by owning partition, each shard slice
 becomes a :class:`~repro.parallel.worker.ShardTask` executed by a
 persistent worker process (or in-process at ``workers=0``), hop layers
 come back through zero-copy arenas, and the coordinator merges them,
-absorbs each shard's access delta, and gathers attributes.
+absorbs each shard's access delta, and finishes the result the way the
+base class does.
 
 This is the software analogue of the paper's AxE outstanding-request
 pipeline: ``submit``/``collect`` decouple issuing a micro-batch from
@@ -31,9 +33,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, GraphError, ParallelExecutionError
-from repro.framework.requests import NegativeSampleRequest, SampleRequest, SampleResult
-from repro.framework.sampler import MultiHopSampler, gather_layer_attributes
+from repro.errors import ConfigurationError, ParallelExecutionError
+from repro.framework.cache import HotNodeCache
+from repro.framework.requests import SampleRequest, SampleResult
+from repro.framework.sampler import MultiHopSampler
 from repro.framework.selectors import get_selector
 from repro.memstore.store import PartitionedStore
 from repro.parallel.shm import GraphPlane, SharedBlock
@@ -62,22 +65,29 @@ class _Pending:
     slot: int
     members: Dict[int, np.ndarray]
     remaining: Set[int]
+    #: Every layer in store IDs: the roots, then one array per hop that
+    #: the shards' rows are merged into.
     layers: List[np.ndarray] = field(default_factory=list)
     #: First shard failure reported for this batch; raised by the
     #: batch's own collect/discard once every shard has reported.
     error: Optional[str] = None
 
 
-class ParallelSampler:
-    """Multi-hop sampler that executes micro-batches across shard workers.
+class ParallelSampler(MultiHopSampler):
+    """A :class:`MultiHopSampler` whose hop expansion runs on shard workers:
+    ``submit`` dispatches the inherited ``_internal_roots`` shard by
+    shard, ``collect`` merges the hop layers and ends in the inherited
+    ``_finish_result``; everything else is the base class's.
 
     Parameters
     ----------
     store:
         The coordinator's :class:`PartitionedStore`. All accounting —
         shard structure deltas and coordinator attribute gathers —
-        lands in this store's summary. Must not carry a ``reliability``
-        path (shard workers run the zero-fault fast path only).
+        lands in this store's summary. Shard workers run in store IDs
+        over ``store.graph``, so a locality-layout store composes. Must
+        not carry a ``reliability`` path (shard workers run the
+        zero-fault fast path only).
     workers:
         Worker process count. ``0`` executes the identical shard tasks
         inline (no processes, no shared memory) — the determinism
@@ -93,6 +103,11 @@ class ParallelSampler:
         at once. 2 = double buffering.
     plane_backend:
         Shard-plane transport: ``"shm"``, ``"mmap"``, or ``"auto"``.
+    cache:
+        Optional hot-node cache in front of the *coordinator's* reads
+        (attribute gather, negative sampling). Shard-side structure
+        reads stay uncached, so the parity bar with a cache is
+        worker-count invariance, not equality with a cached oracle walk.
     """
 
     def __init__(
@@ -104,6 +119,7 @@ class ParallelSampler:
         worker_partition: Optional[int] = None,
         slots: int = 2,
         plane_backend: str = "auto",
+        cache: Optional[HotNodeCache] = None,
     ) -> None:
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
@@ -114,26 +130,22 @@ class ParallelSampler:
                 "parallel execution does not support a reliability path; "
                 "shard workers run the zero-fault fast path only"
             )
-        self.store = store
-        self.workers = workers
-        self.seed = seed
-        self.sampling_method = sampling_method
-        self.worker_partition = worker_partition
-        self.slots = slots
-        self.plane_backend = plane_backend
-        #: Parallel mode forbids caches/reliability, so never degrades.
-        self.degraded_fallbacks = 0
-        self.cache = None
-        self._seq = 0
-        self._pending: Dict[int, _Pending] = {}
-        # Serial delegate for negative sampling (runs on the
-        # coordinator; its accesses account to the coordinator store).
-        self._negative = MultiHopSampler(
+        # The base's RNG serves coordinator-side negative sampling only,
+        # on a dedicated stream that never perturbs the shard streams.
+        super().__init__(
             store,
             seed=derive_negative_seed(seed),
+            cache=cache,
             worker_partition=worker_partition,
             selector=get_selector(sampling_method),
         )
+        self.workers = workers
+        self.seed = seed
+        self.sampling_method = sampling_method
+        self.slots = slots
+        self.plane_backend = plane_backend
+        self._seq = 0
+        self._pending: Dict[int, _Pending] = {}
         # In-process shard runtime (workers=0) — built lazily so the
         # zero-worker engine costs nothing beyond the store it wraps.
         self._inline: Optional[ShardRuntime] = None
@@ -147,10 +159,6 @@ class ParallelSampler:
         self._closed = False
 
     # ------------------------------------------------------------ interface
-    @property
-    def fault_stats(self):
-        return self.store.fault_stats
-
     @property
     def num_shards(self) -> int:
         return self.store.num_partitions
@@ -203,9 +211,7 @@ class ParallelSampler:
             arenas=tuple(a.handle for a in self._arenas),
             shard_region_bytes=region_bytes,
             partitioner=self.store.partitioner,
-            index_entry_bytes=self.store.index_entry_bytes,
-            offset_entry_bytes=self.store.offset_entry_bytes,
-            id_bytes=self.store.id_bytes,
+            track_locality=self.store.track_locality,
             seed=self.seed,
             sampling_method=self.sampling_method,
             worker_partition=self.worker_partition,
@@ -279,12 +285,7 @@ class ParallelSampler:
         """
         if self._closed:
             raise ParallelExecutionError("engine is closed")
-        roots = request.roots
-        if (
-            roots.max(initial=-1) >= self.store.graph.num_nodes
-            or roots.min(initial=0) < 0
-        ):
-            raise GraphError("request roots outside [0, num_nodes)")
+        roots = self._internal_roots(request)
         region = region_bytes(roots.size, request.fanouts)
         self._ensure_pool(region)
         seq = self._seq
@@ -303,7 +304,7 @@ class ParallelSampler:
         }
         members = {s: idx for s, idx in members.items() if idx.size}
         width = 1
-        layers = []
+        layers = [roots]
         for fanout in request.fanouts:
             width *= fanout
             layers.append(np.empty((roots.size, width), dtype=np.int64))
@@ -342,7 +343,7 @@ class ParallelSampler:
                 f"shard {task.shard} of micro-batch {task.seq} failed: {exc}"
             ) from exc
         rows = entry.members[task.shard]
-        for hop, layer in enumerate(layers):
+        for hop, layer in enumerate(layers, start=1):
             entry.layers[hop][rows] = layer
         self.store.absorb_summary(summary)
         entry.remaining.discard(task.shard)
@@ -395,7 +396,7 @@ class ParallelSampler:
             msg.count,
             tuple(entry.request.fanouts),
         )
-        for hop, view in enumerate(views):
+        for hop, view in enumerate(views, start=1):
             entry.layers[hop][rows] = view
         self.store.absorb_summary(msg.summary)
 
@@ -420,23 +421,14 @@ class ParallelSampler:
     def collect(self, seq: int) -> SampleResult:
         """Merge micro-batch ``seq``: hop layers + attribute gather."""
         entry = self._finish(seq)
-        result = SampleResult()
-        result.layers.append(entry.request.roots.copy())
-        result.layers.extend(entry.layers)
-        if entry.request.with_attributes:
-            # One pinned snapshot for the whole gather: on a mutable
-            # store the per-layer batches must not straddle epochs. The
-            # sampler's own per-layer dedup + one store batch call, so
-            # the coordinator store's summary accrues exactly what a
-            # serial sampler would have recorded for the same layers.
-            with self.store.read_view():
-                result.attributes = [
-                    gather_layer_attributes(
-                        self.store, layer, self.worker_partition
-                    )[0]
-                    for layer in result.layers
-                ]
-        return result
+        # One pinned snapshot for the whole gather: on a mutable store
+        # the per-layer batches must not straddle epochs. The shards
+        # deduplicated only their own slices, so the merged layers
+        # carry no dedup triples into the base sampler's gather.
+        with self.store.read_view():
+            return self._finish_result(
+                entry.request, entry.layers, [None] * len(entry.layers)
+            )
 
     def discard(self, seq: int) -> None:
         """Abandon in-flight micro-batch ``seq`` without consuming it.
@@ -455,15 +447,6 @@ class ParallelSampler:
     def sample(self, request: SampleRequest) -> SampleResult:
         """Execute one request across the shard workers (submit+collect)."""
         return self.collect(self.submit(request))
-
-    def negative_sample(self, request: NegativeSampleRequest) -> np.ndarray:
-        """Negative sampling runs serially on the coordinator.
-
-        Rejection sampling is root-local and cheap relative to hop
-        sampling; the delegate uses a dedicated SeedSequence stream so
-        it never perturbs the shard streams.
-        """
-        return self._negative.negative_sample(request)
 
 
 def derive_negative_seed(seed: int) -> np.random.SeedSequence:

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.framework.requests import SampleRequest
+from repro.framework.requests import SampleRequest, nodes_per_root
 from repro.framework.sampler import MultiHopSampler
 from repro.framework.selectors import get_selector
 from repro.graph.partition import Partitioner
@@ -48,18 +48,16 @@ def shard_seed(seed: int, shard: int, seq: int) -> np.random.SeedSequence:
 class WorkerConfig:
     """Everything a worker needs to reconstruct its sampling stack.
 
-    The partitioner and the store's byte-size parameters are shipped
-    verbatim so the worker's shadow store attributes every access
-    exactly as the coordinator's store would have.
+    The partitioner and the locality-tracking flag are shipped verbatim
+    so the worker's shadow store attributes every access exactly as the
+    coordinator's store would have.
     """
 
     graph: GraphHandle
     arenas: Tuple[BlockHandle, ...]
     shard_region_bytes: int
     partitioner: Partitioner
-    index_entry_bytes: int
-    offset_entry_bytes: int
-    id_bytes: int
+    track_locality: bool
     seed: int
     sampling_method: str
     worker_partition: Optional[int]
@@ -89,12 +87,7 @@ class ShardDone:
 
 def hop_elements(fanouts: Tuple[int, ...]) -> int:
     """Sampled node occurrences per root across all hops (excl. root)."""
-    total = 0
-    width = 1
-    for fanout in fanouts:
-        width *= fanout
-        total += width
-    return total
+    return nodes_per_root(fanouts) - 1
 
 
 def region_bytes(count: int, fanouts: Tuple[int, ...]) -> int:
@@ -155,14 +148,11 @@ class ShardRuntime:
 
         Builds a *private* store over the same graph arrays so task
         accounting starts from zero and merges through the same
-        shard-summary path as process workers.
+        shard-summary path as process workers. Shard tasks run in store
+        IDs, so the shadow carries no relabeling.
         """
         shadow = PartitionedStore(
-            store.graph,
-            store.partitioner,
-            index_entry_bytes=store.index_entry_bytes,
-            offset_entry_bytes=store.offset_entry_bytes,
-            id_bytes=store.id_bytes,
+            store.graph, store.partitioner, track_locality=store.track_locality
         )
         sampler = MultiHopSampler(shadow, selector=get_selector(sampling_method))
         return cls(shadow, sampler)
@@ -173,15 +163,9 @@ class ShardRuntime:
         store = PartitionedStore(
             attached.graph,
             config.partitioner,
-            index_entry_bytes=config.index_entry_bytes,
-            offset_entry_bytes=config.offset_entry_bytes,
-            id_bytes=config.id_bytes,
+            track_locality=config.track_locality,
         )
-        sampler = MultiHopSampler(
-            store,
-            worker_partition=config.worker_partition,
-            selector=get_selector(config.sampling_method),
-        )
+        sampler = MultiHopSampler(store, selector=get_selector(config.sampling_method))
         runtime = cls(store, sampler)
         runtime._attached = attached  # keep the mapping alive
         return runtime

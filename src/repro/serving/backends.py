@@ -24,7 +24,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.axe.commands import sample_command
 from repro.axe.engine import AxeEngine
-from repro.framework.requests import SampleRequest
+from repro.framework.requests import SampleRequest, nodes_per_root
 from repro.framework.sampler import MultiHopSampler
 from repro.units import US
 
@@ -32,16 +32,6 @@ from repro.units import US
 #: walk that ``per_key_s`` describes: a constant, not a measurement,
 #: pending ROADMAP 1c.
 BATCHED_SPEEDUP = 5.0
-
-
-def nodes_per_root(fanouts: Tuple[int, ...]) -> int:
-    """Total nodes touched per root (root + every sampled hop)."""
-    total = 1
-    layer = 1
-    for fanout in fanouts:
-        layer *= fanout
-        total += layer
-    return total
 
 
 @dataclass
@@ -126,9 +116,8 @@ class SoftwareBackend(ServingBackend):
     def sampling_speedup(self) -> float:
         """Modeled speedup of the wrapped sampler over the reference walk."""
         speedup = BATCHED_SPEEDUP
-        workers = getattr(self.sampler, "workers", 0)
-        if workers >= 1:
-            speedup *= max(1.0, workers * self.parallel_efficiency)
+        if self.sampler.workers >= 1:
+            speedup *= max(1.0, self.sampler.workers * self.parallel_efficiency)
         return speedup
 
     def execute(

@@ -110,53 +110,79 @@ def test_standalone_main_entry_point(tmp_path):
 
 
 # ------------------------------------------------------- the CI guarantee
+UNPIN = ("with self.store.read_view():", "if True:")
+
+
 @pytest.mark.parametrize(
     "payload, rule",
     [
         ("rng = np.random.default_rng()\n", "det-rng"),
         ("import time\n\n_T0 = time.time()\n", "det-wallclock"),
-        # (old, new) pairs edit the reference walk in framework/replay.py:
-        # a degraded read that is no longer counted, a walk that lost its pin.
+        # (edited file, old, new, what the report must name): a degraded
+        # read of the reference walk that is no longer counted, and a
+        # walk that lost its pin.
         pytest.param(
-            ("self.degraded_fallbacks += 1", "pass"),
+            (
+                "framework/replay.py",
+                "self.degraded_fallbacks += 1",
+                "pass",
+                ["repro/framework/replay.py"],
+            ),
             "except-swallow",
             id="oracle-uncounted-fallback",
         ),
         pytest.param(
-            ("with self.store.read_view():", "if True:"),
+            ("framework/replay.py", *UNPIN, ["repro/framework/replay.py"]),
             "pin-discipline",
             id="oracle-unpinned-walk",
+        ),
+        # The engine pins its gather in collect() but issues it through
+        # methods it inherits, so the unpinned reads are the base
+        # sampler's, reached from ParallelSampler.sample.
+        pytest.param(
+            (
+                "parallel/engine.py",
+                *UNPIN,
+                ["repro/framework/sampler.py", "entry point ParallelSampler.sample"],
+            ),
+            "pin-discipline",
+            id="engine-unpinned-gather",
         ),
     ],
 )
 def test_injected_violation_fails_lint(tmp_path, payload, rule):
     """Introducing a seedless RNG or wall-clock call into a copy of
-    ``repro/framework``, or un-counting / un-pinning the oracle there,
-    makes ``repro lint`` exit nonzero — the check CI relies on."""
-    framework = tmp_path / "repro" / "framework"
-    framework.parent.mkdir()
-    shutil.copytree(SRC_ROOT / "framework", framework)
+    ``repro/framework``, un-counting / un-pinning the oracle there, or
+    un-pinning the sharded engine beside it, makes ``repro lint`` exit
+    nonzero — the check CI relies on."""
+    package = tmp_path / "repro"
+    package.mkdir()
+    for name in ("framework", "parallel"):
+        shutil.copytree(SRC_ROOT / name, package / name)
 
     if isinstance(payload, tuple):
-        target = framework / "replay.py"
+        edited, old, new, named = payload
+        target = package / edited
         source = target.read_text(encoding="utf-8")
-        assert payload[0] in source
-        injected = source.replace(*payload)
+        assert old in source
+        injected = source.replace(old, new)
     else:
-        target = framework / "sampler.py"
+        target = package / "framework" / "sampler.py"
+        named = ["repro/framework/sampler.py"]
         source = target.read_text(encoding="utf-8")
         assert "import numpy as np" in source
         injected = source + "\n" + payload
     target.write_text(injected, encoding="utf-8")
 
-    code, output = lint([str(framework)])
+    code, output = lint([str(package)])
     assert code == 1
     assert f"[{rule}]" in output
-    assert f"repro/framework/{target.name}" in output
+    for fragment in named:
+        assert fragment in output
 
     # The pristine copy minus the injection is clean.
     target.write_text(source, encoding="utf-8")
-    code, output = lint([str(framework)])
+    code, output = lint([str(package)])
     assert code == 0, output
 
 

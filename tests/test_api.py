@@ -237,13 +237,6 @@ class TestDynamicSession:
         with pytest.raises(ConfigurationError):
             dynamic_session.serve(duration_s=0.1, include_hardware=True)
 
-    def test_workers_incompatible_with_dynamic(self):
-        from repro.graph.dynamic import DynamicGraph
-
-        graph = power_law_graph(400, 6.0, attr_len=4, seed=0)
-        with pytest.raises(ConfigurationError):
-            GnnSession(DynamicGraph(graph), workers=2)
-
     def test_serve_rate_zero_matches_static(self):
         """A dynamic session serving zero mutations reports the same
         outcome as a static session over the same CSR."""

@@ -433,15 +433,16 @@ class TestSeededParitySweep:
                     graph, partitioner = built.graph, built.partitioner
                     relabeling = built.relabeling
                 sampler = MultiHopSampler(
-                    PartitionedStore(graph, partitioner),
+                    PartitionedStore(graph, partitioner, relabeling=relabeling),
                     seed=seed,
                     cache=HotNodeCache(cache_nodes) if cache_nodes else None,
                     worker_partition=[None, 0, num_partitions - 1][rng.integers(0, 3)],
                     selector=SELECTORS[selector_name],
-                    relabeling=relabeling,
                 )
             store = sampler.store
-            replay_store = PartitionedStore(store.graph, store.partitioner)
+            replay_store = PartitionedStore(
+                store.graph, store.partitioner, relabeling=store.relabeling
+            )
             replay_cache = HotNodeCache(cache_nodes) if cache_nodes else None
             for request in requests:
                 replay_reference(
@@ -450,7 +451,6 @@ class TestSeededParitySweep:
                     replay_store,
                     worker_partition=sampler.worker_partition,
                     cache=replay_cache,
-                    relabeling=sampler.relabeling,
                 )
             assert store.summary == replay_store.summary, seed
             if cache_nodes:

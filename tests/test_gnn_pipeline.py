@@ -340,10 +340,3 @@ class TestGnnSessionTrain:
         with GnnSession(DynamicGraph(graph), num_partitions=2) as session:
             with pytest.raises(ConfigurationError, match="static"):
                 session.train(labels, FANOUTS)
-
-    def test_session_train_rejects_layout(self):
-        graph = make_graph()
-        labels = make_labels(graph)
-        with GnnSession(graph, num_partitions=4, layout="ldg") as session:
-            with pytest.raises(ConfigurationError, match="locality layout"):
-                session.train(labels, FANOUTS)

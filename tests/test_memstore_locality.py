@@ -175,14 +175,29 @@ class TestSamplerWithRelabeling:
         return build_locality_layout(graph, 4)
 
     def _sampler(self, layout, **kwargs):
-        store = PartitionedStore(layout.graph, layout.partitioner)
-        return store, MultiHopSampler(
-            store,
-            seed=0,
-            worker_partition=0,
-            relabeling=layout.relabeling,
-            **kwargs,
+        store = PartitionedStore(
+            layout.graph, layout.partitioner, relabeling=layout.relabeling
         )
+        return store, MultiHopSampler(
+            store, seed=0, worker_partition=0, **kwargs
+        )
+
+    def test_store_owns_the_id_space(self, graph, layout):
+        store, _ = self._sampler(layout)
+        nodes = np.arange(12).reshape(3, 4)
+        internal = store.to_internal(nodes)
+        assert np.array_equal(internal, layout.relabeling.to_internal(nodes))
+        assert np.array_equal(store.to_original(internal), nodes)
+        # Without a layout both directions are the identity.
+        plain = PartitionedStore(graph, HashPartitioner(4))
+        assert plain.to_internal(nodes) is nodes
+        assert plain.to_original(nodes) is nodes
+
+    def test_store_rejects_a_relabeling_of_another_graph(self, graph, layout):
+        with pytest.raises(ConfigurationError, match="relabeling"):
+            PartitionedStore(
+                graph, HashPartitioner(4), relabeling=Relabeling.identity(7)
+            )
 
     def test_layers_are_original_ids_and_real_edges(self, graph, layout):
         rng = np.random.default_rng(0)
@@ -216,11 +231,10 @@ class TestSamplerWithRelabeling:
         )
         store, sampler = self._sampler(layout)
         result = sampler.sample(request)
-        fresh = PartitionedStore(layout.graph, layout.partitioner)
-        replayed = replay_reference(
-            result, request, fresh, worker_partition=0,
-            relabeling=layout.relabeling,
+        fresh = PartitionedStore(
+            layout.graph, layout.partitioner, relabeling=layout.relabeling
         )
+        replayed = replay_reference(result, request, fresh, worker_partition=0)
         for a, b in zip(result.layers, replayed.layers):
             assert np.array_equal(a, b)
         # The per-node walk charges the layout path's layers identically.
@@ -272,11 +286,12 @@ class TestLocalityTracking:
 
         def run(store_graph, partitioner, relabeling):
             store = PartitionedStore(
-                store_graph, partitioner, track_locality=True
+                store_graph,
+                partitioner,
+                track_locality=True,
+                relabeling=relabeling,
             )
-            sampler = MultiHopSampler(
-                store, seed=0, worker_partition=0, relabeling=relabeling
-            )
+            sampler = MultiHopSampler(store, seed=0, worker_partition=0)
             layers = sampler.sample(request).layers
             if relabeling is not None:
                 layers = [relabeling.to_internal(layer) for layer in layers]
@@ -318,7 +333,5 @@ class TestSessionIntegration:
             assert set(row.tolist()) <= set(graph.neighbors(int(root)).tolist())
 
     def test_session_guards(self, graph):
-        with pytest.raises(ConfigurationError):
-            GnnSession(graph, workers=2, layout="ldg")
         with pytest.raises(ConfigurationError):
             GnnSession(graph, layout="metis")

@@ -91,6 +91,7 @@ class TestConstruction:
 
     def test_duck_types_sampler_surface(self):
         engine = ParallelSampler(make_store(make_graph()))
+        assert isinstance(engine, MultiHopSampler)
         assert engine.cache is None
         assert engine.degraded_fallbacks == 0
         assert engine.fault_stats is engine.store.fault_stats
@@ -121,6 +122,27 @@ class TestDeterminism:
         for mine, theirs in zip(reference.layers, result.layers):
             np.testing.assert_array_equal(mine, theirs)
         assert summary == ref_summary
+
+    def test_shard_workers_keep_locality_counters(self):
+        """Shadow stores inherit ``track_locality``: the shards' adjacency
+        gathers are charged to the coordinator's gather counters."""
+        graph = instantiate_dataset("ll", max_nodes=NUM_NODES, seed=0)
+        request = SampleRequest(
+            roots=np.random.default_rng(1).integers(0, graph.num_nodes, size=64),
+            fanouts=FANOUTS,
+            with_attributes=False,
+        )
+        summaries = []
+        for workers in (0, 2):
+            store = PartitionedStore(
+                graph, HashPartitioner(4), track_locality=True
+            )
+            with ParallelSampler(store, workers=workers, seed=3) as engine:
+                engine.sample(request)
+            summaries.append(store.summary)
+        assert summaries[0].gather_nodes > 0
+        assert summaries[0].gather_runs > 0
+        assert summaries[0] == summaries[1]
 
     def test_replay_parity(self):
         """Merged summary == serial reference walk over the same layers."""
@@ -375,9 +397,3 @@ class TestGnnSessionIntegration:
                 results.append(session.sample(roots, fanouts=FANOUTS))
         for mine, theirs in zip(results[0].layers, results[1].layers):
             np.testing.assert_array_equal(mine, theirs)
-
-    def test_session_rejects_workers_with_cache(self):
-        from repro.api import GnnSession
-
-        with pytest.raises(ConfigurationError):
-            GnnSession(make_graph(), workers=2, cache_nodes=32)
