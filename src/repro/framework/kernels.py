@@ -13,6 +13,8 @@ Kernels consume pre-drawn uniforms and never touch the RNG.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -80,10 +82,21 @@ class NumpyKernels:
         """Scatter-add rows into ``num_segments`` buckets.
 
         ``np.add.at`` is an unbuffered scatter-add, so duplicate segment
-        IDs accumulate; empty segments are zero.
+        IDs accumulate — each bucket is the left fold ``0 + v1 + v2 +
+        ...`` of its rows in occurrence order — and empty segments are
+        zero. Rows wider than one element scatter through the flattened
+        element index ``segment_id * width + column`` instead of row by
+        row: the same additions in the same order per element, but on
+        the 1-D indexed loop NumPy >= 1.25 runs several times faster
+        than the row-wise form. Sort + ``np.add.reduceat`` is not an
+        alternative: it associates a three-row group as ``a0 + (a1 +
+        a2)``, which moves the last float32 bit the training digests pin.
         """
         out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
-        np.add.at(out, segment_ids, values)
+        width = math.prod(values.shape[1:])
+        if width != 1:
+            segment_ids = (segment_ids[:, None] * width + np.arange(width)).reshape(-1)
+        np.add.at(out.reshape(-1), segment_ids, values.reshape(-1))
         return out
 
     @staticmethod

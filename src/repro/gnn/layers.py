@@ -115,8 +115,11 @@ class Dense:
         )
         self.bias = np.zeros(out_dim, dtype=np.float32)
         self.activation = activation
-        self._x: np.ndarray = np.empty(0, dtype=np.float32)
-        self._pre: np.ndarray = np.empty(0, dtype=np.float32)
+        #: What the last forward left for backward: ``(x, pre)``.
+        self.saved: Tuple[np.ndarray, np.ndarray] = (
+            np.empty(0, dtype=np.float32),
+            np.empty(0, dtype=np.float32),
+        )
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
 
@@ -130,17 +133,18 @@ class Dense:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Forward pass; caches activations for backward."""
-        self._x = x
-        self._pre = x @ self.weight + self.bias
+        pre = x @ self.weight + self.bias
+        self.saved = (x, pre)
         if self.activation == "relu":
-            return relu(self._pre)
-        return self._pre
+            return relu(pre)
+        return pre
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Backward pass; accumulates parameter grads, returns grad wrt x."""
+        x, pre = self.saved
         if self.activation == "relu":
-            grad_out = grad_out * relu_grad(self._pre)
-        flat_x = self._x.reshape(-1, self.in_dim)
+            grad_out = grad_out * relu_grad(pre)
+        flat_x = x.reshape(-1, self.in_dim)
         flat_g = grad_out.reshape(-1, self.out_dim)
         self.grad_weight += flat_x.T @ flat_g
         self.grad_bias += flat_g.sum(axis=0)
@@ -165,13 +169,14 @@ class MeanAggregator:
 
     def forward(self, neighbors: np.ndarray) -> np.ndarray:
         """``neighbors``: (batch, groups, fanout, dim) -> (batch, groups, dim)."""
-        self._fanout = neighbors.shape[-2]
+        self.saved = neighbors.shape[-2]
         return neighbors.mean(axis=-2)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        expanded = np.expand_dims(grad_out / self._fanout, axis=-2)
+        fanout = self.saved
+        expanded = np.expand_dims(grad_out / fanout, axis=-2)
         return np.broadcast_to(
-            expanded, grad_out.shape[:-1] + (self._fanout, grad_out.shape[-1])
+            expanded, grad_out.shape[:-1] + (fanout, grad_out.shape[-1])
         ).copy()
 
 
@@ -179,13 +184,14 @@ class MaxPoolAggregator:
     """Elementwise max over the neighbor axis (graphSAGE-max)."""
 
     def forward(self, neighbors: np.ndarray) -> np.ndarray:
-        self._input = neighbors
-        self._out = neighbors.max(axis=-2)
-        return self._out
+        out = neighbors.max(axis=-2)
+        self.saved = (neighbors, out)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         # Route gradient to the (first) argmax along the neighbor axis.
-        is_max = self._input == np.expand_dims(self._out, axis=-2)
+        neighbors, out = self.saved
+        is_max = neighbors == np.expand_dims(out, axis=-2)
         first_max = np.cumsum(is_max, axis=-2) == 1
         mask = (is_max & first_max).astype(grad_out.dtype)
         return mask * np.expand_dims(grad_out, axis=-2)
@@ -199,6 +205,12 @@ class SageLayer:
 
     ``h_v' = relu(W_combine @ concat(h_v, Agg(relu(W_pool @ h_u))))``
     followed by L2 normalization (as in the original graphSAGE).
+
+    :meth:`forward` leaves everything :meth:`backward` needs in
+    ``saved``, one record. A caller that runs the layer at several
+    levels before backpropagating any of them (the encoder) keeps each
+    forward's record and assigns it back to ``saved`` before that
+    level's backward, instead of re-running the forward.
     """
 
     def __init__(
@@ -228,22 +240,39 @@ class SageLayer:
         """
         pooled = self.pool.forward(neighbor_feats)
         aggregated = self.aggregator.forward(pooled)
-        self._concat = np.concatenate([self_feats, aggregated], axis=-1)
-        out = self.combine.forward(self._concat)
+        out = self.combine.forward(
+            np.concatenate([self_feats, aggregated], axis=-1)
+        )
+        norm = None
         if self.normalize:
-            self._norm = np.linalg.norm(out, axis=-1, keepdims=True) + 1e-12
-            self._normed = out / self._norm
-            return self._normed
+            norm = np.linalg.norm(out, axis=-1, keepdims=True) + 1e-12
+            out = out / norm
+        self.saved = (
+            self.pool.saved,
+            self.aggregator.saved,
+            self.combine.saved,
+            norm,
+            out,
+        )
         return out
 
     def backward(self, grad_out: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Backward one hop; returns (grad_self, grad_neighbors)."""
+        # Hand the parts their records back: a no-op straight after
+        # forward, the restore when the caller re-installed ``saved``.
+        (
+            self.pool.saved,
+            self.aggregator.saved,
+            self.combine.saved,
+            norm,
+            normed,
+        ) = self.saved
         if self.normalize:
             # d(x/||x||) = (I - nn^T)/||x|| applied to grad
-            dot = np.sum(grad_out * self._normed, axis=-1, keepdims=True)
-            grad_out = (grad_out - self._normed * dot) / self._norm
+            dot = np.sum(grad_out * normed, axis=-1, keepdims=True)
+            grad_out = (grad_out - normed * dot) / norm
         grad_concat = self.combine.backward(grad_out)
-        split = self._concat.shape[-1] - self.pool.out_dim
+        split = self.pool.in_dim
         grad_self = grad_concat[..., :split]
         grad_agg = grad_concat[..., split:]
         grad_pooled = self.aggregator.backward(grad_agg)

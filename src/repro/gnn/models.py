@@ -66,40 +66,23 @@ class GraphSageEncoder:
                 width *= self.fanouts[level]
         return out
 
-    def forward(self, features: Sequence[np.ndarray]) -> np.ndarray:
-        """Encode roots; returns ``(batch, hidden_dim)`` embeddings."""
-        levels = self._normalize_features(features)
-        for layer in self.layers:
-            next_levels: List[np.ndarray] = []
-            for level in range(len(levels) - 1):
-                self_feats = levels[level]
-                fanout = self.fanouts[level]
-                batch = levels[level + 1].shape[0]
-                width = self_feats.shape[1]
-                dim = levels[level + 1].shape[2]
-                neighbor_feats = levels[level + 1].reshape(batch, width, fanout, dim)
-                next_levels.append(layer.forward(self_feats, neighbor_feats))
-            levels = next_levels
-        return levels[0][:, 0, :]
+    def _forward_levels(
+        self, features: Sequence[np.ndarray]
+    ) -> Tuple[List[List[np.ndarray]], List[list]]:
+        """Run every (layer, level) forward once.
 
-    def forward_backward(
-        self, features: Sequence[np.ndarray], grad_fn
-    ) -> Tuple[np.ndarray, float]:
-        """Run forward, compute loss grad via ``grad_fn``, backpropagate.
-
-        Because a :class:`SageLayer` caches one forward at a time while
-        the encoder reuses each layer across levels, backward is done by
-        re-running each (layer, level) forward immediately before its
-        backward. ``grad_fn(embeddings) -> (loss, grad)``.
-
-        Returns ``(embeddings, loss)``; parameter gradients are
-        accumulated in the layers (call :meth:`step` to apply).
+        Returns ``(all_levels, saved)``: ``all_levels[k]`` are layer
+        ``k``'s input tensors per level (``all_levels[-1][0]`` holds the
+        root embeddings) and ``saved[k][level]`` is the record that
+        forward left in ``layer.saved``, kept because the layer is
+        reused across levels and holds one record at a time.
         """
-        levels = self._normalize_features(features)
-        all_levels: List[List[np.ndarray]] = [levels]
-        for k, layer in enumerate(self.layers):
+        all_levels = [self._normalize_features(features)]
+        saved: List[list] = []
+        for layer in self.layers:
             prev = all_levels[-1]
-            next_levels = []
+            next_levels: List[np.ndarray] = []
+            records = []
             for level in range(len(prev) - 1):
                 self_feats = prev[level]
                 fanout = self.fanouts[level]
@@ -108,25 +91,40 @@ class GraphSageEncoder:
                 dim = prev[level + 1].shape[2]
                 neighbor_feats = prev[level + 1].reshape(batch, width, fanout, dim)
                 next_levels.append(layer.forward(self_feats, neighbor_feats))
+                records.append(layer.saved)
             all_levels.append(next_levels)
+            saved.append(records)
+        return all_levels, saved
 
+    def forward(self, features: Sequence[np.ndarray]) -> np.ndarray:
+        """Encode roots; returns ``(batch, hidden_dim)`` embeddings."""
+        all_levels, _ = self._forward_levels(features)
+        return all_levels[-1][0][:, 0, :]
+
+    def forward_backward(
+        self, features: Sequence[np.ndarray], grad_fn
+    ) -> Tuple[np.ndarray, float]:
+        """Run forward, compute loss grad via ``grad_fn``, backpropagate.
+
+        Each (layer, level) forward runs once; its ``saved`` record is
+        re-installed on the layer right before that (layer, level)'s
+        backward. Backward walks layers last to first and, within a
+        layer, levels in ascending order — the order parameter
+        gradients accumulate in. ``grad_fn(embeddings) -> (loss, grad)``.
+
+        Returns ``(embeddings, loss)``; parameter gradients are
+        accumulated in the layers (call :meth:`step` to apply).
+        """
+        all_levels, saved = self._forward_levels(features)
         embeddings = all_levels[-1][0][:, 0, :]
         loss, grad_emb = grad_fn(embeddings)
         grads = [grad_emb[:, None, :]]
         for k in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[k]
             prev = all_levels[k]
-            # Walk levels in order, re-running forward to restore the
-            # layer's caches, then backward with the stored output grad.
             next_grads: List[np.ndarray] = [np.zeros_like(lv) for lv in prev]
-            for level in range(len(all_levels[k + 1])):
-                self_feats = prev[level]
-                fanout = self.fanouts[level]
-                batch = prev[level + 1].shape[0]
-                width = self_feats.shape[1]
-                dim = prev[level + 1].shape[2]
-                neighbor_feats = prev[level + 1].reshape(batch, width, fanout, dim)
-                layer.forward(self_feats, neighbor_feats)
+            for level, record in enumerate(saved[k]):
+                layer.saved = record
                 grad_self, grad_neighbors = layer.backward(grads[level])
                 next_grads[level] += grad_self
                 next_grads[level + 1] += grad_neighbors.reshape(prev[level + 1].shape)

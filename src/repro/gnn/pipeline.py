@@ -1,4 +1,4 @@
-"""Pipelined sample→train engine (ROADMAP item 3).
+"""Pipelined sample→train engine.
 
 :class:`PipelinedTrainer` closes the last serial plane in the repo: it
 drives the :class:`~repro.parallel.pipeline.PipelinedExecutor` so shard
@@ -7,17 +7,17 @@ forward/backward of micro-batch *k* — the paper's LSD-GNN shape, which
 keeps the CPU embedding stage overlapped with (FPGA) sampling. The
 trainable state is a :class:`~repro.gnn.embedding.ShardedEmbeddingTable`
 partitioned exactly like the store, a graphSAGE encoder, and a linear
-classification head; each micro-batch does one dedup'd embedding
-gather, one forward/backward, one gradient scatter-add back to the
-owning shards, and one optimizer step.
+classification head; each micro-batch does one embedding gather over
+all of its hop layers, one forward/backward, one gradient scatter-add
+into the table, and one optimizer step.
 
 Determinism contract
 --------------------
 Losses and weights are **bit-identical at every worker count** (the
 same bar the sampler meets): shard results are bit-identical by the
 engine's (seed, shard, seq) streams, the executor yields them in
-request order, the embedding scatter-add routes every occurrence of a
-node to its single owning shard in occurrence order, and all compute
+request order, the embedding scatter-add sums every occurrence of a
+node in occurrence order whatever the shard count, and all compute
 runs on the coordinator.
 
 :class:`NeighborhoodCache` is the ScaleGNN trick: repeated-epoch
@@ -51,6 +51,7 @@ from repro.gnn.train import multilabel_loss
 from repro.memstore.store import PartitionedStore
 from repro.parallel.engine import ParallelSampler
 from repro.parallel.pipeline import PipelinedExecutor
+from repro.parallel.worker import hop_elements
 
 #: SeedSequence spawn key reserved for the epoch-shuffle stream (the
 #: engine's shard streams use (shard, seq); negative sampling uses
@@ -80,7 +81,10 @@ class NeighborhoodCache:
     """Memoizes per-root multi-hop layers for repeated-epoch training.
 
     Each entry maps a root node to its flattened hop layers (all hops
-    concatenated, ``hop_elements(fanouts)`` int64 values). Entries are
+    concatenated, ``hop_elements(fanouts)`` int64 values). The rows
+    live in one capacity-doubling ``(n, hop_elements)`` block with a
+    ``root -> row`` dict beside it, so an insert is one slice
+    assignment and assembling a micro-batch one gather. Entries are
     valid only under the current :class:`CacheFingerprint`; a
     fingerprint change (graph mutation, new cache generation) clears
     the cache. ``cached_epochs`` bounds reuse: generation ``e //
@@ -106,10 +110,11 @@ class NeighborhoodCache:
         self.root_hits = 0
         self.root_misses = 0
         self._fingerprint: Optional[CacheFingerprint] = None
-        self._rows: Dict[int, np.ndarray] = {}
+        self._index: Dict[int, int] = {}
+        self._block = np.empty((0, 0), dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._index)
 
     def begin_epoch(
         self,
@@ -129,12 +134,15 @@ class NeighborhoodCache:
         )
         if fingerprint != self._fingerprint:
             self._fingerprint = fingerprint
-            self._rows = {}
+            self._index = {}
+            self._block = np.empty(
+                (0, hop_elements(fingerprint.fanouts)), dtype=np.int64
+            )
 
     def probe(self, roots: np.ndarray) -> np.ndarray:
         """Boolean hit mask for each root occurrence (counted)."""
         hits = np.fromiter(
-            (int(root) in self._rows for root in roots),
+            (root in self._index for root in roots.tolist()),
             dtype=bool,
             count=roots.size,
         )
@@ -154,22 +162,33 @@ class NeighborhoodCache:
             [layer.reshape(roots.size, -1) for layer in result.layers[1:]],
             axis=1,
         )
-        for i, root in enumerate(roots):
-            key = int(root)
-            if key not in self._rows:
-                self._rows[key] = flat[i].copy()
+        start = len(self._index)
+        fresh = []
+        for i, root in enumerate(roots.tolist()):
+            if root not in self._index:
+                self._index[root] = start + len(fresh)
+                fresh.append(i)
+        stop = start + len(fresh)
+        if stop > self._block.shape[0]:
+            grown = np.empty(
+                (max(stop, 2 * self._block.shape[0]), self._block.shape[1]),
+                dtype=np.int64,
+            )
+            grown[:start] = self._block[:start]
+            self._block = grown
+        self._block[start:stop] = flat[fresh]
 
     def assemble(
         self, roots: np.ndarray, fanouts: Tuple[int, ...]
     ) -> List[np.ndarray]:
         """Reconstruct full hop layers for ``roots`` from cached rows."""
-        rows = np.stack([self._rows[int(root)] for root in roots])
+        rows = self._block[[self._index[root] for root in roots.tolist()]]
         layers: List[np.ndarray] = [np.asarray(roots, dtype=np.int64).copy()]
         offset = 0
         width = 1
         for fanout in fanouts:
             width *= fanout
-            layers.append(rows[:, offset : offset + width].copy())
+            layers.append(rows[:, offset : offset + width])
             offset += width
         return layers
 
@@ -331,18 +350,31 @@ class PipelinedTrainer:
         """Run ``epochs`` pipelined epochs over ``roots``; see TrainReport."""
         if epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
-        report = TrainReport()
+        report = TrainReport(epochs=epochs)
+        before = self._totals()
         for _ in range(epochs):
             report.epoch_losses.append(self.train_epoch(roots))
-        report.epochs = epochs
-        report.micro_batches = self._micro_batches
-        report.samples = self._samples
+        # This call's own work, not the trainer's lifetime totals.
+        (
+            report.micro_batches,
+            report.samples,
+            report.cache_hits,
+            report.cache_misses,
+        ) = (now - then for now, then in zip(self._totals(), before))
         report.final_loss = report.epoch_losses[-1]
         report.weights_digest = self.weights_digest()
-        if self.cache is not None:
-            report.cache_hits = self.cache.root_hits
-            report.cache_misses = self.cache.root_misses
         return report
+
+    def _totals(self) -> Tuple[int, int, int, int]:
+        """Lifetime (micro-batches, samples, cache hits, cache misses)."""
+        if self.cache is None:
+            return self._micro_batches, self._samples, 0, 0
+        return (
+            self._micro_batches,
+            self._samples,
+            self.cache.root_hits,
+            self.cache.root_misses,
+        )
 
     def train_epoch(self, roots: np.ndarray) -> float:
         """One shuffled pass over ``roots``; returns the mean batch loss.
@@ -424,11 +456,31 @@ class PipelinedTrainer:
     def _train_step(
         self, layers: List[np.ndarray], labels: np.ndarray
     ) -> float:
-        """Gather → forward/backward → scatter-add → step (one batch)."""
-        # Layers arrive in caller IDs; the embedding shards follow the
+        """Gather → forward/backward → scatter-add → step (one batch).
+
+        The table is entered once per direction: every hop layer's IDs
+        go through one ``lookup`` (the per-layer feature tensors are
+        reshaped slices of its result) and every input gradient through
+        one ``accumulate_grad`` — layer 0's occurrences first, then
+        layer 1's, ..., each in position order, which is the per-node
+        float32 addition order ``weights_digest`` pins. Each stage is
+        reached by attribute lookup at call time, so a tracer can
+        shadow it on the instance.
+        """
+        # Layers arrive in caller IDs; the embedding table follows the
         # store's partitioner, which owns store IDs.
-        layers = [self.store.to_internal(layer) for layer in layers]
-        features = [self.embeddings.lookup(layer) for layer in layers]
+        flat = self.store.to_internal(
+            np.concatenate([layer.reshape(-1) for layer in layers])
+        )
+        dim = self.embeddings.dim
+        rows = self.embeddings.lookup(flat)
+        features = []
+        offset = 0
+        for layer in layers:
+            features.append(
+                rows[offset : offset + layer.size].reshape(layer.shape + (dim,))
+            )
+            offset += layer.size
 
         def grad_fn(embeddings: np.ndarray) -> Tuple[float, np.ndarray]:
             logits = self.head.forward(embeddings)
@@ -436,10 +488,8 @@ class PipelinedTrainer:
             return loss, self.head.backward(grad_logits)
 
         _, loss = self.encoder.forward_backward(features, grad_fn)
-        for layer, grad in zip(layers, self.encoder.input_gradients):
-            self.embeddings.accumulate_grad(
-                layer.reshape(-1), grad.reshape(-1, self.embeddings.dim)
-            )
+        grads = [grad.reshape(-1, dim) for grad in self.encoder.input_gradients]
+        self.embeddings.accumulate_grad(flat, np.concatenate(grads))
         self.embeddings.step(self.lr)
         self.head.step(self.lr)
         self.encoder.step(self.lr)

@@ -129,36 +129,32 @@ class TestShardedEmbeddingTable:
         table.step(1.0)
         assert np.array_equal(table.to_dense(), expected)
 
-    def test_shard_rejects_out_of_shard_nodes(self):
-        _, sharded = self._tables()
-        shard = sharded.shards[0]
-        foreign = np.setdiff1d(np.arange(self.NODES), shard.node_ids)[:1]
-        with pytest.raises(ConfigurationError, match="not owned by"):
-            shard.accumulate_grad(
-                foreign, np.ones((1, self.DIM), dtype=np.float32)
-            )
-        # a rejected batch must not leave partial pending state
-        assert shard.pending_rows == 0
-
     def test_empty_shard_rejects_instead_of_crashing(self):
-        """A shard that owns no rows (more partitions than nodes) raises
-        the documented error, not IndexError, and stays usable."""
-        empty = EmbeddingShard(
-            0, np.empty(0, np.int64), np.empty((0, 4), np.float32)
-        )
-        with pytest.raises(ConfigurationError, match="not owned by"):
-            empty.lookup(np.array([3]))
-        assert empty.lookup(np.empty(0, np.int64)).shape == (0, 4)
-
+        """Shards that own no rows (more partitions than nodes) are
+        empty views; the table trains through them."""
         table = ShardedEmbeddingTable(2, 4, HashPartitioner(4))
         assert [s.node_ids.size for s in table.shards] == [1, 1, 0, 0]
-        with pytest.raises(ConfigurationError, match="not owned by"):
-            table.shards[3].accumulate_grad(
-                np.array([1]), np.ones((1, 4), dtype=np.float32)
-            )
+        assert table.shards[3].rows.shape == (0, 4)
         table.accumulate_grad(np.array([0, 1]), np.ones((2, 4)))
-        table.step(1.0)  # steps the empty shards too
+        table.step(1.0)
         assert table.pending_rows == 0
+
+    def test_shard_rows_are_views_of_one_block(self):
+        """A shard is a window on the table, not a copy: its rows show
+        a step, and they are the table's rows for its node IDs."""
+        _, sharded = self._tables()
+        for shard in sharded.shards:
+            assert np.shares_memory(shard.rows, sharded._block)
+            assert np.array_equal(sharded.to_dense()[shard.node_ids], shard.rows)
+        shard = sharded.shards[1]
+        node = shard.node_ids[2]
+        before = shard.rows[2].copy()
+        sharded.accumulate_grad(
+            np.array([node]), np.ones((1, self.DIM), dtype=np.float32)
+        )
+        sharded.step(0.5)
+        assert np.array_equal(shard.rows[2], before - np.float32(0.5))
+        assert np.array_equal(sharded.to_dense()[shard.node_ids], shard.rows)
 
     def test_table_routes_instead_of_rejecting(self):
         _, sharded = self._tables()
@@ -171,13 +167,17 @@ class TestShardedEmbeddingTable:
         assert sharded.pending_rows == 0
 
     def test_lookup_out_of_range(self):
+        """Both ends, both entry points: the slot index would wrap a
+        negative ID to another node's row without the range check."""
         _, sharded = self._tables()
-        with pytest.raises(ConfigurationError):
-            sharded.lookup(np.array([self.NODES]))
-        with pytest.raises(ConfigurationError):
-            sharded.accumulate_grad(
-                np.array([-1]), np.ones((1, self.DIM), dtype=np.float32)
-            )
+        grad = np.ones((2, self.DIM), dtype=np.float32)
+        for bad in (-1, self.NODES):
+            with pytest.raises(ConfigurationError):
+                sharded.lookup(np.array([[0, bad]]))
+            with pytest.raises(ConfigurationError):
+                sharded.accumulate_grad(np.array([0, bad]), grad)
+            # a rejected batch must not leave partial pending state
+            assert sharded.pending_rows == 0
 
     def test_shard_validation(self):
         with pytest.raises(ConfigurationError, match="sorted"):

@@ -7,11 +7,13 @@ every worker count, with and without the neighborhood cache. The
 compared against.
 """
 
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro.gnn.embedding as embedding_module
 from repro.api import GnnSession
 from repro.errors import ConfigurationError, ParallelExecutionError
 from repro.framework.requests import SampleRequest
@@ -209,6 +211,29 @@ class TestPipelinedTrainerBehavior:
         assert report.final_loss == report.epoch_losses[-1]
         assert len(report.weights_digest) == 64
 
+    def test_report_counts_are_per_call(self):
+        """A second ``train`` on the same trainer reports its own work,
+        not the trainer's lifetime totals."""
+        graph = make_graph()
+        roots = np.arange(NUM_NODES)
+        with PipelinedTrainer(
+            make_store(graph),
+            make_labels(graph),
+            FANOUTS,
+            batch_size=50,
+            cached_epochs=5,
+        ) as trainer:
+            first = trainer.train(roots, epochs=1)
+            second = trainer.train(roots, epochs=1)
+        for report in (first, second):
+            assert (report.epochs, report.micro_batches, report.samples) == (
+                1,
+                6,
+                NUM_NODES,
+            )
+        assert (first.cache_hits, first.cache_misses) == (0, NUM_NODES)
+        assert (second.cache_hits, second.cache_misses) == (NUM_NODES, 0)
+
     def test_loss_decreases(self):
         report, _ = run_trainer(workers=0, epochs=6)
         assert report.epoch_losses[-1] < report.epoch_losses[0]
@@ -258,6 +283,68 @@ class TestPipelinedTrainerBehavior:
                 roots=np.arange(8), fanouts=FANOUTS, with_attributes=False
             )
             assert engine.sample(request).layers[0].size == 8
+
+
+def test_step_call_counts(monkeypatch):
+    """One micro-batch enters each stage once — counted the way
+    ``bench/spans.py`` times them, by shadowing the bound methods with
+    instance attributes *after* construction. Per-layer or per-shard
+    calls creeping back, or a stage captured as a bound method where a
+    shadow cannot reach it, fail here instead of skewing the traced
+    per-layer split."""
+    calls = Counter()
+
+    def shadow(obj, attr, name):
+        inner = getattr(obj, attr)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        setattr(obj, attr, counted)
+
+    class CountingNumpy:
+        """``np`` as the embedding module sees it, counting dedups."""
+
+        def __getattr__(self, name):
+            if name == "unique":
+                calls["table.dedup"] += 1
+            return getattr(np, name)
+
+    graph = make_graph()
+    roots = np.arange(NUM_NODES)
+    with PipelinedTrainer(
+        make_store(graph),
+        make_labels(graph),
+        FANOUTS,
+        batch_size=32,
+        cached_epochs=5,
+    ) as trainer:
+        trainer.train_epoch(roots)  # fills the cache
+        for attr in ("lookup", "accumulate_grad", "step"):
+            shadow(trainer.embeddings, attr, f"embeddings.{attr}")
+        shadow(trainer.encoder, "forward_backward", "encoder.forward_backward")
+        for attr in ("probe", "insert", "assemble"):
+            shadow(trainer.cache, attr, f"cache.{attr}")
+        shadow(trainer.engine, "submit", "engine.submit")
+        for layer in trainer.encoder.layers:
+            shadow(layer, "forward", "sage.forward")
+        monkeypatch.setattr(embedding_module, "np", CountingNumpy())
+        assert not hasattr(embedding_module, "dedup_ids")
+        trainer.train_epoch(roots)  # every micro-batch served from it
+
+    batches = -(-NUM_NODES // 32)
+    hops = len(FANOUTS)
+    assert calls.pop("table.dedup") <= batches
+    assert calls == {
+        "embeddings.lookup": batches,
+        "embeddings.accumulate_grad": batches,
+        "embeddings.step": batches,
+        "encoder.forward_backward": batches,
+        "cache.probe": batches,
+        "cache.assemble": batches,
+        "sage.forward": batches * hops * (hops + 1) // 2,
+    }
 
 
 class TestDrainOnComputeError:
