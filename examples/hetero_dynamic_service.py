@@ -6,7 +6,7 @@ service view.
    sampling (user -click-> item -in-> shop).
 2. Dynamic graph growth with LSM-style compaction and sampling over
    snapshots.
-3. The service-level queueing simulation behind Challenge-1: latency
+3. Challenge-1 on the serving gateway: closed-loop workers, latency
    percentiles and deadline misses under load.
 
 Run:  python examples/hetero_dynamic_service.py
@@ -14,11 +14,12 @@ Run:  python examples/hetero_dynamic_service.py
 
 import numpy as np
 
-from repro.framework.service import ServiceConfig, run_service
+from repro.api import GnnSession
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph, simulate_growth
 from repro.graph.generators import power_law_graph
 from repro.graph.hetero import make_ecommerce_graph
+from repro.serving import SoftwareBackend, serve_closed_loop
 
 
 def main():
@@ -52,14 +53,18 @@ def main():
           f"(preferential attachment)\n")
 
     print("=== Challenge-1: service latency under load ===")
-    quiet = run_service(ServiceConfig(num_workers=1, batches_per_worker=6))
-    loaded = run_service(ServiceConfig(num_workers=32, batches_per_worker=3))
+    session = GnnSession(snapshot, num_partitions=4, seed=0)
+    backends = [SoftwareBackend(session.sampler, functional=False)]
+    quiet = serve_closed_loop(backends, 1, 6, num_nodes=snapshot.num_nodes)
+    deadline = quiet.p99 * 1.2
+    loaded = serve_closed_loop(
+        backends, 32, 3, num_nodes=snapshot.num_nodes, slo_s=deadline
+    )
     print(f"  quiet : p50 {1e3 * quiet.p50:6.2f}ms  p99 {1e3 * quiet.p99:6.2f}ms")
     print(f"  loaded: p50 {1e3 * loaded.p50:6.2f}ms  p99 {1e3 * loaded.p99:6.2f}ms "
-          f"(max server queue {loaded.server_max_queue})")
-    deadline = quiet.p99 * 1.2
+          f"(max queue depth {loaded.max_queue_depth})")
     print(f"  with a {1e3 * deadline:.2f}ms inference deadline, the loaded "
-          f"system misses {100 * loaded.deadline_miss_rate(deadline):.0f}% "
+          f"system misses {100 * loaded.slo_miss_rate:.0f}% "
           f"of batches — throughput alone cannot fix latency "
           f"(the paper's Challenge-1)")
 

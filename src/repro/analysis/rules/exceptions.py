@@ -28,7 +28,6 @@ FAULT_PATH_MODULES = frozenset(
         "repro/framework/sampler.py",
         # The reference walk's degraded-read handlers live here.
         "repro/framework/replay.py",
-        "repro/framework/service.py",
         # Compaction/ingest errors must surface, not be swallowed —
         # a half-applied mutation batch is a correctness bug.
         # (repro/memstore/ingest.py is covered by the prefix above.)

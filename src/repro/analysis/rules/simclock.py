@@ -21,7 +21,6 @@ from repro.analysis.rules import FileContext, Rule, register
 SIM_MODULE_PREFIXES = ("repro/serving/", "repro/cluster/")
 SIM_MODULES = frozenset(
     {
-        "repro/framework/service.py",
         "repro/axe/events.py",
         # Online-mutation ingest: mutation timelines interleave with the
         # gateway's virtual clock, so Mutation.time_s must be sim time.

@@ -13,8 +13,6 @@ from repro.framework.selectors import (
     select_uniform,
 )
 from repro.framework.kernels import NUMPY_KERNELS
-from repro.framework.service import ServiceConfig, ServiceReport, run_service
-from repro.framework.export import batch_nbytes, load_batch, save_batch
 from repro.framework.replay import (
     ReferenceWalkSampler,
     ReplaySelector,
@@ -40,10 +38,4 @@ __all__ = [
     "replay_reference",
     "select_streaming",
     "select_uniform",
-    "ServiceConfig",
-    "ServiceReport",
-    "run_service",
-    "batch_nbytes",
-    "load_batch",
-    "save_batch",
 ]

@@ -1,9 +1,9 @@
 """Online, SLO-aware serving layer over the sampling backends.
 
-The closed-loop simulation in :mod:`repro.framework.service` shows
-*that* sampling latency blows deadlines (Challenge-1); this package is
-the serving architecture that manages it: an admission-controlled
-gateway (:mod:`~repro.serving.gateway`) coalescing per-tenant open-loop
+:func:`~repro.serving.gateway.serve_closed_loop` shows *that* sampling
+latency blows deadlines under load (Challenge-1); this package is the
+serving architecture that manages it: an admission-controlled gateway
+(:mod:`~repro.serving.gateway`) coalescing per-tenant open-loop
 request streams (:mod:`~repro.serving.workload`) into dynamic
 micro-batches, scheduled earliest-deadline-first with token-bucket
 fair share (:mod:`~repro.serving.scheduler`) onto pluggable software /
@@ -25,6 +25,7 @@ from repro.serving.gateway import (
     MicroBatch,
     ServingGateway,
     ShedResponse,
+    serve_closed_loop,
     serve_workload,
 )
 from repro.serving.metrics import (
@@ -64,5 +65,6 @@ __all__ = [
     "default_tenants",
     "generate_arrivals",
     "nodes_per_root",
+    "serve_closed_loop",
     "serve_workload",
 ]

@@ -73,8 +73,7 @@ class ServingBackend(abc.ABC):
 class SoftwareBackend(ServingBackend):
     """The CPU sampling-service path (AliGraph workers on vCPUs).
 
-    Service time follows the same first-order cost model as
-    :class:`repro.framework.service.ServiceConfig`: a fixed RPC/setup
+    Service time is a first-order cost model: a fixed RPC/setup
     overhead plus a per-touched-key software cost, divided across the
     worker pool's vCPU parallelism. ``per_key_s`` is the per-node
     walk's cost; every sampler is vectorized, so it is always divided

@@ -27,6 +27,7 @@ fault injections are events, so a run is a pure function of its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,6 +38,7 @@ from repro.serving.backends import ServingBackend
 from repro.serving.metrics import MetricsRegistry, ServingReport
 from repro.serving.scheduler import SloScheduler
 from repro.serving.workload import Arrival, TenantSpec, generate_arrivals
+from repro.units import US
 
 
 @dataclass(frozen=True)
@@ -578,3 +580,72 @@ def serve_workload(
         tenants, duration_s=duration_s, num_nodes=num_nodes, seed=seed
     )
     return gateway.run(arrivals, duration_s=duration_s, events=events)
+
+
+def serve_closed_loop(
+    backends: Sequence[ServingBackend],
+    workers: int,
+    batches_per_worker: int,
+    batch_size: int = 64,
+    fanouts: Tuple[int, ...] = (10, 10),
+    *,
+    num_nodes: int,
+    seed: int = 0,
+    slo_s: float = 20e-3,
+    config: Optional[GatewayConfig] = None,
+) -> ServingReport:
+    """Drive the gateway in a closed loop (the Challenge-1 scenario).
+
+    ``workers`` training/inference workers each sample
+    ``batches_per_worker`` batches of ``batch_size`` roots, issuing the
+    next batch only when the previous one completes, so the offered
+    load is the worker count, not a rate. Each worker is one tenant:
+    per-worker latencies and misses of the ``slo_s`` deadline are the
+    report's :class:`TenantReport` entries. There is no rate to police,
+    so the token buckets are off; the queue bound still applies, and a
+    worker whose request is shed stops — ``offered == completed +
+    shed`` and the run terminates. ``duration_s`` is the drain time, so
+    ``completed_qps`` is the loop's throughput.
+    """
+    if min(workers, batches_per_worker, num_nodes) < 1:
+        raise ConfigurationError(
+            "workers, batches_per_worker and num_nodes must be at least 1, "
+            f"got {workers}, {batches_per_worker}, {num_nodes}"
+        )
+    fanouts = tuple(fanouts)
+    # rate_rps only feeds the token buckets, which a closed loop disables.
+    tenants = [
+        TenantSpec(
+            f"worker{index}",
+            rate_rps=1.0,
+            roots_per_request=batch_size,
+            fanouts=fanouts,
+            slo_s=slo_s,
+        )
+        for index in range(workers)
+    ]
+    gateway = ServingGateway(backends, tenants, config=config)
+    sim = Simulator()
+    gateway.attach(sim, admission=False)
+    rng = np.random.default_rng(seed)
+    remaining = {spec.name: batches_per_worker for spec in tenants}
+    sequence = count()
+
+    def issue(worker: str) -> None:
+        if remaining[worker] == 0:
+            return
+        remaining[worker] -= 1
+        roots = rng.integers(0, num_nodes, size=batch_size, dtype=np.int64)
+        gateway.submit(
+            Arrival(sim.now, worker, roots, fanouts, slo_s, next(sequence))
+        )
+
+    def reissue(batch: MicroBatch, _payload: object) -> None:
+        for arrival in batch.requests:
+            issue(arrival.tenant)
+
+    gateway.on_batch_complete = reissue
+    for index, spec in enumerate(tenants):
+        sim.at(index * US, lambda worker=spec.name: issue(worker))
+    sim.run()
+    return gateway.metrics.snapshot(duration_s=sim.now, drain_s=sim.now)

@@ -98,10 +98,5 @@ class SloScheduler:
         _deadline, _seq, item = heapq.heappop(self._ready)
         return item
 
-    def peek_deadline(self) -> Optional[float]:
-        if not self._ready:
-            return None
-        return self._ready[0][0]
-
     def __len__(self) -> int:
         return len(self._ready)

@@ -1,9 +1,10 @@
 """Open-loop workload generation for the serving gateway.
 
-`repro.framework.service` drives a *closed* loop (workers issue the
-next batch only after the previous completes); real inference traffic
-is *open* — users arrive whether or not the system keeps up, which is
-what makes overload, shedding, and backpressure observable at all.
+`serve_closed_loop` drives the same gateway in a *closed* loop (workers
+issue the next batch only after the previous completes); real
+inference traffic is *open* — users arrive whether or not the system
+keeps up, which is what makes overload, shedding, and backpressure
+observable at all.
 Each tenant is an independent (optionally diurnally-modulated) Poisson
 process; arrivals are pre-generated so a run is a pure function of the
 seed.

@@ -199,7 +199,7 @@ def test_sim_clock_scoped_to_event_modules():
         source, module_path="repro/serving/scheduler.py"
     )
     assert "sim-clock" in rules_fired(
-        source, module_path="repro/framework/service.py"
+        source, module_path="repro/axe/events.py"
     )
     assert "sim-clock" not in rules_fired(
         source, module_path="repro/gnn/train.py"

@@ -144,18 +144,18 @@ class TestFaultsCommand:
 
 
 class TestServiceNaNGuard:
-    def test_zero_batch_runs_print_na(self, capsys, monkeypatch):
-        import repro.framework.service as service_mod
-        from repro.framework.service import ServiceReport
+    @staticmethod
+    def _empty_report():
+        from repro.serving import MetricsRegistry
 
-        empty = ServiceReport(
-            batch_latencies_s=[],
-            total_time_s=0.0,
-            total_batches=0,
-            server_max_queue=0,
-        )
+        return MetricsRegistry().snapshot(duration_s=0.0, drain_s=0.0)
+
+    def test_zero_batch_runs_print_na(self, capsys, monkeypatch):
+        import repro.serving as serving_mod
+
+        empty = self._empty_report()
         monkeypatch.setattr(
-            service_mod, "run_service", lambda config: empty
+            serving_mod, "serve_closed_loop", lambda *args, **kwargs: empty
         )
         assert main(["service"]) == 0
         out = capsys.readouterr().out
@@ -163,22 +163,16 @@ class TestServiceNaNGuard:
         assert "nan" not in out.lower()
 
     def test_zero_loaded_batches_print_na(self, capsys, monkeypatch):
-        import repro.framework.service as service_mod
-        from repro.framework.service import ServiceConfig, ServiceReport
+        import repro.serving as serving_mod
 
-        real_run = service_mod.run_service
+        real_loop = serving_mod.serve_closed_loop
 
-        def run(config: ServiceConfig):
-            if config.num_workers > 1:  # the loaded run
-                return ServiceReport(
-                    batch_latencies_s=[],
-                    total_time_s=0.0,
-                    total_batches=0,
-                    server_max_queue=0,
-                )
-            return real_run(config)
+        def loop(backends, workers, batches_per_worker, **kwargs):
+            if workers > 1:  # the loaded run
+                return self._empty_report()
+            return real_loop(backends, workers, batches_per_worker, **kwargs)
 
-        monkeypatch.setattr(service_mod, "run_service", run)
+        monkeypatch.setattr(serving_mod, "serve_closed_loop", loop)
         assert main(["service"]) == 0
         out = capsys.readouterr().out
         assert "n/a (no loaded batches)" in out

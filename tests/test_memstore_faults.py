@@ -18,7 +18,6 @@ from repro.errors import (
 )
 from repro.framework.requests import SampleRequest
 from repro.framework.sampler import MultiHopSampler
-from repro.framework.service import ServiceConfig, run_service
 from repro.graph.generators import power_law_graph
 from repro.graph.partition import HashPartitioner
 from repro.memstore import (
@@ -443,94 +442,6 @@ class TestOutstandingWithFaults:
             )
 
 
-# ------------------------------------------------------- service counters
-class TestServiceFaultPath:
-    RETRY = RetryPolicy(
-        attempt_timeout_s=2e-3,
-        deadline_s=50e-3,
-        backoff_base_s=200e-6,
-        hedge_delay_s=1.5e-3,
-    )
-
-    def test_faults_require_retry_policy(self):
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(kill_server_at=((0, 1e-3),))
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(request_loss_rate=0.1)
-
-    def test_fault_event_validation(self):
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(retry=self.RETRY, kill_server_at=((99, 1e-3),))
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(retry=self.RETRY, kill_server_at=((0, -1.0),))
-
-    def test_retry_config_counters_zero_without_faults(self):
-        # Small hops so clean RPCs finish well inside the 2ms timeout.
-        config = ServiceConfig(
-            num_workers=2,
-            batches_per_worker=2,
-            batch_size=16,
-            fanouts=(5,),
-            retry=self.RETRY,
-        )
-        report = run_service(config, seed=0)
-        assert report.total_batches == 4
-        assert report.retries == 0 and report.timeouts == 0
-        assert report.degraded_shards == 0
-
-    def test_server_kill_completes_with_retries(self):
-        config = ServiceConfig(
-            num_workers=8,
-            batches_per_worker=5,
-            batch_size=16,
-            fanouts=(5,),
-            replication_factor=2,
-            retry=self.RETRY,
-            kill_server_at=((1, 0.2e-3),),
-        )
-        report = run_service(config, seed=0)
-        assert report.total_batches == 40  # nothing hangs
-        # The hedge delay (1.5ms) undercuts the attempt timeout (2ms),
-        # so hedged duplicates mask the dead server before any timeout.
-        assert report.hedges > 0
-        assert report.hedge_wins > 0
-
-    def test_server_kill_without_hedging_times_out_and_retries(self):
-        config = ServiceConfig(
-            num_workers=8,
-            batches_per_worker=5,
-            batch_size=16,
-            fanouts=(5,),
-            replication_factor=2,
-            retry=RetryPolicy(
-                attempt_timeout_s=2e-3,
-                deadline_s=50e-3,
-                backoff_base_s=200e-6,
-                hedge=False,
-            ),
-            kill_server_at=((1, 0.2e-3),),
-        )
-        report = run_service(config, seed=0)
-        assert report.total_batches == 40
-        assert report.timeouts > 0
-        assert report.retries > 0
-        assert report.hedges == 0
-
-    def test_loss_recovers_via_retries(self):
-        config = ServiceConfig(
-            num_workers=4,
-            batches_per_worker=2,
-            batch_size=16,
-            fanouts=(5,),
-            replication_factor=2,
-            retry=self.RETRY,
-            request_loss_rate=0.2,
-        )
-        report = run_service(config, seed=1)
-        assert report.total_batches == 8
-        assert report.retries > 0
-
-
 # ------------------------------------------------------- serving counters
 class TestServingStoreCounters:
     def test_registry_surfaces_store_faults(self):
@@ -558,13 +469,6 @@ class TestServingStoreCounters:
 
 # --------------------------------------------------------------- percentiles
 class TestNanPercentiles:
-    def test_service_report_empty_percentiles_nan(self):
-        from repro.framework.service import ServiceReport
-
-        empty = ServiceReport([], 0.0, 0, 0)
-        assert math.isnan(empty.p50) and math.isnan(empty.p99)
-        assert math.isnan(empty.deadline_miss_rate(1.0))
-
     def test_tenant_report_empty_percentiles_nan(self):
         from repro.serving.metrics import TenantReport
 

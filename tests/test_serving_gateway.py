@@ -4,10 +4,19 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.serving.backends import BackendResult, ServingBackend
+from repro.framework.sampler import MultiHopSampler
+from repro.graph.generators import power_law_graph
+from repro.graph.partition import HashPartitioner
+from repro.memstore.store import PartitionedStore
+from repro.serving.backends import (
+    BackendResult,
+    ServingBackend,
+    SoftwareBackend,
+)
 from repro.serving.gateway import (
     GatewayConfig,
     ServingGateway,
+    serve_closed_loop,
     serve_workload,
 )
 from repro.serving.workload import Arrival, TenantSpec, generate_arrivals
@@ -303,6 +312,116 @@ class TestServeWorkload:
         )
         assert not hw.healthy
         assert report.completed == report.admitted > 0
+
+
+class TestClosedLoop:
+    """serve_closed_loop: the Challenge-1 scenario on the one gateway."""
+
+    NODES = 400
+
+    @pytest.fixture(scope="class")
+    def sampler(self):
+        graph = power_law_graph(self.NODES, 6.0, seed=0)
+        return MultiHopSampler(
+            PartitionedStore(graph, HashPartitioner(2)), seed=0
+        )
+
+    def loop(self, sampler, workers, batches_per_worker=3, backend=(), **kwargs):
+        software = SoftwareBackend(sampler, functional=False, **dict(backend))
+        kwargs.setdefault("num_nodes", self.NODES)
+        return serve_closed_loop(
+            [software], workers, batches_per_worker, **kwargs
+        )
+
+    def test_all_batches_complete(self, sampler):
+        report = self.loop(sampler, workers=4, batches_per_worker=3)
+        assert report.offered == report.completed == 12
+        assert len(report.latencies_s) == 12
+        assert all(latency > 0 for latency in report.latencies_s)
+        assert [t.completed for t in report.tenants.values()] == [3] * 4
+
+    def test_deterministic(self, sampler):
+        first = self.loop(sampler, workers=8, seed=3)
+        again = self.loop(sampler, workers=8, seed=3)
+        other = self.loop(sampler, workers=8, seed=4)
+        assert first.latencies_s == again.latencies_s
+        assert first.drain_s == again.drain_s
+        assert first.max_queue_depth == again.max_queue_depth
+        assert (other.offered, other.completed) == (24, 24)
+
+    def test_p99_at_least_p50(self, sampler):
+        report = self.loop(sampler, workers=8)
+        assert report.p99 >= report.p50 > 0
+
+    def test_contention_raises_latency(self, sampler):
+        assert self.loop(sampler, 24).p99 > self.loop(sampler, 1).p99
+
+    def test_more_concurrency_cuts_latency(self, sampler):
+        few = self.loop(sampler, 12, backend={"concurrency": 2})
+        many = self.loop(sampler, 12, backend={"concurrency": 8})
+        assert many.p50 < few.p50
+
+    def test_throughput_grows_with_workers_then_saturates(self, sampler):
+        rates = [
+            self.loop(sampler, workers, 2, seed=1).completed_qps
+            for workers in (1, 4, 16, 64)
+        ]
+        assert rates[1] > rates[0]
+        # Saturation: the last quadrupling gains less than the first.
+        assert rates[3] / rates[2] < rates[1] / rates[0]
+
+    def test_faster_service_cuts_latency(self, sampler):
+        slow = self.loop(sampler, 8, backend={"per_key_s": 6e-6})
+        fast = self.loop(sampler, 8, backend={"per_key_s": 1e-6})
+        assert fast.p50 < slow.p50
+
+    def test_miss_rate_falls_as_slo_loosens(self, sampler):
+        report = self.loop(sampler, 16)
+        tight = self.loop(sampler, 16, slo_s=0.5 * report.p50)
+        loose = self.loop(sampler, 16, slo_s=2 * report.p99)
+        assert tight.slo_miss_rate > loose.slo_miss_rate == 0.0
+
+    def test_inference_deadline_story(self, sampler):
+        """Challenge-1: a deadline a quiet system meets is missed under
+        load (tier-1 twin of benchmarks/test_bench_supplemental.py)."""
+        quiet = self.loop(sampler, workers=1, batches_per_worker=6)
+        loaded = self.loop(
+            sampler, workers=32, batches_per_worker=3, slo_s=1.2 * quiet.p99
+        )
+        assert quiet.slo_miss_rate == 0.0
+        assert loaded.p99 > 2 * quiet.p99
+        assert loaded.slo_miss_rate > 0.3
+
+    def test_queue_depth_tracked(self, sampler):
+        assert self.loop(sampler, 16).max_queue_depth >= 1
+
+    def test_conservation_within_queue_capacity(self, sampler):
+        report = self.loop(sampler, workers=16)
+        assert report.shed == 0
+        assert report.offered == report.completed + report.shed == 48
+
+    def test_shed_workers_stop_and_run_conserves(self, sampler):
+        report = self.loop(
+            sampler, workers=16, config=GatewayConfig(queue_capacity=4)
+        )
+        assert report.shed > 0
+        assert report.offered == report.completed + report.shed
+        assert report.offered < 48
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(workers=0),
+            dict(workers=2, batches_per_worker=0),
+            dict(workers=2, batch_size=0),
+            dict(workers=2, fanouts=()),
+            dict(workers=2, num_nodes=0),
+            dict(workers=2, slo_s=0),
+        ],
+    )
+    def test_argument_validation(self, sampler, kwargs):
+        with pytest.raises(ConfigurationError):
+            self.loop(sampler, **kwargs)
 
 
 class TestClusterHooks:

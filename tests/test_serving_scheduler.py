@@ -61,7 +61,6 @@ class TestSloScheduler:
         scheduler.push(1.0, "urgent")
         scheduler.push(2.0, "middle")
         assert len(scheduler) == 3
-        assert scheduler.peek_deadline() == 1.0
         assert scheduler.pop() == "urgent"
         assert scheduler.pop() == "middle"
         assert scheduler.pop() == "late"
@@ -75,6 +74,6 @@ class TestSloScheduler:
 
     def test_pop_empty_raises(self):
         scheduler = SloScheduler()
-        assert scheduler.peek_deadline() is None
+        assert len(scheduler) == 0
         with pytest.raises(ConfigurationError):
             scheduler.pop()
