@@ -54,7 +54,7 @@ AMBIENT_PREFIXES = frozenset({"time", "uuid", "secrets", "random"})
 
 #: Recording helpers: calling one means the function feeds accounting.
 ACCOUNTING_SINKS = frozenset(
-    {"_record", "_record_batch", "_record_gather", "absorb_summary"}
+    {"_record", "_record_batch", "record_gather", "absorb_summary"}
 )
 
 _MAX_DEPTH = 6

@@ -60,9 +60,11 @@ class MultiHopSampler:
     """Random multi-hop sampler over a partitioned store.
 
     Vectorized: one dedup per layer (shared by the hop expansion and
-    the attribute fetch), one store batch call and one ragged RNG pick
-    per hop (weighted selectors pick degree bucket by degree bucket),
-    batched cache probes. For the layers it samples, ``AccessSummary``
+    the attribute fetch), one store batch call per hop, one ragged RNG
+    pick per hop and RNG stream (weighted selectors pick degree bucket
+    by degree bucket), batched cache probes. ``sample`` runs one
+    stream; a shard worker runs one per shard in a single expansion.
+    For the layers it samples, ``AccessSummary``
     totals, cache counters and degraded-fallback counts equal the
     per-node walk's; its RNG consumption order differs, so the draws
     are statistically equivalent to the walk's, not stream-identical.
@@ -159,7 +161,9 @@ class MultiHopSampler:
         """
         with self.store.read_view():
             roots = self._internal_roots(request)
-            layers, dedups = self._expand(roots, request.fanouts)
+            layers, dedups = self._expand(
+                roots, request.fanouts, [(self.rng, roots.size)]
+            )
             return self._finish_result(request, layers, dedups)
 
     def _internal_roots(self, request: SampleRequest) -> np.ndarray:
@@ -170,22 +174,32 @@ class MultiHopSampler:
             raise GraphError("request roots outside [0, num_nodes)")
         return self.store.to_internal(roots).copy()
 
-    def _expand(self, roots: np.ndarray, fanouts):
+    def _expand(self, roots: np.ndarray, fanouts, streams):
         """Hop expansion in store IDs: ``(layers, dedups)``.
 
-        Each expanded layer is deduplicated once, and the triple serves
-        both its hop expansion and its attribute fetch; the last layer
-        is never expanded, so its entry is ``None``.
+        ``streams`` is a list of ``(generator, root count)`` pairs that
+        split the roots into contiguous ranges, in root order: each
+        range's picks draw on its own generator exactly as a separate
+        expansion of those roots alone would, while the whole expansion
+        shares one dedup and one store gather per layer. Each expanded
+        layer's dedup triple serves both its hop expansion and its
+        attribute fetch; the last layer is never expanded, so its entry
+        is ``None``.
         """
         layers = [roots]
         dedups = []
         width = 1
         num_nodes = self.store.graph.num_nodes
         for fanout in fanouts:
-            width *= fanout
             flat = layers[-1].reshape(-1)
             dedups.append(dedup_ids(flat, num_nodes))
-            sampled = self._sample_neighbors_batch(flat, fanout, dedups[-1])
+            sampled = self._sample_neighbors_batch(
+                flat,
+                fanout,
+                dedups[-1],
+                [(rng, count * width) for rng, count in streams],
+            )
+            width *= fanout
             layers.append(sampled.reshape(roots.size, width))
         dedups.append(None)
         return layers, dedups
@@ -204,17 +218,20 @@ class MultiHopSampler:
         return result
 
     def _sample_neighbors_batch(
-        self, flat: np.ndarray, fanout: int, dedup
+        self, flat: np.ndarray, fanout: int, dedup, streams
     ) -> np.ndarray:
         """Sample ``fanout`` neighbors for every frontier position at once.
 
-        ``dedup`` is the frontier's :func:`dedup_ids` triple. Adjacency
-        of the distinct nodes is gathered in one store batch call;
-        positions are then sorted by degree and either picked all at
-        once (degree-only selectors: one ragged RNG call, one flat
-        gather) or bucket by bucket through the selector's ``(k, d)``
-        variant (weighted selectors). Zero-degree (and degraded)
-        positions sample themselves (AliGraph's self-loop fallback).
+        ``dedup`` is the frontier's :func:`dedup_ids` triple; ``streams``
+        is a list of ``(generator, position count)`` pairs splitting the
+        frontier into contiguous ranges. Adjacency of the distinct nodes
+        is gathered in one store batch call. Within each range,
+        positions are sorted by degree and either picked all at once on
+        the range's generator (degree-only selectors: one ragged RNG
+        call per range, one flat gather for the frontier) or bucket by
+        bucket through the selector's ``(k, d)`` variant (weighted
+        selectors). Zero-degree (and degraded) positions sample
+        themselves (AliGraph's self-loop fallback).
         """
         out = np.empty((flat.size, fanout), dtype=np.int64)
         if flat.size == 0:
@@ -226,60 +243,67 @@ class MultiHopSampler:
         zero = position_degrees == 0
         if zero.any():
             out[zero] = flat[zero, None]
-        nonzero = np.flatnonzero(~zero)
-        if nonzero.size == 0:
-            return out
         graph = self.store.graph
         use_weights = self._selector_takes_weights and graph.edge_attr is not None
         bucket_selector = get_bucket_selector(self.selector)
-        if bucket_selector is None:
-            # Unknown (custom) selector: apply it per position. The
-            # adjacency fetch is still amortized across the frontier.
-            for i in nonzero:
-                u = inverse[i]
-                neighbors = values[offsets[u] : offsets[u + 1]]
+        picker = get_ragged_picker(self.selector)
+        picked_positions, picked_index = [], []
+        stop = 0
+        for rng, size in streams:
+            start, stop = stop, stop + size
+            nonzero = start + np.flatnonzero(~zero[start:stop])
+            if nonzero.size == 0:
+                continue
+            if bucket_selector is None:
+                # Unknown (custom) selector: apply it per position. The
+                # adjacency fetch is still amortized across the frontier.
+                for i in nonzero:
+                    u = inverse[i]
+                    neighbors = values[offsets[u] : offsets[u + 1]]
+                    if use_weights:
+                        edge_start = int(graph.indptr[unique[u]])
+                        weights = graph.edge_attr[edge_start : edge_start + neighbors.size]
+                        out[i] = np.asarray(
+                            self.selector(neighbors, fanout, rng, weights=weights),
+                            dtype=np.int64,
+                        )
+                    else:
+                        out[i] = np.asarray(
+                            self.selector(neighbors, fanout, rng), dtype=np.int64
+                        )
+                continue
+            nonzero_degrees = position_degrees[nonzero]
+            order = np.argsort(nonzero_degrees, kind="stable")
+            sorted_positions = nonzero[order]
+            sorted_degrees = nonzero_degrees[order]
+            if picker is not None:
+                picks = picker(sorted_degrees, fanout, rng)
+                picked_positions.append(sorted_positions)
+                picked_index.append(offsets[inverse[sorted_positions], None] + picks)
+                continue
+            # Weighted selectors need a CDF per row: group positions by
+            # degree so each bucket is a dense (k, d) matrix.
+            boundaries = np.flatnonzero(np.diff(sorted_degrees)) + 1
+            for bucket in np.split(sorted_positions, boundaries):
+                d = int(position_degrees[bucket[0]])
+                u = inverse[bucket]
+                matrix = self.kernels.gather_rows(values, offsets[u], d)
                 if use_weights:
-                    start = int(graph.indptr[unique[u]])
-                    weights = graph.edge_attr[start : start + neighbors.size]
-                    out[i] = np.asarray(
-                        self.selector(neighbors, fanout, self.rng, weights=weights),
-                        dtype=np.int64,
+                    edge_starts = graph.indptr[unique[u]].astype(np.int64)
+                    weights = self.kernels.gather_rows(graph.edge_attr, edge_starts, d)
+                    out[bucket] = bucket_selector(
+                        matrix, fanout, rng, weights=weights, kernels=self.kernels
                     )
                 else:
-                    out[i] = np.asarray(
-                        self.selector(neighbors, fanout, self.rng), dtype=np.int64
+                    out[bucket] = bucket_selector(
+                        matrix, fanout, rng, kernels=self.kernels
                     )
-            return out
-        nonzero_degrees = position_degrees[nonzero]
-        order = np.argsort(nonzero_degrees, kind="stable")
-        sorted_positions = nonzero[order]
-        sorted_degrees = nonzero_degrees[order]
-        picker = get_ragged_picker(self.selector)
-        if picker is not None:
-            picks = picker(sorted_degrees, fanout, self.rng)
-            index = offsets[inverse[sorted_positions], None] + picks
-            out[sorted_positions] = self.kernels.take_picks(
+        if picked_positions:
+            positions = np.concatenate(picked_positions)
+            index = np.concatenate(picked_index)
+            out[positions] = self.kernels.take_picks(
                 values[None, :], index.reshape(1, -1)
             ).reshape(index.shape)
-            return out
-        # Weighted selectors need a CDF per row: group positions by
-        # degree so each bucket is a dense (k, d) matrix.
-        boundaries = np.flatnonzero(np.diff(sorted_degrees)) + 1
-        for bucket in np.split(sorted_positions, boundaries):
-            d = int(position_degrees[bucket[0]])
-            u = inverse[bucket]
-            starts = offsets[u]
-            matrix = self.kernels.gather_rows(values, starts, d)
-            if use_weights:
-                edge_starts = graph.indptr[unique[u]].astype(np.int64)
-                weights = self.kernels.gather_rows(graph.edge_attr, edge_starts, d)
-                out[bucket] = bucket_selector(
-                    matrix, fanout, self.rng, weights=weights, kernels=self.kernels
-                )
-            else:
-                out[bucket] = bucket_selector(
-                    matrix, fanout, self.rng, kernels=self.kernels
-                )
         return out
 
     def _neighbors_batch(self, unique: np.ndarray, counts: np.ndarray):

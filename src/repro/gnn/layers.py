@@ -190,10 +190,14 @@ class MaxPoolAggregator:
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         # Route gradient to the (first) argmax along the neighbor axis.
+        # ``is_max.argmax`` is a column's first True slot, or 0 in a
+        # column with none (its max is NaN); ANDing with ``is_max``
+        # keeps such columns gradient-free.
         neighbors, out = self.saved
         is_max = neighbors == np.expand_dims(out, axis=-2)
-        first_max = np.cumsum(is_max, axis=-2) == 1
-        mask = (is_max & first_max).astype(grad_out.dtype)
+        first = is_max.argmax(axis=-2)[..., None, :]
+        slots = np.arange(neighbors.shape[-2])[:, None]
+        mask = (is_max & (slots == first)).astype(grad_out.dtype)
         return mask * np.expand_dims(grad_out, axis=-2)
 
 

@@ -384,14 +384,16 @@ class PartitionedStore:
                     record = AccessRecord(kind, int(b), bool(loc))
                     self._trace.extend([record] * int(c))
 
-    def _record_gather(self, nodes: np.ndarray, entry_bytes: int) -> None:
+    def record_gather(self, nodes: np.ndarray, entry_bytes: int) -> None:
         """Account the contiguity of one batched gather (opt-in).
 
         ``nodes`` is the batch's distinct node set; ``entry_bytes`` is
         the per-node footprint in the array being gathered. Runs are
         maximal stretches of consecutive IDs; the span is the byte
         distance covering the whole batch. Both shrink as the layout
-        packs co-accessed nodes together.
+        packs co-accessed nodes together. Public for the sharded
+        engine, which records each shard's adjacency gathers here
+        because its shard workers expand several shards in one gather.
         """
         if not self.track_locality or nodes.size == 0:
             return
@@ -487,7 +489,7 @@ class PartitionedStore:
                 )
         starts, stops = self.graph.neighbor_slices(nodes)
         degrees = (stops - starts).astype(np.int64)
-        self._record_gather(nodes, self.offset_entry_bytes)
+        self.record_gather(nodes, self.offset_entry_bytes)
         locality = self._locality(nodes, from_partition)
         served = np.ones(nodes.shape, dtype=bool)
         recorded = counts.copy()
@@ -574,7 +576,7 @@ class PartitionedStore:
                 raise ConfigurationError(
                     f"counts shape {counts.shape} != nodes shape {nodes.shape}"
                 )
-        self._record_gather(nodes, self.graph.attr_len * 4)
+        self.record_gather(nodes, self.graph.attr_len * 4)
         locality = self._locality(nodes, from_partition)
         row_bytes = self.graph.attr_len * 4
         served = np.ones(nodes.shape, dtype=bool)

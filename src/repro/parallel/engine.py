@@ -4,12 +4,15 @@
 MultiHopSampler` — inherited root mapping, attribute gather, negative
 sampling, cache and ``store`` accounting — that replaces one step, hop
 expansion, by fanning every micro-batch out across shards: the
-partitioner splits the roots by owning partition, each shard slice
-becomes a :class:`~repro.parallel.worker.ShardTask` executed by a
-persistent worker process (or in-process at ``workers=0``), hop layers
-come back through zero-copy arenas, and the coordinator merges them,
-absorbs each shard's access delta, and finishes the result the way the
-base class does.
+partitioner splits the roots by owning partition and each shard slice
+becomes a :class:`~repro.parallel.worker.ShardTask` with its own RNG
+stream. All tasks one process holds run as one vectorized expansion:
+in-process at ``workers=0``, else on persistent worker processes that
+each get one message per micro-batch (the shards placed on it by
+``shard % workers``) over their own pipe and send one reply. Hop
+layers come back through zero-copy arenas; the coordinator merges
+them, absorbs each reply's access delta, records each shard's gather
+contiguity, and finishes the result the way the base class does.
 
 This is the software analogue of the paper's AxE outstanding-request
 pipeline: ``submit``/``collect`` decouple issuing a micro-batch from
@@ -27,9 +30,9 @@ same shard tasks inline.
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_mod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from multiprocessing.connection import Connection, wait
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -50,8 +53,10 @@ from repro.parallel.worker import (
     worker_main,
 )
 
-#: How long one poll of the done queue blocks before re-checking that
-#: every worker is still alive (guards against hanging on a dead pool).
+#: How long one wait on the worker pipes blocks before re-checking that
+#: every worker is still alive. A worker that dies closes its pipe, so
+#: the wait returns at once with EOF; the poll guards a live but stuck
+#: pool.
 DONE_POLL_S = 1.0
 #: Consecutive empty polls tolerated before declaring the pool wedged.
 MAX_IDLE_POLLS = 120
@@ -72,12 +77,19 @@ class _Pending:
     #: batch's own collect/discard once every shard has reported.
     error: Optional[str] = None
 
+    def fail(self, shards: Iterable[int], error: str) -> None:
+        """Count ``shards`` as complete but failed with ``error``."""
+        self.remaining.difference_update(shards)
+        if self.error is None:
+            self.error = error
+
 
 class ParallelSampler(MultiHopSampler):
     """A :class:`MultiHopSampler` whose hop expansion runs on shard workers:
-    ``submit`` dispatches the inherited ``_internal_roots`` shard by
-    shard, ``collect`` merges the hop layers and ends in the inherited
-    ``_finish_result``; everything else is the base class's.
+    ``submit`` splits the inherited ``_internal_roots`` into shard tasks
+    and dispatches them (one message per worker), ``collect`` merges the
+    hop layers and ends in the inherited ``_finish_result``; everything
+    else is the base class's.
 
     Parameters
     ----------
@@ -91,7 +103,8 @@ class ParallelSampler(MultiHopSampler):
     workers:
         Worker process count. ``0`` executes the identical shard tasks
         inline (no processes, no shared memory) — the determinism
-        reference for any ``workers >= 1`` run.
+        reference for any ``workers >= 1`` run. Shard ``s`` runs on
+        worker ``s % workers``.
     seed:
         Root entropy for the per-(shard, batch) RNG streams.
     sampling_method:
@@ -153,8 +166,8 @@ class ParallelSampler(MultiHopSampler):
         self._plane: Optional[GraphPlane] = None
         self._arenas: List[SharedBlock] = []
         self._procs: List[multiprocessing.process.BaseProcess] = []
-        self._tasks = None
-        self._done = None
+        #: Coordinator end of each worker's duplex pipe, by worker index.
+        self._conns: List[Connection] = []
         self._shard_region_bytes = 0
         self._closed = False
 
@@ -204,43 +217,46 @@ class ParallelSampler(MultiHopSampler):
             for _ in range(self.slots)
         ]
         ctx = self._mp_context()
-        self._tasks = ctx.Queue()
-        self._done = ctx.Queue()
         config = WorkerConfig(
             graph=self._plane.handle,
             arenas=tuple(a.handle for a in self._arenas),
             shard_region_bytes=region_bytes,
             partitioner=self.store.partitioner,
-            track_locality=self.store.track_locality,
             seed=self.seed,
             sampling_method=self.sampling_method,
             worker_partition=self.worker_partition,
         )
-        self._procs = [
-            ctx.Process(
+        for i in range(self.workers):
+            conn, child = ctx.Pipe()
+            proc = ctx.Process(
                 target=worker_main,
-                args=(config, self._tasks, self._done),
+                args=(config, child),
                 daemon=True,
                 name=f"repro-shard-worker-{i}",
             )
-            for i in range(self.workers)
-        ]
-        for proc in self._procs:
             proc.start()
+            # Closed before the next fork, so the worker holds the only
+            # child end: its death reads as EOF on ``conn``.
+            child.close()
+            self._procs.append(proc)
+            self._conns.append(conn)
 
     def _stop_pool(self) -> None:
-        if self._procs:
-            for _ in self._procs:
-                self._tasks.put(None)
-            for proc in self._procs:
-                proc.join(timeout=10)
-            for proc in self._procs:
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=5)
+        for conn in self._conns:
+            try:
+                conn.send(None)
+            except OSError:
+                pass  # that worker is already gone; join reaps it
+        for proc in self._procs:
+            proc.join(timeout=10)
+        for proc in self._procs:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=5)
+        for conn in self._conns:
+            conn.close()
         self._procs = []
-        self._tasks = None
-        self._done = None
+        self._conns = []
         for arena in self._arenas:
             arena.close()
             arena.unlink()
@@ -281,7 +297,8 @@ class ParallelSampler(MultiHopSampler):
 
         At most ``slots`` micro-batches may be un-merged at once; a
         submit that would reuse a busy arena slot blocks until that
-        slot's shards finish.
+        slot's shards finish. A worker found gone fails its shards of
+        this batch, raised by the batch's own collect/discard.
         """
         if self._closed:
             raise ParallelExecutionError("engine is closed")
@@ -316,37 +333,62 @@ class ParallelSampler(MultiHopSampler):
             layers=layers,
         )
         self._pending[seq] = entry
-        for shard in sorted(members):
-            task = ShardTask(
+        tasks = [
+            ShardTask(
                 seq=seq,
                 shard=shard,
                 slot=slot,
                 roots=roots[members[shard]],
                 fanouts=tuple(request.fanouts),
             )
-            if self.workers == 0:
-                self._run_inline(task, entry)
-            else:
-                self._tasks.put(task)
+            for shard in sorted(members)
+        ]
+        if self.workers == 0:
+            self._run_inline(tasks, entry)
+            return seq
+        for worker, conn in enumerate(self._conns):
+            mine = tuple(t for t in tasks if t.shard % self.workers == worker)
+            if not mine:
+                continue
+            try:
+                conn.send(mine)
+            except OSError as exc:
+                entry.fail(
+                    (t.shard for t in mine),
+                    f"shard worker {self._procs[worker].name} is gone: {exc!r}",
+                )
         return seq
 
-    def _run_inline(self, task: ShardTask, entry: _Pending) -> None:
+    def _run_inline(self, tasks: List[ShardTask], entry: _Pending) -> None:
         try:
-            layers, summary = self._inline.run_shard(
-                task, self.seed, self.worker_partition
+            layers, summary = self._inline.run_shards(
+                tasks, self.seed, self.worker_partition
             )
         except Exception as exc:
-            # Nothing else of this batch is in flight (inline shards run
-            # one by one), so dropping the entry frees its slot.
-            del self._pending[task.seq]
+            # Nothing else of this batch is in flight, so dropping the
+            # entry frees its slot.
+            del self._pending[tasks[0].seq]
             raise ParallelExecutionError(
-                f"shard {task.shard} of micro-batch {task.seq} failed: {exc}"
+                f"shards {[t.shard for t in tasks]} of micro-batch "
+                f"{tasks[0].seq} failed: {exc}"
             ) from exc
-        rows = entry.members[task.shard]
+        for task, task_layers in zip(tasks, layers):
+            self._merge(entry, task.shard, task_layers)
+        self.store.absorb_summary(summary)
+
+    def _merge(self, entry: _Pending, shard: int, layers: List[np.ndarray]) -> None:
+        """Scatter one shard's hop layers into its rows of the batch and
+        record the contiguity of the adjacency gather of each of its
+        expanded layers (the shadow stores do not track it)."""
+        rows = entry.members[shard]
         for hop, layer in enumerate(layers, start=1):
             entry.layers[hop][rows] = layer
-        self.store.absorb_summary(summary)
-        entry.remaining.discard(task.shard)
+        if self.store.track_locality:
+            for layer in entry.layers[:-1]:
+                self.store.record_gather(
+                    np.unique(layer[rows]), self.store.offset_entry_bytes
+                )
+        entry.remaining.discard(shard)
 
     # ------------------------------------------------------------ collection
     def _check_alive(self) -> None:
@@ -357,47 +399,55 @@ class ParallelSampler(MultiHopSampler):
             )
 
     def _pump(self) -> None:
-        """Block for one ShardDone message and merge it into its batch.
+        """Block for worker replies and merge each into its batch.
 
-        A shard failure is recorded on the batch and counts as that
-        shard's completion; :meth:`_finish` raises it once the batch's
-        other shards have reported, so no completion is left behind.
+        A failure reply is recorded on the batch and counts as its
+        shards' completion; :meth:`_finish` raises it once the batch's
+        other shards have reported, so no completion is left behind. A
+        worker that died (EOF or a reset on its pipe) raises here.
         """
         idle = 0
         while True:
-            try:
-                msg: ShardDone = self._done.get(timeout=DONE_POLL_S)
+            ready = wait(self._conns, timeout=DONE_POLL_S)
+            if ready:
                 break
-            except queue_mod.Empty:
-                self._check_alive()
-                idle += 1
-                if idle >= MAX_IDLE_POLLS:
-                    raise ParallelExecutionError(
-                        "timed out waiting for shard workers"
-                    )
+            self._check_alive()
+            idle += 1
+            if idle >= MAX_IDLE_POLLS:
+                raise ParallelExecutionError("timed out waiting for shard workers")
+        for conn in ready:
+            try:
+                msg: ShardDone = conn.recv()
+            except (EOFError, OSError) as exc:
+                name = self._procs[self._conns.index(conn)].name
+                raise ParallelExecutionError(
+                    f"shard worker {name} died unexpectedly"
+                ) from exc
+            self._receive(msg)
+
+    def _receive(self, msg: ShardDone) -> None:
         entry = self._pending.get(msg.seq)
-        if entry is None or msg.shard not in entry.remaining:
+        if entry is None or not entry.remaining.issuperset(msg.shards):
             raise ParallelExecutionError(
                 f"unexpected completion for micro-batch {msg.seq}, "
-                f"shard {msg.shard}"
+                f"shards {list(msg.shards)}"
             )
-        entry.remaining.discard(msg.shard)
         if msg.error is not None:
-            if entry.error is None:
-                entry.error = (
-                    f"shard {msg.shard} of micro-batch {msg.seq} "
-                    f"failed:\n{msg.error}"
-                )
+            entry.fail(
+                msg.shards,
+                f"shards {list(msg.shards)} of micro-batch {msg.seq} "
+                f"failed:\n{msg.error}",
+            )
             return
-        rows = entry.members[msg.shard]
-        views = read_layers(
-            self._arenas[entry.slot].buf,
-            msg.shard * self._shard_region_bytes,
-            msg.count,
-            tuple(entry.request.fanouts),
-        )
-        for hop, view in enumerate(views, start=1):
-            entry.layers[hop][rows] = view
+        buf = self._arenas[entry.slot].buf
+        for shard in msg.shards:
+            views = read_layers(
+                buf,
+                shard * self._shard_region_bytes,
+                entry.members[shard].size,
+                tuple(entry.request.fanouts),
+            )
+            self._merge(entry, shard, views)
         self.store.absorb_summary(msg.summary)
 
     def _finish(self, seq: int) -> _Pending:
@@ -422,9 +472,10 @@ class ParallelSampler(MultiHopSampler):
         """Merge micro-batch ``seq``: hop layers + attribute gather."""
         entry = self._finish(seq)
         # One pinned snapshot for the whole gather: on a mutable store
-        # the per-layer batches must not straddle epochs. The shards
-        # deduplicated only their own slices, so the merged layers
-        # carry no dedup triples into the base sampler's gather.
+        # the per-layer batches must not straddle epochs. The shard
+        # expansions deduplicated their layers in shard order, not in
+        # this batch's row order, so the merged layers carry no dedup
+        # triples into the base sampler's gather.
         with self.store.read_view():
             return self._finish_result(
                 entry.request, entry.layers, [None] * len(entry.layers)

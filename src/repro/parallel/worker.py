@@ -2,10 +2,12 @@
 
 Each worker attaches to the shard plane (zero-copy graph views), builds
 its own :class:`~repro.memstore.store.PartitionedStore` over the shared
-arrays, and executes :class:`ShardTask` messages: sample the hop layers
-for one shard's slice of a micro-batch, write them straight into the
-micro-batch's result arena, and report the shard-local
-:class:`~repro.memstore.store.AccessSummary` back to the coordinator.
+arrays, and executes one message per micro-batch: the
+:class:`ShardTask` s of that batch placed on it. It samples them as one
+hop expansion (one RNG stream per task), writes each task's hop layers
+straight into its region of the micro-batch's result arena, and replies
+with one :class:`ShardDone` carrying the message's
+:class:`~repro.memstore.store.AccessSummary`.
 
 Determinism contract
 --------------------
@@ -13,24 +15,26 @@ The RNG stream for a task depends only on ``(seed, shard, seq)`` —
 :func:`shard_seed` derives an independent ``SeedSequence`` per (shard,
 micro-batch) pair — and shard membership depends only on the
 partitioner. Neither depends on worker count, task-to-worker placement,
-or completion order, so the merged result is bit-identical whether the
-tasks run in-process, on one worker, or on eight.
+or completion order, and a stream draws the same values whether its
+task is expanded alone or beside others, so the merged result is
+bit-identical whether the tasks run in-process, on one worker, or on
+eight.
 """
 
 from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.framework.requests import SampleRequest, nodes_per_root
+from repro.framework.requests import nodes_per_root
 from repro.framework.sampler import MultiHopSampler
 from repro.framework.selectors import get_selector
 from repro.graph.partition import Partitioner
 from repro.memstore.store import AccessSummary, PartitionedStore
-from repro.parallel.shm import BlockHandle, GraphHandle, attach_graph
+from repro.parallel.shm import AttachedBlock, BlockHandle, GraphHandle, attach_graph
 
 
 def shard_seed(seed: int, shard: int, seq: int) -> np.random.SeedSequence:
@@ -48,8 +52,8 @@ def shard_seed(seed: int, shard: int, seq: int) -> np.random.SeedSequence:
 class WorkerConfig:
     """Everything a worker needs to reconstruct its sampling stack.
 
-    The partitioner and the locality-tracking flag are shipped verbatim
-    so the worker's shadow store attributes every access exactly as the
+    The partitioner is shipped verbatim so the worker's shadow store
+    attributes every access local or remote exactly as the
     coordinator's store would have.
     """
 
@@ -57,7 +61,6 @@ class WorkerConfig:
     arenas: Tuple[BlockHandle, ...]
     shard_region_bytes: int
     partitioner: Partitioner
-    track_locality: bool
     seed: int
     sampling_method: str
     worker_partition: Optional[int]
@@ -76,11 +79,11 @@ class ShardTask:
 
 @dataclass(frozen=True)
 class ShardDone:
-    """Completion report for one :class:`ShardTask`."""
+    """Reply to one worker message: the shards of micro-batch ``seq``
+    it carried, with their merged access delta or the failure."""
 
     seq: int
-    shard: int
-    count: int
+    shards: Tuple[int, ...]
     summary: Optional[AccessSummary]
     error: Optional[str]
 
@@ -135,7 +138,10 @@ class ShardRuntime:
     """The per-process sampling stack: attached graph, store, sampler.
 
     Used by worker processes *and* by the coordinator's in-process
-    fallback (``workers=0``), so both run byte-identical code.
+    fallback (``workers=0``), so both run byte-identical code. The
+    shadow store never tracks locality: gather contiguity depends on
+    which shards share an expansion, so the coordinator records it per
+    shard instead.
     """
 
     def __init__(self, store: PartitionedStore, sampler: MultiHopSampler) -> None:
@@ -151,20 +157,14 @@ class ShardRuntime:
         shard-summary path as process workers. Shard tasks run in store
         IDs, so the shadow carries no relabeling.
         """
-        shadow = PartitionedStore(
-            store.graph, store.partitioner, track_locality=store.track_locality
-        )
+        shadow = PartitionedStore(store.graph, store.partitioner)
         sampler = MultiHopSampler(shadow, selector=get_selector(sampling_method))
         return cls(shadow, sampler)
 
     @classmethod
     def from_config(cls, config: WorkerConfig) -> "ShardRuntime":
         attached = attach_graph(config.graph)
-        store = PartitionedStore(
-            attached.graph,
-            config.partitioner,
-            track_locality=config.track_locality,
-        )
+        store = PartitionedStore(attached.graph, config.partitioner)
         sampler = MultiHopSampler(store, selector=get_selector(config.sampling_method))
         runtime = cls(store, sampler)
         runtime._attached = attached  # keep the mapping alive
@@ -175,58 +175,72 @@ class ShardRuntime:
         if attached is not None:
             attached.close()
 
-    def run_shard(
-        self, task: ShardTask, seed: int, worker_partition: Optional[int]
-    ) -> Tuple[List[np.ndarray], AccessSummary]:
-        """Sample one shard task; return hop layers and the access delta."""
-        self.sampler.rng = np.random.default_rng(
-            shard_seed(seed, task.shard, task.seq)
-        )
+    def run_shards(
+        self,
+        tasks: Sequence[ShardTask],
+        seed: int,
+        worker_partition: Optional[int],
+    ) -> Tuple[List[List[np.ndarray]], AccessSummary]:
+        """Sample the tasks of one micro-batch as one hop expansion.
+
+        The roots are concatenated in task order with one RNG stream
+        per task, so each task draws exactly what it would expanded
+        alone. Returns each task's hop layers (views into the shared
+        expansion) and the access delta of the whole expansion.
+        """
         self.sampler.worker_partition = worker_partition
         self.store.reset_trace()
-        request = SampleRequest(
-            roots=task.roots, fanouts=task.fanouts, with_attributes=False
-        )
-        result = self.sampler.sample(request)
-        return result.layers[1:], self.store.summary
+        roots = np.concatenate([task.roots for task in tasks])
+        streams = [
+            (np.random.default_rng(shard_seed(seed, task.shard, task.seq)), task.roots.size)
+            for task in tasks
+        ]
+        layers, _dedups = self.sampler._expand(roots, tasks[0].fanouts, streams)
+        bounds = np.cumsum([0] + [task.roots.size for task in tasks])
+        per_task = [
+            [layer[start:stop] for layer in layers[1:]]
+            for start, stop in zip(bounds[:-1], bounds[1:])
+        ]
+        return per_task, self.store.summary
 
 
-def worker_main(config: WorkerConfig, tasks, done) -> None:
-    """Worker process entry point: drain tasks until the ``None`` sentinel.
+def worker_main(config: WorkerConfig, conn) -> None:
+    """Worker process entry point: serve messages until ``None`` or EOF.
 
-    Every task failure is reported through the done queue (never
-    swallowed); the coordinator converts it into a
+    One message is the tuple of :class:`ShardTask` s of one micro-batch
+    placed on this worker; it gets exactly one :class:`ShardDone` back.
+    Every task failure is reported in that reply (never swallowed); the
+    coordinator converts it into a
     :class:`~repro.errors.ParallelExecutionError`.
     """
     runtime = ShardRuntime.from_config(config)
-    from repro.parallel.shm import AttachedBlock
-
     arenas = [AttachedBlock(handle) for handle in config.arenas]
     try:
         while True:
-            task = tasks.get()
-            if task is None:
-                break
             try:
-                layers, summary = runtime.run_shard(
-                    task, config.seed, config.worker_partition
+                tasks = conn.recv()
+            except (EOFError, OSError):
+                break  # the coordinator is gone
+            if tasks is None:
+                break
+            seq = tasks[0].seq
+            shards = tuple(task.shard for task in tasks)
+            try:
+                layers, summary = runtime.run_shards(
+                    tasks, config.seed, config.worker_partition
                 )
-                offset = task.shard * config.shard_region_bytes
-                write_layers(arenas[task.slot].buf, offset, layers)
-                done.put(
-                    ShardDone(task.seq, task.shard, task.roots.size, summary, None)
-                )
+                for task, task_layers in zip(tasks, layers):
+                    offset = task.shard * config.shard_region_bytes
+                    write_layers(arenas[task.slot].buf, offset, task_layers)
+                reply = ShardDone(seq, shards, summary, None)
             except Exception:  # noqa: BLE001 - reported to the coordinator
-                done.put(
-                    ShardDone(
-                        task.seq,
-                        task.shard,
-                        task.roots.size,
-                        None,
-                        traceback.format_exc(),
-                    )
-                )
+                reply = ShardDone(seq, shards, None, traceback.format_exc())
+            try:
+                conn.send(reply)
+            except OSError:
+                break  # the coordinator is gone
     finally:
         for arena in arenas:
             arena.close()
         runtime.close()
+        conn.close()

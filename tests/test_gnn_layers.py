@@ -135,6 +135,29 @@ class TestAggregators:
         grad = agg.backward(np.array([[[1.0]]]))
         assert grad.reshape(-1).tolist() == [1.0, 0.0]
 
+    @pytest.mark.parametrize("kind", ["relu_zeros", "signed_zeros", "nan"])
+    def test_max_backward_bytes_match_cumsum_mask(self, kind):
+        """The argmax mask is the first-max mask byte for byte, on the
+        inputs where the two could part: ReLU-zero ties, -0.0 beside
+        +0.0, and NaN (no slot equals a NaN max: no gradient)."""
+        rng = np.random.default_rng(3)
+        shape = (5, 3, 4, 6)
+        x = rng.standard_normal(shape).astype(np.float32)
+        if kind == "relu_zeros":
+            x = np.maximum(x, 0.0)
+        elif kind == "signed_zeros":
+            x = np.where(rng.random(shape) < 0.5, -0.0, 0.0).astype(np.float32)
+            x[rng.random(shape) < 0.2] = 1.0
+        else:
+            x[rng.random(shape) < 0.2] = np.nan
+        grad_out = rng.standard_normal((5, 3, 6)).astype(np.float32)
+        agg = MaxPoolAggregator()
+        out = agg.forward(x)
+        is_max = x == out[..., None, :]
+        first_max = np.cumsum(is_max, axis=-2) == 1
+        want = (is_max & first_max).astype(np.float32) * grad_out[..., None, :]
+        assert agg.backward(grad_out).tobytes() == want.tobytes()
+
 
 class TestSageLayer:
     def test_forward_shape(self):

@@ -7,7 +7,12 @@ bit-identical at every worker count — ``workers=0`` (inline) is the
 reference the process pools are compared against.
 """
 
+import dataclasses
+import hashlib
 import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,19 +25,22 @@ from repro.errors import (
 from repro.framework.replay import replay_reference
 from repro.framework.requests import NegativeSampleRequest, SampleRequest
 from repro.framework.sampler import MultiHopSampler
+from repro.framework.selectors import SELECTORS
+from repro.graph.csr import CSRGraph
 from repro.graph.datasets import instantiate_dataset
 from repro.graph.partition import HashPartitioner, RangePartitioner
 from repro.memstore.faults import FaultInjector, ReliableReadPath
 from repro.memstore.replication import ReplicaPlacement
 from repro.memstore.retry import RetryPolicy
-from repro.memstore.store import PartitionedStore
+from repro.memstore.store import AccessSummary, PartitionedStore
 from repro.parallel import (
     ParallelSampler,
     PipelinedExecutor,
     micro_batches,
     shard_seed,
 )
-from repro.parallel.worker import ShardRuntime
+from repro.parallel.engine import DONE_POLL_S
+from repro.parallel.worker import ShardRuntime, ShardTask
 
 NUM_NODES = 600
 FANOUTS = (4, 3)
@@ -180,6 +188,143 @@ class TestDeterminism:
         assert len(result.layers) == len(FANOUTS) + 1
 
 
+def stream_graph():
+    """Degrees 0..11 plus a few hubs, with edge weights: isolated,
+    below-fanout and weighted rows all occur."""
+    rng = np.random.default_rng(21)
+    num_nodes = 800
+    degrees = rng.integers(0, 12, size=num_nodes)
+    degrees[rng.integers(0, num_nodes, size=16)] = rng.integers(30, 90, size=16)
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    return CSRGraph(
+        indptr=indptr,
+        indices=rng.integers(0, num_nodes, size=int(indptr[-1])),
+        node_attr=rng.random((num_nodes, 3)).astype(np.float32),
+        edge_attr=rng.random(int(indptr[-1])).astype(np.float32),
+    )
+
+
+def select_custom(neighbors, fanout, rng, weights=None):
+    """A weighted selector the batched sampler has no bucket variant
+    for: it runs per position."""
+    weights = np.asarray(weights, dtype=np.float64)
+    return neighbors[
+        rng.choice(neighbors.size, size=fanout, p=weights / weights.sum())
+    ]
+
+
+def run_shard_oracle(store, selector, task, seed, worker_partition):
+    """One shard task sampled on its own, the way each shard ran before
+    a process expanded all of its shards in one pass."""
+    shadow = PartitionedStore(store.graph, store.partitioner)
+    sampler = MultiHopSampler(
+        shadow, selector=selector, worker_partition=worker_partition
+    )
+    sampler.rng = np.random.default_rng(shard_seed(seed, task.shard, task.seq))
+    result = sampler.sample(
+        SampleRequest(roots=task.roots, fanouts=task.fanouts, with_attributes=False)
+    )
+    return result.layers[1:], shadow.summary
+
+
+def sharded_layers_digest(selector_name):
+    """SHA-256 over every layer of three workers=0 requests (1-3 hops)
+    plus the coordinator's locality-tracked summary."""
+    graph = stream_graph()
+    rng = np.random.default_rng(22)
+    store = PartitionedStore(graph, HashPartitioner(4), track_locality=True)
+    digest = hashlib.sha256()
+    with ParallelSampler(
+        store,
+        workers=0,
+        seed=13,
+        sampling_method=selector_name,
+        worker_partition=0,
+    ) as engine:
+        for fanouts in ((6,), (6, 5), (3, 2, 2)):
+            roots = rng.integers(0, graph.num_nodes, size=64)
+            result = engine.sample(SampleRequest(roots=roots, fanouts=fanouts))
+            for layer in result.layers:
+                digest.update(np.ascontiguousarray(layer, dtype=np.int64).tobytes())
+    digest.update(repr(dataclasses.astuple(store.summary)).encode())
+    return digest.hexdigest()
+
+
+#: ``sharded_layers_digest`` recorded while every shard still ran as
+#: its own ``MultiHopSampler.sample`` call: the one-pass expansion must
+#: draw the same streams and charge the same accounting.
+SHARDED_LAYER_DIGESTS = {
+    "streaming": "7dfcbc962c9fae6d60e2b5287f145a4040eccff4b1df5d73941b06de00393930",
+    "streaming_weighted": "0d7abe6c4ccd292b0cd30465082d91a6c071a0abc471a80763aabcdb8a5d5eeb",
+    "uniform": "82a852be5c04bee649d5220a6a35712ccae75f7787e2f119a4b2714c18cc48d1",
+    "weighted": "a833c75339a417a9af408827134cac427dd5f2eb913839e86fe31793cac3e5d4",
+}
+
+
+class TestOnePassShards:
+    """``run_shards`` expands a process's shards in one pass; each
+    task's layers and the summed accounting equal per-task calls."""
+
+    @pytest.mark.parametrize("fanouts", [(5,), (4, 3), (3, 2, 2)])
+    @pytest.mark.parametrize("selector", sorted(SELECTORS) + ["custom"])
+    def test_equals_per_task_calls(self, selector, fanouts):
+        graph = stream_graph()
+        store = PartitionedStore(graph, HashPartitioner(4))
+        selector = select_custom if selector == "custom" else SELECTORS[selector]
+        degrees = np.diff(graph.indptr)
+        isolated = int(np.flatnonzero(degrees == 0)[0])
+        hub = int(np.argmax(degrees))
+        rng = np.random.default_rng(4)
+        task_roots = [
+            rng.integers(0, graph.num_nodes, size=20),
+            np.array([hub]),
+            np.array([isolated, isolated, hub, 7, 7]),
+            rng.integers(0, graph.num_nodes, size=9),
+        ]
+        tasks = [
+            ShardTask(seq=5, shard=shard, slot=0, roots=roots, fanouts=fanouts)
+            for shard, roots in enumerate(task_roots)
+        ]
+        shadow = PartitionedStore(graph, store.partitioner)
+        runtime = ShardRuntime(shadow, MultiHopSampler(shadow, selector=selector))
+        layers, summary = runtime.run_shards(tasks, seed=11, worker_partition=0)
+
+        expected = AccessSummary()
+        for task, got in zip(tasks, layers):
+            want, task_summary = run_shard_oracle(store, selector, task, 11, 0)
+            assert len(got) == len(want) == len(fanouts)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+            expected.add(task_summary)
+        assert summary == expected
+
+    @pytest.mark.parametrize("selector_name", sorted(SELECTORS))
+    def test_layers_digest_pinned(self, selector_name):
+        assert sharded_layers_digest(selector_name) == SHARDED_LAYER_DIGESTS[selector_name]
+
+    def test_one_neighbors_batch_per_hop(self):
+        """A workers=0 micro-batch over every shard gathers adjacency
+        once per hop, not once per shard per hop."""
+        graph = make_graph()
+        request = make_request(graph)
+        calls = []
+        with ParallelSampler(make_store(graph), workers=0, seed=3) as engine:
+            engine.reserve(request.roots.size, FANOUTS)
+            shadow = engine._inline.store
+            inner = shadow.get_neighbors_batch
+
+            def counted(*args, **kwargs):
+                calls.append(len(args[0]))
+                return inner(*args, **kwargs)
+
+            shadow.get_neighbors_batch = counted
+            engine.sample(request)
+            owners = engine.store.partitioner.partition_of(request.roots)
+        assert np.unique(owners).size == engine.num_shards
+        assert len(calls) == len(FANOUTS)
+
+
 class TestPipeline:
     def test_depth_validation(self):
         engine = ParallelSampler(make_store(make_graph()), slots=2)
@@ -289,19 +434,20 @@ class TestErrorPaths:
 
 
 def fail_shard(monkeypatch, seq: int, shard: int):
-    """Make ``run_shard`` raise for one (seq, shard) task.
+    """Make ``run_shards`` raise when the (seq, shard) task is among its
+    tasks.
 
     Patched on the class before the pool starts, so forked shard
     workers inherit it.
     """
-    real = ShardRuntime.run_shard
+    real = ShardRuntime.run_shards
 
-    def run_shard(self, task, seed, worker_partition):
-        if (task.seq, task.shard) == (seq, shard):
+    def run_shards(self, tasks, seed, worker_partition):
+        if (seq, shard) in [(task.seq, task.shard) for task in tasks]:
             raise RuntimeError("injected shard failure")
-        return real(self, task, seed, worker_partition)
+        return real(self, tasks, seed, worker_partition)
 
-    monkeypatch.setattr(ShardRuntime, "run_shard", run_shard)
+    monkeypatch.setattr(ShardRuntime, "run_shards", run_shards)
 
 
 def segment_paths(engine):
@@ -344,8 +490,8 @@ class TestShardFailure:
         assert not [path for path in segments if os.path.exists(path)]
 
     def test_failure_is_raised_by_its_own_batch(self, monkeypatch):
-        """collect(1) reads seq 0's failure off the done queue while it
-        waits; that is seq 0's error to raise, not seq 1's."""
+        """collect(1) reads seq 0's failure off the worker's pipe while
+        it waits; that is seq 0's error to raise, not seq 1's."""
         graph = make_graph()
         fail_shard(monkeypatch, seq=0, shard=1)
         with ParallelSampler(
@@ -378,6 +524,61 @@ class TestShardFailure:
             assert not trainer.engine._pending
             assert not trainer.executor._in_flight
             assert np.isfinite(trainer.train_epoch(roots))
+
+
+def stall_batch(monkeypatch, seq: int):
+    """Make ``run_shards`` hang on micro-batch ``seq`` until killed."""
+    real = ShardRuntime.run_shards
+
+    def run_shards(self, tasks, seed, worker_partition):
+        if tasks[0].seq == seq:
+            time.sleep(60)
+        return real(self, tasks, seed, worker_partition)
+
+    monkeypatch.setattr(ShardRuntime, "run_shards", run_shards)
+
+
+class TestDeadWorker:
+    """A dead worker surfaces as ``ParallelExecutionError`` — never as a
+    ``BrokenPipeError`` or ``EOFError`` — and ``close()`` still frees
+    every shared segment."""
+
+    def test_killed_between_batches(self):
+        graph = make_graph()
+        with ParallelSampler(make_store(graph), workers=2, seed=3) as engine:
+            engine.sample(make_request(graph))
+            victim = engine._procs[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5)
+            assert not victim.is_alive()
+            for seed in (9, 10):
+                with pytest.raises(ParallelExecutionError):
+                    engine.collect(engine.submit(make_request(graph, seed=seed)))
+            segments = segment_paths(engine)
+        assert len(segments) == 3
+        assert not [path for path in segments if os.path.exists(path)]
+
+    def test_killed_while_collect_waits(self, monkeypatch):
+        """The dead worker's pipe reads EOF at once: no waiting out a
+        liveness poll."""
+        stall_batch(monkeypatch, seq=1)
+        graph = make_graph()
+        with ParallelSampler(make_store(graph), workers=1, seed=3) as engine:
+            engine.sample(make_request(graph))
+            seq = engine.submit(make_request(graph, seed=9))
+            killer = threading.Timer(
+                0.2, os.kill, (engine._procs[0].pid, signal.SIGKILL)
+            )
+            start = time.monotonic()
+            killer.start()
+            try:
+                with pytest.raises(ParallelExecutionError, match="died"):
+                    engine.collect(seq)
+            finally:
+                killer.join(timeout=5)
+            assert time.monotonic() - start < DONE_POLL_S
+            segments = segment_paths(engine)
+        assert not [path for path in segments if os.path.exists(path)]
 
 
 class TestGnnSessionIntegration:
