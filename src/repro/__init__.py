@@ -19,8 +19,8 @@ axe
     The Access Engine: event-driven simulation of the FIFO-pipelined,
     out-of-order, streaming-sampling accelerator.
 mof
-    Memory-over-Fabric: frame packing, BDI compression, fabric links,
-    and the reliability protocol.
+    Memory-over-Fabric: frame packing, BDI compression, fabric links
+    and topologies.
 riscv
     RV32I control core with the QRCH coprocessor-hub ISA extension and
     an MMIO baseline.

@@ -3,11 +3,11 @@
 One :func:`build_project` call turns a set of parsed source files into
 a :class:`ProjectGraph`:
 
-* **Module identity** is the *module path* (``repro/parallel/shm.py``),
+* **Module identity** is the *module path* (``repro/parallel/worker.py``),
   derived from the file path or overridden by a ``# repro-module:``
   marker — the same identity the file rules see, so fixture mini-projects
   can impersonate real modules. Imports resolve against the dotted form
-  of that identity (``repro.parallel.shm``), which is how multi-file
+  of that identity (``repro.parallel.worker``), which is how multi-file
   fixtures import each other through canonical ``repro.*`` paths.
 * **Symbols**: top-level functions, classes (with methods and a
   ``self.*`` attribute-origin table harvested from method bodies), and

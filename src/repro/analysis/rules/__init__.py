@@ -184,5 +184,4 @@ def _load_builtin_rules() -> None:
         counters,
         pins,
         rng,
-        shm,
     )

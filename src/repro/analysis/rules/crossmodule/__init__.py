@@ -1,13 +1,10 @@
 """Whole-program rules: contracts no single file can witness.
 
-The four rules in this package consume the
+The three rules in this package consume the
 :class:`~repro.analysis.project.graph.ProjectGraph` every ``repro lint``
 run builds and check the cross-cutting contracts the paper's
 architecture depends on:
 
-``shm-view-write``
-    Arrays reached from the shared-memory graph planes stay read-only
-    outside the plane module (:mod:`repro.parallel.shm`).
 ``pin-discipline``
     Store reads reached from sampler entry points happen under a
     pinned ``read_view()`` snapshot.

@@ -218,7 +218,7 @@ class GnnSession:
 
     # --------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Release session resources (shard workers, plane, arenas)."""
+        """Release session resources (the shard worker processes)."""
         self.sampler.close()
 
     def __enter__(self) -> "GnnSession":

@@ -36,7 +36,7 @@ class SimulationError(ReproError):
 
 
 class ProtocolError(ReproError):
-    """A MoF frame or protocol exchange violated the wire format."""
+    """A MoF frame or compressed block violated the wire format."""
 
 
 class DecodeError(ReproError):

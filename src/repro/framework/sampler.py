@@ -105,9 +105,6 @@ class MultiHopSampler:
     store carries a locality-layout relabeling).
     """
 
-    #: Shard worker processes (the sharded subclass sets its count).
-    workers = 0
-
     def __init__(
         self,
         store: PartitionedStore,

@@ -252,8 +252,7 @@ class PipelinedTrainer:
     engine:
         Optional existing :class:`ParallelSampler` to drive (not owned:
         the caller keeps responsibility for closing it). ``None`` builds
-        a private engine with ``pipeline_depth`` arena slots, owned and
-        released by :meth:`close`.
+        a private engine, owned and released by :meth:`close`.
     """
 
     def __init__(
@@ -301,12 +300,8 @@ class PipelinedTrainer:
                 workers=workers,
                 seed=seed,
                 sampling_method=sampling_method,
-                slots=max(pipeline_depth, 2),
             )
         self.engine = engine
-        # Arena regions cannot grow mid-stream, and cache-deduped
-        # micro-batches vary in size — provision for the largest now.
-        engine.reserve(batch_size, self.fanouts)
         self.executor = PipelinedExecutor(engine, depth=pipeline_depth)
         self.embeddings = ShardedEmbeddingTable(
             store.graph.num_nodes, embedding_dim, store.partitioner, seed=seed

@@ -1,4 +1,4 @@
-"""Memory-over-Fabric (MoF): framing, compression, fabric, protocol."""
+"""Memory-over-Fabric (MoF): framing, compression, fabric, topology."""
 
 from repro.mof.frames import (
     GENZ,
@@ -9,7 +9,6 @@ from repro.mof.frames import (
 )
 from repro.mof.bdi import bdi_compress, bdi_decompress, compressed_size
 from repro.mof.fabric import MofFabric
-from repro.mof.protocol import LossyWire, MofEndpoint, TransferResult, run_transfer
 from repro.mof.topology import FabricTopology, chain, full_mesh, ring
 
 __all__ = [
@@ -22,10 +21,6 @@ __all__ = [
     "bdi_decompress",
     "compressed_size",
     "MofFabric",
-    "LossyWire",
-    "MofEndpoint",
-    "TransferResult",
-    "run_transfer",
     "FabricTopology",
     "chain",
     "full_mesh",

@@ -1,15 +1,12 @@
 """Sharded parallel execution engine.
 
-Three pieces, mirroring the paper's concurrency story:
+Two pieces, mirroring the paper's concurrency story:
 
-- :mod:`repro.parallel.shm` — the **shard plane**: graph CSR +
-  attribute arrays exported once as zero-copy shared-memory (or
-  memmap) views that persistent worker processes attach to without
-  pickling the graph.
-- :mod:`repro.parallel.worker` — the **worker pool**: per-shard
-  batched samplers with stateless per-(shard, micro-batch)
-  ``SeedSequence`` RNG streams, so results are deterministic and
-  replay-verifiable regardless of worker count or completion order.
+- :mod:`repro.parallel.worker` — the **worker pool**: persistent
+  processes that inherit the graph at start and run per-shard batched
+  samplers with stateless per-(shard, micro-batch) ``SeedSequence``
+  RNG streams, so results are deterministic and replay-verifiable
+  regardless of worker count or completion order.
 - :mod:`repro.parallel.engine` / :mod:`repro.parallel.pipeline` — the
   **pipelined coordinator**: double-buffered micro-batches overlapping
   hop sampling on shard workers with attribute gather + GNN forward on
@@ -18,17 +15,12 @@ Three pieces, mirroring the paper's concurrency story:
 
 from repro.parallel.engine import ParallelSampler
 from repro.parallel.pipeline import PipelinedExecutor, micro_batches
-from repro.parallel.shm import GraphPlane, attach_graph, export_graph
-from repro.parallel.worker import ShardRuntime, region_bytes, shard_seed
+from repro.parallel.worker import ShardRuntime, shard_seed
 
 __all__ = [
     "ParallelSampler",
     "PipelinedExecutor",
     "micro_batches",
-    "GraphPlane",
-    "export_graph",
-    "attach_graph",
     "ShardRuntime",
-    "region_bytes",
     "shard_seed",
 ]

@@ -9,10 +9,16 @@ becomes a :class:`~repro.parallel.worker.ShardTask` with its own RNG
 stream. All tasks one process holds run as one vectorized expansion:
 in-process at ``workers=0``, else on persistent worker processes that
 each get one message per micro-batch (the shards placed on it by
-``shard % workers``) over their own pipe and send one reply. Hop
-layers come back through zero-copy arenas; the coordinator merges
-them, absorbs each reply's access delta, records each shard's gather
-contiguity, and finishes the result the way the base class does.
+``shard % workers``) over their own pipe and send one reply carrying
+the hop layers. The coordinator merges them, absorbs each reply's
+access delta, records each shard's gather contiguity, and finishes the
+result the way the base class does.
+
+Workers inherit the store's graph at start (copy-on-write under
+``fork``), so nothing but roots and layers crosses a pipe. Each worker
+has at most one unanswered message: ``submit`` first receives a busy
+worker's earlier reply. Otherwise a large task and a large reply could
+each fill its direction of the pipe and block both sides.
 
 This is the software analogue of the paper's AxE outstanding-request
 pipeline: ``submit``/``collect`` decouple issuing a micro-batch from
@@ -42,14 +48,11 @@ from repro.framework.requests import SampleRequest, SampleResult
 from repro.framework.sampler import MultiHopSampler
 from repro.framework.selectors import get_selector
 from repro.memstore.store import PartitionedStore
-from repro.parallel.shm import GraphPlane, SharedBlock
 from repro.parallel.worker import (
     ShardDone,
     ShardRuntime,
     ShardTask,
     WorkerConfig,
-    read_layers,
-    region_bytes,
     worker_main,
 )
 
@@ -67,7 +70,6 @@ class _Pending:
     """Coordinator-side state of one in-flight micro-batch."""
 
     request: SampleRequest
-    slot: int
     members: Dict[int, np.ndarray]
     remaining: Set[int]
     #: Every layer in store IDs: the roots, then one array per hop that
@@ -102,20 +104,15 @@ class ParallelSampler(MultiHopSampler):
         zero-fault fast path only).
     workers:
         Worker process count. ``0`` executes the identical shard tasks
-        inline (no processes, no shared memory) — the determinism
-        reference for any ``workers >= 1`` run. Shard ``s`` runs on
-        worker ``s % workers``.
+        inline (no processes) — the determinism reference for any
+        ``workers >= 1`` run. Shard ``s`` runs on worker
+        ``s % workers``.
     seed:
         Root entropy for the per-(shard, batch) RNG streams.
     sampling_method:
         Selector name (``uniform``/``streaming``/``weighted``).
     worker_partition:
         Locality attribution, as on :class:`MultiHopSampler`.
-    slots:
-        Result-arena slots, i.e. micro-batches that may be in flight
-        at once. 2 = double buffering.
-    plane_backend:
-        Shard-plane transport: ``"shm"``, ``"mmap"``, or ``"auto"``.
     cache:
         Optional hot-node cache in front of the *coordinator's* reads
         (attribute gather, negative sampling). Shard-side structure
@@ -130,14 +127,10 @@ class ParallelSampler(MultiHopSampler):
         seed: int = 0,
         sampling_method: str = "uniform",
         worker_partition: Optional[int] = None,
-        slots: int = 2,
-        plane_backend: str = "auto",
         cache: Optional[HotNodeCache] = None,
     ) -> None:
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
-        if slots < 1:
-            raise ConfigurationError(f"slots must be >= 1, got {slots}")
         if store.reliability is not None:
             raise ConfigurationError(
                 "parallel execution does not support a reliability path; "
@@ -155,20 +148,17 @@ class ParallelSampler(MultiHopSampler):
         self.workers = workers
         self.seed = seed
         self.sampling_method = sampling_method
-        self.slots = slots
-        self.plane_backend = plane_backend
         self._seq = 0
         self._pending: Dict[int, _Pending] = {}
         # In-process shard runtime (workers=0) — built lazily so the
         # zero-worker engine costs nothing beyond the store it wraps.
         self._inline: Optional[ShardRuntime] = None
         # Process-pool state (workers >= 1).
-        self._plane: Optional[GraphPlane] = None
-        self._arenas: List[SharedBlock] = []
         self._procs: List[multiprocessing.process.BaseProcess] = []
         #: Coordinator end of each worker's duplex pipe, by worker index.
         self._conns: List[Connection] = []
-        self._shard_region_bytes = 0
+        #: Seq of each worker's unanswered message, or None when idle.
+        self._awaiting: List[Optional[int]] = []
         self._closed = False
 
     # ------------------------------------------------------------ interface
@@ -189,45 +179,25 @@ class ParallelSampler(MultiHopSampler):
             "fork" if "fork" in methods else "spawn"
         )
 
-    def _ensure_pool(self, region_bytes: int) -> None:
-        """(Re)start the worker pool with arenas of ``region_bytes``/shard.
-
-        The pool persists across micro-batches; it only restarts when a
-        request needs larger arena regions than were provisioned.
-        """
-        if self.workers == 0:
-            if self._inline is None:
-                self._inline = ShardRuntime.from_store(
-                    self.store, self.sampling_method
-                )
+    def _ensure_pool(self) -> None:
+        """Start the shard runtime: inline, or the persistent worker pool."""
+        if self._inline is not None or self._procs:
             return
-        if self._procs and region_bytes <= self._shard_region_bytes:
-            return
-        if self._pending:
-            raise ParallelExecutionError(
-                "cannot resize arenas with micro-batches in flight"
-            )
-        self._stop_pool()
-        if self._plane is None:
-            self._plane = GraphPlane(self.store.graph, backend=self.plane_backend)
-        self._shard_region_bytes = region_bytes
-        arena_bytes = max(region_bytes * self.num_shards, 64)
-        self._arenas = [
-            SharedBlock(arena_bytes, backend=self.plane_backend)
-            for _ in range(self.slots)
-        ]
-        ctx = self._mp_context()
         config = WorkerConfig(
-            graph=self._plane.handle,
-            arenas=tuple(a.handle for a in self._arenas),
-            shard_region_bytes=region_bytes,
+            graph=self.store.graph,
             partitioner=self.store.partitioner,
             seed=self.seed,
             sampling_method=self.sampling_method,
             worker_partition=self.worker_partition,
         )
+        if self.workers == 0:
+            self._inline = ShardRuntime.from_config(config)
+            return
+        ctx = self._mp_context()
         for i in range(self.workers):
             conn, child = ctx.Pipe()
+            # Under fork the worker inherits ``config`` (and the graph
+            # arrays) copy-on-write; under spawn it is pickled once.
             proc = ctx.Process(
                 target=worker_main,
                 args=(config, child),
@@ -240,16 +210,28 @@ class ParallelSampler(MultiHopSampler):
             child.close()
             self._procs.append(proc)
             self._conns.append(conn)
+            self._awaiting.append(None)
 
-    def _stop_pool(self) -> None:
-        for conn in self._conns:
+    def close(self) -> None:
+        """Shut down the workers.
+
+        An idle worker is told to exit. A busy one may be blocked
+        sending a reply nobody will read, so it is terminated instead.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self._pending.clear()
+        for proc, conn, seq in zip(self._procs, self._conns, self._awaiting):
+            if seq is not None:
+                proc.terminate()
+                continue
             try:
                 conn.send(None)
             except OSError:
                 pass  # that worker is already gone; join reaps it
         for proc in self._procs:
             proc.join(timeout=10)
-        for proc in self._procs:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5)
@@ -257,69 +239,51 @@ class ParallelSampler(MultiHopSampler):
             conn.close()
         self._procs = []
         self._conns = []
-        for arena in self._arenas:
-            arena.close()
-            arena.unlink()
-        self._arenas = []
-
-    def close(self) -> None:
-        """Shut down workers and release the shard plane + arenas."""
-        if self._closed:
-            return
-        self._closed = True
-        self._pending.clear()
-        self._stop_pool()
-        if self._plane is not None:
-            self._plane.close()
-            self._plane.unlink()
-            self._plane = None
+        self._awaiting = []
 
     def reserve(self, max_roots: int, fanouts: Sequence[int]) -> None:
-        """Pre-provision worker arenas for requests up to ``max_roots``.
-
-        The pool only restarts when a request outgrows its arenas, and
-        it cannot restart while micro-batches are in flight — so a
-        pipelined caller whose request sizes vary (e.g. cache-deduped
-        micro-batches) must size the arenas for its largest request
-        before streaming begins.
-        """
+        """Validate a request shape and start the pool ahead of the first
+        submit, for callers that time pool start-up separately.
+        Retiring the worker processes (ROADMAP item 1) deletes it."""
         if self._closed:
             raise ParallelExecutionError("engine is closed")
         if max_roots < 1:
             raise ConfigurationError(
                 f"max_roots must be >= 1, got {max_roots}"
             )
-        self._ensure_pool(region_bytes(max_roots, tuple(fanouts)))
+        if not fanouts or any(f <= 0 for f in fanouts):
+            raise ConfigurationError(
+                f"fanouts must be positive, got {tuple(fanouts)}"
+            )
+        self._ensure_pool()
 
     # ------------------------------------------------------------ submission
     def submit(self, request: SampleRequest) -> int:
         """Dispatch a micro-batch to the shard workers; returns its seq.
 
-        At most ``slots`` micro-batches may be un-merged at once; a
-        submit that would reuse a busy arena slot blocks until that
-        slot's shards finish. A worker found gone fails its shards of
-        this batch, raised by the batch's own collect/discard.
+        A worker still owing the reply to an earlier message is waited
+        out (and that reply merged) before it is sent this one. A worker
+        found gone fails its shards of this batch, raised by the batch's
+        own collect/discard.
         """
         if self._closed:
             raise ParallelExecutionError("engine is closed")
         roots = self._internal_roots(request)
-        region = region_bytes(roots.size, request.fanouts)
-        self._ensure_pool(region)
-        seq = self._seq
-        self._seq += 1
-        slot = seq % self.slots
-        # Wait out the previous occupant of this arena slot (its
-        # regions are free once every shard has been merged).
-        while any(
-            p.slot == slot and p.remaining for p in self._pending.values()
-        ):
-            self._pump()
+        self._ensure_pool()
         owners = self.store.partitioner.partition_of(roots)
         members = {
             shard: np.flatnonzero(owners == shard)
             for shard in range(self.num_shards)
         }
         members = {s: idx for s, idx in members.items() if idx.size}
+        if self.workers:
+            # Done before this batch exists, so a dead worker raising
+            # here leaves no entry behind.
+            for worker in sorted({shard % self.workers for shard in members}):
+                while self._awaiting[worker] is not None:
+                    self._pump([self._conns[worker]])
+        seq = self._seq
+        self._seq += 1
         width = 1
         layers = [roots]
         for fanout in request.fanouts:
@@ -327,7 +291,6 @@ class ParallelSampler(MultiHopSampler):
             layers.append(np.empty((roots.size, width), dtype=np.int64))
         entry = _Pending(
             request=request,
-            slot=slot,
             members=members,
             remaining=set(members),
             layers=layers,
@@ -337,7 +300,6 @@ class ParallelSampler(MultiHopSampler):
             ShardTask(
                 seq=seq,
                 shard=shard,
-                slot=slot,
                 roots=roots[members[shard]],
                 fanouts=tuple(request.fanouts),
             )
@@ -352,6 +314,7 @@ class ParallelSampler(MultiHopSampler):
                 continue
             try:
                 conn.send(mine)
+                self._awaiting[worker] = seq
             except OSError as exc:
                 entry.fail(
                     (t.shard for t in mine),
@@ -365,8 +328,7 @@ class ParallelSampler(MultiHopSampler):
                 tasks, self.seed, self.worker_partition
             )
         except Exception as exc:
-            # Nothing else of this batch is in flight, so dropping the
-            # entry frees its slot.
+            # Nothing else of this batch is in flight.
             del self._pending[tasks[0].seq]
             raise ParallelExecutionError(
                 f"shards {[t.shard for t in tasks]} of micro-batch "
@@ -398,8 +360,8 @@ class ParallelSampler(MultiHopSampler):
                 f"shard worker(s) died unexpectedly: {', '.join(dead)}"
             )
 
-    def _pump(self) -> None:
-        """Block for worker replies and merge each into its batch.
+    def _pump(self, conns: List[Connection]) -> None:
+        """Block for replies on ``conns`` and merge each into its batch.
 
         A failure reply is recorded on the batch and counts as its
         shards' completion; :meth:`_finish` raises it once the batch's
@@ -408,7 +370,7 @@ class ParallelSampler(MultiHopSampler):
         """
         idle = 0
         while True:
-            ready = wait(self._conns, timeout=DONE_POLL_S)
+            ready = wait(conns, timeout=DONE_POLL_S)
             if ready:
                 break
             self._check_alive()
@@ -416,22 +378,25 @@ class ParallelSampler(MultiHopSampler):
             if idle >= MAX_IDLE_POLLS:
                 raise ParallelExecutionError("timed out waiting for shard workers")
         for conn in ready:
+            worker = self._conns.index(conn)
             try:
                 msg: ShardDone = conn.recv()
             except (EOFError, OSError) as exc:
-                name = self._procs[self._conns.index(conn)].name
                 raise ParallelExecutionError(
-                    f"shard worker {name} died unexpectedly"
+                    f"shard worker {self._procs[worker].name} died unexpectedly"
                 ) from exc
-            self._receive(msg)
+            self._receive(worker, msg)
 
-    def _receive(self, msg: ShardDone) -> None:
-        entry = self._pending.get(msg.seq)
-        if entry is None or not entry.remaining.issuperset(msg.shards):
+    def _receive(self, worker: int, msg: ShardDone) -> None:
+        if self._awaiting[worker] != msg.seq:
             raise ParallelExecutionError(
-                f"unexpected completion for micro-batch {msg.seq}, "
-                f"shards {list(msg.shards)}"
+                f"unexpected reply for micro-batch {msg.seq} from shard "
+                f"worker {self._procs[worker].name}"
             )
+        self._awaiting[worker] = None
+        entry = self._pending.get(msg.seq)
+        if entry is None:
+            return  # its batch was dropped when a wait on it failed
         if msg.error is not None:
             entry.fail(
                 msg.shards,
@@ -439,29 +404,22 @@ class ParallelSampler(MultiHopSampler):
                 f"failed:\n{msg.error}",
             )
             return
-        buf = self._arenas[entry.slot].buf
-        for shard in msg.shards:
-            views = read_layers(
-                buf,
-                shard * self._shard_region_bytes,
-                entry.members[shard].size,
-                tuple(entry.request.fanouts),
-            )
-            self._merge(entry, shard, views)
+        for shard, layers in zip(msg.shards, msg.layers):
+            self._merge(entry, shard, layers)
         self.store.absorb_summary(msg.summary)
 
     def _finish(self, seq: int) -> _Pending:
         """Wait out micro-batch ``seq``'s shards and drop its entry.
 
-        The entry goes (and its arena slot frees) however the wait
-        ends; a shard failure is raised only after that.
+        The entry goes however the wait ends; a shard failure is raised
+        only after that.
         """
         entry = self._pending.get(seq)
         if entry is None:
             raise ParallelExecutionError(f"unknown micro-batch {seq}")
         try:
             while entry.remaining:
-                self._pump()
+                self._pump(self._conns)
         finally:
             del self._pending[seq]
         if entry.error is not None:
@@ -484,9 +442,8 @@ class ParallelSampler(MultiHopSampler):
     def discard(self, seq: int) -> None:
         """Abandon in-flight micro-batch ``seq`` without consuming it.
 
-        Waits out its remaining shard completions (their arena regions
-        are only reusable once every shard has reported), then drops the
-        pending entry — freeing the arena slot without the attribute
+        Waits out its remaining shard replies (so no worker still owes
+        one), then drops the pending entry without the attribute
         gather. Used by :meth:`PipelinedExecutor.drain` to flush the
         pipeline after a failed compute step. Shard accounting that
         already merged stays in the store summary: the sampling work

@@ -30,8 +30,7 @@ class PipelinedExecutor:
     Parameters
     ----------
     sampler:
-        The parallel engine to execute on. ``depth`` must not exceed
-        its arena ``slots`` (each in-flight micro-batch owns a slot).
+        The parallel engine to execute on.
     depth:
         Maximum micro-batches in flight. 2 = classic double buffering.
     """
@@ -39,11 +38,6 @@ class PipelinedExecutor:
     def __init__(self, sampler: ParallelSampler, depth: int = 2) -> None:
         if depth < 1:
             raise ConfigurationError(f"pipeline depth must be >= 1, got {depth}")
-        if depth > sampler.slots:
-            raise ConfigurationError(
-                f"pipeline depth {depth} exceeds the engine's "
-                f"{sampler.slots} arena slot(s)"
-            )
         self.sampler = sampler
         self.depth = depth
         #: Sequence numbers submitted but not yet collected. Owned by
@@ -77,9 +71,9 @@ class PipelinedExecutor:
         """Lazy variant of :meth:`run`: yields outputs in request order.
 
         If the compute stage raises (or the generator is closed with
-        micro-batches outstanding), the in-flight tail is drained so the
-        engine's arena slots are not leaked — the exception still
-        propagates to the caller.
+        micro-batches outstanding), the in-flight tail is drained so no
+        worker is left owing a reply — the exception still propagates
+        to the caller.
         """
         it = iter(requests)
         in_flight = self._in_flight
@@ -108,11 +102,10 @@ class PipelinedExecutor:
         """Flush every in-flight micro-batch without consuming it.
 
         Each outstanding sequence number is discarded on the engine
-        (which waits out its shard completions and frees its arena
-        slot). A discard that itself fails is counted in
-        :attr:`drain_failures` and draining continues — a failed compute
-        step must never leak arena slots, even when a shard error
-        surfaces mid-flush.
+        (which waits out its shard replies). A discard that itself
+        fails is counted in :attr:`drain_failures` and draining
+        continues — a failed compute step must never leave a batch
+        pending, even when a shard error surfaces mid-flush.
         """
         while self._in_flight:
             seq = self._in_flight.popleft()
@@ -121,7 +114,7 @@ class PipelinedExecutor:
             except ParallelExecutionError:
                 # Recorded, not swallowed silently: the caller's
                 # original exception is already propagating and the
-                # remaining slots still need freeing.
+                # remaining batches still need flushing.
                 self.drain_failures += 1
 
     def _prime(self, it: Iterator[SampleRequest], in_flight: Deque[int]) -> bool:

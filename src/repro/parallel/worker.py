@@ -1,13 +1,12 @@
 """Shard worker: the per-process sampling loop of the parallel engine.
 
-Each worker attaches to the shard plane (zero-copy graph views), builds
-its own :class:`~repro.memstore.store.PartitionedStore` over the shared
-arrays, and executes one message per micro-batch: the
-:class:`ShardTask` s of that batch placed on it. It samples them as one
-hop expansion (one RNG stream per task), writes each task's hop layers
-straight into its region of the micro-batch's result arena, and replies
-with one :class:`ShardDone` carrying the message's
-:class:`~repro.memstore.store.AccessSummary`.
+Each worker inherits the coordinator's graph (copy-on-write under
+``fork``; pickled once per worker under ``spawn``), builds its own
+:class:`~repro.memstore.store.PartitionedStore` over it, and executes
+one message per micro-batch: the :class:`ShardTask` s of that batch
+placed on it. It samples them as one hop expansion (one RNG stream per
+task) and replies with one :class:`ShardDone` carrying each task's hop
+layers and the message's :class:`~repro.memstore.store.AccessSummary`.
 
 Determinism contract
 --------------------
@@ -32,9 +31,9 @@ import numpy as np
 from repro.framework.requests import nodes_per_root
 from repro.framework.sampler import MultiHopSampler
 from repro.framework.selectors import get_selector
+from repro.graph.csr import CSRGraph
 from repro.graph.partition import Partitioner
 from repro.memstore.store import AccessSummary, PartitionedStore
-from repro.parallel.shm import AttachedBlock, BlockHandle, GraphHandle, attach_graph
 
 
 def shard_seed(seed: int, shard: int, seq: int) -> np.random.SeedSequence:
@@ -52,14 +51,13 @@ def shard_seed(seed: int, shard: int, seq: int) -> np.random.SeedSequence:
 class WorkerConfig:
     """Everything a worker needs to reconstruct its sampling stack.
 
-    The partitioner is shipped verbatim so the worker's shadow store
+    The graph is the coordinator store's own (in store IDs); the
+    partitioner is shipped verbatim so the worker's shadow store
     attributes every access local or remote exactly as the
     coordinator's store would have.
     """
 
-    graph: GraphHandle
-    arenas: Tuple[BlockHandle, ...]
-    shard_region_bytes: int
+    graph: CSRGraph
     partitioner: Partitioner
     seed: int
     sampling_method: str
@@ -68,11 +66,10 @@ class WorkerConfig:
 
 @dataclass(frozen=True)
 class ShardTask:
-    """Sample one shard's slice of micro-batch ``seq`` into slot ``slot``."""
+    """Sample one shard's slice of micro-batch ``seq``."""
 
     seq: int
     shard: int
-    slot: int
     roots: np.ndarray
     fanouts: Tuple[int, ...]
 
@@ -80,10 +77,12 @@ class ShardTask:
 @dataclass(frozen=True)
 class ShardDone:
     """Reply to one worker message: the shards of micro-batch ``seq``
-    it carried, with their merged access delta or the failure."""
+    it carried, with each shard's hop layers 1..H and their merged
+    access delta, or the failure."""
 
     seq: int
     shards: Tuple[int, ...]
+    layers: Optional[List[List[np.ndarray]]]
     summary: Optional[AccessSummary]
     error: Optional[str]
 
@@ -93,49 +92,8 @@ def hop_elements(fanouts: Tuple[int, ...]) -> int:
     return nodes_per_root(fanouts) - 1
 
 
-def region_bytes(count: int, fanouts: Tuple[int, ...]) -> int:
-    """Arena bytes one shard needs for ``count`` roots of a micro-batch.
-
-    Layers are packed as int64; this is the sizing contract shared by
-    the coordinator (arena provisioning) and :func:`write_layers`.
-    """
-    return count * hop_elements(tuple(fanouts)) * np.dtype(np.int64).itemsize
-
-
-def write_layers(
-    buf: memoryview, offset: int, layers: List[np.ndarray]
-) -> None:
-    """Pack hop layers 1..H contiguously into an arena region."""
-    for layer in layers:
-        flat = np.ascontiguousarray(layer, dtype=np.int64).reshape(-1)
-        out = np.ndarray(flat.shape, dtype=np.int64, buffer=buf, offset=offset)
-        out[...] = flat
-        offset += flat.nbytes
-
-
-def read_layers(
-    buf: memoryview, offset: int, count: int, fanouts: Tuple[int, ...]
-) -> List[np.ndarray]:
-    """Unpack hop layers 1..H for ``count`` roots from an arena region.
-
-    Returns views into the arena — callers copy rows out during the
-    merge scatter, so the region can be reused as soon as the merge
-    completes.
-    """
-    layers = []
-    width = 1
-    for fanout in fanouts:
-        width *= fanout
-        layer = np.ndarray(
-            (count, width), dtype=np.int64, buffer=buf, offset=offset
-        )
-        layers.append(layer)
-        offset += layer.nbytes
-    return layers
-
-
 class ShardRuntime:
-    """The per-process sampling stack: attached graph, store, sampler.
+    """The per-process sampling stack: shadow store and sampler.
 
     Used by worker processes *and* by the coordinator's in-process
     fallback (``workers=0``), so both run byte-identical code. The
@@ -149,31 +107,14 @@ class ShardRuntime:
         self.sampler = sampler
 
     @classmethod
-    def from_store(cls, store: PartitionedStore, sampling_method: str) -> "ShardRuntime":
-        """In-process runtime over an existing (coordinator) store's graph.
-
-        Builds a *private* store over the same graph arrays so task
-        accounting starts from zero and merges through the same
-        shard-summary path as process workers. Shard tasks run in store
-        IDs, so the shadow carries no relabeling.
-        """
-        shadow = PartitionedStore(store.graph, store.partitioner)
-        sampler = MultiHopSampler(shadow, selector=get_selector(sampling_method))
-        return cls(shadow, sampler)
-
-    @classmethod
     def from_config(cls, config: WorkerConfig) -> "ShardRuntime":
-        attached = attach_graph(config.graph)
-        store = PartitionedStore(attached.graph, config.partitioner)
+        """Runtime over ``config.graph`` with a *private* store, so task
+        accounting starts from zero and merges through the shard-summary
+        path whether it runs in a worker or inline. Shard tasks run in
+        store IDs, so the shadow carries no relabeling."""
+        store = PartitionedStore(config.graph, config.partitioner)
         sampler = MultiHopSampler(store, selector=get_selector(config.sampling_method))
-        runtime = cls(store, sampler)
-        runtime._attached = attached  # keep the mapping alive
-        return runtime
-
-    def close(self) -> None:
-        attached = getattr(self, "_attached", None)
-        if attached is not None:
-            attached.close()
+        return cls(store, sampler)
 
     def run_shards(
         self,
@@ -214,7 +155,6 @@ def worker_main(config: WorkerConfig, conn) -> None:
     :class:`~repro.errors.ParallelExecutionError`.
     """
     runtime = ShardRuntime.from_config(config)
-    arenas = [AttachedBlock(handle) for handle in config.arenas]
     try:
         while True:
             try:
@@ -229,18 +169,12 @@ def worker_main(config: WorkerConfig, conn) -> None:
                 layers, summary = runtime.run_shards(
                     tasks, config.seed, config.worker_partition
                 )
-                for task, task_layers in zip(tasks, layers):
-                    offset = task.shard * config.shard_region_bytes
-                    write_layers(arenas[task.slot].buf, offset, task_layers)
-                reply = ShardDone(seq, shards, summary, None)
+                reply = ShardDone(seq, shards, layers, summary, None)
             except Exception:  # noqa: BLE001 - reported to the coordinator
-                reply = ShardDone(seq, shards, None, traceback.format_exc())
+                reply = ShardDone(seq, shards, None, None, traceback.format_exc())
             try:
                 conn.send(reply)
             except OSError:
                 break  # the coordinator is gone
     finally:
-        for arena in arenas:
-            arena.close()
-        runtime.close()
         conn.close()

@@ -77,10 +77,9 @@ class SoftwareBackend(ServingBackend):
     overhead plus a per-touched-key software cost, divided across the
     worker pool's vCPU parallelism. ``per_key_s`` is the per-node
     walk's cost; every sampler is vectorized, so it is always divided
-    by :data:`BATCHED_SPEEDUP`. A sharded parallel sampler
-    (:class:`~repro.parallel.ParallelSampler` with ``workers >= 1``)
-    additionally divides by its worker count, discounted by
-    ``parallel_efficiency`` for merge/gather time on the coordinator.
+    by :data:`BATCHED_SPEEDUP`, whatever the sampler's worker count:
+    shard worker processes are modelled as no faster than inline
+    sampling, because on a single host they are not.
     """
 
     def __init__(
@@ -91,7 +90,6 @@ class SoftwareBackend(ServingBackend):
         base_overhead_s: float = 150.0 * US,
         per_key_s: float = 3.0 * US,
         parallelism: int = 8,
-        parallel_efficiency: float = 0.85,
         name: str = "software",
     ) -> None:
         super().__init__(name=name, concurrency=concurrency)
@@ -101,23 +99,15 @@ class SoftwareBackend(ServingBackend):
             raise ConfigurationError(
                 f"parallelism must be positive, got {parallelism}"
             )
-        if not 0.0 < parallel_efficiency <= 1.0:
-            raise ConfigurationError(
-                f"parallel_efficiency must be in (0, 1], got {parallel_efficiency}"
-            )
         self.sampler = sampler
         self.functional = functional
         self.base_overhead_s = base_overhead_s
         self.per_key_s = per_key_s
         self.parallelism = parallelism
-        self.parallel_efficiency = parallel_efficiency
 
     def sampling_speedup(self) -> float:
         """Modeled speedup of the wrapped sampler over the reference walk."""
-        speedup = BATCHED_SPEEDUP
-        if self.sampler.workers >= 1:
-            speedup *= max(1.0, self.sampler.workers * self.parallel_efficiency)
-        return speedup
+        return BATCHED_SPEEDUP
 
     def execute(
         self, roots: np.ndarray, fanouts: Tuple[int, ...]

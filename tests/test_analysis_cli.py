@@ -96,7 +96,6 @@ def test_list_rules_names_the_rule_pack():
         "parse-error",
         "pin-discipline",
         "rng-provenance",
-        "shm-view-write",
         "sim-clock",
         "suppress-format",
         "units-magic",
@@ -188,7 +187,7 @@ def test_injected_violation_fails_lint(tmp_path, payload, rule):
 
 @pytest.mark.parametrize(
     "rule",
-    ["counter-ownership", "pin-discipline", "rng-provenance", "shm-view-write"],
+    ["counter-ownership", "pin-discipline", "rng-provenance"],
 )
 def test_injected_crossmodule_violation_fails_lint(tmp_path, rule):
     """The same guarantee for violations no single file can witness:

@@ -273,7 +273,7 @@ class TestPipelinedTrainerBehavior:
         graph = make_graph()
         store = make_store(graph)
         labels = make_labels(graph)
-        with ParallelSampler(store, workers=0, seed=0, slots=2) as engine:
+        with ParallelSampler(store, workers=0, seed=0) as engine:
             with PipelinedTrainer(
                 store, labels, FANOUTS, engine=engine
             ) as trainer:
@@ -348,9 +348,9 @@ def test_step_call_counts(monkeypatch):
 
 
 class TestDrainOnComputeError:
-    def _executor(self, store, slots=4):
-        engine = ParallelSampler(store, workers=0, seed=3, slots=slots)
-        return engine, PipelinedExecutor(engine, depth=slots)
+    def _executor(self, store, depth=4):
+        engine = ParallelSampler(store, workers=0, seed=3)
+        return engine, PipelinedExecutor(engine, depth=depth)
 
     def _requests(self, count, batch=16):
         rng = np.random.default_rng(5)
@@ -362,8 +362,8 @@ class TestDrainOnComputeError:
             )
 
     def test_compute_error_drains_in_flight(self):
-        """A failing compute stage must flush the pipeline: the engine's
-        arena slots come back and the executor stays usable."""
+        """A failing compute stage must flush the pipeline: no batch is
+        left pending and the executor stays usable."""
         store = make_store(make_graph())
         engine, executor = self._executor(store)
         seen = []
@@ -379,7 +379,7 @@ class TestDrainOnComputeError:
                 list(executor.stream(self._requests(8), compute))
             assert len(seen) == 2
             assert executor.drain_failures == 0
-            # every slot was freed: a full-depth run fits again
+            # every in-flight batch was flushed: a full-depth run fits again
             results = executor.run(self._requests(6))
             assert len(results) == 6
 
@@ -406,7 +406,7 @@ class TestDrainOnComputeError:
 
     def test_discard_unknown_seq_rejected(self):
         store = make_store(make_graph())
-        with ParallelSampler(store, workers=0, seed=3, slots=2) as engine:
+        with ParallelSampler(store, workers=0, seed=3) as engine:
             with pytest.raises(ParallelExecutionError):
                 engine.discard(99)
 

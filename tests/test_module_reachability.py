@@ -19,7 +19,6 @@ KNOWN_ISLANDS = {
     "repro.gnn.gcn",
     "repro.memstore.index",
     "repro.mof.fabric",
-    "repro.mof.protocol",
 }
 
 
@@ -74,3 +73,20 @@ def test_islands_are_exactly_the_known_list():
         f"new islands {sorted(islands - KNOWN_ISLANDS)}; "
         f"stale entries {sorted(KNOWN_ISLANDS - islands)}"
     )
+
+
+#: Modules no ``src/repro`` file may import: shard workers inherit the
+#: graph at start and return their layers in their pipe replies, so
+#: nothing maps memory shared between processes.
+FORBIDDEN_IMPORTS = {"multiprocessing.shared_memory", "mmap"}
+
+
+def test_no_shared_memory_imports():
+    offenders = sorted(
+        f"{path.relative_to(SRC)} imports {target}"
+        for path in SRC.rglob("*.py")
+        for module, name in _imports(path)
+        for target in (module, f"{module}.{name}")
+        if target in FORBIDDEN_IMPORTS
+    )
+    assert not offenders, offenders

@@ -9,8 +9,10 @@ reference the process pools are compared against.
 
 import dataclasses
 import hashlib
+import multiprocessing
 import os
 import signal
+import tempfile
 import threading
 import time
 
@@ -82,8 +84,6 @@ class TestConstruction:
         store = make_store(make_graph())
         with pytest.raises(ConfigurationError):
             ParallelSampler(store, workers=-1)
-        with pytest.raises(ConfigurationError):
-            ParallelSampler(store, slots=0)
 
     def test_rejects_reliability_store(self):
         graph = make_graph()
@@ -120,14 +120,19 @@ class TestDeterminism:
                 np.testing.assert_array_equal(mine, theirs)
             assert summary == ref_summary
 
-    def test_mmap_plane_agrees_with_shm(self):
+    def test_spawned_worker_agrees_with_inline(self, monkeypatch):
+        """Where ``fork`` is missing the worker is spawned and gets the
+        graph pickled once: the only path that copies it."""
+        monkeypatch.setattr(
+            ParallelSampler, "_mp_context", lambda self: multiprocessing.get_context("spawn")
+        )
         graph = make_graph()
         request = make_request(graph)
         reference, ref_summary = run_engine(graph, request, workers=0)
-        result, summary = run_engine(
-            graph, request, workers=1, plane_backend="mmap"
-        )
+        result, summary = run_engine(graph, request, workers=1)
         for mine, theirs in zip(reference.layers, result.layers):
+            np.testing.assert_array_equal(mine, theirs)
+        for mine, theirs in zip(reference.attributes, result.attributes):
             np.testing.assert_array_equal(mine, theirs)
         assert summary == ref_summary
 
@@ -283,7 +288,7 @@ class TestOnePassShards:
             rng.integers(0, graph.num_nodes, size=9),
         ]
         tasks = [
-            ShardTask(seq=5, shard=shard, slot=0, roots=roots, fanouts=fanouts)
+            ShardTask(seq=5, shard=shard, roots=roots, fanouts=fanouts)
             for shard, roots in enumerate(task_roots)
         ]
         shadow = PartitionedStore(graph, store.partitioner)
@@ -327,11 +332,9 @@ class TestOnePassShards:
 
 class TestPipeline:
     def test_depth_validation(self):
-        engine = ParallelSampler(make_store(make_graph()), slots=2)
+        engine = ParallelSampler(make_store(make_graph()))
         with pytest.raises(ConfigurationError):
             PipelinedExecutor(engine, depth=0)
-        with pytest.raises(ConfigurationError):
-            PipelinedExecutor(engine, depth=3)
         engine.close()
 
     def test_micro_batches_validation(self):
@@ -369,16 +372,24 @@ class TestPipeline:
         assert sizes == [20, 20, 20]
 
     def test_single_slot_engine_still_completes(self):
+        """Depth 1: every message is answered before the next is sent."""
         graph = make_graph()
         requests = list(micro_batches(np.arange(40), 10, FANOUTS))
-        with ParallelSampler(
-            make_store(graph), workers=1, slots=1, seed=3
-        ) as engine:
+        with ParallelSampler(make_store(graph), workers=1, seed=3) as engine:
             got = PipelinedExecutor(engine, depth=1).run(requests)
         assert len(got) == 4
 
 
 class TestErrorPaths:
+    def test_reserve_validates_then_starts_the_runtime(self):
+        with ParallelSampler(make_store(make_graph()), workers=0) as engine:
+            with pytest.raises(ConfigurationError):
+                engine.reserve(0, FANOUTS)
+            with pytest.raises(ConfigurationError):
+                engine.reserve(8, (3, 0))
+            engine.reserve(8, FANOUTS)
+            assert engine._inline is not None
+
     def test_roots_out_of_range(self):
         graph = make_graph()
         engine = ParallelSampler(make_store(graph), workers=0)
@@ -404,16 +415,6 @@ class TestErrorPaths:
         with pytest.raises(ParallelExecutionError):
             engine.collect(99)
         engine.close()
-
-    def test_resize_with_inflight_batches_rejected(self):
-        graph = make_graph()
-        with ParallelSampler(
-            make_store(graph), workers=1, seed=3
-        ) as engine:
-            engine.submit(make_request(graph, batch=8))
-            bigger = make_request(graph, batch=256)
-            with pytest.raises(ParallelExecutionError):
-                engine.submit(bigger)
 
     def test_dead_worker_detected(self):
         graph = make_graph()
@@ -450,19 +451,23 @@ def fail_shard(monkeypatch, seq: int, shard: int):
     monkeypatch.setattr(ShardRuntime, "run_shards", run_shards)
 
 
-def segment_paths(engine):
-    """Backing paths of every shared block the engine owns right now."""
-    handles = [arena.handle for arena in engine._arenas]
-    if engine._plane is not None:
-        handles.append(engine._plane.handle.block)
-    return [
-        os.path.join("/dev/shm", h.name) if h.backend == "shm" else h.name
-        for h in handles
-    ]
+def shared_entries():
+    """POSIX shared-memory segments (Python names them ``psm_*``) and
+    ``repro-plane-*`` temp directories that exist right now: what a
+    graph plane or result arena would leave behind."""
+    found = set()
+    for directory, prefix in (("/dev/shm", "psm_"), (tempfile.gettempdir(), "repro-plane-")):
+        if os.path.isdir(directory):
+            found.update(
+                os.path.join(directory, name)
+                for name in os.listdir(directory)
+                if name.startswith(prefix)
+            )
+    return found
 
 
 class TestShardFailure:
-    """A failed shard must cost one micro-batch, never an arena slot."""
+    """A failed shard must cost one micro-batch, never the engine."""
 
     @pytest.mark.parametrize("workers", [0, 1])
     def test_failed_batch_frees_its_slot(self, monkeypatch, workers):
@@ -472,31 +477,27 @@ class TestShardFailure:
             expected = [fresh.sample(r) for r in requests][1:]
 
         fail_shard(monkeypatch, seq=0, shard=1)
-        engine = ParallelSampler(
-            make_store(graph), workers=workers, seed=3, slots=2
-        )
+        before = shared_entries()
+        engine = ParallelSampler(make_store(graph), workers=workers, seed=3)
         with engine:
             with pytest.raises(ParallelExecutionError, match="injected"):
                 engine.sample(requests[0])
-            # Checked before resubmitting: a leaked entry would make
-            # the seq-2 submit below wait on slot 0 instead of failing.
+            # Checked before resubmitting: a leaked entry or a reply
+            # still owed would stall the submits below.
             assert not engine._pending
+            assert not any(seq is not None for seq in engine._awaiting)
             got = [engine.collect(engine.submit(r)) for r in requests[1:]]
-            segments = segment_paths(engine)
+            assert shared_entries() == before
         for mine, theirs in zip(got, expected):
             for a, b in zip(mine.layers, theirs.layers):
                 np.testing.assert_array_equal(a, b)
-        assert len(segments) == (3 if workers else 0)
-        assert not [path for path in segments if os.path.exists(path)]
 
     def test_failure_is_raised_by_its_own_batch(self, monkeypatch):
         """collect(1) reads seq 0's failure off the worker's pipe while
         it waits; that is seq 0's error to raise, not seq 1's."""
         graph = make_graph()
         fail_shard(monkeypatch, seq=0, shard=1)
-        with ParallelSampler(
-            make_store(graph), workers=1, seed=3, slots=2
-        ) as engine:
+        with ParallelSampler(make_store(graph), workers=1, seed=3) as engine:
             first = engine.submit(make_request(graph, seed=1))
             second = engine.submit(make_request(graph, seed=2))
             assert len(engine.collect(second).layers) == 1 + len(FANOUTS)
@@ -540,13 +541,17 @@ def stall_batch(monkeypatch, seq: int):
 
 class TestDeadWorker:
     """A dead worker surfaces as ``ParallelExecutionError`` — never as a
-    ``BrokenPipeError`` or ``EOFError`` — and ``close()`` still frees
-    every shared segment."""
+    ``BrokenPipeError`` or ``EOFError`` — and ``close()`` still reaps
+    every worker."""
 
     def test_killed_between_batches(self):
         graph = make_graph()
+        before = shared_entries()
         with ParallelSampler(make_store(graph), workers=2, seed=3) as engine:
             engine.sample(make_request(graph))
+            # The graph and the layers travel by fork and pipe: a live
+            # pool holds no shared-memory segment or mapped file.
+            assert shared_entries() == before
             victim = engine._procs[1]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=5)
@@ -554,9 +559,8 @@ class TestDeadWorker:
             for seed in (9, 10):
                 with pytest.raises(ParallelExecutionError):
                     engine.collect(engine.submit(make_request(graph, seed=seed)))
-            segments = segment_paths(engine)
-        assert len(segments) == 3
-        assert not [path for path in segments if os.path.exists(path)]
+            procs = list(engine._procs)
+        assert not [proc for proc in procs if proc.is_alive()]
 
     def test_killed_while_collect_waits(self, monkeypatch):
         """The dead worker's pipe reads EOF at once: no waiting out a
@@ -577,8 +581,64 @@ class TestDeadWorker:
             finally:
                 killer.join(timeout=5)
             assert time.monotonic() - start < DONE_POLL_S
-            segments = segment_paths(engine)
-        assert not [path for path in segments if os.path.exists(path)]
+            procs = list(engine._procs)
+        assert not [proc for proc in procs if proc.is_alive()]
+
+
+def large_requests(graph, count):
+    """Structure-only one-hop batches of 100k roots: about 400 kB of
+    roots each way per worker of two, more than a Unix socket buffers
+    (about 200 kB on Linux)."""
+    rng = np.random.default_rng(8)
+    return [
+        SampleRequest(
+            roots=rng.integers(0, graph.num_nodes, size=100_000),
+            fanouts=(1,),
+            with_attributes=False,
+        )
+        for _ in range(count)
+    ]
+
+
+class TestTransport:
+    """Tasks and layers travel in the pipe messages themselves, so each
+    worker has at most one unanswered message: with two, a task and a
+    reply that each outgrow the socket buffer block both sides."""
+
+    def test_depth_two_stream_with_large_messages(self):
+        graph = make_graph()
+        requests = large_requests(graph, 3)
+        with ParallelSampler(make_store(graph), workers=0, seed=3) as engine:
+            expected = [engine.sample(r) for r in requests]
+        got = []
+        with ParallelSampler(make_store(graph), workers=2, seed=3) as engine:
+            executor = PipelinedExecutor(engine, depth=2)
+            # In a thread, so a deadlock fails the test instead of
+            # hanging it; close() then ends the blocked send.
+            runner = threading.Thread(
+                target=lambda: got.extend(executor.run(requests)), daemon=True
+            )
+            runner.start()
+            runner.join(timeout=30)
+            assert not runner.is_alive(), "depth-2 stream deadlocked"
+        assert len(got) == len(expected)
+        for mine, theirs in zip(expected, got):
+            for a, b in zip(mine.layers, theirs.layers):
+                np.testing.assert_array_equal(a, b)
+
+    def test_close_with_large_reply_in_flight(self):
+        """A worker blocked sending a reply nobody will read is not
+        waited for."""
+        graph = make_graph()
+        engine = ParallelSampler(make_store(graph), workers=1, seed=3)
+        engine.sample(make_request(graph))  # pool is live
+        engine.submit(large_requests(graph, 1)[0])
+        time.sleep(0.3)  # the worker is now blocked mid-reply
+        procs = list(engine._procs)
+        start = time.monotonic()
+        engine.close()
+        assert time.monotonic() - start < 2.0
+        assert not [proc for proc in procs if proc.is_alive()]
 
 
 class TestGnnSessionIntegration:

@@ -15,7 +15,6 @@ from repro.graph.partition import HashPartitioner, RangePartitioner
 from repro.memstore.links import LinkModel
 from repro.mof.bdi import bdi_compress, bdi_decompress, compress_block, decompress_block
 from repro.mof.frames import GENZ, MOF, batch_breakdown
-from repro.mof.protocol import run_transfer
 from repro.riscv import isa
 
 
@@ -162,19 +161,6 @@ class TestFrameProperties:
             batch_breakdown(MOF, requests, size).frames
             <= batch_breakdown(GENZ, requests, size).frames
         )
-
-
-# ------------------------------------------------------------------ protocol
-class TestProtocolProperties:
-    @given(
-        st.lists(st.binary(min_size=0, max_size=16), min_size=1, max_size=30),
-        st.floats(0.0, 0.5),
-        st.integers(0, 1000),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_exactly_once_in_order(self, payloads, loss, seed):
-        result = run_transfer(payloads, loss_rate=loss, seed=seed)
-        assert result.received == payloads
 
 
 # ----------------------------------------------------------------------- ISA

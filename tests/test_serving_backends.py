@@ -10,6 +10,7 @@ from repro.framework.sampler import MultiHopSampler
 from repro.graph.generators import power_law_graph
 from repro.graph.partition import HashPartitioner
 from repro.memstore.store import PartitionedStore
+from repro.parallel import ParallelSampler
 from repro.serving.backends import (
     BATCHED_SPEEDUP,
     HardwareBackend,
@@ -63,6 +64,14 @@ class TestSoftwareBackend:
         small = backend.execute(np.array([1]), (5, 5)).service_s
         large = backend.execute(np.arange(16), (5, 5)).service_s
         assert large > small
+
+    def test_workers_earn_no_speedup(self, graph):
+        """Shard workers measure slower than inline sampling on one
+        host, so the cost model credits them nothing."""
+        store = PartitionedStore(graph, HashPartitioner(2))
+        with ParallelSampler(store, workers=2, seed=0) as engine:
+            backend = SoftwareBackend(engine, functional=False)
+            assert backend.sampling_speedup() == BATCHED_SPEEDUP
 
     def test_validation(self, sampler):
         with pytest.raises(ConfigurationError):
