@@ -3,17 +3,17 @@
 
 The receiver's type is only known through the cross-module factory or
 the annotation of an imported class, so no single file can tell that
-``s`` and ``stats`` are RunStats owned elsewhere.
+``s`` and ``stats`` are FaultStats owned elsewhere.
 """
 
-from repro.framework.run_stats import RunStats, make_stats
+from repro.memstore.faults import FaultStats, make_stats
 
 
 def run_once():
     s = make_stats()
-    s.widget_count += 1  # bypasses the owner's recording helper
+    s.failed_reads += 1  # bypasses the owner's recording helper
     return s
 
 
-def reset(stats: RunStats) -> None:
-    stats.widget_count = 0  # a plain store is a mutation too
+def reset(stats: FaultStats) -> None:
+    stats.failed_reads = 0  # a plain store is a mutation too

@@ -1,16 +1,14 @@
-# repro-module: repro/framework/run_stats.py
-"""Owner module for RunStats; mutations belong here."""
+# repro-module: repro/memstore/faults.py
+"""Stands in for the owner module of the registered FaultStats."""
 
 
-class RunStats:
-    __counter_class__ = True
-
+class FaultStats:
     def __init__(self):
-        self.widget_count = 0
+        self.failed_reads = 0
 
-    def record_widget(self):
-        self.widget_count += 1
+    def record_failure(self):
+        self.failed_reads += 1
 
 
 def make_stats():
-    return RunStats()
+    return FaultStats()

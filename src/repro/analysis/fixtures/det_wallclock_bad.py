@@ -1,8 +1,10 @@
-"""Fixture: det-wallclock fires on host-clock imports and calls."""
+# repro-module: repro/serving/stamp_fixture.py
+"""Fixture: det-wallclock fires on host-clock imports and calls; in an
+event-driven module a host stamp corrupts virtual-time arithmetic."""
 
 import time
+from typing import Any
 
 
-def elapsed_since_start() -> float:
-    start = time.perf_counter()
-    return time.time() - start
+def stamp(event: Any) -> None:
+    event.timestamp = time.time()

@@ -1,9 +1,8 @@
-"""Fixture: elapsed time is simulated time, read off the event kernel."""
+# repro-module: repro/serving/stamp_fixture.py
+"""Fixture: event timestamps come from the simulator clock (sim.now)."""
 
 from typing import Any
 
 
-def measure(sim: Any) -> float:
-    start = sim.now
-    sim.run()
-    return sim.now - start
+def stamp(event: Any, sim: Any) -> None:
+    event.timestamp = sim.now

@@ -14,69 +14,38 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, List, Optional
+from typing import Any, List
 
 import repro
-from repro.analysis.engine import AnalysisEngine
+from repro.analysis.engine import lint, python_files
 from repro.analysis.rules import all_rules, get_rule
 
-
-def default_scan_root() -> Path:
-    """The installed ``repro`` package directory."""
-    return Path(repro.__file__).resolve().parent
-
-
-def fixture_path(rule_id: str, kind: str) -> Path:
-    """Path of a rule's ``bad``/``good`` fixture file."""
-    name = f"{rule_id.replace('-', '_')}_{kind}.py"
-    return Path(__file__).resolve().parent / "fixtures" / name
+#: Deliberate-violation fixtures: ``<rule>_<kind>.py`` for a file rule,
+#: ``crossmodule/<rule>/<kind>/*.py`` for a whole-program rule.
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
-def fixture_dir(rule_id: str, kind: str) -> Path:
-    """Directory of a cross-module rule's multi-file fixture project."""
-    return (
-        Path(__file__).resolve().parent
-        / "fixtures"
-        / "crossmodule"
-        / rule_id.replace("-", "_")
-        / kind
-    )
+def fixture_files(rule_id: str, kind: str) -> List[Path]:
+    """A rule's ``bad`` or ``good`` fixture file(s); [] if it has none."""
+    name = rule_id.replace("-", "_")
+    single = FIXTURES / f"{name}_{kind}.py"
+    if single.exists():
+        return [single]
+    return sorted((FIXTURES / "crossmodule" / name / kind).glob("*.py"))
 
 
-def explain_rule(rule_id: str, out: Any = None) -> int:
-    """Print a rule's documentation plus its bad/good fixture pair."""
-    out = out if out is not None else sys.stdout
+def explain_rule(rule_id: str, out: Any) -> int:
+    """Print a rule's documentation plus its bad/good fixtures."""
     rule = get_rule(rule_id)
     if rule is None:
         known = ", ".join(sorted(r.rule_id for r in all_rules()))
         print(f"unknown rule id '{rule_id}' (known: {known})", file=out)
         return 1
-    print(f"{rule.rule_id} — {rule.title}", file=out)
-    print(file=out)
-    print(rule.rationale, file=out)
+    print(f"{rule.rule_id} — {rule.title}\n\n{rule.rationale}", file=out)
     for kind, label in (("bad", "fires on"), ("good", "clean")):
-        path = fixture_path(rule_id, kind)
-        if path.exists():
-            print(file=out)
-            print(f"--- {label} ({path.name}) ---", file=out)
+        for path in fixture_files(rule_id, kind):
+            print(f"\n--- {label} ({path.relative_to(FIXTURES)}) ---", file=out)
             print(path.read_text(encoding="utf-8").rstrip(), file=out)
-            continue
-        directory = fixture_dir(rule_id, kind)
-        if directory.is_dir():
-            for file in sorted(directory.glob("*.py")):
-                print(file=out)
-                print(
-                    f"--- {label} ({directory.name}/{file.name}) ---",
-                    file=out,
-                )
-                print(file.read_text(encoding="utf-8").rstrip(), file=out)
-    return 0
-
-
-def list_rules(out: Any = None) -> int:
-    out = out if out is not None else sys.stdout
-    for rule in all_rules():
-        print(f"{rule.rule_id:<18} {rule.title}", file=out)
     return 0
 
 
@@ -105,14 +74,16 @@ def run_lint(args: argparse.Namespace, out: Any = None) -> int:
     """Execute ``repro lint`` for parsed ``args``; returns exit code."""
     out = out if out is not None else sys.stdout
     if args.explain is not None:
-        return explain_rule(args.explain, out=out)
+        return explain_rule(args.explain, out)
     if args.list_rules:
-        return list_rules(out=out)
+        for rule in all_rules():
+            print(f"{rule.rule_id:<18} {rule.title}", file=out)
+        return 0
 
-    scan_paths = (
-        [Path(p) for p in args.paths] if args.paths else [default_scan_root()]
+    roots = [Path(p) for p in args.paths] or [Path(repro.__file__).resolve().parent]
+    result = lint(
+        {str(path): path.read_text(encoding="utf-8") for path in python_files(roots)}
     )
-    result = AnalysisEngine().run(scan_paths)
     exit_code = 1 if result.findings else 0
 
     if args.format == "json":
@@ -139,17 +110,3 @@ def run_lint(args: argparse.Namespace, out: Any = None) -> int:
     if exit_code == 0:
         print("lint: clean", file=out)
     return exit_code
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry point (``python -m repro.analysis.lintcli``)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
-        description="AST-based invariant linter for the repro package",
-    )
-    add_lint_arguments(parser)
-    return run_lint(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,8 +1,9 @@
 """Rule registry and the per-file context rules run against.
 
-Every rule is a small object with an ``rule_id``, human documentation
-(``title``/``rationale``), and a ``check(ctx)`` returning findings for
-one parsed file. Rules register themselves via :func:`register`, so
+Every rule is a small object with a ``rule_id``, human documentation
+(``title``/``rationale``), a per-file ``check(ctx)`` and a
+whole-program ``check_project(project)``; each returns findings and
+defaults to none. Rules register themselves via :func:`register`, so
 importing the rule modules is enough to populate :data:`RULES`.
 
 Path scoping
@@ -21,8 +22,9 @@ from __future__ import annotations
 
 import ast
 import re
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.analysis.findings import Finding
 
@@ -54,20 +56,14 @@ def resolve_module_path(source: str, default: str) -> str:
     return default
 
 
+@dataclass
 class FileContext:
     """One parsed source file, as seen by every rule."""
 
-    def __init__(
-        self,
-        path: str,
-        module_path: str,
-        tree: ast.Module,
-        lines: List[str],
-    ) -> None:
-        self.path = path
-        self.module_path = module_path
-        self.tree = tree
-        self.lines = lines
+    path: str
+    module_path: str
+    tree: ast.Module
+    lines: List[str]
 
     def snippet(self, line: int) -> str:
         """Stripped source text of 1-based ``line`` ('' out of range)."""
@@ -89,7 +85,12 @@ class FileContext:
 
 
 class Rule:
-    """Base class: one statically-checkable invariant."""
+    """Base class: one statically-checkable invariant.
+
+    A rule without checks (``parse-error``, ``suppress-format``) is
+    emitted by the engine itself; it is registered so suppressions
+    naming it validate and ``--explain`` documents it.
+    """
 
     #: Stable identifier used in findings and suppressions.
     rule_id: str = ""
@@ -99,31 +100,16 @@ class Rule:
     rationale: str = ""
 
     def check(self, ctx: FileContext) -> List[Finding]:
-        raise NotImplementedError
+        return []
 
-
-class MetaRule(Rule):
-    """A rule whose findings the engine emits itself (no AST check)."""
-
-    def check(self, ctx: FileContext) -> List[Finding]:
+    def check_project(self, project: Any) -> List[Finding]:
         return []
 
 
 class ProjectRule(Rule):
-    """A whole-program rule: consumes the project graph, not one file.
-
-    Project rules register in the same registry as file rules (so
-    suppressions validate and ``--explain`` documents them), but their
-    per-file :meth:`check` is a no-op; the engine calls
-    :meth:`check_project` once per run with the cross-module view
-    built by :mod:`repro.analysis.project`.
-    """
-
-    def check(self, ctx: FileContext) -> List[Finding]:
-        return []
-
-    def check_project(self, project: object) -> List[Finding]:
-        raise NotImplementedError
+    """A whole-program rule: it checks the
+    :class:`~repro.analysis.project.ProjectGraph` of every file in the
+    run, once, instead of one file at a time."""
 
 
 #: Registry of all known rules, keyed by ``rule_id``.
@@ -144,14 +130,9 @@ def all_rules() -> List[Rule]:
     return [RULES[rule_id] for rule_id in sorted(RULES)]
 
 
-def all_project_rules() -> List[ProjectRule]:
+def all_project_rules() -> List[Rule]:
     """Registered whole-program rules in deterministic (id-sorted) order."""
-    _load_builtin_rules()
-    return [
-        rule
-        for rule in (RULES[rule_id] for rule_id in sorted(RULES))
-        if isinstance(rule, ProjectRule)
-    ]
+    return [rule for rule in all_rules() if isinstance(rule, ProjectRule)]
 
 
 def get_rule(rule_id: str) -> Optional[Rule]:
@@ -177,7 +158,6 @@ def _load_builtin_rules() -> None:
         determinism,
         exceptions,
         meta,
-        simclock,
         units,
     )
     from repro.analysis.rules.crossmodule import (  # noqa: F401

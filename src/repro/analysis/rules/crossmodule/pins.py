@@ -22,16 +22,11 @@ store-typed receiver) executed unpinned. Store-internal modules
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Set, Tuple, cast
+from typing import Dict, List, Set, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.project.graph import (
-    CallSite,
-    FunctionInfo,
-    ProjectGraph,
-)
+from repro.analysis.project import CallSite, FunctionInfo, ProjectGraph
 from repro.analysis.rules import ProjectRule, dotted_name, register
-from repro.analysis.rules.crossmodule import module_finding
 
 #: Store read methods a sampler walk issues.
 READ_METHODS = frozenset(
@@ -58,11 +53,10 @@ class PinDisciplineRule(ProjectRule):
         "replay-equivalence checks assume stable."
     )
 
-    def check_project(self, project: object) -> List[Finding]:
-        pg = cast(ProjectGraph, project)
+    def check_project(self, project: ProjectGraph) -> List[Finding]:
         entries = [
             func
-            for func in pg.functions()
+            for func in project.functions()
             if func.class_name is not None
             and "Sampler" in func.class_name
             and func.name in ("sample", "negative_sample")
@@ -73,72 +67,43 @@ class PinDisciplineRule(ProjectRule):
             stack: List[Tuple[FunctionInfo, bool]] = [(entry, False)]
             while stack:
                 func, pinned = stack.pop()
-                state = (func.key, pinned)
-                if state in seen:
+                if (func.key, pinned) in seen or func.module_path.startswith(
+                    STORE_MODULE_PREFIX
+                ):
                     continue
-                seen.add(state)
-                if func.module_path.startswith(STORE_MODULE_PREFIX):
-                    continue
-                minfo = pg.modules[func.module_path]
-                for site in pg.calls_of(func):
+                seen.add((func.key, pinned))
+                for site in project.calls_of(func):
                     effective = pinned or site.pinned
-                    if not effective and self._is_store_read(pg, func, site):
-                        node = site.node
-                        key = (
-                            func.module_path,
-                            node.lineno,
-                            node.col_offset,
-                        )
-                        if key not in findings:
-                            findings[key] = module_finding(
-                                minfo,
-                                self.rule_id,
-                                node,
-                                f"store read "
-                                f"'{dotted_name(node.func) or '?'}()' is "
-                                f"reachable from sampler entry point "
-                                f"{entry.class_name}.{entry.name} without "
-                                "a read_view() pin; wrap the read path in "
-                                "'with store.read_view():' so the walk "
-                                "observes one snapshot epoch",
-                            )
-                    if (
-                        site.callee is not None
-                        and site.callee.kind == "project"
-                    ):
-                        target = pg.function(
-                            site.callee.module, site.callee.qualname
-                        )
-                        if target is not None and not isinstance(
-                            target.node, ast.Module
-                        ):
-                            stack.append((target, effective))
+                    node = site.node
+                    if not effective and _is_store_read(project, func, site):
+                        key = (func.module_path, node.lineno, node.col_offset)
+                        minfo = project.modules[func.module_path]
+                        findings.setdefault(key, minfo.finding(
+                            self.rule_id,
+                            node,
+                            f"store read '{dotted_name(node.func) or '?'}()' "
+                            "is reachable from sampler entry point "
+                            f"{entry.class_name}.{entry.name} without a "
+                            "read_view() pin; wrap the read path in 'with "
+                            "store.read_view():' so the walk observes one "
+                            "snapshot epoch",
+                        ))
+                    target = project.target_of(site.callee)
+                    if target is not None:
+                        stack.append((target, effective))
         return [findings[key] for key in sorted(findings)]
 
-    @staticmethod
-    def _is_store_read(
-        pg: ProjectGraph, func: FunctionInfo, site: CallSite
-    ) -> bool:
-        node = site.node
-        if not isinstance(node.func, ast.Attribute):
-            return False
-        if node.func.attr not in READ_METHODS:
-            return False
-        base = node.func.value
-        base_dotted = dotted_name(base)
-        if base_dotted is not None and "store" in base_dotted.split(".")[-1].lower():
-            return True
-        origin = pg.origin_of(base, func)
-        if origin.kind == "selfattr":
-            origin = pg.self_attr_origin(func, origin.attr)
-        if (
-            origin.kind == "call"
-            and origin.callee is not None
-            and origin.callee.kind == "project"
-            and origin.callee.qualname.split(".")[0].endswith("Store")
-        ):
-            return True
+
+def _is_store_read(pg: ProjectGraph, func: FunctionInfo, site: CallSite) -> bool:
+    """A read method called on something named or typed as a store."""
+    call = site.node.func
+    if not isinstance(call, ast.Attribute) or call.attr not in READ_METHODS:
         return False
+    name = dotted_name(call.value)
+    if name is not None and "store" in name.split(".")[-1].lower():
+        return True
+    cls = pg.class_of(func, pg.origin_of(call.value, func))
+    return cls is not None and cls[1].endswith("Store")
 
 
 register(PinDisciplineRule())

@@ -11,10 +11,10 @@ closes the two leaks a single file cannot see:
    per process), ``id()``, ``time.*``, ``uuid.*``, ``secrets.*``,
    ``os.getpid()``/``os.urandom()`` or the stdlib ``random`` module is
    ambient — different every run — even when it is laundered through a
-   cross-module helper (``make_rng(entropy())``). The rule evaluates
-   the seed argument's def-use origin, follows project helper returns,
-   and propagates *parameter* sinks up the resolved call graph so the
-   ambient value is flagged at the call site that introduces it.
+   cross-module helper (``make_rng(entropy())``). The rule resolves the
+   seed argument's origin, and propagates *parameter* sinks up the
+   resolved call graph so the ambient value is flagged at the call
+   site that introduces it.
 
 2. **Unordered iteration feeding accounting.** Functions that feed the
    accounting counters (directly, or transitively through the resolved
@@ -27,21 +27,19 @@ closes the two leaks a single file cannot see:
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple, cast
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.project.graph import (
-    Callee,
+from repro.analysis.project import (
     FunctionInfo,
     Origin,
     ProjectGraph,
-    annotation_is_set,
+    assignment_targets,
 )
 from repro.analysis.rules import ProjectRule, register
-from repro.analysis.rules.crossmodule import module_finding, param_annotation
 from repro.analysis.rules.crossmodule.registry import (
-    COUNTER_CLASSES,
-    counter_fields,
+    ACCOUNTING_SINKS,
+    counter_classes,
 )
 
 #: Exact dotted callables whose result differs per process/run.
@@ -52,20 +50,7 @@ AMBIENT_CALLS = frozenset(
 #: Module prefixes whose every callable is ambient.
 AMBIENT_PREFIXES = frozenset({"time", "uuid", "secrets", "random"})
 
-#: Recording helpers: calling one means the function feeds accounting.
-ACCOUNTING_SINKS = frozenset(
-    {"_record", "_record_batch", "record_gather", "absorb_summary"}
-)
-
-_MAX_DEPTH = 6
-
-
-def _is_default_rng(callee: Optional[Callee]) -> bool:
-    return (
-        callee is not None
-        and callee.kind == "external"
-        and callee.dotted.split(".")[-1] == "default_rng"
-    )
+_Findings = Dict[Tuple[str, int, int], Finding]
 
 
 class RngProvenanceRule(ProjectRule):
@@ -80,320 +65,152 @@ class RngProvenanceRule(ProjectRule):
         "style occurrence counters diverges from its replay."
     )
 
-    def check_project(self, project: object) -> List[Finding]:
-        pg = cast(ProjectGraph, project)
-        findings: Dict[Tuple[str, int, int], Finding] = {}
-        self._check_seed_provenance(pg, findings)
-        self._check_set_iteration(pg, findings)
+    def check_project(self, project: ProjectGraph) -> List[Finding]:
+        findings: _Findings = {}
+        self._check_seed_provenance(project, findings)
+        self._check_set_iteration(project, findings)
         return [findings[key] for key in sorted(findings)]
 
     # ------------------------------------------------------ seed provenance
-    def _check_seed_provenance(
-        self,
-        pg: ProjectGraph,
-        findings: Dict[Tuple[str, int, int], Finding],
-    ) -> None:
+    def _check_seed_provenance(self, pg: ProjectGraph, findings: _Findings) -> None:
         #: Functions whose parameter, if ambient at a caller, taints a seed.
         sinks: Dict[Tuple[str, str], Set[str]] = {}
+
+        def _trace(func: FunctionInfo, expr: ast.expr) -> bool:
+            """Flag an ambient ``expr``, or record the parameter it is;
+            True when a new sink parameter was recorded."""
+            origin = pg.origin_of(expr, func)
+            ambient = _ambient(pg, func, origin)
+            if ambient is not None:
+                key = (func.module_path, expr.lineno, expr.col_offset)
+                findings.setdefault(key, pg.modules[func.module_path].finding(
+                    self.rule_id,
+                    expr,
+                    f"RNG seed derives from ambient '{ambient}' — different "
+                    "every process, so the run is no longer a function of "
+                    "its configuration; thread the seed from a SeedSequence "
+                    "or the session seed instead",
+                ))
+            elif origin.kind == "param" and origin.name not in sinks.get(func.key, ()):
+                sinks.setdefault(func.key, set()).add(origin.name)
+                return True
+            return False
+
         for func in pg.functions():
             for site in pg.calls_of(func):
-                if not _is_default_rng(site.callee):
+                callee = site.callee
+                if callee is None or callee.kind != "external":
                     continue
-                seed = self._seed_expr(site.node)
-                if seed is None:
-                    continue  # seedless: det-rng's per-file business
-                origin = pg.origin_of(seed, func)
-                ambient = self._ambient(pg, func, origin, _MAX_DEPTH)
-                if ambient is not None:
-                    self._flag_seed(pg, func, seed, ambient, findings)
-                elif origin.kind == "param":
-                    sinks.setdefault(func.key, set()).add(origin.name)
+                seed = _seed_expr(site.node)
+                if callee.dotted.split(".")[-1] == "default_rng" and seed is not None:
+                    _trace(func, seed)
         # Propagate parameter sinks up the call graph: a caller passing
         # an ambient value (or its own parameter) into a sink parameter
         # is flagged (or becomes a sink itself).
-        for _ in range(_MAX_DEPTH):
+        changed = True
+        while changed:
             changed = False
             for func in pg.functions():
                 for site in pg.calls_of(func):
-                    target = self._project_target(pg, site.callee)
+                    target = pg.target_of(site.callee)
                     if target is None or target.key not in sinks:
                         continue
-                    mapping = self._map_args(target, site.node)
+                    args = _map_args(target, site.node)
                     for name in sorted(sinks[target.key]):
-                        arg = mapping.get(name)
-                        if arg is None:
-                            continue
-                        origin = pg.origin_of(arg, func)
-                        ambient = self._ambient(pg, func, origin, _MAX_DEPTH)
-                        if ambient is not None:
-                            self._flag_seed(pg, func, arg, ambient, findings)
-                        elif origin.kind == "param":
-                            bucket = sinks.setdefault(func.key, set())
-                            if origin.name not in bucket:
-                                bucket.add(origin.name)
-                                changed = True
-            if not changed:
-                break
-
-    def _flag_seed(
-        self,
-        pg: ProjectGraph,
-        func: FunctionInfo,
-        expr: ast.expr,
-        ambient: str,
-        findings: Dict[Tuple[str, int, int], Finding],
-    ) -> None:
-        minfo = pg.modules[func.module_path]
-        key = (func.module_path, expr.lineno, expr.col_offset)
-        if key not in findings:
-            findings[key] = module_finding(
-                minfo,
-                self.rule_id,
-                expr,
-                f"RNG seed derives from ambient '{ambient}' — different "
-                "every process, so the run is no longer a function of "
-                "its configuration; thread the seed from a SeedSequence "
-                "or the session seed instead",
-            )
-
-    @staticmethod
-    def _seed_expr(call: ast.Call) -> Optional[ast.expr]:
-        if call.args and not isinstance(call.args[0], ast.Starred):
-            first = call.args[0]
-            if isinstance(first, ast.Constant):
-                return None  # literal seed: deterministic
-            return first
-        for keyword in call.keywords:
-            if keyword.arg == "seed":
-                if isinstance(keyword.value, ast.Constant):
-                    return None
-                return keyword.value
-        return None
-
-    def _ambient(
-        self,
-        pg: ProjectGraph,
-        func: FunctionInfo,
-        origin: Origin,
-        depth: int,
-    ) -> Optional[str]:
-        """Dotted name of the ambient source feeding ``origin``, if any."""
-        if depth <= 0:
-            return None
-        if origin.kind in ("attr", "sub", "elt"):
-            if origin.base is None:
-                return None
-            return self._ambient(pg, func, origin.base, depth - 1)
-        if origin.kind == "selfattr":
-            return self._ambient(
-                pg, func, pg.self_attr_origin(func, origin.attr), depth - 1
-            )
-        if origin.kind in ("tuple", "binop"):
-            for item in origin.items:
-                found = self._ambient(pg, func, item, depth - 1)
-                if found is not None:
-                    return found
-            return None
-        if origin.kind != "call" or origin.callee is None:
-            return None
-        callee = origin.callee
-        if callee.kind == "external":
-            dotted = callee.dotted
-            if dotted in AMBIENT_CALLS:
-                return dotted
-            if dotted.split(".")[0] in AMBIENT_PREFIXES:
-                return dotted
-            return None
-        if callee.kind == "project" and "." not in callee.qualname:
-            target = pg.function(callee.module, callee.qualname)
-            if target is not None:
-                for ret in pg.returns_of(target):
-                    found = self._ambient(
-                        pg, target, pg.origin_of(ret, target), depth - 1
-                    )
-                    if found is not None:
-                        return found
-        return None
-
-    @staticmethod
-    def _project_target(
-        pg: ProjectGraph, callee: Optional[Callee]
-    ) -> Optional[FunctionInfo]:
-        if callee is None or callee.kind != "project":
-            return None
-        qualname = callee.qualname
-        if "." not in qualname and pg.is_class(callee.module, qualname):
-            qualname = f"{qualname}.__init__"
-        target = pg.function(callee.module, qualname)
-        if target is None or isinstance(target.node, ast.Module):
-            return None
-        return target
-
-    @staticmethod
-    def _map_args(
-        target: FunctionInfo, call: ast.Call
-    ) -> Dict[str, ast.expr]:
-        params = target.param_names()
-        if target.class_name is not None and params and params[0] in (
-            "self",
-            "cls",
-        ):
-            params = params[1:]
-        mapping: Dict[str, ast.expr] = {}
-        for index, arg in enumerate(call.args):
-            if isinstance(arg, ast.Starred):
-                break
-            if index < len(params):
-                mapping[params[index]] = arg
-        for keyword in call.keywords:
-            if keyword.arg is not None:
-                mapping[keyword.arg] = keyword.value
-        return mapping
+                        if name in args:
+                            changed |= _trace(func, args[name])
 
     # ----------------------------------------------------- set iteration
-    def _check_set_iteration(
-        self,
-        pg: ProjectGraph,
-        findings: Dict[Tuple[str, int, int], Finding],
-    ) -> None:
-        counter_names = self._counter_names(pg)
-        feeding = self._feeding_functions(pg, counter_names)
+    def _check_set_iteration(self, pg: ProjectGraph, findings: _Findings) -> None:
+        counter_names = {
+            name for fields in counter_classes(pg).values() for name in fields
+        }
+        # Functions that mutate a counter or call a recording helper,
+        # then (to a fixpoint) every project function calling one.
+        feeding = {
+            func.key
+            for func in pg.functions()
+            if any(
+                isinstance(target, ast.Attribute) and target.attr in counter_names
+                for stmt, _pinned in pg.statements_of(func)
+                for target in assignment_targets(stmt)
+            )
+            or any(
+                isinstance(site.node.func, ast.Attribute)
+                and site.node.func.attr in ACCOUNTING_SINKS
+                for site in pg.calls_of(func)
+            )
+        }
+        callers = feeding
+        while callers:
+            callers = {
+                func.key
+                for func in pg.functions()
+                if func.key not in feeding
+                and any(
+                    site.callee is not None
+                    and site.callee.kind == "project"
+                    and (site.callee.module, site.callee.qualname) in feeding
+                    for site in pg.calls_of(func)
+                )
+            }
+            feeding |= callers
         for func in pg.functions():
             if func.key not in feeding:
                 continue
-            minfo = pg.modules[func.module_path]
             for stmt, _pinned in pg.statements_of(func):
                 if not isinstance(stmt, (ast.For, ast.AsyncFor)):
                     continue
-                if not self._is_set(pg, func, pg.origin_of(stmt.iter, func), _MAX_DEPTH):
+                origin = pg.origin_of(stmt.iter, func)
+                if not any(leaf.kind == "set" for _, leaf in pg.resolve(func, origin)):
                     continue
-                key = (
-                    func.module_path,
-                    stmt.iter.lineno,
-                    stmt.iter.col_offset,
-                )
-                if key not in findings:
-                    findings[key] = module_finding(
-                        minfo,
-                        self.rule_id,
-                        stmt.iter,
-                        "iterating a set in a function that feeds "
-                        "accounting counters: set order varies per "
-                        "process, so occurrence-ordered counters diverge "
-                        "from their replay; iterate sorted(...) instead",
-                    )
-
-    @staticmethod
-    def _counter_names(pg: ProjectGraph) -> Set[str]:
-        names: Set[str] = set()
-        for key in COUNTER_CLASSES:
-            module, class_name = key.split("::", 1)
-            cinfo = pg.class_info(module, class_name)
-            if cinfo is not None:
-                names.update(counter_fields(cinfo))
-        for module_path in pg.modules:
-            minfo = pg.modules[module_path]
-            for cinfo in minfo.classes.values():
-                if cinfo.class_constants.get("__counter_class__"):
-                    names.update(counter_fields(cinfo))
-        return names
-
-    def _feeding_functions(
-        self, pg: ProjectGraph, counter_names: Set[str]
-    ) -> Set[Tuple[str, str]]:
-        """Functions that (transitively) mutate accounting counters."""
-        feeding: Set[Tuple[str, str]] = set()
-        for func in pg.functions():
-            if self._feeds_directly(pg, func, counter_names):
-                feeding.add(func.key)
-        for _ in range(_MAX_DEPTH):
-            changed = False
-            for func in pg.functions():
-                if func.key in feeding:
-                    continue
-                for site in pg.calls_of(func):
-                    callee = site.callee
-                    if (
-                        callee is not None
-                        and callee.kind == "project"
-                        and (callee.module, callee.qualname) in feeding
-                    ):
-                        feeding.add(func.key)
-                        changed = True
-                        break
-            if not changed:
-                break
-        return feeding
-
-    @staticmethod
-    def _feeds_directly(
-        pg: ProjectGraph, func: FunctionInfo, counter_names: Set[str]
-    ) -> bool:
-        for stmt, _pinned in pg.statements_of(func):
-            targets: List[ast.expr] = []
-            if isinstance(stmt, ast.Assign):
-                targets = list(stmt.targets)
-            elif isinstance(stmt, ast.AugAssign):
-                targets = [stmt.target]
-            for target in targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and target.attr in counter_names
-                ):
-                    return True
-        for site in pg.calls_of(func):
-            if (
-                isinstance(site.node.func, ast.Attribute)
-                and site.node.func.attr in ACCOUNTING_SINKS
-            ):
-                return True
-        return False
-
-    def _is_set(
-        self,
-        pg: ProjectGraph,
-        func: FunctionInfo,
-        origin: Origin,
-        depth: int,
-    ) -> bool:
-        if depth <= 0:
-            return False
-        if origin.kind == "set":
-            return True
-        if origin.kind == "selfattr":
-            return self._is_set(
-                pg, func, pg.self_attr_origin(func, origin.attr), depth - 1
-            )
-        if origin.kind == "binop":
-            return any(
-                self._is_set(pg, func, item, depth - 1)
-                for item in origin.items
-            )
-        if origin.kind == "param":
-            return annotation_is_set_or_none(
-                param_annotation(func, origin.name)
-            )
-        if origin.kind == "call" and origin.callee is not None:
-            callee = origin.callee
-            if callee.kind == "external":
-                return callee.dotted in ("set", "frozenset")
-            if callee.kind == "project" and "." not in callee.qualname:
-                target = pg.function(callee.module, callee.qualname)
-                if target is not None:
-                    return any(
-                        self._is_set(
-                            pg,
-                            target,
-                            pg.origin_of(ret, target),
-                            depth - 1,
-                        )
-                        for ret in pg.returns_of(target)
-                    )
-        return False
+                key = (func.module_path, stmt.iter.lineno, stmt.iter.col_offset)
+                findings.setdefault(key, pg.modules[func.module_path].finding(
+                    self.rule_id,
+                    stmt.iter,
+                    "iterating a set in a function that feeds accounting "
+                    "counters: set order varies per process, so "
+                    "occurrence-ordered counters diverge from their "
+                    "replay; iterate sorted(...) instead",
+                ))
 
 
-def annotation_is_set_or_none(annotation: Optional[ast.expr]) -> bool:
-    return annotation is not None and annotation_is_set(annotation)
+def _ambient(pg: ProjectGraph, func: FunctionInfo, origin: Origin) -> Optional[str]:
+    """Dotted name of the ambient source feeding ``origin``, if any."""
+    for _, leaf in pg.resolve(func, origin, derived=True):
+        callee = leaf.callee
+        if leaf.kind == "call" and callee is not None and callee.kind == "external":
+            dotted = callee.dotted
+            if dotted in AMBIENT_CALLS or dotted.split(".")[0] in AMBIENT_PREFIXES:
+                return dotted
+    return None
+
+
+def _seed_expr(call: ast.Call) -> Optional[ast.expr]:
+    """The seed argument of a ``default_rng`` call, unless absent or a
+    literal (both deterministic or ``det-rng``'s business)."""
+    seed: Optional[ast.expr] = None
+    if call.args and not isinstance(call.args[0], ast.Starred):
+        seed = call.args[0]
+    else:
+        seed = next((kw.value for kw in call.keywords if kw.arg == "seed"), None)
+    return None if isinstance(seed, ast.Constant) else seed
+
+
+def _map_args(target: FunctionInfo, call: ast.Call) -> Dict[str, ast.expr]:
+    """Parameter name -> argument expression of ``call`` into ``target``."""
+    params = [param.arg for param in target.params()]
+    if target.class_name is not None and params[:1] in (["self"], ["cls"]):
+        params = params[1:]
+    mapping: Dict[str, ast.expr] = {}
+    for param, arg in zip(params, call.args):
+        if isinstance(arg, ast.Starred):
+            break
+        mapping[param] = arg
+    for keyword in call.keywords:
+        if keyword.arg is not None:
+            mapping[keyword.arg] = keyword.value
+    return mapping
 
 
 register(RngProvenanceRule())

@@ -7,8 +7,10 @@ enforce the two ways host nondeterminism leaks in:
 
 ``det-wallclock``
     The host clock (``time.*``, ``datetime.*``) is banned everywhere in
-    ``repro``. Simulated components take time from the event kernel;
-    host timing is done from outside the package, by ``bench/``.
+    ``repro``. Event-driven code (the serving gateway, the cluster, the
+    AxE event kernel, dynamic-graph ingest) takes timestamps from the
+    simulator clock, ``sim.now``; host timing is done from outside the
+    package, by ``bench/``, and handed in by the caller.
 
 ``det-rng``
     Randomness must be an injected, explicitly-seeded
@@ -21,12 +23,12 @@ enforce the two ways host nondeterminism leaks in:
 from __future__ import annotations
 
 import ast
-from typing import List, Set
+from typing import List, Optional, Set
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules import FileContext, Rule, dotted_name, register
 
-#: Host-clock callables, by dotted name relative to their module.
+#: Host-clock callables of the ``time`` module.
 CLOCK_CALLS = frozenset(
     {
         "time",
@@ -41,8 +43,11 @@ CLOCK_CALLS = frozenset(
     }
 )
 
-#: ``datetime`` names that read the host clock when imported/called.
+#: ``datetime`` names that read the host clock when imported.
 DATETIME_CLOCK_NAMES = frozenset({"datetime", "date", "time"})
+
+#: ``datetime`` methods that read the host clock.
+DATETIME_CLOCK_CALLS = frozenset({"now", "utcnow", "today"})
 
 #: ``np.random`` attributes that are fine: explicit generator plumbing.
 NP_RANDOM_ALLOWED = frozenset(
@@ -59,16 +64,21 @@ NP_RANDOM_ALLOWED = frozenset(
     }
 )
 
+_CLOCK_ADVICE = (
+    "take simulated time from the simulator clock (sim.now), and host "
+    "time from the caller (bench/ times the package from outside)"
+)
+
 
 def _module_aliases(tree: ast.Module, module: str) -> Set[str]:
     """Names the file binds to ``import module`` (including aliases)."""
-    aliases: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == module:
-                    aliases.add(alias.asname or module)
-    return aliases
+    return {
+        alias.asname or module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == module
+    }
 
 
 class WallClockRule(Rule):
@@ -76,82 +86,39 @@ class WallClockRule(Rule):
     title = "no host-clock reads inside the package"
     rationale = (
         "Simulated latencies, SLO accounting, and replay equivalence are "
-        "only trustworthy if no simulator code reads the wall clock. Host "
-        "timing is taken from outside the package (bench/); everything "
-        "inside takes time from the deterministic event kernel."
+        "only trustworthy if no package code reads the wall clock: a "
+        "time.time() stamp mixed into virtual-time (sim.now) arithmetic "
+        "yields latencies no test can tell from load. Event-driven code "
+        "takes time from the deterministic event kernel; host timing is "
+        "taken from outside the package (bench/) and handed in."
     )
 
     def check(self, ctx: FileContext) -> List[Finding]:
         findings: List[Finding] = []
         time_aliases = _module_aliases(ctx.tree, "time")
         datetime_aliases = _module_aliases(ctx.tree, "datetime")
+
+        def flag(node: ast.AST, what: str) -> None:
+            message = f"{what} reads the host clock; {_CLOCK_ADVICE}"
+            findings.append(ctx.finding(self.rule_id, node, message))
+
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name in ("time", "datetime"):
-                        findings.append(
-                            ctx.finding(
-                                self.rule_id,
-                                node,
-                                f"host-clock module 'import {alias.name}' is "
-                                "banned in repro; time the code from "
-                                "bench/ or use the simulator clock for "
-                                "simulated time",
-                            )
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "time":
-                    findings.append(
-                        ctx.finding(
-                            self.rule_id,
-                            node,
-                            "'from time import ...' is banned in repro",
-                        )
-                    )
-                elif node.module == "datetime":
-                    clocky = [
-                        alias.name
-                        for alias in node.names
-                        if alias.name in DATETIME_CLOCK_NAMES
-                    ]
-                    if clocky:
-                        findings.append(
-                            ctx.finding(
-                                self.rule_id,
-                                node,
-                                "importing host-clock datetime names "
-                                f"({', '.join(clocky)}) is banned; "
-                                "simulated timestamps come from the event "
-                                "kernel",
-                            )
-                        )
+                        flag(node, f"'import {alias.name}'")
+            elif isinstance(node, ast.ImportFrom) and node.module == "time":
+                flag(node, "'from time import ...'")
+            elif isinstance(node, ast.ImportFrom) and node.module == "datetime":
+                names = [a.name for a in node.names if a.name in DATETIME_CLOCK_NAMES]
+                if names:
+                    flag(node, f"importing datetime's {', '.join(names)}")
             elif isinstance(node, ast.Call):
-                dotted = dotted_name(node.func)
-                if dotted is None:
-                    continue
-                parts = dotted.split(".")
-                if parts[0] in time_aliases and parts[-1] in CLOCK_CALLS:
-                    findings.append(
-                        ctx.finding(
-                            self.rule_id,
-                            node,
-                            f"host-clock call '{dotted}()' is banned; time "
-                            "the code from bench/ or use the simulator "
-                            "clock",
-                        )
-                    )
-                elif parts[0] in datetime_aliases and parts[-1] in (
-                    "now",
-                    "utcnow",
-                    "today",
+                parts = (dotted_name(node.func) or "").split(".")
+                if (parts[0] in time_aliases and parts[-1] in CLOCK_CALLS) or (
+                    parts[0] in datetime_aliases and parts[-1] in DATETIME_CLOCK_CALLS
                 ):
-                    findings.append(
-                        ctx.finding(
-                            self.rule_id,
-                            node,
-                            f"host-clock call '{dotted}()' is banned",
-                        )
-                    )
+                    flag(node, f"'{'.'.join(parts)}()'")
         return findings
 
 
@@ -168,75 +135,45 @@ class SeededRngRule(Rule):
     def check(self, ctx: FileContext) -> List[Finding]:
         findings: List[Finding] = []
         numpy_aliases = _module_aliases(ctx.tree, "numpy") | {"np"}
+
+        def flag(node: ast.AST, message: str) -> None:
+            findings.append(ctx.finding(self.rule_id, node, message))
+
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "random":
-                        findings.append(
-                            ctx.finding(
-                                self.rule_id,
-                                node,
-                                "stdlib 'random' is process-global state; "
-                                "inject a seeded np.random.Generator "
-                                "instead",
-                            )
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "random":
-                    findings.append(
-                        ctx.finding(
-                            self.rule_id,
-                            node,
-                            "'from random import ...' is banned; inject a "
-                            "seeded np.random.Generator instead",
-                        )
-                    )
+            if isinstance(node, ast.Import) and any(
+                alias.name == "random" for alias in node.names
+            ):
+                flag(node, "stdlib 'random' is process-global state; inject a "
+                     "seeded np.random.Generator instead")
+            elif isinstance(node, ast.ImportFrom) and node.module == "random":
+                flag(node, "'from random import ...' is banned; inject a "
+                     "seeded np.random.Generator instead")
             elif isinstance(node, ast.Call):
-                dotted = dotted_name(node.func)
-                if dotted is None:
+                parts = (dotted_name(node.func) or "").split(".")
+                if len(parts) != 3 or parts[1] != "random":
                     continue
-                parts = dotted.split(".")
-                if (
-                    len(parts) == 3
-                    and parts[0] in numpy_aliases
-                    and parts[1] == "random"
-                ):
-                    attr = parts[2]
-                    if attr == "default_rng":
-                        if self._is_seedless(node):
-                            findings.append(
-                                ctx.finding(
-                                    self.rule_id,
-                                    node,
-                                    "seedless np.random.default_rng() draws "
-                                    "OS entropy; pass an explicit seed "
-                                    "threaded from configuration",
-                                )
-                            )
-                    elif attr not in NP_RANDOM_ALLOWED:
-                        findings.append(
-                            ctx.finding(
-                                self.rule_id,
-                                node,
-                                f"module-level 'np.random.{attr}()' uses "
-                                "hidden global RNG state; use a seeded "
-                                "np.random.Generator",
-                            )
-                        )
+                if parts[0] not in numpy_aliases:
+                    continue
+                if parts[2] == "default_rng" and self._is_seedless(node):
+                    flag(node, "seedless np.random.default_rng() draws OS "
+                         "entropy; pass an explicit seed threaded from "
+                         "configuration")
+                elif parts[2] not in NP_RANDOM_ALLOWED:
+                    flag(node, f"module-level 'np.random.{parts[2]}()' uses "
+                         "hidden global RNG state; use a seeded "
+                         "np.random.Generator")
         return findings
 
     @staticmethod
     def _is_seedless(call: ast.Call) -> bool:
-        if not call.args and not call.keywords:
-            return True
+        seed: Optional[ast.expr]
         if call.args:
-            first = call.args[0]
-            return isinstance(first, ast.Constant) and first.value is None
-        for keyword in call.keywords:
-            if keyword.arg == "seed":
-                value = keyword.value
-                return isinstance(value, ast.Constant) and value.value is None
-        return False
+            seed = call.args[0]
+        else:
+            seed = next((kw.value for kw in call.keywords if kw.arg == "seed"), None)
+            if seed is None:
+                return not call.keywords
+        return isinstance(seed, ast.Constant) and seed.value is None
 
 
 register(WallClockRule())

@@ -1,17 +1,15 @@
 """Engine-emitted meta rules.
 
-These two rule ids never run an AST check themselves; the engine emits
-their findings while reading and pre-processing a file. They are
-registered so suppressions referencing them validate and ``--explain``
-can document them.
+These two rule ids never run a check themselves; the engine emits
+their findings while reading and pre-processing a file.
 """
 
 from __future__ import annotations
 
-from repro.analysis.rules import MetaRule, register
+from repro.analysis.rules import Rule, register
 
 
-class ParseErrorRule(MetaRule):
+class ParseErrorRule(Rule):
     rule_id = "parse-error"
     title = "file must parse under the supported Python grammar"
     rationale = (
@@ -21,7 +19,7 @@ class ParseErrorRule(MetaRule):
     )
 
 
-class SuppressFormatRule(MetaRule):
+class SuppressFormatRule(Rule):
     rule_id = "suppress-format"
     title = "suppression comments must name a known rule and give a reason"
     rationale = (

@@ -28,9 +28,9 @@ counters are occurrence-accurate and flow into the store's
 :class:`~repro.memstore.store.AccessSummary` via
 :meth:`~repro.memstore.store.PartitionedStore.record_neighborhood`.
 
-This module is enrolled in the sim-clock lint scope: it must stay
-clock-free. All wall-clock measurement happens outside the package,
-in the ``train_fresh``/``train_cached`` workloads of ``bench/``.
+Like every module it is clock-free (the ``det-wallclock`` lint rule).
+All wall-clock measurement happens outside the package, in the
+``train_fresh``/``train_cached`` workloads of ``bench/``.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis.lintcli import add_lint_arguments, main, run_lint
+from repro.analysis import all_rules
+from repro.analysis.lintcli import add_lint_arguments, run_lint
 from repro.cli import main as repro_main
 
 SRC_ROOT = Path(repro.__file__).resolve().parent
@@ -96,64 +97,76 @@ def test_list_rules_names_the_rule_pack():
         "parse-error",
         "pin-discipline",
         "rng-provenance",
-        "sim-clock",
         "suppress-format",
         "units-magic",
     ]
 
 
-def test_standalone_main_entry_point(tmp_path):
+def test_repro_lint_is_the_entry_point(tmp_path, capsys):
+    """``repro lint`` is the only way in: a clean file returns, a
+    violation exits 1."""
     target = tmp_path / "clean.py"
     target.write_text("x = 1\n", encoding="utf-8")
-    assert main([str(target)]) == 0
+    repro_main(["lint", str(target)])
+    assert "lint: clean" in capsys.readouterr().out
+    target.write_text("import random\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        repro_main(["lint", str(target)])
+    assert exc.value.code == 1
 
 
 # ------------------------------------------------------- the CI guarantee
 UNPIN = ("with self.store.read_view():", "if True:")
 
 
-@pytest.mark.parametrize(
-    "payload, rule",
-    [
-        ("rng = np.random.default_rng()\n", "det-rng"),
-        ("import time\n\n_T0 = time.time()\n", "det-wallclock"),
-        # (edited file, old, new, what the report must name): a degraded
-        # read of the reference walk that is no longer counted, and a
-        # walk that lost its pin.
-        pytest.param(
-            (
-                "framework/replay.py",
-                "self.degraded_fallbacks += 1",
-                "pass",
-                ["repro/framework/replay.py"],
-            ),
-            "except-swallow",
-            id="oracle-uncounted-fallback",
+#: (payload, rule): a line appended to ``framework/sampler.py``, or an
+#: (edited file, old, new, what the report must name) edit.
+INJECTED = [
+    ("rng = np.random.default_rng()\n", "det-rng"),
+    ("import time\n\n_T0 = time.time()\n", "det-wallclock"),
+    ("_BYTES = 4 * 1024 ** 3\n", "units-magic"),
+    # A degraded read of the reference walk that is no longer counted,
+    # and a walk that lost its pin.
+    pytest.param(
+        (
+            "framework/replay.py",
+            "self.degraded_fallbacks += 1",
+            "pass",
+            ["repro/framework/replay.py"],
         ),
-        pytest.param(
-            ("framework/replay.py", *UNPIN, ["repro/framework/replay.py"]),
-            "pin-discipline",
-            id="oracle-unpinned-walk",
+        "except-swallow",
+        id="oracle-uncounted-fallback",
+    ),
+    pytest.param(
+        ("framework/replay.py", *UNPIN, ["repro/framework/replay.py"]),
+        "pin-discipline",
+        id="oracle-unpinned-walk",
+    ),
+    # The engine pins its gather in collect() but issues it through
+    # methods it inherits, so the unpinned reads are the base
+    # sampler's, reached from ParallelSampler.sample.
+    pytest.param(
+        (
+            "parallel/engine.py",
+            *UNPIN,
+            ["repro/framework/sampler.py", "entry point ParallelSampler.sample"],
         ),
-        # The engine pins its gather in collect() but issues it through
-        # methods it inherits, so the unpinned reads are the base
-        # sampler's, reached from ParallelSampler.sample.
-        pytest.param(
-            (
-                "parallel/engine.py",
-                *UNPIN,
-                ["repro/framework/sampler.py", "entry point ParallelSampler.sample"],
-            ),
-            "pin-discipline",
-            id="engine-unpinned-gather",
-        ),
-    ],
-)
+        "pin-discipline",
+        id="engine-unpinned-gather",
+    ),
+]
+
+#: Rules whose violations only a multi-file fixture project shows.
+CROSSMODULE = ["counter-ownership", "pin-discipline", "rng-provenance"]
+
+
+@pytest.mark.parametrize("payload, rule", INJECTED)
 def test_injected_violation_fails_lint(tmp_path, payload, rule):
-    """Introducing a seedless RNG or wall-clock call into a copy of
-    ``repro/framework``, un-counting / un-pinning the oracle there, or
-    un-pinning the sharded engine beside it, makes ``repro lint`` exit
-    nonzero — the check CI relies on."""
+    """Introducing a seedless RNG, a wall-clock call or a magic unit
+    conversion into a copy of ``repro/framework``, un-counting /
+    un-pinning the oracle there, or un-pinning the sharded engine
+    beside it, makes ``repro lint`` exit nonzero — the check CI relies
+    on."""
     package = tmp_path / "repro"
     package.mkdir()
     for name in ("framework", "parallel"):
@@ -185,10 +198,7 @@ def test_injected_violation_fails_lint(tmp_path, payload, rule):
     assert code == 0, output
 
 
-@pytest.mark.parametrize(
-    "rule",
-    ["counter-ownership", "pin-discipline", "rng-provenance"],
-)
+@pytest.mark.parametrize("rule", CROSSMODULE)
 def test_injected_crossmodule_violation_fails_lint(tmp_path, rule):
     """The same guarantee for violations no single file can witness:
     each ``bad/`` fixture project fails a plain ``repro lint`` (no
@@ -203,3 +213,14 @@ def test_injected_crossmodule_violation_fails_lint(tmp_path, rule):
 
     code, output = lint([str(tmp_path / "good")])
     assert code == 0, output
+
+
+def test_every_rule_has_an_injected_violation():
+    """Each rule is guarded by an injection above that fails without it;
+    the two engine-emitted rules by the parse-error and suppression
+    tests."""
+    injected = {getattr(case, "values", case)[1] for case in INJECTED}
+    engine_emitted = {"parse-error", "suppress-format"}
+    assert injected | set(CROSSMODULE) | engine_emitted == {
+        rule.rule_id for rule in all_rules()
+    }

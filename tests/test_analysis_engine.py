@@ -4,10 +4,15 @@
 from pathlib import Path
 
 import repro
-from repro.analysis import AnalysisEngine, analyze_source, derive_module_path
+from repro.analysis import derive_module_path, lint, python_files
 from repro.analysis.engine import FIXTURE_PREFIX
 
 SRC_ROOT = Path(repro.__file__).parent
+
+
+def lint_paths(paths):
+    """What ``repro lint PATHS`` runs: the walker's files, one pass."""
+    return lint({str(p): p.read_text(encoding="utf-8") for p in python_files(paths)})
 
 
 # ------------------------------------------------------ module-path mapping
@@ -29,15 +34,14 @@ def test_marker_overrides_derived_path(tmp_path):
         "# repro-module: repro/serving/stamp.py\nimport time\n",
         encoding="utf-8",
     )
-    result = AnalysisEngine().run([target])
-    assert {f.rule for f in result.findings} >= {"sim-clock"}
+    result = lint_paths([target])
+    assert {f.rule for f in result.findings} == {"det-wallclock"}
     assert all(f.path == "repro/serving/stamp.py" for f in result.findings)
 
 
 # --------------------------------------------------------------- the walker
 def test_walker_skips_fixtures_and_pycache():
-    engine = AnalysisEngine()
-    files = list(engine.iter_python_files(SRC_ROOT))
+    files = python_files([SRC_ROOT])
     assert files, "walker found no files under src/repro"
     for path in files:
         module = derive_module_path(str(path))
@@ -51,38 +55,35 @@ def test_expand_paths_accepts_file_and_directory(tmp_path):
     sub.mkdir()
     (sub / "b.py").write_text("y = 2\n", encoding="utf-8")
     (sub / "notes.txt").write_text("skip me\n", encoding="utf-8")
-    engine = AnalysisEngine()
-    found = engine.expand_paths([tmp_path / "a.py", sub])
+    found = python_files([tmp_path / "a.py", sub])
     assert sorted(p.name for p in found) == ["a.py", "b.py"]
 
 
 # ------------------------------------------------------------ the one pass
 def test_run_applies_file_and_project_rules_and_suppressions(tmp_path):
-    """One ``run`` reports a file-rule and a project-rule finding side
-    by side, and an inline suppression covers either kind."""
+    """One pass reports a file-rule and a project-rule finding side by
+    side, and an inline suppression covers either kind."""
     (tmp_path / "stats.py").write_text(
-        "# repro-module: repro/framework/tstats.py\n"
-        "class TStats:\n"
-        "    __counter_class__ = True\n"
-        "\n"
+        "# repro-module: repro/memstore/faults.py\n"
+        "class FaultStats:\n"
         "    def __init__(self):\n"
-        "        self.zorp_count = 0\n",
+        "        self.failed_reads = 0\n",
         encoding="utf-8",
     )
     worker = tmp_path / "worker.py"
     body = (
         "# repro-module: repro/gnn/tworker.py\n"
         "import random\n"
-        "from repro.framework.tstats import TStats\n"
+        "from repro.memstore.faults import FaultStats\n"
         "\n"
         "\n"
         "def run_once():\n"
-        "    s = TStats()\n"
-        "    s.zorp_count += 1{allow}\n"
+        "    s = FaultStats()\n"
+        "    s.failed_reads += 1{allow}\n"
         "    return s\n"
     )
     worker.write_text(body.format(allow=""), encoding="utf-8")
-    result = AnalysisEngine().run([tmp_path])
+    result = lint_paths([tmp_path])
     assert (result.files_scanned, result.modules) == (2, 2)
     assert [(f.rule, f.path, f.line) for f in result.findings] == [
         ("det-rng", "repro/gnn/tworker.py", 2),
@@ -94,7 +95,7 @@ def test_run_applies_file_and_project_rules_and_suppressions(tmp_path):
         body.format(allow="  # repro: allow[counter-ownership] test"),
         encoding="utf-8",
     )
-    result = AnalysisEngine().run([tmp_path])
+    result = lint_paths([tmp_path])
     assert [f.rule for f in result.findings] == ["det-rng"]
     assert [f.rule for f in result.suppressed] == ["counter-ownership"]
 
@@ -103,7 +104,7 @@ def test_run_applies_file_and_project_rules_and_suppressions(tmp_path):
 def test_syntax_error_becomes_parse_error_finding(tmp_path):
     target = tmp_path / "broken.py"
     target.write_text("def broken(:\n", encoding="utf-8")
-    result = AnalysisEngine().run([target])
+    result = lint_paths([target])
     assert [f.rule for f in result.findings] == ["parse-error"]
 
 
@@ -115,7 +116,19 @@ def test_findings_sorted_by_location():
         "def f():\n"
         "    return 8 * 1024 ** 3\n"
     )
-    result = analyze_source(source, module_path="repro/framework/sampler.py")
+    result = lint({"repro/framework/sampler.py": source})
     locations = [(f.line, f.col) for f in result.findings]
     assert locations == sorted(locations)
     assert len(result.findings) == 3
+
+
+# ------------------------------------------------------------- the budget
+def test_analysis_package_stays_under_3000_lines():
+    """The linter serves the package, not the other way round: it is
+    held under a line budget (fixtures included) so a new rule pays for
+    itself by sharing the project graph's one origin resolver."""
+    lines = sum(
+        len(path.read_text(encoding="utf-8").splitlines())
+        for path in (SRC_ROOT / "analysis").rglob("*.py")
+    )
+    assert lines < 3000, lines

@@ -4,21 +4,12 @@ rules' provable blindness to them."""
 from pathlib import Path
 
 import repro
-from repro.analysis import analyze_source
-from repro.analysis.project import build_project_from_sources
-from repro.analysis.rules import all_project_rules
-from repro.analysis.rules.crossmodule.counters import CounterOwnershipRule
-from repro.analysis.rules.crossmodule.pins import PinDisciplineRule
-from repro.analysis.rules.crossmodule.rng import RngProvenanceRule
+from repro.analysis import all_project_rules, lint
 
 SRC_ROOT = Path(repro.__file__).parent
 FIXTURES = SRC_ROOT / "analysis" / "fixtures" / "crossmodule"
 
-RULE_DIRS = {
-    "pin_discipline": PinDisciplineRule,
-    "rng_provenance": RngProvenanceRule,
-    "counter_ownership": CounterOwnershipRule,
-}
+RULE_DIRS = ["pin_discipline", "rng_provenance", "counter_ownership"]
 
 
 def load_sources(directory):
@@ -30,11 +21,10 @@ def load_sources(directory):
 
 
 def run_fixture(rule_dir, kind):
-    rule_cls = RULE_DIRS[rule_dir]
+    """Every rule's findings over one fixture project."""
     sources = load_sources(FIXTURES / rule_dir / kind)
     assert len(sources) >= 2, "crossmodule fixtures must span files"
-    project = build_project_from_sources(sources)
-    return rule_cls().check_project(project)
+    return lint(sources).findings
 
 
 # ----------------------------------------------------- fixture pairs
@@ -63,21 +53,20 @@ def test_counter_ownership_fixture_pair():
     assert [f.rule for f in findings] == ["counter-ownership"] * 2
     assert {f.path for f in findings} == {"repro/gnn/stats_worker.py"}
     assert [f.snippet.split("  #")[0] for f in findings] == [
-        "s.widget_count += 1",
-        "stats.widget_count = 0",
+        "s.failed_reads += 1",
+        "stats.failed_reads = 0",
     ]
     assert run_fixture("counter_ownership", "good") == []
 
 
 def test_per_file_engine_cannot_flag_bad_fixtures():
-    """Each bad fixture file is clean in isolation: the violation only
-    exists in the cross-module view, which is the point of the tier."""
+    """Each bad fixture file is clean in isolation, project rules
+    included: the violation only exists in the cross-module view, which
+    is the point of the tier."""
     checked = 0
     for rule_dir in RULE_DIRS:
         for path in sorted((FIXTURES / rule_dir / "bad").glob("*.py")):
-            result = analyze_source(
-                path.read_text(encoding="utf-8"), path=str(path)
-            )
+            result = lint({str(path): path.read_text(encoding="utf-8")})
             assert result.findings == [], (
                 f"{path} should be per-file clean but got "
                 f"{[f.to_dict() for f in result.findings]}"
@@ -93,3 +82,45 @@ def test_all_project_rules_registered():
         "rng-provenance",
         "counter-ownership",
     }
+
+
+# ----------------------------------------------------- the origin resolver
+FAULTS = """\
+class FaultStats:
+    def __init__(self):
+        self.failed_reads = 0
+"""
+
+RUNNER = """\
+from repro.memstore.faults import FaultStats
+
+
+class Runner:
+    def __init__(self, stats: FaultStats):
+        self.stats = stats
+
+    def bump(self):
+        self.stats.failed_reads += 1
+
+
+def bump_through(runner: Runner):
+    runner.stats.failed_reads += 1
+
+
+def pick(a: FaultStats, b, flag):
+    chosen = a if flag else b
+    chosen.failed_reads = 0
+"""
+
+
+def test_resolver_types_attributes_and_branches():
+    """One resolver serves every rule: ``self.stats`` is typed by the
+    annotated parameter of the method that assigns it, ``runner.stats``
+    through the declared class of ``runner``, and a conditional by
+    either arm."""
+    findings = lint(
+        {"repro/memstore/faults.py": FAULTS, "repro/gnn/runner.py": RUNNER}
+    ).findings
+    assert [(f.rule, f.path, f.line) for f in findings] == [
+        ("counter-ownership", "repro/gnn/runner.py", line) for line in (9, 13, 18)
+    ]

@@ -4,26 +4,25 @@ on its good fixture, and handles the edge cases the fixtures don't show
 
 import pytest
 
-from repro.analysis import (
-    all_rules,
-    analyze_source,
-    build_project_from_sources,
-    get_rule,
-)
-from repro.analysis.lintcli import fixture_path
+from repro.analysis import ProjectRule, all_rules, lint
+from repro.analysis.lintcli import fixture_files
 
 #: The file rules (meta rules are engine-emitted and excluded).
 RULE_IDS = [
     "det-rng",
     "det-wallclock",
     "except-swallow",
-    "sim-clock",
     "units-magic",
 ]
 
 
-def rules_fired(source, **kwargs):
-    result = analyze_source(source, **kwargs)
+def fixture_path(rule_id, kind):
+    [path] = fixture_files(rule_id, kind)
+    return path
+
+
+def rules_fired(source, module_path=None, path="<memory>"):
+    result = lint({module_path or path: source})
     return {finding.rule for finding in result.findings}
 
 
@@ -31,7 +30,6 @@ def rules_fired(source, **kwargs):
 @pytest.mark.parametrize("rule_id", RULE_IDS)
 def test_bad_fixture_fires(rule_id):
     path = fixture_path(rule_id, "bad")
-    assert path.exists(), f"missing bad fixture for {rule_id}"
     fired = rules_fired(path.read_text(encoding="utf-8"), path=str(path))
     assert rule_id in fired
 
@@ -39,7 +37,6 @@ def test_bad_fixture_fires(rule_id):
 @pytest.mark.parametrize("rule_id", RULE_IDS)
 def test_good_fixture_is_clean(rule_id):
     path = fixture_path(rule_id, "good")
-    assert path.exists(), f"missing good fixture for {rule_id}"
     fired = rules_fired(path.read_text(encoding="utf-8"), path=str(path))
     assert rule_id not in fired
 
@@ -138,8 +135,7 @@ def ownership_findings(module_path, source):
     """counter-ownership over the registered FaultStats owner + one module."""
     sources = {"repro/memstore/faults.py": FAULTS_SRC}
     sources[module_path] = sources.get(module_path, "") + source
-    project = build_project_from_sources(sources)
-    return get_rule("counter-ownership").check_project(project)
+    return lint(sources).findings
 
 
 def test_accounting_allows_owner_module():
@@ -192,36 +188,38 @@ def test_recording_handler_ok_on_fault_path():
     assert "except-swallow" not in fired
 
 
-# ---------------------------------------------------------------- sim-clock
-def test_sim_clock_scoped_to_event_modules():
+def test_wallclock_flags_event_modules():
+    # Event-driven modules take time from sim.now; det-wallclock covers
+    # them like every other module (no separate simulated-clock rule).
     source = "import time\n"
-    assert "sim-clock" in rules_fired(
-        source, module_path="repro/serving/scheduler.py"
-    )
-    assert "sim-clock" in rules_fired(
-        source, module_path="repro/axe/events.py"
-    )
-    assert "sim-clock" not in rules_fired(
-        source, module_path="repro/gnn/train.py"
-    )
+    for module_path in (
+        "repro/serving/scheduler.py",
+        "repro/axe/events.py",
+        "repro/gnn/train.py",
+    ):
+        assert rules_fired(source, module_path=module_path) == {"det-wallclock"}
 
 
 # --------------------------------------------------------------- meta rules
 def test_parse_error_is_a_finding():
-    result = analyze_source("def broken(:\n", path="x.py")
+    result = lint({"x.py": "def broken(:\n"})
     assert [f.rule for f in result.findings] == ["parse-error"]
 
 
 def test_explain_fixture_pairs_exist_for_rule_pack():
-    for rule_id in RULE_IDS:
-        assert get_rule(rule_id) is not None
+    checked = [
+        rule for rule in all_rules()
+        if rule.rule_id in RULE_IDS or isinstance(rule, ProjectRule)
+    ]
+    assert len(checked) == len(RULE_IDS) + 3
+    for rule in checked:
         for kind in ("bad", "good"):
-            assert fixture_path(rule_id, kind).exists()
+            assert fixture_files(rule.rule_id, kind), (rule.rule_id, kind)
 
 
 def test_fixture_module_marker_respected():
-    path = fixture_path("sim-clock", "bad")
-    result = analyze_source(path.read_text(encoding="utf-8"), path=str(path))
+    path = fixture_path("det-wallclock", "bad")
+    result = lint({str(path): path.read_text(encoding="utf-8")})
     assert result.findings, "marker should scope fixture into serving/"
     assert all(
         f.path == "repro/serving/stamp_fixture.py" for f in result.findings

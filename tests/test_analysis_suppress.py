@@ -2,13 +2,13 @@
 the one exemption mechanism; a suppressed finding doesn't fail the run
 and a malformed suppression is itself a finding."""
 
-from repro.analysis import analyze_source
+from repro.analysis import lint
 
 MODULE = "repro/framework/sampler.py"
 
 
 def findings_of(source, module_path=MODULE):
-    return analyze_source(source, module_path=module_path)
+    return lint({module_path: source})
 
 
 # ------------------------------------------------------------- suppressions
