@@ -13,11 +13,13 @@ from repro.gnn.layers import Dense, SageLayer
 class GraphSageEncoder:
     """Mini-batch graphSAGE encoder over a sampled multi-hop neighborhood.
 
-    Consumes per-hop attribute tensors as produced by
-    :class:`~repro.framework.requests.SampleResult`: ``features[l]`` has
-    shape ``(batch, width_l, attr_len)`` with ``width_l`` the product of
-    the first ``l`` fanouts (``width_0 == 1``). Produces one embedding
-    per root.
+    Runs on one slot-major ``(rows, attr_len)`` block (:meth:`stack`
+    builds it from per-level arrays): level ``l`` holds ``batch *
+    width_l`` rows, ``width_l`` the product of the first ``l`` fanouts,
+    and row ``s * n + p`` of level ``l >= 1`` is slot ``s`` of row ``p``
+    of level ``l - 1`` (``n`` rows). Layer ``k`` maps levels ``0..L-k``
+    to ``0..L-k-1`` in one forward, so a step runs ``L`` layer forwards
+    and ``L`` backwards. Produces one embedding per root.
     """
 
     def __init__(
@@ -32,7 +34,9 @@ class GraphSageEncoder:
             raise ConfigurationError("attr_len and hidden_dim must be positive")
         if not fanouts:
             raise ConfigurationError("fanouts must contain at least one hop")
+        self.attr_len = attr_len
         self.fanouts = tuple(int(f) for f in fanouts)
+        self.widths = [int(w) for w in np.cumprod((1,) + self.fanouts)]
         self.layers: List[SageLayer] = []
         in_dim = attr_len
         for k in range(len(self.fanouts)):
@@ -45,96 +49,82 @@ class GraphSageEncoder:
     def num_hops(self) -> int:
         return len(self.fanouts)
 
-    def _normalize_features(self, features: Sequence[np.ndarray]) -> List[np.ndarray]:
-        if len(features) != self.num_hops + 1:
-            raise ConfigurationError(
-                f"expected {self.num_hops + 1} feature tensors, got {len(features)}"
-            )
-        out = []
-        width = 1
-        for level, tensor in enumerate(features):
-            tensor = np.asarray(tensor, dtype=np.float32)
-            if tensor.ndim == 2:
-                tensor = tensor[:, None, :]
-            if tensor.shape[1] != width:
-                raise ConfigurationError(
-                    f"feature level {level} has width {tensor.shape[1]}, "
-                    f"expected {width}"
-                )
-            out.append(tensor)
-            if level < self.num_hops:
-                width *= self.fanouts[level]
-        return out
+    def stack(self, levels: Sequence[np.ndarray]) -> np.ndarray:
+        """Lay per-level arrays out as one slot-major block.
 
-    def _forward_levels(
-        self, features: Sequence[np.ndarray]
-    ) -> Tuple[List[List[np.ndarray]], List[list]]:
-        """Run every (layer, level) forward once.
-
-        Returns ``(all_levels, saved)``: ``all_levels[k]`` are layer
-        ``k``'s input tensors per level (``all_levels[-1][0]`` holds the
-        root embeddings) and ``saved[k][level]`` is the record that
-        forward left in ``layer.saved``, kept because the layer is
-        reused across levels and holds one record at a time.
+        ``levels[l]`` has shape ``(batch, width_l) + trailing`` (level 0
+        may drop its width axis), with ``trailing`` either ``()`` (one
+        node ID per slot) or ``(attr_len,)`` (one feature row). Returns
+        ``(rows,) + trailing``. Every shape is checked before anything
+        is stacked: inside the block a wrong batch would slice silently.
         """
-        all_levels = [self._normalize_features(features)]
-        saved: List[list] = []
-        for layer in self.layers:
-            prev = all_levels[-1]
-            next_levels: List[np.ndarray] = []
-            records = []
-            for level in range(len(prev) - 1):
-                self_feats = prev[level]
-                fanout = self.fanouts[level]
-                batch = prev[level + 1].shape[0]
-                width = self_feats.shape[1]
-                dim = prev[level + 1].shape[2]
-                neighbor_feats = prev[level + 1].reshape(batch, width, fanout, dim)
-                next_levels.append(layer.forward(self_feats, neighbor_feats))
-                records.append(layer.saved)
-            all_levels.append(next_levels)
-            saved.append(records)
-        return all_levels, saved
+        if len(levels) != self.num_hops + 1:
+            raise ConfigurationError(
+                f"expected {self.num_hops + 1} feature tensors, got {len(levels)}"
+            )
+        levels = [np.asarray(level) for level in levels]
+        batch = levels[0].shape[0]
+        trailing = levels[-1].shape[2:]
+        if trailing not in ((), (self.attr_len,)):
+            raise ConfigurationError(
+                f"feature rows have shape {trailing}, expected ({self.attr_len},)"
+            )
+        if levels[0].ndim == len(trailing) + 1:
+            levels[0] = levels[0][:, None]
+        blocks = []
+        for level, (array, width) in enumerate(zip(levels, self.widths)):
+            if array.shape[0] != batch:
+                raise ConfigurationError(
+                    f"feature level {level} has batch {array.shape[0]}, "
+                    f"level 0 has {batch}"
+                )
+            if array.shape != (batch, width) + trailing:
+                raise ConfigurationError(
+                    f"feature level {level} has shape {array.shape}, expected "
+                    f"{(batch, width) + trailing}"
+                )
+            nested = array.reshape((batch,) + self.fanouts[:level] + trailing)
+            axes = (*range(level, -1, -1), *range(level + 1, nested.ndim))
+            blocks.append(nested.transpose(axes).reshape((-1,) + trailing))
+        return np.concatenate(blocks)
 
-    def forward(self, features: Sequence[np.ndarray]) -> np.ndarray:
-        """Encode roots; returns ``(batch, hidden_dim)`` embeddings."""
-        all_levels, _ = self._forward_levels(features)
-        return all_levels[-1][0][:, 0, :]
+    def forward(self, block: np.ndarray) -> np.ndarray:
+        """Encode roots; returns ``(batch, hidden_dim)`` embeddings.
+
+        ``block`` is cast to the parameters' dtype (float32 as built).
+        """
+        block = np.asarray(block, dtype=self.layers[0].pool.weight.dtype)
+        per_root = sum(self.widths)
+        if block.ndim != 2 or block.shape[1] != self.attr_len or block.shape[0] % per_root:
+            raise ConfigurationError(
+                f"expected a (batch * {per_root}, {self.attr_len}) block, "
+                f"got {block.shape}"
+            )
+        sizes = [block.shape[0] // per_root * width for width in self.widths]
+        for k, layer in enumerate(self.layers):
+            block = layer.forward(block, sizes[: len(sizes) - k])
+        return block
 
     def forward_backward(
-        self, features: Sequence[np.ndarray], grad_fn
+        self, block: np.ndarray, grad_fn
     ) -> Tuple[np.ndarray, float]:
         """Run forward, compute loss grad via ``grad_fn``, backpropagate.
 
-        Each (layer, level) forward runs once; its ``saved`` record is
-        re-installed on the layer right before that (layer, level)'s
-        backward. Backward walks layers last to first and, within a
-        layer, levels in ascending order — the order parameter
-        gradients accumulate in. ``grad_fn(embeddings) -> (loss, grad)``.
-
-        Returns ``(embeddings, loss)``; parameter gradients are
-        accumulated in the layers (call :meth:`step` to apply).
+        ``grad_fn(embeddings) -> (loss, grad)``. Returns ``(embeddings,
+        loss)``; parameter gradients accumulate in the layers (call
+        :meth:`step` to apply) and :attr:`input_gradients` holds the
+        gradient wrt ``block``, row for row.
         """
-        all_levels, saved = self._forward_levels(features)
-        embeddings = all_levels[-1][0][:, 0, :]
-        loss, grad_emb = grad_fn(embeddings)
-        grads = [grad_emb[:, None, :]]
-        for k in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[k]
-            prev = all_levels[k]
-            next_grads: List[np.ndarray] = [np.zeros_like(lv) for lv in prev]
-            for level, record in enumerate(saved[k]):
-                layer.saved = record
-                grad_self, grad_neighbors = layer.backward(grads[level])
-                next_grads[level] += grad_self
-                next_grads[level + 1] += grad_neighbors.reshape(prev[level + 1].shape)
-            grads = next_grads
-        self._input_grads = grads
+        embeddings = self.forward(block)
+        loss, grad = grad_fn(embeddings)
+        for layer in reversed(self.layers):
+            grad = layer.backward(grad)
+        self._input_grads = grad
         return embeddings, float(loss)
 
     @property
-    def input_gradients(self) -> List[np.ndarray]:
-        """Gradients wrt the input feature tensors (after backward)."""
+    def input_gradients(self) -> np.ndarray:
+        """Gradient wrt the input block (after backward)."""
         return self._input_grads
 
     def step(self, lr: float) -> None:
@@ -143,10 +133,7 @@ class GraphSageEncoder:
             layer.step(lr)
 
     def dense_layers(self) -> List[Dense]:
-        out: List[Dense] = []
-        for layer in self.layers:
-            out.extend(layer.layers())
-        return out
+        return [dense for layer in self.layers for dense in layer.layers()]
 
 
 class DSSM:

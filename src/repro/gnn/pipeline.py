@@ -453,38 +453,26 @@ class PipelinedTrainer:
     ) -> float:
         """Gather → forward/backward → scatter-add → step (one batch).
 
-        The table is entered once per direction: every hop layer's IDs
-        go through one ``lookup`` (the per-layer feature tensors are
-        reshaped slices of its result) and every input gradient through
-        one ``accumulate_grad`` — layer 0's occurrences first, then
-        layer 1's, ..., each in position order, which is the per-node
-        float32 addition order ``weights_digest`` pins. Each stage is
-        reached by attribute lookup at call time, so a tracer can
-        shadow it on the instance.
+        The hop layers' IDs are stacked in the encoder's slot-major
+        order first, so the one ``lookup`` returns the encoder's input
+        block as is and its gradient goes to the one ``accumulate_grad``
+        with the same IDs — each node's float32 additions in block-row
+        order, the order ``weights_digest`` pins. Each stage is reached
+        by attribute lookup at call time, so a tracer can shadow it on
+        the instance.
         """
         # Layers arrive in caller IDs; the embedding table follows the
         # store's partitioner, which owns store IDs.
-        flat = self.store.to_internal(
-            np.concatenate([layer.reshape(-1) for layer in layers])
-        )
-        dim = self.embeddings.dim
-        rows = self.embeddings.lookup(flat)
-        features = []
-        offset = 0
-        for layer in layers:
-            features.append(
-                rows[offset : offset + layer.size].reshape(layer.shape + (dim,))
-            )
-            offset += layer.size
+        nodes = self.store.to_internal(self.encoder.stack(layers))
+        rows = self.embeddings.lookup(nodes)
 
         def grad_fn(embeddings: np.ndarray) -> Tuple[float, np.ndarray]:
             logits = self.head.forward(embeddings)
             loss, grad_logits = multilabel_loss(logits, labels)
             return loss, self.head.backward(grad_logits)
 
-        _, loss = self.encoder.forward_backward(features, grad_fn)
-        grads = [grad.reshape(-1, dim) for grad in self.encoder.input_gradients]
-        self.embeddings.accumulate_grad(flat, np.concatenate(grads))
+        _, loss = self.encoder.forward_backward(rows, grad_fn)
+        self.embeddings.accumulate_grad(nodes, self.encoder.input_gradients)
         self.embeddings.step(self.lr)
         self.head.step(self.lr)
         self.encoder.step(self.lr)

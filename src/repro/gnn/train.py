@@ -123,8 +123,7 @@ class Trainer:
         request = SampleRequest(
             roots=roots, fanouts=self.encoder.fanouts, with_attributes=True
         )
-        result = self.sampler.sample(request)
-        return result.attributes
+        return self.encoder.stack(self.sampler.sample(request).attributes)
 
     def train_step(self, roots: np.ndarray, labels: np.ndarray) -> float:
         """One SGD step; returns the batch loss."""

@@ -113,10 +113,8 @@ class TestNumericalRobustness:
         from repro.gnn.layers import SageLayer
 
         layer = SageLayer(4, 4, seed=0)
-        out = layer.forward(
-            np.zeros((1, 1, 4), dtype=np.float32),
-            np.zeros((1, 1, 2, 4), dtype=np.float32),
-        )
+        # One root and its two neighbours, stacked (sizes 1 and 2).
+        out = layer.forward(np.zeros((3, 4), dtype=np.float32), (1, 2))
         assert np.isfinite(out).all()
 
     def test_bdi_all_0xff(self):

@@ -103,45 +103,43 @@ class TestDense:
 
 
 class TestAggregators:
+    """Aggregators reduce the leading (slot) axis of a slot-major
+    ``(fanout, parents, dim)`` level."""
+
     def test_mean_forward(self):
-        agg = MeanAggregator()
-        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])  # (1,1,2,2)
-        assert agg.forward(x).tolist() == [[[2.0, 3.0]]]
+        x = np.array([[[1.0, 2.0]], [[3.0, 4.0]]])  # (2 slots, 1, 2)
+        assert MeanAggregator.forward(x).tolist() == [[2.0, 3.0]]
 
     def test_mean_backward_spreads(self):
-        agg = MeanAggregator()
-        x = np.ones((1, 1, 4, 2))
-        agg.forward(x)
-        grad = agg.backward(np.ones((1, 1, 2)))
+        x = np.ones((4, 1, 2))
+        out = MeanAggregator.forward(x)
+        grad = MeanAggregator.backward(x, out, np.ones((1, 2)))
         assert grad.shape == x.shape
         assert np.allclose(grad, 0.25)
 
     def test_max_forward(self):
-        agg = MaxPoolAggregator()
-        x = np.array([[[[1.0, 5.0], [3.0, 4.0]]]])
-        assert agg.forward(x).tolist() == [[[3.0, 5.0]]]
+        x = np.array([[[1.0, 5.0]], [[3.0, 4.0]]])
+        assert MaxPoolAggregator.forward(x).tolist() == [[3.0, 5.0]]
 
     def test_max_backward_routes_to_argmax(self):
-        agg = MaxPoolAggregator()
-        x = np.array([[[[1.0, 5.0], [3.0, 4.0]]]])
-        agg.forward(x)
-        grad = agg.backward(np.array([[[1.0, 1.0]]]))
-        assert grad.tolist() == [[[[0.0, 1.0], [1.0, 0.0]]]]
+        x = np.array([[[1.0, 5.0]], [[3.0, 4.0]]])
+        out = MaxPoolAggregator.forward(x)
+        grad = MaxPoolAggregator.backward(x, out, np.array([[1.0, 1.0]]))
+        assert grad.tolist() == [[[0.0, 1.0]], [[1.0, 0.0]]]
 
     def test_max_backward_ties_pick_first(self):
-        agg = MaxPoolAggregator()
-        x = np.array([[[[2.0], [2.0]]]])
-        agg.forward(x)
-        grad = agg.backward(np.array([[[1.0]]]))
+        x = np.array([[[2.0]], [[2.0]]])
+        out = MaxPoolAggregator.forward(x)
+        grad = MaxPoolAggregator.backward(x, out, np.array([[1.0]]))
         assert grad.reshape(-1).tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("kind", ["relu_zeros", "signed_zeros", "nan"])
     def test_max_backward_bytes_match_cumsum_mask(self, kind):
-        """The argmax mask is the first-max mask byte for byte, on the
+        """The per-slot mask is the first-max mask byte for byte, on the
         inputs where the two could part: ReLU-zero ties, -0.0 beside
         +0.0, and NaN (no slot equals a NaN max: no gradient)."""
         rng = np.random.default_rng(3)
-        shape = (5, 3, 4, 6)
+        shape = (4, 15, 6)
         x = rng.standard_normal(shape).astype(np.float32)
         if kind == "relu_zeros":
             x = np.maximum(x, 0.0)
@@ -150,58 +148,58 @@ class TestAggregators:
             x[rng.random(shape) < 0.2] = 1.0
         else:
             x[rng.random(shape) < 0.2] = np.nan
-        grad_out = rng.standard_normal((5, 3, 6)).astype(np.float32)
-        agg = MaxPoolAggregator()
-        out = agg.forward(x)
-        is_max = x == out[..., None, :]
-        first_max = np.cumsum(is_max, axis=-2) == 1
-        want = (is_max & first_max).astype(np.float32) * grad_out[..., None, :]
-        assert agg.backward(grad_out).tobytes() == want.tobytes()
+        grad_out = rng.standard_normal((15, 6)).astype(np.float32)
+        out = MaxPoolAggregator.forward(x)
+        is_max = x == out
+        first_max = np.cumsum(is_max, axis=0) == 1
+        want = (is_max & first_max).astype(np.float32) * grad_out
+        got = MaxPoolAggregator.backward(x, out, grad_out)
+        assert got.tobytes() == want.tobytes()
+
+
+def sage_block(rng, parents, fanouts, dim):
+    """A slot-major block with ``parents`` level-0 rows and its sizes."""
+    sizes = [parents]
+    for fanout in fanouts:
+        sizes.append(sizes[-1] * fanout)
+    block = rng.standard_normal((sum(sizes), dim)).astype(np.float32)
+    return block, sizes
 
 
 class TestSageLayer:
     def test_forward_shape(self):
         layer = SageLayer(6, 4, seed=0)
-        self_feats = np.zeros((2, 3, 6), dtype=np.float32)
-        neighbor_feats = np.zeros((2, 3, 5, 6), dtype=np.float32)
-        out = layer.forward(self_feats, neighbor_feats)
-        assert out.shape == (2, 3, 4)
+        block, sizes = sage_block(np.random.default_rng(0), 3, (5,), 6)
+        assert layer.forward(block, sizes).shape == (3, 4)
+        block, sizes = sage_block(np.random.default_rng(0), 2, (3, 2), 6)
+        assert layer.forward(block, sizes).shape == (2 + 6, 4)
 
     def test_output_is_normalized(self):
-        rng = np.random.default_rng(0)
         layer = SageLayer(6, 4, seed=0)
-        out = layer.forward(
-            rng.standard_normal((2, 3, 6)).astype(np.float32),
-            rng.standard_normal((2, 3, 5, 6)).astype(np.float32),
-        )
+        block, sizes = sage_block(np.random.default_rng(0), 6, (5,), 6)
+        out = layer.forward(block, sizes)
         norms = np.linalg.norm(out, axis=-1)
         assert np.all((norms < 1.0 + 1e-5) & ((norms > 0.99) | (norms < 1e-6)))
 
     def test_backward_shapes(self):
-        rng = np.random.default_rng(0)
         layer = SageLayer(6, 4, aggregator="mean", seed=0)
-        self_feats = rng.standard_normal((2, 3, 6)).astype(np.float32)
-        neighbor_feats = rng.standard_normal((2, 3, 5, 6)).astype(np.float32)
-        out = layer.forward(self_feats, neighbor_feats)
-        grad_self, grad_neighbors = layer.backward(np.ones_like(out))
-        assert grad_self.shape == self_feats.shape
-        assert grad_neighbors.shape == neighbor_feats.shape
+        block, sizes = sage_block(np.random.default_rng(0), 2, (3, 5), 6)
+        out = layer.forward(block, sizes)
+        grad = layer.backward(np.ones_like(out))
+        assert grad.shape == block.shape
 
     def test_input_gradient_numerical(self):
         rng = np.random.default_rng(3)
         layer = SageLayer(3, 2, aggregator="mean", normalize=False, seed=1)
-        self_feats = rng.standard_normal((1, 1, 3)).astype(np.float32)
-        neighbor_feats = rng.standard_normal((1, 1, 2, 3)).astype(np.float32)
+        block, sizes = sage_block(rng, 1, (2,), 3)
 
         def loss():
-            return float(layer.forward(self_feats, neighbor_feats).sum())
+            return float(layer.forward(block, sizes).sum())
 
-        layer.forward(self_feats, neighbor_feats)
-        grad_self, _ = layer.backward(
-            np.ones((1, 1, 2), dtype=np.float32)
-        )
-        numeric = numerical_gradient(loss, self_feats)
-        assert np.allclose(grad_self, numeric, atol=1e-2)
+        layer.forward(block, sizes)
+        grad = layer.backward(np.ones((1, 2), dtype=np.float32))
+        numeric = numerical_gradient(loss, block)
+        assert np.allclose(grad, numeric, atol=1e-2)
 
     def test_unknown_aggregator(self):
         with pytest.raises(ConfigurationError):

@@ -19,14 +19,17 @@ from repro.errors import ConfigurationError, ParallelExecutionError
 from repro.framework.requests import SampleRequest
 from repro.graph.datasets import instantiate_dataset
 from repro.graph.dynamic import DynamicGraph
+from repro.graph.generators import power_law_graph
 from repro.graph.partition import HashPartitioner
 from repro.gnn.pipeline import (
     NeighborhoodCache,
     PipelinedTrainer,
     TrainReport,
 )
+from repro.gnn.train import multilabel_loss64
 from repro.memstore.store import PartitionedStore
 from repro.parallel import ParallelSampler, PipelinedExecutor
+from tests.test_gnn_models import as_float64
 
 NUM_NODES = 300
 FANOUTS = (4, 3)
@@ -331,7 +334,13 @@ def test_step_call_counts(monkeypatch):
             shadow(layer, "forward", "sage.forward")
         monkeypatch.setattr(embedding_module, "np", CountingNumpy())
         assert not hasattr(embedding_module, "dedup_ids")
+        denses = trainer.encoder.dense_layers() + [trainer.head]
+        buffers = [(dense.grad_weight, dense.grad_bias) for dense in denses]
         trainer.train_epoch(roots)  # every micro-batch served from it
+        # Gradient buffers are allocated once and cleared in place.
+        for dense, (grad_weight, grad_bias) in zip(denses, buffers):
+            assert dense.grad_weight is grad_weight
+            assert dense.grad_bias is grad_bias
 
     batches = -(-NUM_NODES // 32)
     hops = len(FANOUTS)
@@ -343,8 +352,58 @@ def test_step_call_counts(monkeypatch):
         "encoder.forward_backward": batches,
         "cache.probe": batches,
         "cache.assemble": batches,
-        "sage.forward": batches * hops * (hops + 1) // 2,
+        "sage.forward": batches * hops,
     }
+
+
+def test_float32_losses_track_float64_reference():
+    """A train_fresh-shaped run (power-law graph, fanouts (4,3), dims
+    16/16, batches of 64, 3 epochs) against the same run with every
+    parameter, the embedding table and the loss gradient in float64
+    (``multilabel_loss64``): same shuffles, same neighbourhoods, same
+    stacked step. The float32 epoch losses agree to 1e-6 relative
+    (measured: under 1e-8)."""
+    graph = power_law_graph(800, 8, attr_len=0, seed=0)
+    labels = (np.random.default_rng(0).random((800, 8)) < 0.3).astype(np.float32)
+    roots = np.arange(800)
+
+    def trainer():
+        return PipelinedTrainer(
+            PartitionedStore(graph, HashPartitioner(4)),
+            labels,
+            FANOUTS,
+            embedding_dim=16,
+            hidden_dim=16,
+            batch_size=64,
+        )
+
+    with trainer() as fp32:
+        losses32 = fp32.train(roots, epochs=3).epoch_losses
+    with trainer() as ref:
+        as_float64(ref.encoder.dense_layers() + [ref.head])
+        table = ref.embeddings.to_dense().astype(np.float64)
+
+        def step64(layers, batch_labels):
+            nodes = ref.store.to_internal(ref.encoder.stack(layers))
+
+            def grad_fn(embeddings):
+                logits = ref.head.forward(embeddings)
+                loss, grad = multilabel_loss64(logits, batch_labels)
+                return loss, ref.head.backward(grad)
+
+            _, loss = ref.encoder.forward_backward(table[nodes], grad_fn)
+            grad = np.zeros_like(table)
+            np.add.at(grad, nodes, ref.encoder.input_gradients)
+            table[...] -= ref.lr * grad
+            ref.head.step(ref.lr)
+            ref.encoder.step(ref.lr)
+            return loss
+
+        ref._train_step = step64
+        losses64 = ref.train(roots, epochs=3).epoch_losses
+    assert losses32 != losses64  # really two precisions
+    np.testing.assert_allclose(losses32, losses64, rtol=1e-6, atol=0)
+    assert losses32[-1] < losses32[0]
 
 
 class TestDrainOnComputeError:
