@@ -1,9 +1,10 @@
 """Report formatting for the FaaS DSE figures.
 
 Turns :class:`~repro.faas.dse.FaasResult` sweeps into the text tables
-the benchmarks print: per-point throughput (Figure 17), normalized
-performance per dollar (Figure 18), geomean summaries (Figures 19/21),
-and the minimal service cost comparison (Figure 20).
+``repro dse`` and ``examples/faas_explorer.py`` print: per-point
+throughput (Figure 17), normalized performance per dollar (Figure 18),
+geomean summaries (Figures 19/21), and the minimal service cost
+comparison (Figure 20).
 """
 
 from __future__ import annotations

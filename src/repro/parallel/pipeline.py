@@ -10,8 +10,8 @@ CPU+accelerator pipeline, double-buffered by default.
 
 With a ``workers=0`` engine the executor degrades gracefully to strict
 serial execution (submit runs the shard tasks inline), producing
-bit-identical results — which is exactly the determinism contract the
-benchmarks assert.
+bit-identical results — which is exactly the determinism contract
+``tests/test_parallel_engine.py`` asserts.
 """
 
 from __future__ import annotations

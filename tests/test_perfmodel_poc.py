@@ -1,4 +1,8 @@
-"""Tests for repro.perfmodel.poc (Figures 14/15)."""
+"""Tests for repro.perfmodel.poc (Figures 14/15).
+
+The figures are computed once, by ``conftest.py``'s session fixtures;
+``tests/test_paper_evaluation.py`` checks them against EXPERIMENTS.md.
+"""
 
 import pytest
 
@@ -9,8 +13,6 @@ from repro.perfmodel.poc import (
     PocConfigPoint,
     build_poc_engine,
     geomean_equivalence,
-    poc_vcpu_equivalence,
-    validate_model,
 )
 
 
@@ -33,8 +35,13 @@ class TestSweepDefinition:
             PocConfigPoint(0, "pcie", 1)
 
 
+def _rows_at(fig15, points):
+    wanted = set(points)
+    return [row for row in fig15 if row.point in wanted]
+
+
 class TestValidation:
-    def test_model_tracks_measurement(self, graph):
+    def test_model_tracks_measurement(self, fig15):
         """Figure 15: the analytical model stays within a reasonable
         band of the event-simulated measurement on every point."""
         points = [
@@ -43,28 +50,29 @@ class TestValidation:
             PocConfigPoint(2, "4-chn", 4),
             PocConfigPoint(4, "2-chn", 4),
         ]
-        rows = validate_model(graph, points, batch_size=48)
+        rows = _rows_at(fig15, points)
+        assert len(rows) == len(points)
         for row in rows:
             assert row.error < 0.35
 
-    def test_mean_error_small(self, graph):
-        points = [PocConfigPoint(c, "4-chn", 1) for c in (1, 2, 4)]
-        rows = validate_model(graph, points, batch_size=48)
+    def test_mean_error_small(self, fig15):
+        rows = _rows_at(fig15, [PocConfigPoint(c, "4-chn", 1) for c in (1, 2, 4)])
+        assert len(rows) == 3
         mean_error = sum(row.error for row in rows) / len(rows)
         assert mean_error < 0.25
 
-    def test_unbounded_model_dominates(self, graph):
+    def test_unbounded_model_dominates(self, fig15):
         """The no-PCIe-limit bars (right y-axis of Figure 15) are always
         at or above the bounded prediction."""
-        rows = validate_model(graph, POC_SWEEP[:6], batch_size=32)
-        for row in rows:
+        for row in fig15:
             assert row.modeled_unbounded_roots_per_s >= row.modeled_roots_per_s
 
-    def test_most_configs_output_bottlenecked(self, graph):
-        """§7.2: most PoC configurations are eventually bottlenecked by
-        the PCIe output bandwidth."""
+    def test_most_configs_output_bottlenecked(self, fig15):
+        """Section 7.2: most PoC configurations are eventually bottlenecked
+        by the PCIe output bandwidth."""
         points = [PocConfigPoint(c, m, 4) for c in (2, 4) for m in ("2-chn", "4-chn")]
-        rows = validate_model(graph, points, batch_size=32)
+        rows = _rows_at(fig15, points)
+        assert len(rows) == len(points)
         output_bound = sum(1 for row in rows if row.bottleneck == "output")
         assert output_bound >= len(rows) / 2
 
@@ -88,18 +96,14 @@ class TestBuildEngine:
 
 
 class TestFigure14:
-    def test_equivalence_near_894(self):
+    def test_equivalence_near_894(self, fig14):
         """The headline: one PoC FPGA ~ 894 vCPUs (geomean)."""
-        rows = poc_vcpu_equivalence(max_nodes=6000, batch_size=64)
-        assert len(rows) == 6
-        geomean = geomean_equivalence(rows)
+        assert len(fig14) == 6
+        geomean = geomean_equivalence(fig14)
         assert 600 < geomean < 1300
 
-    def test_each_dataset_beats_cpu_by_far(self):
-        rows = poc_vcpu_equivalence(
-            datasets=("ss", "ll"), max_nodes=6000, batch_size=64
-        )
-        for row in rows:
+    def test_each_dataset_beats_cpu_by_far(self, fig14):
+        for row in fig14:
             assert row.vcpu_equivalence > 50
 
     def test_geomean_rejects_empty(self):

@@ -383,7 +383,8 @@ class TestClosedLoop:
 
     def test_inference_deadline_story(self, sampler):
         """Challenge-1: a deadline a quiet system meets is missed under
-        load (tier-1 twin of benchmarks/test_bench_supplemental.py)."""
+        load (the small-graph twin of
+        ``tests/test_paper_evaluation.py::test_challenge1_latency``)."""
         quiet = self.loop(sampler, workers=1, batches_per_worker=6)
         loaded = self.loop(
             sampler, workers=32, batches_per_worker=3, slo_s=1.2 * quiet.p99
