@@ -29,14 +29,11 @@ from repro.framework.selectors import get_selector
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.partition import HashPartitioner
-from repro.gnn.models import GraphSageEncoder
 from repro.gnn.pipeline import PipelinedTrainer, TrainReport
-from repro.gnn.train import Trainer
 from repro.memstore.faults import ReliableReadPath
 from repro.memstore.ingest import DynamicPartitionedStore, Mutation, growth_trace
 from repro.memstore.locality import build_locality_layout
 from repro.memstore.store import PartitionedStore
-from repro.parallel.engine import ParallelSampler
 from repro.serving.backends import HardwareBackend, SoftwareBackend
 from repro.serving.gateway import GatewayConfig, serve_workload
 from repro.serving.metrics import ServingReport
@@ -51,12 +48,12 @@ if TYPE_CHECKING:
 class GnnSession:
     """One graph, every programming level above the ISA.
 
-    ``layout``, ``workers`` and ``cache_nodes`` compose behind one
-    sampler contract, original node IDs in and out. Two rules remain: a
-    :class:`~repro.graph.dynamic.DynamicGraph` runs the inline software
-    sampler only (no ``layout``, ``workers`` or ``reliability``), and
-    :class:`~repro.parallel.ParallelSampler` refuses a ``reliability``
-    store (shard workers run the zero-fault path).
+    ``layout`` and ``cache_nodes`` compose behind one sampler contract,
+    original node IDs in and out; :attr:`sampler` is always the inline
+    :class:`~repro.framework.sampler.MultiHopSampler`. One rule remains:
+    a :class:`~repro.graph.dynamic.DynamicGraph` runs that sampler only
+    (no ``layout`` or ``reliability``, no training, no hardware
+    serving), because each of those reads an immutable CSR.
 
     Parameters
     ----------
@@ -82,17 +79,6 @@ class GnnSession:
         Selects nothing: the software sampler has one (vectorized)
         path. Accepted only because the frozen ``bench/`` still spells
         ``batched=True``; ``False`` raises.
-    workers:
-        Shard worker processes for the parallel execution engine
-        (:class:`~repro.parallel.ParallelSampler`). ``0`` (the
-        default) keeps the single-process sampler. Any ``workers >= 1``
-        replaces the software sampler with the sharded engine —
-        results and access accounting are bit-identical at every
-        worker count, including the in-process reference. With
-        ``cache_nodes`` the cache fronts the coordinator's reads
-        (attribute gather, negative sampling); shard-side structure
-        reads stay uncached. Call :meth:`close` (or use the session as
-        a context manager) to shut the pool down.
     layout:
         Locality-preserving physical layout for the store: ``"ldg"``,
         ``"hash"``, or ``"range"`` (see
@@ -113,15 +99,12 @@ class GnnSession:
         seed: int = 0,
         reliability: Optional["ReliableReadPath"] = None,
         batched: bool = True,
-        workers: int = 0,
         layout: Optional[str] = None,
     ) -> None:
         if cache_nodes < 0:
             raise ConfigurationError(
                 f"cache_nodes must be non-negative, got {cache_nodes}"
             )
-        if workers < 0:
-            raise ConfigurationError(f"workers must be >= 0, got {workers}")
         if not batched:
             raise ConfigurationError(
                 "the software sampler has one (vectorized) path; the per-node "
@@ -136,7 +119,6 @@ class GnnSession:
         if self.dynamic is not None:
             given = {
                 "layout": layout is not None,
-                "workers": workers > 0,
                 "reliability": reliability is not None,
             }
             if any(given.values()):
@@ -144,8 +126,8 @@ class GnnSession:
                 raise ConfigurationError(
                     f"{refused} cannot be combined with a "
                     "DynamicGraph: a mutable graph runs the inline software "
-                    "sampler only (layout renumbers, shard workers attach, "
-                    "and replicas and the AxE model serve, an immutable CSR)"
+                    "sampler only (layout renumbers, and replicas and the "
+                    "AxE model serve, an immutable CSR)"
                 )
             self.store: PartitionedStore = DynamicPartitionedStore(
                 self.dynamic, HashPartitioner(num_partitions)
@@ -160,28 +142,18 @@ class GnnSession:
             self.store = PartitionedStore(
                 stored, partitioner, reliability=reliability, relabeling=relabeling
             )
-        self.workers = workers
         cache = HotNodeCache(cache_nodes) if cache_nodes else None
         if cache is not None and self.dynamic is not None:
             # Mutated nodes must drop out of the cache, or samples
             # pinned to a fresh epoch would read pre-mutation data.
             self.store.register_cache(cache)
-        if workers > 0:
-            self.sampler: MultiHopSampler = ParallelSampler(
-                self.store,
-                workers=workers,
-                seed=seed,
-                sampling_method=sampling_method,
-                cache=cache,
-            )
-        else:
-            self.sampler = MultiHopSampler(
-                self.store,
-                seed=seed,
-                cache=cache,
-                selector=get_selector(sampling_method),
-                degraded_ok=reliability is not None,
-            )
+        self.sampler = MultiHopSampler(
+            self.store,
+            seed=seed,
+            cache=cache,
+            selector=get_selector(sampling_method),
+            degraded_ok=reliability is not None,
+        )
         if engine_config is None:
             engine_config = EngineConfig(
                 num_cores=2,
@@ -218,7 +190,9 @@ class GnnSession:
 
     # --------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Release session resources (the shard worker processes)."""
+        """Close :attr:`sampler`. The inline sampler holds no resources;
+        a sampler a caller puts in its place (a sharded engine with a
+        worker pool, say) is released here with the session."""
         self.sampler.close()
 
     def __enter__(self) -> "GnnSession":
@@ -416,9 +390,8 @@ class GnnSession:
         """Run the multi-replica cluster with session-backed replicas.
 
         Every replica's gateway dispatches onto *this* session's
-        sampler (the sharded parallel engine when the session was built
-        with ``workers=k``), so micro-batches really sample the graph
-        instead of charging the flavors' analytical service model.
+        sampler, so micro-batches really sample the graph instead of
+        charging the flavors' analytical service model.
         Root ids in the trace are clamped to this session's graph.
         """
         from dataclasses import replace
@@ -446,30 +419,47 @@ class GnnSession:
     # ------------------------------------------------------ fixed model API
     def graphsage(
         self,
-        hidden_dim: int,
+        labels: np.ndarray,
         fanouts: Tuple[int, ...],
-        num_labels: int,
+        features: str = "attributes",
+        hidden_dim: int = 16,
+        embedding_dim: int = 16,
         aggregator: str = "max",
         lr: float = 1.0,
-    ) -> Trainer:
+        batch_size: int = 32,
+        cached_epochs: int = 0,
+        sampling_method: Optional[str] = None,
+    ) -> PipelinedTrainer:
         """A ready-to-train graphSAGE classifier over this session.
 
-        The frequently-used fixed-model API of Section 5: wires the
-        session's sampler to an encoder and a classification head.
+        The fixed-model API of Section 5: a :class:`~repro.gnn.pipeline.
+        PipelinedTrainer` over this session's store (the caller closes
+        it). ``labels`` has one row per node; labels and roots are
+        original IDs under every layout. Requires a static session.
         """
-        if self.graph.attr_len == 0:
+        if self.dynamic is not None:
             raise ConfigurationError(
-                "graphsage needs node attributes; this graph has none"
+                "training requires a static graph session: a mutable graph "
+                "runs the inline software sampler only, and the trainer "
+                "samples an immutable CSR"
             )
-        encoder = GraphSageEncoder(
-            self.graph.attr_len,
-            hidden_dim,
-            tuple(fanouts),
-            aggregator=aggregator,
+        return PipelinedTrainer(
+            self.store,
+            labels,
+            fanouts,
+            embedding_dim=embedding_dim,
+            hidden_dim=hidden_dim,
+            lr=lr,
             seed=self._seed,
-        )
-        return Trainer(
-            self.sampler, encoder, num_labels=num_labels, lr=lr, seed=self._seed
+            batch_size=batch_size,
+            sampling_method=(
+                self._sampling_method
+                if sampling_method is None
+                else sampling_method
+            ),
+            cached_epochs=cached_epochs,
+            aggregator=aggregator,
+            features=features,
         )
 
     def train(
@@ -482,50 +472,23 @@ class GnnSession:
         hidden_dim: int = 16,
         lr: float = 0.05,
         batch_size: int = 32,
-        pipeline_depth: int = 2,
         cached_epochs: int = 0,
         sampling_method: Optional[str] = None,
     ) -> TrainReport:
-        """Pipelined supervised training over this session's graph.
-
-        Builds a :class:`~repro.gnn.pipeline.PipelinedTrainer` — shard
-        workers hop-sample micro-batch *k+1* while the coordinator runs
-        micro-batch *k*'s forward/backward against a sharded embedding
-        table — runs ``epochs`` passes, and returns its
-        :class:`~repro.gnn.pipeline.TrainReport`. Losses and final
-        weights are bit-identical at every session ``workers`` count.
-
-        ``roots`` defaults to every node; ``cached_epochs >= 1``
-        enables the multi-hop :class:`~repro.gnn.pipeline.
-        NeighborhoodCache` for repeated-epoch training. ``labels`` and
-        ``roots`` are in original IDs under every layout. Requires a
-        static session: a mutable graph runs the inline software
-        sampler only, and the trainer drives the sharded engine.
-        """
-        if self.dynamic is not None:
-            raise ConfigurationError(
-                "train() requires a static graph session: a mutable graph "
-                "runs the inline software sampler only, and the trainer "
-                "drives the sharded engine"
-            )
+        """Train :meth:`graphsage`'s embedding-table classifier for
+        ``epochs`` passes over ``roots`` (default: every node);
+        ``cached_epochs >= 1`` enables the neighborhood cache."""
         if roots is None:
             roots = np.arange(self.graph.num_nodes, dtype=np.int64)
-        with PipelinedTrainer(
-            self.store,
+        with self.graphsage(
             labels,
             fanouts,
-            embedding_dim=embedding_dim,
+            features="embedding",
             hidden_dim=hidden_dim,
+            embedding_dim=embedding_dim,
             lr=lr,
-            seed=self._seed,
-            workers=self.workers,
-            pipeline_depth=pipeline_depth,
             batch_size=batch_size,
-            sampling_method=(
-                self._sampling_method
-                if sampling_method is None
-                else sampling_method
-            ),
             cached_epochs=cached_epochs,
+            sampling_method=sampling_method,
         ) as trainer:
             return trainer.train(roots, epochs=epochs)

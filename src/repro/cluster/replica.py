@@ -17,9 +17,8 @@ Two backend modes:
   compressed trace (``capacity_scale``). This is the fleet-economics
   mode: millions of virtual users, zero real sampling.
 * **Session-backed** — :func:`session_backends` wraps a
-  :class:`repro.api.GnnSession` (optionally ``workers=k`` for the
-  sharded parallel engine) in :class:`SoftwareBackend`, so every
-  micro-batch really samples the session's graph.
+  :class:`repro.api.GnnSession`'s sampler in :class:`SoftwareBackend`,
+  so every micro-batch really samples the session's graph.
 """
 
 from __future__ import annotations
@@ -170,8 +169,7 @@ def session_backends(
 ) -> BackendFactory:
     """Backends that really sample a :class:`repro.api.GnnSession`.
 
-    Each replica wraps the session's sampler (the sharded parallel
-    engine when the session was built with ``workers=k``) in a
+    Each replica wraps the session's sampler in a
     :class:`SoftwareBackend`; service time follows the backend's cost
     model (per-key cost over the constant ``BATCHED_SPEEDUP``, whatever
     the sampler) while payloads are genuine sample layers.

@@ -21,7 +21,6 @@ from repro.gnn.pipeline import (
     TrainReport,
 )
 from repro.gnn.train import (
-    Trainer,
     link_prediction_loss,
     link_prediction_loss64,
     multilabel_loss,
@@ -47,7 +46,6 @@ __all__ = [
     "NeighborhoodCache",
     "PipelinedTrainer",
     "TrainReport",
-    "Trainer",
     "link_prediction_loss",
     "link_prediction_loss64",
     "multilabel_loss",

@@ -1,15 +1,15 @@
-"""Pipelined sample→train engine.
+"""The one trainer: graphSAGE over sampled mini-batches (LSD-GNN).
 
-:class:`PipelinedTrainer` closes the last serial plane in the repo: it
-drives the :class:`~repro.parallel.pipeline.PipelinedExecutor` so shard
-workers hop-sample micro-batch *k+1* while the coordinator runs the
-forward/backward of micro-batch *k* — the paper's LSD-GNN shape, which
-keeps the CPU embedding stage overlapped with (FPGA) sampling. The
-trainable state is a :class:`~repro.gnn.embedding.ShardedEmbeddingTable`
-partitioned exactly like the store, a graphSAGE encoder, and a linear
-classification head; each micro-batch does one embedding gather over
-all of its hop layers, one forward/backward, one gradient scatter-add
-into the table, and one optimizer step.
+:class:`PipelinedTrainer` drives the
+:class:`~repro.parallel.pipeline.PipelinedExecutor` so shard workers
+hop-sample micro-batch *k+1* while the coordinator runs the
+forward/backward of micro-batch *k* — the paper's LSD-GNN shape. The
+trainable state is a graphSAGE encoder, a linear classification head
+and, with ``features="embedding"``, a :class:`~repro.gnn.embedding.
+ShardedEmbeddingTable` partitioned like the store; each micro-batch
+does one feature gather over all of its hop layers (table rows or
+store attributes), one forward/backward, one gradient scatter-add into
+the table (if any), and one optimizer step.
 
 Determinism contract
 --------------------
@@ -46,6 +46,7 @@ from repro.errors import ConfigurationError
 from repro.framework.requests import SampleRequest, SampleResult
 from repro.gnn.embedding import ShardedEmbeddingTable
 from repro.gnn.layers import Dense
+from repro.gnn.metrics import micro_f1
 from repro.gnn.models import GraphSageEncoder
 from repro.gnn.train import multilabel_loss
 from repro.memstore.store import PartitionedStore
@@ -232,7 +233,7 @@ class PipelinedTrainer:
     store:
         The coordinator's :class:`PartitionedStore`; its partitioner
         also shards the embedding table, so embedding ownership is
-        fixed across worker counts. Embedding rows are addressed in
+        fixed across worker counts. Feature rows are addressed in
         store IDs (``store.to_internal``), so a locality-layout store
         trains like any other.
     labels:
@@ -240,6 +241,8 @@ class PipelinedTrainer:
         original (caller) node ID, like ``roots``.
     fanouts:
         Hop fanouts of the sampled neighborhoods.
+    embedding_dim:
+        Table width (``features="attributes"`` rows are ``attr_len``).
     workers:
         Shard worker processes; ``0`` runs the identical shard tasks
         inline (the determinism reference).
@@ -249,10 +252,10 @@ class PipelinedTrainer:
         ``0`` disables the :class:`NeighborhoodCache`; ``k >= 1``
         re-samples neighborhoods every ``k`` epochs and serves the
         epochs in between from the cache.
-    engine:
-        Optional existing :class:`ParallelSampler` to drive (not owned:
-        the caller keeps responsibility for closing it). ``None`` builds
-        a private engine, owned and released by :meth:`close`.
+    features:
+        ``"embedding"`` trains a node-embedding table; ``"attributes"``
+        feeds store attributes (one deduplicated gather per micro-batch)
+        and scatters no gradient. Requests are ID-only either way.
     """
 
     def __init__(
@@ -270,7 +273,7 @@ class PipelinedTrainer:
         sampling_method: str = "uniform",
         cached_epochs: int = 0,
         aggregator: str = "max",
-        engine: Optional[ParallelSampler] = None,
+        features: str = "embedding",
     ) -> None:
         labels = np.asarray(labels, dtype=np.float32)
         if labels.ndim != 2 or labels.shape[0] != store.graph.num_nodes:
@@ -286,6 +289,14 @@ class PipelinedTrainer:
             raise ConfigurationError(
                 f"cached_epochs must be >= 0, got {cached_epochs}"
             )
+        if features not in ("embedding", "attributes"):
+            raise ConfigurationError(
+                f"features must be 'embedding' or 'attributes', got {features!r}"
+            )
+        if features == "attributes" and store.graph.attr_len == 0:
+            raise ConfigurationError(
+                "features='attributes' needs node attributes; this graph has none"
+            )
         self.store = store
         self.labels = labels
         self.fanouts = tuple(int(f) for f in fanouts)
@@ -293,19 +304,17 @@ class PipelinedTrainer:
         self.seed = seed
         self.batch_size = batch_size
         self.sampling_method = sampling_method
-        self._owns_engine = engine is None
-        if engine is None:
-            engine = ParallelSampler(
-                store,
-                workers=workers,
-                seed=seed,
-                sampling_method=sampling_method,
-            )
-        self.engine = engine
-        self.executor = PipelinedExecutor(engine, depth=pipeline_depth)
-        self.embeddings = ShardedEmbeddingTable(
-            store.graph.num_nodes, embedding_dim, store.partitioner, seed=seed
+        self.engine = ParallelSampler(
+            store, workers=workers, seed=seed, sampling_method=sampling_method
         )
+        self.executor = PipelinedExecutor(self.engine, depth=pipeline_depth)
+        self.embeddings: Optional[ShardedEmbeddingTable] = None
+        if features == "embedding":
+            self.embeddings = ShardedEmbeddingTable(
+                store.graph.num_nodes, embedding_dim, store.partitioner, seed=seed
+            )
+        else:
+            embedding_dim = store.graph.attr_len
         self.encoder = GraphSageEncoder(
             embedding_dim,
             hidden_dim,
@@ -330,9 +339,8 @@ class PipelinedTrainer:
 
     # ----------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Release the engine if this trainer built it."""
-        if self._owns_engine:
-            self.engine.close()
+        """Release the sampling engine (its worker pool, if any)."""
+        self.engine.close()
 
     def __enter__(self) -> "PipelinedTrainer":
         return self
@@ -448,23 +456,33 @@ class PipelinedTrainer:
             layers = result.layers
         return self._train_step(layers, self.labels[plan.roots])
 
+    def _features(self, layers: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(nodes, rows)``: the hop layers' IDs stacked slot-major in
+        store IDs, and the encoder's input block — one ``lookup``, or one
+        attribute gather charged once per occurrence."""
+        # Layers arrive in caller IDs; the embedding table follows the
+        # store's partitioner, which owns store IDs.
+        nodes = self.store.to_internal(self.encoder.stack(layers))
+        if self.embeddings is not None:
+            return nodes, self.embeddings.lookup(nodes)
+        unique, inverse, counts = np.unique(
+            nodes, return_inverse=True, return_counts=True
+        )
+        batch = self.store.get_attributes_batch(unique, counts=counts)
+        return nodes, batch.rows[inverse]
+
     def _train_step(
         self, layers: List[np.ndarray], labels: np.ndarray
     ) -> float:
         """Gather → forward/backward → scatter-add → step (one batch).
 
-        The hop layers' IDs are stacked in the encoder's slot-major
-        order first, so the one ``lookup`` returns the encoder's input
-        block as is and its gradient goes to the one ``accumulate_grad``
-        with the same IDs — each node's float32 additions in block-row
-        order, the order ``weights_digest`` pins. Each stage is reached
-        by attribute lookup at call time, so a tracer can shadow it on
-        the instance.
+        The input block's gradient goes to the one ``accumulate_grad``
+        with the stacked IDs — each node's float32 additions in
+        block-row order, the order ``weights_digest`` pins. Each stage
+        is reached by attribute lookup at call time, so a tracer can
+        shadow it on the instance.
         """
-        # Layers arrive in caller IDs; the embedding table follows the
-        # store's partitioner, which owns store IDs.
-        nodes = self.store.to_internal(self.encoder.stack(layers))
-        rows = self.embeddings.lookup(nodes)
+        nodes, rows = self._features(layers)
 
         def grad_fn(embeddings: np.ndarray) -> Tuple[float, np.ndarray]:
             logits = self.head.forward(embeddings)
@@ -472,13 +490,34 @@ class PipelinedTrainer:
             return loss, self.head.backward(grad_logits)
 
         _, loss = self.encoder.forward_backward(rows, grad_fn)
-        self.embeddings.accumulate_grad(nodes, self.encoder.input_gradients)
-        self.embeddings.step(self.lr)
+        if self.embeddings is not None:
+            self.embeddings.accumulate_grad(nodes, self.encoder.input_gradients)
+            self.embeddings.step(self.lr)
         self.head.step(self.lr)
         self.encoder.step(self.lr)
         self._micro_batches += 1
         self._samples += int(layers[0].size)
         return loss
+
+    # ----------------------------------------------------------- inference
+    def embed(self, roots: np.ndarray) -> np.ndarray:
+        """Encoder outputs for ``roots`` over one fresh sample (no update)."""
+        request = SampleRequest(
+            roots=np.asarray(roots, dtype=np.int64).reshape(-1),
+            fanouts=self.fanouts,
+            with_attributes=False,
+        )
+        _, rows = self._features(self.engine.sample(request).layers)
+        return self.encoder.forward(rows)
+
+    def predict(self, roots: np.ndarray) -> np.ndarray:
+        """Binary multi-label predictions for ``roots``."""
+        return (self.head.forward(self.embed(roots)) > 0).astype(np.int64)
+
+    def evaluate(self, roots: np.ndarray) -> float:
+        """Micro-F1 of :meth:`predict` against ``labels`` on ``roots``."""
+        roots = np.asarray(roots, dtype=np.int64).reshape(-1)
+        return micro_f1(self.predict(roots), self.labels[roots].astype(np.int64))
 
     # ----------------------------------------------------------- inspection
     def weights_digest(self) -> str:
@@ -488,7 +527,7 @@ class PipelinedTrainer:
         same digest; any single differing bit changes it.
         """
         digest = hashlib.sha256()
-        for shard in self.embeddings.shards:
+        for shard in self.embeddings.shards if self.embeddings is not None else ():
             digest.update(np.ascontiguousarray(shard.rows).tobytes())
         for dense in self.encoder.dense_layers() + [self.head]:
             digest.update(np.ascontiguousarray(dense.weight).tobytes())

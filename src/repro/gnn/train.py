@@ -1,23 +1,18 @@
-"""Mini-batch training: losses and a supervised trainer.
+"""Mini-batch training losses.
 
-The trainer reproduces the 2-step LSD-GNN workflow at small scale:
-sample a mini-batch neighborhood with the framework sampler, then run
-dense NN compute on it. It is used by the examples and by the
-streaming-vs-uniform sampler accuracy-parity experiment (Tech-2).
+Multi-label sigmoid cross-entropy for node classification and
+sampled-softmax for link prediction, each in a float64 form and a
+float32-boundary form. The trainer that uses them is
+:class:`repro.gnn.pipeline.PipelinedTrainer`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.framework.requests import SampleRequest
-from repro.framework.sampler import MultiHopSampler
-from repro.gnn.layers import Dense
-from repro.gnn.metrics import micro_f1
-from repro.gnn.models import GraphSageEncoder
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -91,93 +86,3 @@ def link_prediction_loss(scores: np.ndarray) -> Tuple[float, np.ndarray]:
     """
     loss, grad = link_prediction_loss64(scores)
     return loss, grad.astype(np.float32)
-
-
-class Trainer:
-    """Supervised multi-label node classification (PPI-style).
-
-    Wires a :class:`MultiHopSampler`, a :class:`GraphSageEncoder`, and a
-    linear classification head. Used to demonstrate that the streaming
-    sampler reaches the same accuracy as uniform sampling.
-    """
-
-    def __init__(
-        self,
-        sampler: MultiHopSampler,
-        encoder: GraphSageEncoder,
-        num_labels: int,
-        lr: float = 0.05,
-        seed: int = 0,
-    ) -> None:
-        if num_labels <= 0:
-            raise ConfigurationError(f"num_labels must be positive, got {num_labels}")
-        if lr <= 0:
-            raise ConfigurationError(f"lr must be positive, got {lr}")
-        self.sampler = sampler
-        self.encoder = encoder
-        hidden = encoder.layers[-1].combine.out_dim
-        self.head = Dense(hidden, num_labels, activation="linear", seed=seed)
-        self.lr = lr
-
-    def _sample_features(self, roots: np.ndarray):
-        request = SampleRequest(
-            roots=roots, fanouts=self.encoder.fanouts, with_attributes=True
-        )
-        return self.encoder.stack(self.sampler.sample(request).attributes)
-
-    def train_step(self, roots: np.ndarray, labels: np.ndarray) -> float:
-        """One SGD step; returns the batch loss."""
-        features = self._sample_features(np.asarray(roots, dtype=np.int64))
-        labels = np.asarray(labels, dtype=np.float32)
-
-        def grad_fn(embeddings: np.ndarray):
-            logits = self.head.forward(embeddings)
-            loss, grad_logits = multilabel_loss(logits, labels)
-            grad_emb = self.head.backward(grad_logits)
-            return loss, grad_emb
-
-        _, loss = self.encoder.forward_backward(features, grad_fn)
-        self.head.step(self.lr)
-        self.encoder.step(self.lr)
-        return loss
-
-    def predict(self, roots: np.ndarray) -> np.ndarray:
-        """Binary multi-label predictions for ``roots``."""
-        features = self._sample_features(np.asarray(roots, dtype=np.int64))
-        embeddings = self.encoder.forward(features)
-        logits = self.head.forward(embeddings)
-        return (logits > 0).astype(np.int64)
-
-    def evaluate(self, roots: np.ndarray, labels: np.ndarray) -> float:
-        """Micro-F1 on a held-out root set."""
-        predictions = self.predict(roots)
-        return micro_f1(predictions, np.asarray(labels, dtype=np.int64))
-
-
-def train_to_convergence(
-    trainer: Trainer,
-    roots: np.ndarray,
-    labels: np.ndarray,
-    batch_size: int = 64,
-    epochs: int = 5,
-    rng: Optional[np.random.Generator] = None,
-    on_epoch: Optional[Callable[[int, float], None]] = None,
-) -> float:
-    """Simple epoch loop; returns the final epoch's mean loss."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    roots = np.asarray(roots, dtype=np.int64)
-    labels = np.asarray(labels)
-    mean_loss = float("nan")
-    for epoch in range(epochs):
-        order = rng.permutation(roots.size)
-        losses = []
-        for start in range(0, roots.size, batch_size):
-            batch = order[start : start + batch_size]
-            if batch.size == 0:
-                continue
-            losses.append(trainer.train_step(roots[batch], labels[batch]))
-        mean_loss = float(np.mean(losses)) if losses else float("nan")
-        if on_epoch is not None:
-            on_epoch(epoch, mean_loss)
-    return mean_loss

@@ -11,6 +11,12 @@ Two pieces, mirroring the paper's concurrency story:
   **pipelined coordinator**: double-buffered micro-batches overlapping
   hop sampling on shard workers with attribute gather + GNN forward on
   the coordinator.
+
+The one ``src/repro`` module that drives it is the trainer,
+:class:`repro.gnn.pipeline.PipelinedTrainer`; ``GnnSession`` samples
+inline. At ``workers=0`` the shard tasks run in-process, which is how
+the trainer runs by default: on a two-vCPU host the pool lost to
+inline sampling at five of six measured batch shapes.
 """
 
 from repro.parallel.engine import ParallelSampler

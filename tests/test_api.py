@@ -56,20 +56,22 @@ class TestGnnOperatorLevel:
 
 class TestFixedModelLevel:
     def test_graphsage_trains(self, session):
-        trainer = session.graphsage(hidden_dim=8, fanouts=(4,), num_labels=3)
         rng = np.random.default_rng(0)
+        labels = rng.integers(0, 2, (session.graph.num_nodes, 3))
         roots = rng.integers(0, session.graph.num_nodes, 32)
-        labels = rng.integers(0, 2, (32, 3))
-        first = trainer.train_step(roots, labels)
-        for _ in range(5):
-            last = trainer.train_step(roots, labels)
-        assert np.isfinite(first) and np.isfinite(last)
+        with session.graphsage(labels, fanouts=(4,), hidden_dim=8) as trainer:
+            report = trainer.train(roots, epochs=6)
+            predictions = trainer.predict(roots)
+        assert np.all(np.isfinite(report.epoch_losses))
+        assert report.samples == 6 * roots.size
+        assert predictions.shape == (32, 3)
 
     def test_graphsage_needs_attributes(self):
         graph = power_law_graph(100, 3.0, attr_len=0, seed=0)
         session = GnnSession(graph, num_partitions=2)
+        labels = np.zeros((graph.num_nodes, 2))
         with pytest.raises(ConfigurationError):
-            session.graphsage(hidden_dim=4, fanouts=(2,), num_labels=2)
+            session.graphsage(labels, fanouts=(2,))
 
 
 class TestConfiguration:

@@ -51,7 +51,9 @@ def make_labels(graph, seed: int = 0):
     )
 
 
-def run_trainer(workers, roots=None, cached_epochs=0, epochs=3, seed=0):
+def run_trainer(
+    workers, roots=None, cached_epochs=0, epochs=3, seed=0, features="embedding"
+):
     graph = make_graph()
     store = make_store(graph)
     labels = make_labels(graph)
@@ -65,6 +67,7 @@ def run_trainer(workers, roots=None, cached_epochs=0, epochs=3, seed=0):
         workers=workers,
         batch_size=32,
         cached_epochs=cached_epochs,
+        features=features,
     ) as trainer:
         report = trainer.train(np.asarray(roots), epochs=epochs)
     return report, store.summary
@@ -191,6 +194,22 @@ class TestPipelinedTrainerParity:
             assert par.weights_digest == ref.weights_digest
             assert par_sum == ref_sum
 
+    @pytest.mark.parametrize("cached_epochs", (0, 3))
+    def test_attributes_workers_parity(self, cached_epochs):
+        """The attribute feature source meets the same bar: losses,
+        digest and summary (attribute gathers included) at workers 2
+        equal the inline run, cached and uncached."""
+        ref, ref_sum = run_trainer(
+            workers=0, cached_epochs=cached_epochs, features="attributes"
+        )
+        par, par_sum = run_trainer(
+            workers=2, cached_epochs=cached_epochs, features="attributes"
+        )
+        assert par.epoch_losses == ref.epoch_losses
+        assert par.weights_digest == ref.weights_digest
+        assert par_sum == ref_sum
+        assert ref_sum.attribute_count > 0  # the trainer's gathers: requests are ID-only
+
     def test_repeat_runs_bit_identical(self):
         """Same seed, same worker count: every artifact is bitwise
         reproducible, cached or not."""
@@ -271,21 +290,6 @@ class TestPipelinedTrainerBehavior:
                 trainer.train(np.arange(10), epochs=0)
             with pytest.raises(ConfigurationError):
                 trainer.train(np.array([], dtype=np.int64))
-
-    def test_external_engine_not_closed(self):
-        graph = make_graph()
-        store = make_store(graph)
-        labels = make_labels(graph)
-        with ParallelSampler(store, workers=0, seed=0) as engine:
-            with PipelinedTrainer(
-                store, labels, FANOUTS, engine=engine
-            ) as trainer:
-                trainer.train(np.arange(64), epochs=1)
-            # the trainer must not have closed the caller's engine
-            request = SampleRequest(
-                roots=np.arange(8), fanouts=FANOUTS, with_attributes=False
-            )
-            assert engine.sample(request).layers[0].size == 8
 
 
 def test_step_call_counts(monkeypatch):

@@ -1,21 +1,19 @@
-"""Tests for repro.gnn.train: losses and the supervised trainer."""
+"""Tests for repro.gnn.train's losses, and for the one trainer on the
+attribute feature source (the graphSAGE classifier of Section 5)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.framework.sampler import MultiHopSampler
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import power_law_graph
 from repro.graph.partition import HashPartitioner
-from repro.gnn.models import GraphSageEncoder
+from repro.gnn.pipeline import PipelinedTrainer
 from repro.gnn.train import (
-    Trainer,
     link_prediction_loss,
     link_prediction_loss64,
     multilabel_loss,
     multilabel_loss64,
-    train_to_convergence,
 )
 from repro.memstore.store import PartitionedStore
 
@@ -168,66 +166,49 @@ def _make_learnable_task(num_nodes=300, num_labels=4, seed=0):
     return graph, labels
 
 
+def _attribute_trainer(graph, labels, seed=0, **options):
+    """The one trainer on store attributes, one-hop fanout 5, dims 16."""
+    return PipelinedTrainer(
+        PartitionedStore(graph, HashPartitioner(2)),
+        labels,
+        (5,),
+        hidden_dim=16,
+        seed=seed,
+        batch_size=64,
+        **{"features": "attributes", **options},
+    )
+
+
 class TestTrainer:
     def test_loss_decreases(self):
         graph, labels = _make_learnable_task()
-        store = PartitionedStore(graph, HashPartitioner(2))
-        sampler = MultiHopSampler(store, seed=0)
-        encoder = GraphSageEncoder(graph.attr_len, 16, (5,), seed=0)
-        trainer = Trainer(sampler, encoder, num_labels=labels.shape[1], lr=0.1)
-        roots = np.arange(graph.num_nodes)
-        first = trainer.train_step(roots[:64], labels[:64])
-        for _ in range(20):
-            last = trainer.train_step(roots[:64], labels[:64])
-        assert last < first
+        with _attribute_trainer(graph, labels, lr=0.1) as trainer:
+            report = trainer.train(np.arange(64), epochs=21)
+        assert report.epoch_losses[-1] < report.epoch_losses[0]
 
     def test_learns_better_than_chance(self):
         graph, labels = _make_learnable_task(seed=1)
-        store = PartitionedStore(graph, HashPartitioner(2))
-        sampler = MultiHopSampler(store, seed=1)
-        encoder = GraphSageEncoder(graph.attr_len, 16, (5,), seed=1)
-        trainer = Trainer(sampler, encoder, num_labels=labels.shape[1], lr=3.0)
         roots = np.arange(graph.num_nodes)
-        train_to_convergence(trainer, roots[:200], labels[:200], epochs=4)
-        f1 = trainer.evaluate(roots[200:], labels[200:])
+        with _attribute_trainer(graph, labels, seed=1, lr=3.0) as trainer:
+            trainer.train(roots[:200], epochs=4)
+            f1 = trainer.evaluate(roots[200:])
         assert f1 > 0.8
 
     def test_predict_shape(self):
         graph, labels = _make_learnable_task()
-        store = PartitionedStore(graph, HashPartitioner(2))
-        trainer = Trainer(
-            MultiHopSampler(store, seed=0),
-            GraphSageEncoder(graph.attr_len, 8, (3,), seed=0),
-            num_labels=4,
-        )
-        predictions = trainer.predict(np.arange(10))
+        with _attribute_trainer(graph, labels) as trainer:
+            predictions = trainer.predict(np.arange(10))
+            embeddings = trainer.embed(np.arange(10))
         assert predictions.shape == (10, 4)
         assert set(np.unique(predictions)) <= {0, 1}
+        assert embeddings.shape == (10, 16)
 
     def test_validation(self):
-        graph, _ = _make_learnable_task()
-        store = PartitionedStore(graph, HashPartitioner(2))
-        sampler = MultiHopSampler(store)
-        encoder = GraphSageEncoder(graph.attr_len, 8, (3,))
-        with pytest.raises(ConfigurationError):
-            Trainer(sampler, encoder, num_labels=0)
-        with pytest.raises(ConfigurationError):
-            Trainer(sampler, encoder, num_labels=2, lr=0)
-
-    def test_epoch_callback(self):
         graph, labels = _make_learnable_task()
-        store = PartitionedStore(graph, HashPartitioner(2))
-        trainer = Trainer(
-            MultiHopSampler(store, seed=0),
-            GraphSageEncoder(graph.attr_len, 8, (3,), seed=0),
-            num_labels=4,
-        )
-        seen = []
-        train_to_convergence(
-            trainer,
-            np.arange(64),
-            labels[:64],
-            epochs=2,
-            on_epoch=lambda epoch, loss: seen.append(epoch),
-        )
-        assert seen == [0, 1]
+        with pytest.raises(ConfigurationError, match="features"):
+            _attribute_trainer(graph, labels, features="attribute")
+        with pytest.raises(ConfigurationError, match="lr"):
+            _attribute_trainer(graph, labels, lr=0)
+        bare = power_law_graph(graph.num_nodes, 3.0, attr_len=0, seed=0)
+        with pytest.raises(ConfigurationError, match="node attributes"):
+            _attribute_trainer(bare, labels)

@@ -92,3 +92,29 @@ def test_no_shared_memory_imports():
         if target in FORBIDDEN_IMPORTS
     )
     assert not offenders, offenders
+
+
+def _importers(predicate):
+    """``src/repro`` modules with at least one import ``predicate`` accepts."""
+    return {
+        _module_name(path)
+        for path in SRC.rglob("*.py")
+        if any(predicate(module, name) for module, name in _imports(path))
+    }
+
+
+def test_worker_processes_stay_in_the_parallel_plane():
+    """Only the parallel plane and the trainer reach the sharded engine,
+    and only the parallel plane starts processes: sessions sample inline."""
+    engine_users = _importers(lambda module, name: name == "ParallelSampler")
+    assert {
+        module
+        for module in engine_users
+        if not module.startswith("repro.parallel")
+    } <= {"repro.gnn.pipeline"}
+    process_users = _importers(
+        lambda module, name: module.split(".")[0] == "multiprocessing"
+    )
+    assert process_users and all(
+        module.startswith("repro.parallel") for module in process_users
+    ), sorted(process_users)

@@ -72,7 +72,7 @@ def tech2():
     )
 
 
-def test_tech2_streaming_sampler(tech2):
+def test_tech2_streaming_sampler(tech2, tech2_f1):
     (reservoir, reservoir_storage), (streaming, storage), savings = tech2
     # N vs N+K cycles, no candidate storage, a big LUT saving.
     assert reservoir == streaming + 300 * 10
@@ -82,7 +82,8 @@ def test_tech2_streaming_sampler(tech2):
     check(SECTION, f"tech2 cycles={reservoir}/{streaming} "
                    f"storage={reservoir_storage}/{storage} "
                    f"lut_saving={100 * savings['lut_saving']:.1f}% "
-                   f"reg_saving={100 * savings['reg_saving']:.1f}%")
+                   f"reg_saving={100 * savings['reg_saving']:.1f}% "
+                   f"micro_f1={joined(tech2_f1, '{:.3f}')}")
 
 
 def load_unit_time(max_tags, requests=512):

@@ -639,22 +639,3 @@ class TestTransport:
         engine.close()
         assert time.monotonic() - start < 2.0
         assert not [proc for proc in procs if proc.is_alive()]
-
-
-class TestGnnSessionIntegration:
-    def test_session_workers_round_trip(self):
-        from repro.api import GnnSession
-
-        # workers=0 selects the legacy serial sampler (a different RNG
-        # consumption order), so determinism is asserted between two
-        # parallel worker counts.
-        graph = make_graph()
-        results = []
-        for workers in (1, 2):
-            with GnnSession(
-                graph, num_partitions=4, seed=0, workers=workers
-            ) as session:
-                roots = np.arange(24, dtype=np.int64)
-                results.append(session.sample(roots, fanouts=FANOUTS))
-        for mine, theirs in zip(results[0].layers, results[1].layers):
-            np.testing.assert_array_equal(mine, theirs)

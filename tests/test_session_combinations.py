@@ -1,10 +1,12 @@
-"""Generated ``GnnSession`` combination matrix (ROADMAP 6a, first half).
+"""Generated ``GnnSession`` combination matrix.
 
-``layout``, ``cache_nodes`` and ``workers`` compose behind one sampler
-contract, so every allowed tuple is run over one request stream and
-held to the bars the single features already meet: bit-identity across
-worker counts, original IDs in and out, replay parity with the
-per-node walk, and equal training digests. The one refusal left in
+``layout`` and ``cache_nodes`` compose behind one sampler contract, and
+the sharded engine (``ParallelSampler``, built beside a session over its
+store and cache) keeps that contract at every worker count. Every tuple
+of the three is run over one request stream and held to the bars the
+single features already meet: bit-identity across worker counts,
+original IDs in and out, replay parity with the per-node walk, and
+equal training digests. The one refusal left in
 ``GnnSession.__init__`` (a ``DynamicGraph`` runs the inline software
 sampler only) is checked argument by argument at the end.
 """
@@ -26,6 +28,7 @@ from repro.memstore.faults import FaultInjector, ReliableReadPath
 from repro.memstore.locality import build_locality_layout
 from repro.memstore.replication import ReplicaPlacement
 from repro.memstore.retry import RetryPolicy
+from repro.gnn.pipeline import PipelinedTrainer
 from repro.memstore.store import PartitionedStore
 from repro.parallel import ParallelSampler
 
@@ -61,23 +64,22 @@ def positive_pairs(graph):
 def open_session(graph, layout, cache_nodes, workers):
     """A session whose sampler is the sharded engine at ``workers``.
 
-    ``GnnSession(workers=0)`` keeps the inline ``MultiHopSampler`` (its
-    own RNG stream), so for the worker-count comparison the engine's
-    in-process reference — the same shard tasks, no processes — takes
-    its place over the session's own store and cache.
+    A session samples inline with ``MultiHopSampler`` (its own RNG
+    stream), so for the worker-count comparison the engine — at
+    ``workers=0`` the same shard tasks with no processes — takes its
+    place over the session's own store and cache; ``session.close()``
+    releases its pool.
     """
     session = GnnSession(
         graph,
         num_partitions=PARTITIONS,
         seed=SEED,
-        workers=workers,
         layout=layout,
         cache_nodes=cache_nodes,
     )
-    if workers == 0:
-        session.sampler = ParallelSampler(
-            session.store, workers=0, seed=SEED, cache=session.sampler.cache
-        )
+    session.sampler = ParallelSampler(
+        session.store, workers=workers, seed=SEED, cache=session.sampler.cache
+    )
     return session
 
 
@@ -193,26 +195,32 @@ def test_training_is_worker_count_invariant(graph, layout):
         np.random.default_rng(4).random((graph.num_nodes, 3)) < 0.3
     ).astype(np.float32)
     roots = np.arange(0, graph.num_nodes, 5)
+
+    def layout_store():
+        return GnnSession(
+            graph, num_partitions=PARTITIONS, seed=SEED, layout=layout
+        ).store
+
     reports = []
     for workers in (0, 2):
-        with GnnSession(
-            graph, num_partitions=PARTITIONS, seed=SEED, workers=workers, layout=layout
-        ) as session:
-            reports.append(session.train(labels, FANOUTS, roots=roots, epochs=2))
-    assert reports[0].epoch_losses == reports[1].epoch_losses
+        with PipelinedTrainer(
+            layout_store(), labels, FANOUTS, seed=SEED, workers=workers
+        ) as trainer:
+            reports.append(trainer.train(roots, epochs=2))
+    with GnnSession(
+        graph, num_partitions=PARTITIONS, seed=SEED, layout=layout
+    ) as session:
+        reports.append(session.train(labels, FANOUTS, roots=roots, epochs=2))
+    assert reports[0].epoch_losses == reports[1].epoch_losses == reports[2].epoch_losses
     assert reports[0].weights_digest == reports[1].weights_digest
+    assert reports[0].weights_digest == reports[2].weights_digest
     assert np.isfinite(reports[0].final_loss)
 
 
 def test_composed_session_serves(graph):
-    """The README's composed session behind the serving gateway."""
-    with GnnSession(
-        graph,
-        num_partitions=PARTITIONS,
-        workers=2,
-        layout="ldg",
-        cache_nodes=NUM_NODES + 1,
-    ) as session:
+    """A layout + cache session behind the serving gateway, its
+    sampler the 2-worker engine."""
+    with open_session(graph, "ldg", NUM_NODES + 1, 2) as session:
         report = session.serve(duration_s=0.05, include_hardware=False)
     assert report.completed > 0
     assert report.offered == report.completed + report.shed
@@ -225,7 +233,7 @@ def refused_with_dynamic():
     path = ReliableReadPath(
         placement, RetryPolicy(hedge=False), FaultInjector(), seed=0
     )
-    return {"layout": "ldg", "workers": 2, "reliability": path}
+    return {"layout": "ldg", "reliability": path}
 
 
 def named_by_refusal(graph, **arguments):
@@ -235,7 +243,7 @@ def named_by_refusal(graph, **arguments):
     return str(info.value).split(" cannot be combined")[0].split(", ")
 
 
-@pytest.mark.parametrize("argument", ("layout", "workers", "reliability"))
+@pytest.mark.parametrize("argument", ("layout", "reliability"))
 def test_dynamic_graph_refuses(graph, argument):
     value = refused_with_dynamic()[argument]
     assert named_by_refusal(graph, **{argument: value}) == [argument]
