@@ -14,8 +14,9 @@ against :class:`~repro.framework.sampler.MultiHopSampler`.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -140,7 +141,7 @@ class AxeCore:
         self.sampler = _SAMPLERS[config.sampler]()
         self.cache = CoalescingCache(line_bytes=config.line_bytes)
         self.root_board = OrderingScoreboard(config.window, name=f"core{core_id}.roots")
-        self._queue: List[int] = []
+        self._queue: Deque[int] = deque()
         self._results: Dict[int, List[np.ndarray]] = {}
         self._on_done: Optional[Callable[[], None]] = None
         self._outputs_pending = 0
@@ -154,7 +155,7 @@ class AxeCore:
         roots = np.asarray(roots, dtype=np.int64)
         if roots.size == 0:
             raise ConfigurationError("cannot submit an empty batch")
-        self._queue = list(int(r) for r in roots)
+        self._queue = deque(roots.tolist())
         self._on_done = on_done
         self._all_submitted = False
         self._outputs_pending = 0
@@ -169,7 +170,7 @@ class AxeCore:
 
     def _fill_window(self) -> None:
         while self._queue and not self.root_board.full:
-            root = self._queue.pop(0)
+            root = self._queue.popleft()
             entry = self.root_board.allocate()
             task = _RootTask(root, entry)
             self._expand(task, hop=0)
@@ -291,8 +292,8 @@ class AxeCore:
             if remaining[0] == 0:
                 self._complete_root(task)
 
-        for node in nodes:
-            self.load_unit.load(self.router(int(node)), row_bytes, one_done)
+        for node in nodes.tolist():
+            self.load_unit.load(self.router(node), row_bytes, one_done)
 
     def _complete_root(self, task: _RootTask) -> None:
         if task.output_bytes == 0:

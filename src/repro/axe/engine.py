@@ -99,7 +99,10 @@ class AxeEngine:
     def __init__(self, graph: CSRGraph, config: Optional[EngineConfig] = None) -> None:
         self.graph = graph
         self.config = config or EngineConfig()
-        self._partitioner = HashPartitioner(self.config.num_fpga_nodes)
+        # Owner of every node, computed once: routing a load is a list index.
+        self._owners: List[int] = HashPartitioner(
+            self.config.num_fpga_nodes
+        ).partition_of(np.arange(graph.num_nodes)).tolist()
         self.csr_file = np.zeros(32, dtype=np.int64)
 
     # ------------------------------------------------------------ plumbing
@@ -128,12 +131,13 @@ class AxeEngine:
         if output_channel is not None:
             channels.append(output_channel)
 
+        owners, my_node = self._owners, config.my_node
+        num_local = config.num_local_channels
+
         def router(node: int) -> MemoryChannel:
-            if config.num_fpga_nodes > 1:
-                owner = int(self._partitioner.partition_of([node])[0])
-                if owner != config.my_node and remote_channel is not None:
-                    return remote_channel
-            return local_channels[node % config.num_local_channels]
+            if remote_channel is not None and owners[node] != my_node:
+                return remote_channel
+            return local_channels[node % num_local]
 
         core_config = config.core
         overrides = {}

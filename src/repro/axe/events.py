@@ -8,7 +8,7 @@ runs AxE/MoF at 250MHz and the RISC-V at 100MHz).
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from itertools import count
 from typing import Callable, List, Optional, Tuple
 
@@ -40,7 +40,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {when} before current time {self._now}"
             )
-        heapq.heappush(self._queue, (when, next(self._sequence), callback))
+        heappush(self._queue, (when, next(self._sequence), callback))
 
     def after(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` after ``delay`` seconds."""
@@ -54,12 +54,12 @@ class Simulator:
         ``max_events`` guards against runaway simulations (a stalled
         pipeline that keeps rescheduling itself).
         """
-        while self._queue:
-            when, _seq, callback = self._queue[0]
-            if until is not None and when > until:
+        queue = self._queue
+        while queue:
+            if until is not None and queue[0][0] > until:
                 self._now = until
-                return self._now
-            heapq.heappop(self._queue)
+                return until
+            when, _seq, callback = heappop(queue)
             self._now = when
             self._events_processed += 1
             if self._events_processed > max_events:

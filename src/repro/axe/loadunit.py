@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional
+from functools import partial
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.errors import CapacityError, ConfigurationError
 from repro.axe.events import Simulator
@@ -49,15 +50,17 @@ class MemoryChannel:
         """
         if nbytes <= 0:
             raise ConfigurationError(f"nbytes must be positive, got {nbytes}")
-        wire_bytes = nbytes + self.link.packet_overhead_bytes
-        serialization = wire_bytes / self.link.peak_bandwidth
-        start = max(self.sim.now, self._next_free)
+        link, stats, sim = self.link, self.stats, self.sim
+        serialization = (nbytes + link.packet_overhead_bytes) / link.peak_bandwidth
+        start = sim.now
+        if self._next_free > start:
+            start = self._next_free
         self._next_free = start + serialization
-        complete = start + serialization + self.link.base_latency_s
-        self.stats.requests += 1
-        self.stats.payload_bytes += nbytes
-        self.stats.busy_time_s += serialization
-        self.sim.at(complete, callback)
+        complete = start + serialization + link.base_latency_s
+        stats.requests += 1
+        stats.payload_bytes += nbytes
+        stats.busy_time_s += serialization
+        sim.at(complete, callback)
         return complete
 
     def utilization(self) -> float:
@@ -65,13 +68,6 @@ class MemoryChannel:
         if self.sim.now <= 0:
             return 0.0
         return min(1.0, self.stats.busy_time_s / self.sim.now)
-
-
-@dataclass
-class _PendingLoad:
-    channel: MemoryChannel
-    nbytes: int
-    callback: Callable[[], None]
 
 
 class LoadUnit:
@@ -105,7 +101,8 @@ class LoadUnit:
         self.in_order = in_order
         self.name = name
         self._tags_in_use = 0
-        self._wait_queue: Deque[_PendingLoad] = deque()
+        # Loads waiting for a free tag, as (channel, nbytes, callback).
+        self._wait_queue: Deque[Tuple[MemoryChannel, int, Callable]] = deque()
         # In-order delivery bookkeeping.
         self._issue_seq = 0
         self._deliver_seq = 0
@@ -125,36 +122,32 @@ class LoadUnit:
         if self._tags_in_use < self.max_tags:
             self._issue(channel, nbytes, callback)
         else:
-            self._wait_queue.append(_PendingLoad(channel, nbytes, callback))
+            self._wait_queue.append((channel, nbytes, callback))
 
     def _issue(
         self, channel: MemoryChannel, nbytes: int, callback: Callable[[], None]
     ) -> None:
         self._tags_in_use += 1
         self.issued += 1
-        self.max_outstanding = max(self.max_outstanding, self._tags_in_use)
+        if self._tags_in_use > self.max_outstanding:
+            self.max_outstanding = self._tags_in_use
         seq = self._issue_seq
         self._issue_seq += 1
+        if self.in_order:
+            channel.request(nbytes, partial(self._hold, seq, callback))
+        else:
+            channel.request(nbytes, partial(self._finish, callback))
 
-        def on_complete() -> None:
-            if self.in_order:
-                self._held[seq] = callback
-                self._drain_in_order()
-            else:
-                self._finish(callback)
-
-        channel.request(nbytes, on_complete)
-
-    def _drain_in_order(self) -> None:
+    def _hold(self, seq: int, callback: Callable[[], None]) -> None:
+        self._held[seq] = callback
         while self._deliver_seq in self._held:
-            callback = self._held.pop(self._deliver_seq)
+            ready = self._held.pop(self._deliver_seq)
             self._deliver_seq += 1
-            self._finish(callback)
+            self._finish(ready)
 
     def _finish(self, callback: Callable[[], None]) -> None:
         self._tags_in_use -= 1
         callback()
         # Freeing the tag may unblock a queued request.
         while self._wait_queue and self._tags_in_use < self.max_tags:
-            pending = self._wait_queue.popleft()
-            self._issue(pending.channel, pending.nbytes, pending.callback)
+            self._issue(*self._wait_queue.popleft())

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -44,14 +45,12 @@ class PathChannel:
 
     def request(self, nbytes: int, callback: Callable[[], None]) -> None:
         """Issue through every leg sequentially."""
+        self._advance(0, nbytes, callback)
 
-        def advance(index: int) -> None:
-            if index == len(self.legs):
-                callback()
-                return
-            self.legs[index].request(nbytes, lambda: advance(index + 1))
-
-        advance(0)
+    def _advance(self, index: int, nbytes: int, callback: Callable[[], None]) -> None:
+        if index + 1 < len(self.legs):
+            callback = partial(self._advance, index + 1, nbytes, callback)
+        self.legs[index].request(nbytes, callback)
 
 
 @dataclass(frozen=True)
@@ -120,6 +119,9 @@ class MultiCardSystem:
                 f"{self.config.num_cards} cards"
             )
         self.partitioner = HashPartitioner(self.config.num_cards)
+        self._owners: List[int] = self.partitioner.partition_of(
+            np.arange(graph.num_nodes)
+        ).tolist()
 
     def run_batch(self, roots: np.ndarray) -> SystemStats:
         """Sample a batch spread over all cards; returns system stats.
@@ -159,22 +161,31 @@ class MultiCardSystem:
         }
         remote_counter = [0]
         local_counter = [0]
+        node_owners, num_local = self._owners, config.local_channels_per_card
 
         def make_router(card: int):
+            # Fabric legs of every remote owner, one path per DRAM channel.
+            paths: Dict[int, List[PathChannel]] = {}
+            for owner in range(config.num_cards):
+                if owner == card:
+                    continue
+                hops = self.topology.shortest_path(card, owner)
+                fabric = [
+                    fabric_channels[(a, b) if (a, b) in fabric_channels else (b, a)]
+                    for a, b in zip(hops, hops[1:])
+                ]
+                paths[owner] = [
+                    PathChannel(fabric + [dram], name=f"card{card}->card{owner}")
+                    for dram in local_channels[owner]
+                ]
+
             def router(node: int):
-                owner = int(self.partitioner.partition_of([node])[0])
-                dram = local_channels[owner][node % config.local_channels_per_card]
+                owner = node_owners[node]
                 if owner == card:
                     local_counter[0] += 1
-                    return dram
+                    return local_channels[card][node % num_local]
                 remote_counter[0] += 1
-                path = self.topology.shortest_path(card, owner)
-                legs: List[MemoryChannel] = []
-                for a, b in zip(path, path[1:]):
-                    key = (a, b) if (a, b) in fabric_channels else (b, a)
-                    legs.append(fabric_channels[key])
-                legs.append(dram)
-                return PathChannel(legs, name=f"card{card}->card{owner}")
+                return paths[owner][node % num_local]
 
             return router
 

@@ -52,19 +52,17 @@ def select_streaming(
     n = neighbors.size
     if n == 0:
         raise ConfigurationError("cannot sample from an empty neighbor list")
-    out = np.empty(fanout, dtype=neighbors.dtype)
     # Group boundaries: group g covers [g*n//fanout, (g+1)*n//fanout) for
     # n >= fanout; degenerate groups (when n < fanout) pick uniformly
     # from the whole list, which is what the wrapped stream converges to.
-    for group in range(fanout):
-        start = group * n // fanout
-        stop = (group + 1) * n // fanout
-        if stop <= start:
-            pick = int(rng.integers(0, n))
-        else:
-            pick = int(rng.integers(start, stop))
-        out[group] = neighbors[pick]
-    return out
+    edges = np.arange(0, (fanout + 1) * n, n) // fanout
+    start, stop = edges[:-1], edges[1:]
+    if n < fanout:
+        degenerate = stop == start
+        start, stop = np.where(degenerate, 0, start), np.where(degenerate, n, stop)
+    # One call draws the groups in order, one Lemire draw each, exactly
+    # as a per-group loop of scalar ``rng.integers`` calls would.
+    return neighbors[rng.integers(start, stop)]
 
 
 def select_weighted(

@@ -1,6 +1,7 @@
 """Tests for repro.axe.core and repro.axe.engine."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ import pytest
 from repro.axe.commands import Command, CommandKind, sample_command
 from repro.axe.core import CoreConfig
 from repro.axe.engine import AxeEngine, EngineConfig
+from repro.axe.system import MultiCardSystem, SystemConfig
 from repro.errors import CommandError, ConfigurationError
 from repro.graph.generators import power_law_graph
+from repro.graph.partition import HashPartitioner
 from repro.memstore.links import get_link
+from repro.mof.topology import ring
 
 
 @pytest.fixture(scope="module")
@@ -287,3 +291,120 @@ class TestOnFpgaReduction:
             graph, EngineConfig(num_cores=2, core=CoreConfig(reduce_output=True))
         ).run(sample_command(roots, (10, 10)))[1]
         assert reduced.roots_per_second > 1.5 * raw.roots_per_second
+
+
+def _canonical(value):
+    """A repr-stable rendering: arrays by dtype/shape/bytes, floats exact."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes().hex())
+    if dataclasses.is_dataclass(value):
+        return _canonical(dataclasses.asdict(value))
+    if isinstance(value, dict):
+        return sorted((_canonical(k), _canonical(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return [_canonical(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
+def digest(value) -> str:
+    """SHA-256 over a command result and every field of its stats."""
+    return hashlib.sha256(repr(_canonical(value)).encode()).hexdigest()
+
+
+GOLDEN_ROOTS = np.random.default_rng(11).integers(0, 3000, size=64)
+GOLDEN_PAIRS = GOLDEN_ROOTS[:24].reshape(12, 2)
+GOLDEN_FANOUTS = (10, 5)
+#: The PoC point a default ``GnnSession`` builds: 2 cores, 4 FPGA nodes.
+POC = EngineConfig(num_cores=2, num_fpga_nodes=4)
+
+
+def _sample(graph, config=POC, **command):
+    return AxeEngine(graph, config).run(
+        Command(
+            kind=CommandKind.SAMPLE_N_HOP,
+            nodes=GOLDEN_ROOTS,
+            fanouts=GOLDEN_FANOUTS,
+            **command,
+        )
+    )
+
+
+def _command(graph, kind, nodes, **command):
+    return AxeEngine(graph, POC).run(Command(kind=kind, nodes=nodes, **command))
+
+
+def _system(graph, **topology):
+    config = SystemConfig(num_cards=4, core=CoreConfig(fanouts=GOLDEN_FANOUTS))
+    return MultiCardSystem(graph, config, **topology).run_batch(GOLDEN_ROOTS)
+
+
+GOLDEN_RUNS = {
+    "poc": lambda g: _sample(g),
+    "one_node": lambda g: _sample(g, dataclasses.replace(POC, num_fpga_nodes=1)),
+    "in_order": lambda g: _sample(
+        g, dataclasses.replace(POC, core=CoreConfig(in_order=True))
+    ),
+    "tag_limited": lambda g: _sample(
+        g, dataclasses.replace(POC, core=CoreConfig(max_tags=8))
+    ),
+    "reservoir": lambda g: _sample(g, method="reservoir"),
+    "edge_attributes": lambda g: _sample(g, with_edge_attributes=True),
+    "read_node_attribute": lambda g: _command(
+        g, CommandKind.READ_NODE_ATTRIBUTE, GOLDEN_ROOTS
+    ),
+    "read_edge_attribute": lambda g: _command(
+        g, CommandKind.READ_EDGE_ATTRIBUTE, GOLDEN_PAIRS
+    ),
+    "negative_sample": lambda g: _command(
+        g, CommandKind.NEGATIVE_SAMPLE, GOLDEN_PAIRS, rate=5
+    ),
+    "system_mesh": lambda g: _system(g),
+    "system_ring": lambda g: _system(g, topology=ring(4)),
+}
+
+#: A change to how the simulator runs (not to what it simulates) must
+#: leave every digest equal.
+GOLDEN_DIGESTS = {
+    "edge_attributes": "6da463ed23edce92e50b1bc92d2b5aa3ef3ad63b3e5cd332b97690a27d76f18b",
+    "in_order": "1d41491b3d246bb704355822a6773de799048dadbe3738488e39f3a230b96e78",
+    "negative_sample": "0f9ab6a76d80315d58d6ee7786a3d62bd8ca748d42466b09a85a85dbfd6e3ce9",
+    "one_node": "02e7b6b3862fb666e1bde05113a82bfcdff97c4a27b34f1d29a9d74d6197a741",
+    "poc": "4268a1f62ee5ee3193ed98f143846df7ada8fba4741a5de461dc19c68d382aeb",
+    "read_edge_attribute": "926fb9fd4d42edc23a6313282fbf24cbbb90934f27e38cf16457f2298c7fcf82",
+    "read_node_attribute": "c5c70083ce87e7067ec1f226a3acc37579b1531dd9f19c76b9a7d6b0fdf9019d",
+    "reservoir": "6e6077050fb04d41c03588196d6b53fc9d16408f35a84f6ff68ebb254c3f5894",
+    "system_mesh": "8079d919d42302b94fdd4f28a645e329549c154be4d27dcda3c7960726a32153",
+    "system_ring": "af3ebae6ef1bf37ef06fd81fadeebc7901da4622d92a69bd4cd43cf77aef4a75",
+    "tag_limited": "0e073537745062b6757d4c2ffe5e185f3e2e6845d6c4e2374e60e4d65a40c640",
+}
+
+
+class TestGoldenDigests:
+    """Every simulated event of the engine and the multi-card system is
+    pinned through the results and stats it produces: the tag-file wait
+    queue, in-order delivery, both samplers, edge-weight fetches, the
+    non-sampling commands and single- and multi-hop fabric paths."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_digest(self, graph, name):
+        assert digest(GOLDEN_RUNS[name](graph)) == GOLDEN_DIGESTS[name]
+
+
+def test_routing_makes_no_partitioner_calls(graph, monkeypatch):
+    """Ownership is a table built with the engine, not a NumPy call per
+    memory load."""
+    engine = AxeEngine(graph, POC)
+    calls = []
+    original = HashPartitioner.partition_of
+
+    def counting(self, nodes):
+        calls.append(len(nodes))
+        return original(self, nodes)
+
+    monkeypatch.setattr(HashPartitioner, "partition_of", counting)
+    roots = np.random.default_rng(5).integers(0, graph.num_nodes, size=64)
+    _results, stats = engine.run(sample_command(roots, (10, 10)))
+    assert stats.channel_bytes["remote"] > 0
+    assert calls == []

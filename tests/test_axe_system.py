@@ -9,6 +9,7 @@ from repro.axe.loadunit import MemoryChannel
 from repro.axe.system import MultiCardSystem, PathChannel, SystemConfig
 from repro.errors import ConfigurationError
 from repro.graph.generators import power_law_graph
+from repro.graph.partition import HashPartitioner
 from repro.memstore.links import LinkModel
 from repro.mof.topology import full_mesh, ring
 
@@ -111,3 +112,20 @@ class TestMultiCardSystem:
         system = MultiCardSystem(graph, SystemConfig(num_cards=2))
         with pytest.raises(ConfigurationError):
             system.run_batch(np.array([], dtype=np.int64))
+
+
+def test_routing_makes_one_partitioner_call_per_batch(graph, monkeypatch):
+    """Only the batch's roots go through the partitioner (data-local
+    dispatch); every memory load routes through the owner table."""
+    system = MultiCardSystem(graph, SystemConfig(num_cards=4))
+    calls = []
+    original = HashPartitioner.partition_of
+
+    def counting(self, nodes):
+        calls.append(len(nodes))
+        return original(self, nodes)
+
+    monkeypatch.setattr(HashPartitioner, "partition_of", counting)
+    stats = system.run_batch(np.arange(32))
+    assert stats.remote_requests > 0
+    assert calls == [32]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
@@ -88,6 +88,51 @@ class TestStreaming:
         picks = select_streaming(np.arange(n), k, rng)
         groups = picks // (n // k)
         assert len(set(groups.tolist())) == k
+
+
+def scalar_streaming_oracle(neighbors, fanout, rng):
+    """Tech-2's streaming pick as one scalar ``rng.integers`` per group."""
+    n = neighbors.size
+    out = np.empty(fanout, dtype=neighbors.dtype)
+    for group in range(fanout):
+        start = group * n // fanout
+        stop = (group + 1) * n // fanout
+        if stop <= start:
+            pick = int(rng.integers(0, n))
+        else:
+            pick = int(rng.integers(start, stop))
+        out[group] = neighbors[pick]
+    return out
+
+
+class TestStreamingStreamIdentity:
+    """The one-call streaming pick consumes the RNG exactly as the
+    per-group scalar loop: same picks, same generator state after."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        fanout=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+        odd_offset=st.booleans(),
+    )
+    @example(n=3, fanout=10, seed=0, odd_offset=False)  # n < fanout
+    @example(n=10, fanout=10, seed=1, odd_offset=True)  # n == fanout
+    @example(n=1, fanout=1, seed=2, odd_offset=False)
+    @example(n=300, fanout=16, seed=3, odd_offset=True)  # n > fanout
+    def test_picks_and_end_state_match_scalar_loop(self, n, fanout, seed, odd_offset):
+        neighbors = np.arange(n, dtype=np.int64) * 7 + 3
+        rng = np.random.default_rng(seed)
+        oracle_rng = np.random.default_rng(seed)
+        if odd_offset:
+            # Leave half a 64-bit word in the generator's 32-bit buffer.
+            assert rng.integers(0, 5) == oracle_rng.integers(0, 5)
+        picks = select_streaming(neighbors, fanout, rng)
+        expected = scalar_streaming_oracle(neighbors, fanout, oracle_rng)
+        assert picks.dtype == expected.dtype
+        assert np.array_equal(picks, expected)
+        assert rng.integers(0, 5) == oracle_rng.integers(0, 5)
+        assert rng.random() == oracle_rng.random()
 
 
 class TestRegistry:
