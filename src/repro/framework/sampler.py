@@ -60,10 +60,11 @@ class MultiHopSampler:
     """Random multi-hop sampler over a partitioned store.
 
     Vectorized: one dedup per layer (shared by the hop expansion and
-    the attribute fetch), one store batch call per hop, one ragged RNG
-    pick per hop and RNG stream (weighted selectors pick degree bucket
-    by degree bucket), batched cache probes. ``sample`` runs one
-    stream; a shard worker runs one per shard in a single expansion.
+    the attribute fetch), one store batch call and one degree sort per
+    hop, one ragged RNG pick per hop and RNG stream (weighted selectors
+    pick degree bucket by degree bucket), batched cache probes.
+    ``sample`` runs one stream; a shard expansion runs one per (shard,
+    micro-batch) task.
     For the layers it samples, ``AccessSummary``
     totals, cache counters and degraded-fallback counts equal the
     per-node walk's; its RNG consumption order differs, so the draws
@@ -144,8 +145,8 @@ class MultiHopSampler:
         return self.store.fault_stats
 
     def close(self) -> None:
-        """Release sampler resources: none here, a worker pool on the
-        sharded subclass."""
+        """Release sampler resources: none here; the sharded subclass
+        shuts down its worker processes, if it has any."""
 
     # ------------------------------------------------------------- sampling
     def sample(self, request: SampleRequest) -> SampleResult:
@@ -222,13 +223,14 @@ class MultiHopSampler:
         ``dedup`` is the frontier's :func:`dedup_ids` triple; ``streams``
         is a list of ``(generator, position count)`` pairs splitting the
         frontier into contiguous ranges. Adjacency of the distinct nodes
-        is gathered in one store batch call. Within each range,
-        positions are sorted by degree and either picked all at once on
-        the range's generator (degree-only selectors: one ragged RNG
-        call per range, one flat gather for the frontier) or bucket by
-        bucket through the selector's ``(k, d)`` variant (weighted
-        selectors). Zero-degree (and degraded) positions sample
-        themselves (AliGraph's self-loop fallback).
+        is gathered in one store batch call. One stable argsort on the
+        key ``(stream, degree)`` orders every range's positions by
+        degree at once; each range's slice of that order is then picked
+        on the range's generator, either in one ragged RNG call
+        (degree-only selectors; one flat gather for the whole frontier
+        follows) or bucket by bucket through the selector's ``(k, d)``
+        variant (weighted selectors). Zero-degree (and degraded)
+        positions sample themselves (AliGraph's self-loop fallback).
         """
         out = np.empty((flat.size, fanout), dtype=np.int64)
         if flat.size == 0:
@@ -243,18 +245,13 @@ class MultiHopSampler:
         graph = self.store.graph
         use_weights = self._selector_takes_weights and graph.edge_attr is not None
         bucket_selector = get_bucket_selector(self.selector)
-        picker = get_ragged_picker(self.selector)
-        picked_positions, picked_index = [], []
-        stop = 0
-        for rng, size in streams:
-            start, stop = stop, stop + size
-            nonzero = start + np.flatnonzero(~zero[start:stop])
-            if nonzero.size == 0:
-                continue
-            if bucket_selector is None:
-                # Unknown (custom) selector: apply it per position. The
-                # adjacency fetch is still amortized across the frontier.
-                for i in nonzero:
+        if bucket_selector is None:
+            # Unknown (custom) selector: apply it per position. The
+            # adjacency fetch is still amortized across the frontier.
+            stop = 0
+            for rng, size in streams:
+                start, stop = stop, stop + size
+                for i in start + np.flatnonzero(~zero[start:stop]):
                     u = inverse[i]
                     neighbors = values[offsets[u] : offsets[u + 1]]
                     if use_weights:
@@ -268,20 +265,39 @@ class MultiHopSampler:
                         out[i] = np.asarray(
                             self.selector(neighbors, fanout, rng), dtype=np.int64
                         )
+            return out
+        nonzero = np.flatnonzero(~zero)
+        sizes = [size for _rng, size in streams]
+        key = position_degrees[nonzero]
+        if len(streams) > 1:
+            # Ranges are contiguous, so a stable sort on (stream, degree)
+            # is the concatenation of each range's own stable degree sort.
+            stream_of = np.repeat(np.arange(len(streams)), sizes)[nonzero]
+            key = stream_of * (int(degrees.max()) + 1) + key
+        order = np.argsort(key, kind="stable")
+        sorted_positions = nonzero[order]
+        sorted_degrees = position_degrees[sorted_positions]
+        # ``nonzero`` is ascending, so the sorted slice of range j starts
+        # at the count of nonzero positions before the range's start.
+        bounds = np.searchsorted(nonzero, np.cumsum([0] + sizes)).tolist()
+        picker = get_ragged_picker(self.selector)
+        if picker is not None:
+            picks = np.empty((nonzero.size, fanout), dtype=np.int64)
+            for (rng, _size), lo, hi in zip(streams, bounds[:-1], bounds[1:]):
+                if hi > lo:
+                    picks[lo:hi] = picker(sorted_degrees[lo:hi], fanout, rng)
+            index = offsets[inverse[sorted_positions], None] + picks
+            out[sorted_positions] = self.kernels.take_picks(
+                values[None, :], index.reshape(1, -1)
+            ).reshape(index.shape)
+            return out
+        # Weighted selectors need a CDF per row: group each range's
+        # positions by degree so each bucket is a dense (k, d) matrix.
+        for (rng, _size), lo, hi in zip(streams, bounds[:-1], bounds[1:]):
+            if hi == lo:
                 continue
-            nonzero_degrees = position_degrees[nonzero]
-            order = np.argsort(nonzero_degrees, kind="stable")
-            sorted_positions = nonzero[order]
-            sorted_degrees = nonzero_degrees[order]
-            if picker is not None:
-                picks = picker(sorted_degrees, fanout, rng)
-                picked_positions.append(sorted_positions)
-                picked_index.append(offsets[inverse[sorted_positions], None] + picks)
-                continue
-            # Weighted selectors need a CDF per row: group positions by
-            # degree so each bucket is a dense (k, d) matrix.
-            boundaries = np.flatnonzero(np.diff(sorted_degrees)) + 1
-            for bucket in np.split(sorted_positions, boundaries):
+            boundaries = np.flatnonzero(np.diff(sorted_degrees[lo:hi])) + 1
+            for bucket in np.split(sorted_positions[lo:hi], boundaries):
                 d = int(position_degrees[bucket[0]])
                 u = inverse[bucket]
                 matrix = self.kernels.gather_rows(values, offsets[u], d)
@@ -295,12 +311,6 @@ class MultiHopSampler:
                     out[bucket] = bucket_selector(
                         matrix, fanout, rng, kernels=self.kernels
                     )
-        if picked_positions:
-            positions = np.concatenate(picked_positions)
-            index = np.concatenate(picked_index)
-            out[positions] = self.kernels.take_picks(
-                values[None, :], index.reshape(1, -1)
-            ).reshape(index.shape)
         return out
 
     def _neighbors_batch(self, unique: np.ndarray, counts: np.ndarray):

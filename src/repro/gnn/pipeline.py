@@ -38,7 +38,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -95,8 +95,11 @@ class NeighborhoodCache:
 
     ``root_hits`` / ``root_misses`` are occurrence-accurate: every root
     occurrence probed counts exactly one hit or one miss, in probe
-    order. They are owned by this module; per-batch deltas flow into
-    the store summary through
+    order. A root an earlier probe of the same epoch missed hits: the
+    batch that missed it is trained, and inserts it, before any later
+    batch is, so probe outcomes depend on batch order alone, not on how
+    far sampling runs ahead of training. The counters are owned by
+    this module; per-batch deltas flow into the store summary through
     :meth:`~repro.memstore.store.PartitionedStore.record_neighborhood`.
     (Ownership is declared in the counter-ownership registry:
     ``repro/analysis/rules/crossmodule/registry.py``.)
@@ -112,6 +115,9 @@ class NeighborhoodCache:
         self.root_misses = 0
         self._fingerprint: Optional[CacheFingerprint] = None
         self._index: Dict[int, int] = {}
+        #: Roots missed since the epoch began: inserted by the time a
+        #: later batch of the epoch is trained.
+        self._reserved: Set[int] = set()
         self._block = np.empty((0, 0), dtype=np.int64)
 
     def __len__(self) -> int:
@@ -125,7 +131,9 @@ class NeighborhoodCache:
         seed: int,
         trained_epochs: int,
     ) -> None:
-        """Roll the fingerprint forward; clears entries when it changes."""
+        """Start an epoch: roll the fingerprint forward (clearing the
+        entries when it changes) and forget the last epoch's misses."""
+        self._reserved = set()
         fingerprint = CacheFingerprint(
             graph_epoch=graph_epoch,
             fanouts=tuple(fanouts),
@@ -141,23 +149,26 @@ class NeighborhoodCache:
             )
 
     def probe(self, roots: np.ndarray) -> np.ndarray:
-        """Boolean hit mask for each root occurrence (counted)."""
+        """Boolean hit mask for each root occurrence (counted); the
+        roots it misses hit from the next probe of this epoch on."""
+        roots = roots.tolist()
         hits = np.fromiter(
-            (root in self._index for root in roots.tolist()),
+            (root in self._index or root in self._reserved for root in roots),
             dtype=bool,
-            count=roots.size,
+            count=len(roots),
         )
         hit_count = int(hits.sum())
         self.root_hits += hit_count
-        self.root_misses += int(roots.size) - hit_count
+        self.root_misses += len(roots) - hit_count
+        self._reserved.update(roots)
         return hits
 
     def insert(self, roots: np.ndarray, result: SampleResult) -> None:
         """Memoize the hop layers of ``result`` per root (first wins).
 
         ``roots`` must be ``result``'s request roots: row ``i`` of every
-        hop layer belongs to ``roots[i]``. First-insert-wins keeps probe
-        outcomes independent of pipeline depth for duplicate roots.
+        hop layer belongs to ``roots[i]``. The first insert of a root
+        wins.
         """
         flat = np.concatenate(
             [layer.reshape(roots.size, -1) for layer in result.layers[1:]],
@@ -247,7 +258,10 @@ class PipelinedTrainer:
         Shard worker processes; ``0`` runs the identical shard tasks
         inline (the determinism reference).
     pipeline_depth:
-        Micro-batches in flight (>= 2 overlaps sampling with compute).
+        Micro-batches in flight on a worker pool (>= 2 overlaps
+        sampling with compute). At ``workers=0`` the executor runs a
+        window of ``INLINE_WINDOW_POSITIONS`` sampled positions ahead
+        instead.
     cached_epochs:
         ``0`` disables the :class:`NeighborhoodCache`; ``k >= 1``
         re-samples neighborhoods every ``k`` epochs and serves the
@@ -383,10 +397,11 @@ class PipelinedTrainer:
         """One shuffled pass over ``roots``; returns the mean batch loss.
 
         Micro-batches flow through the pipelined executor: the request
-        generator probes the cache and submits sampling work up to
-        ``pipeline_depth`` batches ahead, while this loop consumes
-        results in order and runs forward/backward — so shard workers
-        hop-sample batch *k+1* during batch *k*'s compute.
+        generator probes the cache and submits sampling work ahead
+        (``pipeline_depth`` batches on a worker pool, one window
+        inline), while this loop consumes results in order and runs
+        forward/backward — so shard workers hop-sample batch *k+1*
+        during batch *k*'s compute.
         """
         roots = np.asarray(roots, dtype=np.int64).reshape(-1)
         if roots.size == 0:

@@ -6,13 +6,15 @@ sampling, cache and ``store`` accounting — that replaces one step, hop
 expansion, by fanning every micro-batch out across shards: the
 partitioner splits the roots by owning partition and each shard slice
 becomes a :class:`~repro.parallel.worker.ShardTask` with its own RNG
-stream. All tasks one process holds run as one vectorized expansion:
-in-process at ``workers=0``, else on persistent worker processes that
-each get one message per micro-batch (the shards placed on it by
-``shard % workers``) over their own pipe and send one reply carrying
-the hop layers. The coordinator merges them, absorbs each reply's
-access delta, records each shard's gather contiguity, and finishes the
-result the way the base class does.
+stream. All tasks one process holds run as one vectorized expansion.
+At ``workers=0`` that process is the coordinator: ``submit`` queues the
+tasks, and the first collect of a queued micro-batch runs every queued
+task — a whole window of micro-batches — in one expansion. Otherwise persistent worker processes each get one message
+per micro-batch (the shards placed on it by ``shard % workers``) over
+their own pipe and send one reply carrying the hop layers. The
+coordinator merges them, absorbs each expansion's access delta,
+records each shard's gather contiguity, and finishes the result the
+way the base class does.
 
 Workers inherit the store's graph at start (copy-on-write under
 ``fork``), so nothing but roots and layers crosses a pipe. Each worker
@@ -30,15 +32,16 @@ Determinism: shard membership is owner-based and the per-task RNG
 stream is a pure function of ``(seed, shard, seq)``, so results and
 merged :class:`~repro.memstore.store.AccessSummary` totals are
 bit-identical at every worker count — ``workers=0`` runs the exact
-same shard tasks inline.
+same shard tasks inline, however many micro-batches share a window.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import traceback
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -89,9 +92,9 @@ class _Pending:
 class ParallelSampler(MultiHopSampler):
     """A :class:`MultiHopSampler` whose hop expansion runs on shard workers:
     ``submit`` splits the inherited ``_internal_roots`` into shard tasks
-    and dispatches them (one message per worker), ``collect`` merges the
-    hop layers and ends in the inherited ``_finish_result``; everything
-    else is the base class's.
+    and dispatches them (one message per worker; inline, it queues
+    them), ``collect`` merges the hop layers and ends in the inherited
+    ``_finish_result``; everything else is the base class's.
 
     Parameters
     ----------
@@ -105,8 +108,9 @@ class ParallelSampler(MultiHopSampler):
     workers:
         Worker process count. ``0`` executes the identical shard tasks
         inline (no processes) — the determinism reference for any
-        ``workers >= 1`` run. Shard ``s`` runs on worker
-        ``s % workers``.
+        ``workers >= 1`` run — deferred to the first collect of a
+        queued micro-batch, where sampling and its failures then
+        happen. Shard ``s`` runs on worker ``s % workers``.
     seed:
         Root entropy for the per-(shard, batch) RNG streams.
     sampling_method:
@@ -153,6 +157,9 @@ class ParallelSampler(MultiHopSampler):
         # In-process shard runtime (workers=0) — built lazily so the
         # zero-worker engine costs nothing beyond the store it wraps.
         self._inline: Optional[ShardRuntime] = None
+        #: Inline tasks submitted but not yet run, in submit order: the
+        #: next collect of any of their batches runs them all at once.
+        self._queued: List[ShardTask] = []
         # Process-pool state (workers >= 1).
         self._procs: List[multiprocessing.process.BaseProcess] = []
         #: Coordinator end of each worker's duplex pipe, by worker index.
@@ -222,6 +229,7 @@ class ParallelSampler(MultiHopSampler):
             return
         self._closed = True
         self._pending.clear()
+        self._queued = []
         for proc, conn, seq in zip(self._procs, self._conns, self._awaiting):
             if seq is not None:
                 proc.terminate()
@@ -264,7 +272,9 @@ class ParallelSampler(MultiHopSampler):
         A worker still owing the reply to an earlier message is waited
         out (and that reply merged) before it is sent this one. A worker
         found gone fails its shards of this batch, raised by the batch's
-        own collect/discard.
+        own collect/discard. At ``workers=0`` the tasks are queued, not
+        run: the request is validated here, sampled at the first
+        collect of a queued batch.
         """
         if self._closed:
             raise ParallelExecutionError("engine is closed")
@@ -306,7 +316,7 @@ class ParallelSampler(MultiHopSampler):
             for shard in sorted(members)
         ]
         if self.workers == 0:
-            self._run_inline(tasks, entry)
+            self._queued.extend(tasks)
             return seq
         for worker, conn in enumerate(self._conns):
             mine = tuple(t for t in tasks if t.shard % self.workers == worker)
@@ -322,21 +332,35 @@ class ParallelSampler(MultiHopSampler):
                 )
         return seq
 
-    def _run_inline(self, tasks: List[ShardTask], entry: _Pending) -> None:
-        try:
-            layers, summary = self._inline.run_shards(
-                tasks, self.seed, self.worker_partition
-            )
-        except Exception as exc:
-            # Nothing else of this batch is in flight.
-            del self._pending[tasks[0].seq]
-            raise ParallelExecutionError(
-                f"shards {[t.shard for t in tasks]} of micro-batch "
-                f"{tasks[0].seq} failed: {exc}"
-            ) from exc
-        for task, task_layers in zip(tasks, layers):
-            self._merge(entry, task.shard, task_layers)
-        self.store.absorb_summary(summary)
+    def _run_queued(self) -> None:
+        """Run every queued inline task: one ``run_shards`` per distinct
+        fanouts (a training stream has one), each task merged into its
+        own batch.
+
+        A failed expansion fails every micro-batch it carried; each
+        raises from its own collect/discard.
+        """
+        windows: Dict[Tuple[int, ...], List[ShardTask]] = {}
+        for task in self._queued:
+            windows.setdefault(task.fanouts, []).append(task)
+        self._queued = []
+        for tasks in windows.values():
+            try:
+                layers, summary = self._inline.run_shards(
+                    tasks, self.seed, self.worker_partition
+                )
+            except Exception:  # noqa: BLE001 - raised by each batch's collect
+                seqs = sorted({task.seq for task in tasks})
+                error = (
+                    f"shards of micro-batches {seqs} failed:\n"
+                    f"{traceback.format_exc()}"
+                )
+                for task in tasks:
+                    self._pending[task.seq].fail((task.shard,), error)
+                continue
+            for task, task_layers in zip(tasks, layers):
+                self._merge(self._pending[task.seq], task.shard, task_layers)
+            self.store.absorb_summary(summary)
 
     def _merge(self, entry: _Pending, shard: int, layers: List[np.ndarray]) -> None:
         """Scatter one shard's hop layers into its rows of the batch and
@@ -409,17 +433,23 @@ class ParallelSampler(MultiHopSampler):
         self.store.absorb_summary(msg.summary)
 
     def _finish(self, seq: int) -> _Pending:
-        """Wait out micro-batch ``seq``'s shards and drop its entry.
+        """Complete micro-batch ``seq``'s shards and drop its entry:
+        inline, run the queue if they are still in it; else wait out
+        the workers' replies.
 
-        The entry goes however the wait ends; a shard failure is raised
+        The entry goes however that ends; a shard failure is raised
         only after that.
         """
         entry = self._pending.get(seq)
         if entry is None:
             raise ParallelExecutionError(f"unknown micro-batch {seq}")
         try:
-            while entry.remaining:
-                self._pump(self._conns)
+            if self.workers == 0:
+                if entry.remaining:
+                    self._run_queued()
+            else:
+                while entry.remaining:
+                    self._pump(self._conns)
         finally:
             del self._pending[seq]
         if entry.error is not None:
@@ -447,8 +477,13 @@ class ParallelSampler(MultiHopSampler):
         gather. Used by :meth:`PipelinedExecutor.drain` to flush the
         pipeline after a failed compute step. Shard accounting that
         already merged stays in the store summary: the sampling work
-        really happened.
+        really happened. An inline batch still queued is dropped unrun,
+        so nothing is charged for it.
         """
+        entry = self._pending.get(seq)
+        if entry is not None and self.workers == 0:
+            self._queued = [task for task in self._queued if task.seq != seq]
+            entry.remaining.clear()
         self._finish(seq)
 
     # -------------------------------------------------------------- sampling

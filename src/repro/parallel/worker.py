@@ -96,10 +96,10 @@ class ShardRuntime:
     """The per-process sampling stack: shadow store and sampler.
 
     Used by worker processes *and* by the coordinator's in-process
-    fallback (``workers=0``), so both run byte-identical code. The
-    shadow store never tracks locality: gather contiguity depends on
-    which shards share an expansion, so the coordinator records it per
-    shard instead.
+    fallback (``workers=0``, one window of queued micro-batches per
+    call), so both run byte-identical code. The shadow store never
+    tracks locality: gather contiguity depends on which shards share an
+    expansion, so the coordinator records it per shard instead.
     """
 
     def __init__(self, store: PartitionedStore, sampler: MultiHopSampler) -> None:
@@ -122,7 +122,9 @@ class ShardRuntime:
         seed: int,
         worker_partition: Optional[int],
     ) -> Tuple[List[List[np.ndarray]], AccessSummary]:
-        """Sample the tasks of one micro-batch as one hop expansion.
+        """Sample the tasks (one micro-batch's on a worker, a window of
+        micro-batches' inline; all with the same fanouts) as one hop
+        expansion.
 
         The roots are concatenated in task order with one RNG stream
         per task, so each task draws exactly what it would expanded

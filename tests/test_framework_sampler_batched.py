@@ -13,6 +13,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import GnnSession
 from repro.framework.cache import HotNodeCache
@@ -20,7 +22,11 @@ from repro.errors import ConfigurationError
 from repro.framework.replay import ReferenceWalkSampler, replay_reference
 from repro.framework.requests import NegativeSampleRequest, SampleRequest
 from repro.framework.sampler import DENSE_DEDUP_RATIO, MultiHopSampler, dedup_ids
-from repro.framework.selectors import SELECTORS
+from repro.framework.selectors import (
+    SELECTORS,
+    get_bucket_selector,
+    get_ragged_picker,
+)
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.generators import power_law_graph
@@ -713,3 +719,125 @@ class TestNegativeSample:
         )
         assert out.shape == (1, 16)
         assert ((0 <= out) & (out < num_nodes)).all()
+
+
+def per_range_hop(sampler, flat, fanout, dedup, streams):
+    """The hop as it ran before one sort served every stream: per range,
+    a flatnonzero of its nonzero-degree positions and a stable degree
+    argsort, then the ragged picker or the bucket loop. The oracle of
+    :class:`TestOneSortHop`."""
+    out = np.empty((flat.size, fanout), dtype=np.int64)
+    if flat.size == 0:
+        return out
+    unique, inverse, counts = dedup
+    values, offsets, _served = sampler._neighbors_batch(unique, counts)
+    degrees = offsets[1:] - offsets[:-1]
+    position_degrees = degrees[inverse]
+    zero = position_degrees == 0
+    if zero.any():
+        out[zero] = flat[zero, None]
+    graph = sampler.store.graph
+    use_weights = sampler._selector_takes_weights and graph.edge_attr is not None
+    bucket_selector = get_bucket_selector(sampler.selector)
+    picker = get_ragged_picker(sampler.selector)
+    picked_positions, picked_index = [], []
+    stop = 0
+    for rng, size in streams:
+        start, stop = stop, stop + size
+        nonzero = start + np.flatnonzero(~zero[start:stop])
+        if nonzero.size == 0:
+            continue
+        nonzero_degrees = position_degrees[nonzero]
+        order = np.argsort(nonzero_degrees, kind="stable")
+        sorted_positions = nonzero[order]
+        sorted_degrees = nonzero_degrees[order]
+        if picker is not None:
+            picks = picker(sorted_degrees, fanout, rng)
+            picked_positions.append(sorted_positions)
+            picked_index.append(offsets[inverse[sorted_positions], None] + picks)
+            continue
+        boundaries = np.flatnonzero(np.diff(sorted_degrees)) + 1
+        for bucket in np.split(sorted_positions, boundaries):
+            d = int(position_degrees[bucket[0]])
+            u = inverse[bucket]
+            matrix = sampler.kernels.gather_rows(values, offsets[u], d)
+            if use_weights:
+                edge_starts = graph.indptr[unique[u]].astype(np.int64)
+                weights = sampler.kernels.gather_rows(graph.edge_attr, edge_starts, d)
+                out[bucket] = bucket_selector(
+                    matrix, fanout, rng, weights=weights, kernels=sampler.kernels
+                )
+            else:
+                out[bucket] = bucket_selector(
+                    matrix, fanout, rng, kernels=sampler.kernels
+                )
+    if picked_positions:
+        positions = np.concatenate(picked_positions)
+        index = np.concatenate(picked_index)
+        out[positions] = values[index]
+    return out
+
+
+class TestOneSortHop:
+    """One stable sort on ``(stream, degree)`` for the whole frontier
+    draws exactly what a per-range sort and pick did: same picks, same
+    end state of every range's generator."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        degrees=st.lists(
+            st.one_of(st.integers(0, 12), st.integers(0, 80)),
+            min_size=1,
+            max_size=40,
+        ),
+        stream_sizes=st.lists(st.integers(0, 24), min_size=1, max_size=6),
+        fanout=st.integers(1, 6),
+        selector_name=st.sampled_from(sorted(SELECTORS)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(  # empty and all-isolated ranges between live ones
+        degrees=[0, 3, 0, 7, 1, 30],
+        stream_sizes=[0, 9, 0, 5, 1],
+        fanout=4,
+        selector_name="streaming",
+        seed=5,
+    )
+    @example(
+        degrees=[0, 2, 2, 9],
+        stream_sizes=[7, 0, 7],
+        fanout=3,
+        selector_name="weighted",
+        seed=6,
+    )
+    def test_matches_per_range_loop(
+        self, degrees, stream_sizes, fanout, selector_name, seed
+    ):
+        rng = np.random.default_rng(seed)
+        indptr = np.zeros(len(degrees) + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        graph = CSRGraph(
+            indptr=indptr,
+            indices=rng.integers(0, len(degrees), size=int(indptr[-1])),
+            node_attr=np.zeros((len(degrees), 1), dtype=np.float32),
+            edge_attr=(rng.random(int(indptr[-1])) + 0.05).astype(np.float32),
+        )
+        flat = rng.integers(0, len(degrees), size=sum(stream_sizes))
+        dedup = dedup_ids(flat, graph.num_nodes)
+        samplers, generators = [], []
+        for _ in range(2):
+            store = PartitionedStore(graph, HashPartitioner(2))
+            samplers.append(
+                MultiHopSampler(store, selector=SELECTORS[selector_name])
+            )
+            generators.append(
+                [np.random.default_rng([seed, j]) for j in range(len(stream_sizes))]
+            )
+        got = samplers[0]._sample_neighbors_batch(
+            flat, fanout, dedup, list(zip(generators[0], stream_sizes))
+        )
+        want = per_range_hop(
+            samplers[1], flat, fanout, dedup, list(zip(generators[1], stream_sizes))
+        )
+        np.testing.assert_array_equal(got, want)
+        for mine, theirs in zip(*generators):
+            assert mine.bit_generator.state == theirs.bit_generator.state

@@ -28,6 +28,7 @@ from repro.gnn.pipeline import (
 )
 from repro.gnn.train import multilabel_loss64
 from repro.memstore.store import PartitionedStore
+import repro.parallel.pipeline as pipeline_module
 from repro.parallel import ParallelSampler, PipelinedExecutor
 from tests.test_gnn_models import as_float64
 
@@ -261,17 +262,51 @@ class TestPipelinedTrainerBehavior:
         assert report.epoch_losses[-1] < report.epoch_losses[0]
 
     def test_deeper_pipeline_is_bit_identical(self):
+        # On a worker pool: the inline engine runs windows, not depth.
         graph = make_graph()
         labels = make_labels(graph)
         digests = []
         for depth in (1, 2, 4):
             store = make_store(graph)
             with PipelinedTrainer(
-                store, labels, FANOUTS, seed=0, pipeline_depth=depth
+                store, labels, FANOUTS, seed=0, workers=1, pipeline_depth=depth
             ) as trainer:
                 report = trainer.train(np.arange(NUM_NODES), epochs=2)
             digests.append((tuple(report.epoch_losses), report.weights_digest))
         assert digests[0] == digests[1] == digests[2]
+
+    def test_run_ahead_leaves_cached_duplicates_bit_identical(self, monkeypatch):
+        """How far sampling runs ahead of training — one batch, the
+        inline window, a whole epoch, or pool depths 1 and 4 — moves no
+        cache probe outcome, so repeated roots train bit-identically."""
+        roots = np.random.default_rng(11).integers(0, NUM_NODES, size=200)
+        runs = []
+        for window in (1, pipeline_module.INLINE_WINDOW_POSITIONS, 2**30):
+            monkeypatch.setattr(pipeline_module, "INLINE_WINDOW_POSITIONS", window)
+            runs.append(run_trainer(workers=0, roots=roots, cached_epochs=2, epochs=2))
+        monkeypatch.undo()
+        for depth in (1, 4):
+            graph = make_graph()
+            store = make_store(graph)
+            with PipelinedTrainer(
+                store,
+                make_labels(graph),
+                FANOUTS,
+                workers=1,
+                pipeline_depth=depth,
+                batch_size=32,
+                cached_epochs=2,
+            ) as trainer:
+                runs.append((trainer.train(roots, epochs=2), store.summary))
+        first, first_summary = runs[0]
+        # Misses come from the first epoch only: a root repeated in a
+        # later batch of it is already a hit.
+        assert first.cache_hits + first.cache_misses == 2 * roots.size
+        assert np.unique(roots).size <= first.cache_misses < roots.size
+        for report, summary in runs[1:]:
+            assert report.epoch_losses == first.epoch_losses
+            assert report.weights_digest == first.weights_digest
+            assert summary == first_summary
 
     def test_validation(self):
         graph = make_graph()
@@ -358,6 +393,36 @@ def test_step_call_counts(monkeypatch):
         "cache.assemble": batches,
         "sage.forward": batches * hops,
     }
+
+
+#: ``weights_digest`` and epoch losses (as ``float.hex``) of a
+#: train_fresh-shaped run — power_law_graph(800, 8), fanouts (4,3),
+#: batches of 64, dims 16/16, 2 epochs, seed 0 — recorded while every
+#: inline micro-batch was still expanded on its own at submit.
+GOLDEN_TRAIN = (
+    "a0c6c87cee5903085c651671a79cb8bcaf525fe077ae125db69b52dd59e8e5ce",
+    ["0x1.6e285eb3eef74p-1", "0x1.64664d48d4cafp-1"],
+)
+
+
+def test_train_fresh_shaped_golden():
+    graph = power_law_graph(800, 8, attr_len=0, seed=0)
+    labels = (np.random.default_rng(0).random((800, 8)) < 0.3).astype(np.float32)
+    with PipelinedTrainer(
+        PartitionedStore(graph, HashPartitioner(4)),
+        labels,
+        FANOUTS,
+        embedding_dim=16,
+        hidden_dim=16,
+        seed=0,
+        batch_size=64,
+    ) as trainer:
+        report = trainer.train(np.arange(800), epochs=2)
+    assert report.micro_batches == 26
+    assert (
+        report.weights_digest,
+        [loss.hex() for loss in report.epoch_losses],
+    ) == GOLDEN_TRAIN
 
 
 def test_float32_losses_track_float64_reference():

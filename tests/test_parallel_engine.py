@@ -26,6 +26,7 @@ from repro.errors import (
 )
 from repro.framework.replay import replay_reference
 from repro.framework.requests import NegativeSampleRequest, SampleRequest
+from repro.framework import sampler as sampler_module
 from repro.framework.sampler import MultiHopSampler
 from repro.framework.selectors import SELECTORS
 from repro.graph.csr import CSRGraph
@@ -42,6 +43,7 @@ from repro.parallel import (
     shard_seed,
 )
 from repro.parallel.engine import DONE_POLL_S
+from repro.parallel.pipeline import INLINE_WINDOW_POSITIONS
 from repro.parallel.worker import ShardRuntime, ShardTask
 
 NUM_NODES = 600
@@ -308,26 +310,169 @@ class TestOnePassShards:
     def test_layers_digest_pinned(self, selector_name):
         assert sharded_layers_digest(selector_name) == SHARDED_LAYER_DIGESTS[selector_name]
 
-    def test_one_neighbors_batch_per_hop(self):
-        """A workers=0 micro-batch over every shard gathers adjacency
-        once per hop, not once per shard per hop."""
+    def test_one_neighbors_batch_per_hop(self, monkeypatch):
+        """A workers=0 window of one or of five micro-batches over every
+        shard gathers adjacency once per hop and sorts the frontier once
+        per hop, not once per batch or shard per hop."""
         graph = make_graph()
-        request = make_request(graph)
-        calls = []
+        sorts = []
+
+        class CountingNumpy:
+            """``np`` as the sampler module sees it, counting argsorts."""
+
+            def __getattr__(self, name):
+                if name == "argsort":
+                    sorts.append(name)
+                return getattr(np, name)
+
+        monkeypatch.setattr(sampler_module, "np", CountingNumpy())
+        for count in (1, 5):
+            requests = [make_request(graph, seed=s) for s in range(1, count + 1)]
+            calls = []
+            sorts.clear()
+            with ParallelSampler(make_store(graph), workers=0, seed=3) as engine:
+                engine.reserve(requests[0].roots.size, FANOUTS)
+                shadow = engine._inline.store
+                inner = shadow.get_neighbors_batch
+
+                def counted(*args, **kwargs):
+                    calls.append(len(args[0]))
+                    return inner(*args, **kwargs)
+
+                shadow.get_neighbors_batch = counted
+                seqs = [engine.submit(request) for request in requests]
+                assert not calls  # submit only queues
+                for seq in seqs:
+                    engine.collect(seq)
+                owners = engine.store.partitioner.partition_of(requests[0].roots)
+            assert np.unique(owners).size == engine.num_shards
+            assert len(calls) == len(FANOUTS)
+            assert len(sorts) == len(FANOUTS)
+
+
+class TestInlineWindow:
+    """At workers=0 submit queues the shard tasks and the first collect
+    of a queued micro-batch expands every queued one at once. Each
+    batch draws the streams of its own (seed, shard, seq), so a window
+    changes no layer and no accounting."""
+
+    COUNT = 4
+
+    def expected(self, graph, requests, skip=()):
+        """Each request sampled alone on a fresh engine (seqs in
+        ``skip`` are assigned but never sampled)."""
+        store = make_store(graph)
+        results = {}
+        with ParallelSampler(store, workers=0, seed=3) as engine:
+            for seq, request in enumerate(requests):
+                if seq in skip:
+                    engine._seq += 1
+                else:
+                    results[seq] = engine.sample(request)
+        return results, store.summary
+
+    def requests(self, graph):
+        return [make_request(graph, seed=s) for s in range(1, self.COUNT + 1)]
+
+    @pytest.mark.parametrize("order", ["in_order", "reversed", "middle_first"])
+    def test_window_equals_one_at_a_time(self, order):
+        graph = make_graph()
+        requests = self.requests(graph)
+        expected, expected_summary = self.expected(graph, requests)
+        store = make_store(graph)
+        with ParallelSampler(store, workers=0, seed=3) as engine:
+            seqs = [engine.submit(request) for request in requests]
+            assert store.summary == AccessSummary()
+            if order == "reversed":
+                seqs.reverse()
+            elif order == "middle_first":
+                seqs = seqs[2:] + seqs[:2]
+            got = {seq: engine.collect(seq) for seq in seqs}
+            assert not engine._pending and not engine._queued
+        assert store.summary == expected_summary
+        for seq, want in expected.items():
+            for a, b in zip(got[seq].layers, want.layers):
+                np.testing.assert_array_equal(a, b)
+            for a, b in zip(got[seq].attributes, want.attributes):
+                np.testing.assert_array_equal(a, b)
+
+    def test_discarded_queued_batch_charges_nothing(self):
+        graph = make_graph()
+        requests = self.requests(graph)
+        expected, expected_summary = self.expected(graph, requests, skip={1})
+        store = make_store(graph)
+        with ParallelSampler(store, workers=0, seed=3) as engine:
+            seqs = [engine.submit(request) for request in requests]
+            engine.discard(seqs[1])
+            assert store.summary == AccessSummary()
+            assert all(task.seq != seqs[1] for task in engine._queued)
+            got = {seq: engine.collect(seq) for seq in seqs if seq != seqs[1]}
+            with pytest.raises(ParallelExecutionError, match="unknown"):
+                engine.collect(seqs[1])
+        assert store.summary == expected_summary
+        assert got.keys() == expected.keys()
+        for seq, want in expected.items():
+            for a, b in zip(got[seq].layers, want.layers):
+                np.testing.assert_array_equal(a, b)
+
+    def test_failure_fails_every_batch_of_its_window(self, monkeypatch):
+        graph = make_graph()
+        requests = self.requests(graph)
+        fail_shard(monkeypatch, seq=2, shard=1)
         with ParallelSampler(make_store(graph), workers=0, seed=3) as engine:
-            engine.reserve(request.roots.size, FANOUTS)
-            shadow = engine._inline.store
-            inner = shadow.get_neighbors_batch
+            seqs = [engine.submit(request) for request in requests]
+            with pytest.raises(ParallelExecutionError, match="injected"):
+                engine.collect(seqs[0])
+            with pytest.raises(ParallelExecutionError, match="injected"):
+                engine.discard(seqs[1])
+            for seq in seqs[2:]:
+                with pytest.raises(ParallelExecutionError, match="injected"):
+                    engine.collect(seq)
+            assert not engine._pending and not engine._queued
+            # The engine outlives the window: the next batch samples.
+            result = engine.sample(requests[0])
+        assert len(result.layers) == 1 + len(FANOUTS)
 
-            def counted(*args, **kwargs):
-                calls.append(len(args[0]))
-                return inner(*args, **kwargs)
+    def test_stream_shares_one_expansion(self, monkeypatch):
+        """A stream whose positions fit one window runs one
+        ``run_shards``; results equal batch-by-batch sampling."""
+        graph = make_graph()
+        requests = list(micro_batches(np.arange(160), 32, FANOUTS))
+        per_batch = 32 * (1 + FANOUTS[0] + FANOUTS[0] * FANOUTS[1])
+        assert len(requests) * per_batch < INLINE_WINDOW_POSITIONS
+        with ParallelSampler(make_store(graph), workers=0, seed=3) as engine:
+            expected = [engine.sample(request) for request in requests]
+        runs = []
+        real = ShardRuntime.run_shards
 
-            shadow.get_neighbors_batch = counted
-            engine.sample(request)
-            owners = engine.store.partitioner.partition_of(request.roots)
-        assert np.unique(owners).size == engine.num_shards
-        assert len(calls) == len(FANOUTS)
+        def run_shards(self, tasks, seed, worker_partition):
+            runs.append(sorted({task.seq for task in tasks}))
+            return real(self, tasks, seed, worker_partition)
+
+        monkeypatch.setattr(ShardRuntime, "run_shards", run_shards)
+        with ParallelSampler(make_store(graph), workers=0, seed=3) as engine:
+            got = PipelinedExecutor(engine, depth=2).run(requests)
+        assert runs == [list(range(len(requests)))]
+        for mine, theirs in zip(got, expected):
+            for a, b in zip(mine.layers, theirs.layers):
+                np.testing.assert_array_equal(a, b)
+
+    def test_mixed_fanouts_expand_separately(self):
+        graph = make_graph()
+        requests = [
+            make_request(graph, seed=1),
+            SampleRequest(roots=np.arange(30), fanouts=(5,), with_attributes=False),
+            make_request(graph, seed=2),
+        ]
+        expected, expected_summary = self.expected(graph, requests)
+        store = make_store(graph)
+        with ParallelSampler(store, workers=0, seed=3) as engine:
+            seqs = [engine.submit(request) for request in requests]
+            got = {seq: engine.collect(seq) for seq in seqs}
+        assert store.summary == expected_summary
+        for seq, want in expected.items():
+            for a, b in zip(got[seq].layers, want.layers):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestPipeline:
