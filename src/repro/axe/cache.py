@@ -46,7 +46,7 @@ class CacheStats:
 class CoalescingCache:
     """Direct-mapped line cache used purely for spatial coalescing."""
 
-    def __init__(self, capacity_bytes: int = 8 * KB, line_bytes: int = 64) -> None:
+    def __init__(self, line_bytes: int, capacity_bytes: int = 8 * KB) -> None:
         if line_bytes <= 0 or capacity_bytes <= 0:
             raise ConfigurationError("capacity and line size must be positive")
         if capacity_bytes % line_bytes != 0:

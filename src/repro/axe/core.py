@@ -35,10 +35,19 @@ _SAMPLERS = {
     "uniform": ReservoirSampler,  # functional alias for the baseline
 }
 
+#: The AxE clock (Table 10: 250 MHz), shared by the cores, the VPU, the
+#: GEMM array, the analytical model and the FaaS DSE.
+AXE_CLOCK_HZ = 250e6
+
 
 @dataclass(frozen=True)
 class CoreConfig:
-    """Microarchitectural parameters of one AxE core."""
+    """Microarchitectural parameters of one AxE core.
+
+    Also the one home of the request shapes (``offset_read_bytes``,
+    ``id_bytes``, ``line_bytes``) and the tag budget the analytical
+    model reads.
+    """
 
     fanouts: Tuple[int, ...] = (10, 10)
     sampler: str = "streaming"
@@ -50,7 +59,6 @@ class CoreConfig:
     in_order: bool = False
     #: Merge element accesses into 64B-line requests (Tech-4 cache).
     coalescing: bool = True
-    frequency_hz: float = 250e6
     #: Fetch attributes of sampled nodes.
     fetch_attributes: bool = True
     #: Also fetch per-edge weights during GetNeighbor (Table 4's
@@ -75,8 +83,6 @@ class CoreConfig:
             )
         if self.window <= 0 or self.max_tags <= 0:
             raise ConfigurationError("window and max_tags must be positive")
-        if self.frequency_hz <= 0:
-            raise ConfigurationError("frequency_hz must be positive")
 
 
 class _RootTask:
@@ -180,7 +186,7 @@ class AxeCore:
 
     # ------------------------------------------------------------- the FSM
     def _cycles_delay(self, cycles: int) -> float:
-        return cycles / self.config.frequency_hz
+        return cycles / AXE_CLOCK_HZ
 
     def _expand(self, task: _RootTask, hop: int) -> None:
         """GetNeighbor + GetSample for every node of the current frontier."""

@@ -29,7 +29,13 @@ from repro.memstore.links import LinkModel, get_link
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """One FPGA's accelerator configuration (Table 10 is the PoC point)."""
+    """One FPGA's accelerator configuration (Table 10 is the PoC point).
+
+    The one description of the machine: :class:`AxeEngine` simulates it,
+    :class:`~repro.axe.system.MultiCardSystem` builds ``num_fpga_nodes``
+    cards of it, and :class:`~repro.perfmodel.analytical.AnalyticalModel`
+    predicts from it.
+    """
 
     num_cores: int = 2
     core: CoreConfig = dataclasses.field(default_factory=CoreConfig)

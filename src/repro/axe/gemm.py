@@ -19,23 +19,21 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.axe.core import AXE_CLOCK_HZ
 from repro.axe.resources import ResourceEstimate
 from repro.units import MEGA
 
 
 @dataclass(frozen=True)
 class GemmConfig:
-    """Systolic-array geometry and clock."""
+    """Systolic-array geometry (clocked at ``AXE_CLOCK_HZ``)."""
 
     array_rows: int = 32
     array_cols: int = 32
-    frequency_hz: float = 250e6
 
     def __post_init__(self) -> None:
         if self.array_rows <= 0 or self.array_cols <= 0:
             raise ConfigurationError("array dimensions must be positive")
-        if self.frequency_hz <= 0:
-            raise ConfigurationError("frequency must be positive")
 
     @property
     def macs_per_cycle(self) -> int:
@@ -44,7 +42,7 @@ class GemmConfig:
     @property
     def peak_tflops(self) -> float:
         """Peak FP32 TFLOPs (2 flops per MAC)."""
-        return 2 * self.macs_per_cycle * self.frequency_hz / 1e12
+        return 2 * self.macs_per_cycle * AXE_CLOCK_HZ / 1e12
 
 
 class GemmEngine:
@@ -86,13 +84,13 @@ class GemmEngine:
             raise ConfigurationError("matrix dimensions must be positive")
         rows, cols = self.config.array_rows, self.config.array_cols
         cycles = (-(-m // rows)) * (-(-n // cols)) * (k + rows + cols)
-        return cycles / self.config.frequency_hz
+        return cycles / AXE_CLOCK_HZ
 
     def achieved_tflops(self) -> float:
         """Sustained TFLOPs over everything executed so far."""
         if self.total_cycles == 0:
             return 0.0
-        seconds = self.total_cycles / self.config.frequency_hz
+        seconds = self.total_cycles / AXE_CLOCK_HZ
         return self.total_flops / seconds / 1e12
 
     def resources(self) -> ResourceEstimate:

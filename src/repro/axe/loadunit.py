@@ -90,7 +90,7 @@ class LoadUnit:
     def __init__(
         self,
         sim: Simulator,
-        max_tags: int = 256,
+        max_tags: int,
         in_order: bool = False,
         name: str = "loadunit",
     ) -> None:

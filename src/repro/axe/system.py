@@ -12,20 +12,20 @@ asserted.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.axe.core import AxeCore, CoreConfig
+from repro.axe.core import AxeCore
+from repro.axe.engine import EngineConfig
 from repro.axe.events import Simulator
 from repro.axe.loadunit import MemoryChannel
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import HashPartitioner
-from repro.memstore.links import LinkModel, get_link
+from repro.memstore.links import LinkModel
 from repro.mof.topology import FabricTopology, full_mesh
 
 
@@ -53,29 +53,6 @@ class PathChannel:
         self.legs[index].request(nbytes, callback)
 
 
-@dataclass(frozen=True)
-class SystemConfig:
-    """A multi-card deployment."""
-
-    num_cards: int = 4
-    cores_per_card: int = 2
-    core: CoreConfig = dataclasses.field(default_factory=CoreConfig)
-    local_link: LinkModel = dataclasses.field(
-        default_factory=lambda: get_link("local_dram")
-    )
-    local_channels_per_card: int = 4
-    output_link: Optional[LinkModel] = dataclasses.field(
-        default_factory=lambda: get_link("pcie_host_dram")
-    )
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.num_cards <= 0 or self.cores_per_card <= 0:
-            raise ConfigurationError("cards and cores must be positive")
-        if self.local_channels_per_card <= 0:
-            raise ConfigurationError("local_channels_per_card must be positive")
-
-
 @dataclass
 class SystemStats:
     """Results of one system-wide batch."""
@@ -100,25 +77,30 @@ class SystemStats:
 
 
 class MultiCardSystem:
-    """All cards of the PoC in one discrete-event simulation."""
+    """All cards of the PoC in one discrete-event simulation.
+
+    ``config`` describes every card: ``num_fpga_nodes`` cards, each with
+    ``num_cores`` cores and ``num_local_channels`` local DRAM channels.
+    The fabric links take their hop latency and bandwidth from
+    ``topology`` and their framing from ``config.remote_link``.
+    """
 
     def __init__(
         self,
         graph: CSRGraph,
-        config: Optional[SystemConfig] = None,
+        config: EngineConfig,
         topology: Optional[FabricTopology] = None,
     ) -> None:
         self.graph = graph
-        self.config = config or SystemConfig()
-        self.topology = topology or full_mesh(max(2, self.config.num_cards))
-        if self.config.num_cards > 1 and (
-            self.topology.num_nodes != self.config.num_cards
-        ):
+        self.config = config
+        self.num_cards = config.num_fpga_nodes
+        self.topology = topology or full_mesh(max(2, self.num_cards))
+        if self.num_cards > 1 and self.topology.num_nodes != self.num_cards:
             raise ConfigurationError(
                 f"topology has {self.topology.num_nodes} nodes, system has "
-                f"{self.config.num_cards} cards"
+                f"{self.num_cards} cards"
             )
-        self.partitioner = HashPartitioner(self.config.num_cards)
+        self.partitioner = HashPartitioner(self.num_cards)
         self._owners: List[int] = self.partitioner.partition_of(
             np.arange(graph.num_nodes)
         ).tolist()
@@ -133,40 +115,43 @@ class MultiCardSystem:
         roots = np.asarray(roots, dtype=np.int64)
         if roots.size == 0:
             raise ConfigurationError("cannot run an empty batch")
-        config = self.config
+        config, num_cards = self.config, self.num_cards
         sim = Simulator()
 
         local_channels: List[List[MemoryChannel]] = [
             [
                 MemoryChannel(sim, config.local_link, name=f"card{c}.local{i}")
-                for i in range(config.local_channels_per_card)
+                for i in range(config.num_local_channels)
             ]
-            for c in range(config.num_cards)
+            for c in range(num_cards)
         ]
         output_channels: List[Optional[MemoryChannel]] = [
             MemoryChannel(sim, config.output_link, name=f"card{c}.out")
             if config.output_link is not None
             else None
-            for c in range(config.num_cards)
+            for c in range(num_cards)
         ]
-        fabric_link = LinkModel(
-            "fabric",
-            self.topology.hop_latency_s,
-            self.topology.link_bandwidth,
-            packet_overhead_bytes=8,  # amortized MoF framing (Table 5)
-        )
-        fabric_channels: Dict[Tuple[int, int], MemoryChannel] = {
-            link: MemoryChannel(sim, fabric_link, name=f"fab{link}")
-            for link in self.topology.links
-        }
+        # One card has no fabric (and its config may have no remote link).
+        fabric_channels: Dict[Tuple[int, int], MemoryChannel] = {}
+        if num_cards > 1:
+            fabric_link = LinkModel(
+                "fabric",
+                self.topology.hop_latency_s,
+                self.topology.link_bandwidth,
+                packet_overhead_bytes=config.remote_link.packet_overhead_bytes,
+            )
+            fabric_channels = {
+                link: MemoryChannel(sim, fabric_link, name=f"fab{link}")
+                for link in self.topology.links
+            }
         remote_counter = [0]
         local_counter = [0]
-        node_owners, num_local = self._owners, config.local_channels_per_card
+        node_owners, num_local = self._owners, config.num_local_channels
 
         def make_router(card: int):
             # Fabric legs of every remote owner, one path per DRAM channel.
             paths: Dict[int, List[PathChannel]] = {}
-            for owner in range(config.num_cards):
+            for owner in range(num_cards):
                 if owner == card:
                     continue
                 hops = self.topology.shortest_path(card, owner)
@@ -192,8 +177,8 @@ class MultiCardSystem:
         owners = self.partitioner.partition_of(roots)
         done = [0]
         active = 0
-        per_card_roots = [0] * config.num_cards
-        for card in range(config.num_cards):
+        per_card_roots = [0] * num_cards
+        for card in range(num_cards):
             shard = roots[owners == card]
             per_card_roots[card] = int(shard.size)
             if shard.size == 0:
@@ -209,7 +194,7 @@ class MultiCardSystem:
                     seed=config.seed + 31 * card + core_index,
                     core_id=card * 100 + core_index,
                 )
-                for core_index in range(config.cores_per_card)
+                for core_index in range(config.num_cores)
             ]
             sub_shards = [shard[i :: len(cores)] for i in range(len(cores))]
             live = [core for core, sub in zip(cores, sub_shards) if sub.size]

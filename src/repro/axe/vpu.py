@@ -32,13 +32,10 @@ class VpuConfig:
     """Vector unit geometry."""
 
     lanes: int = 16
-    frequency_hz: float = 250e6
 
     def __post_init__(self) -> None:
         if self.lanes <= 0:
             raise ConfigurationError(f"lanes must be positive, got {self.lanes}")
-        if self.frequency_hz <= 0:
-            raise ConfigurationError("frequency must be positive")
 
 
 class VectorUnit:

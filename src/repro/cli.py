@@ -134,7 +134,8 @@ def _cmd_dse(args) -> None:
 def _cmd_system(args) -> None:
     import numpy as np
 
-    from repro.axe.system import MultiCardSystem, SystemConfig
+    from repro.axe.engine import EngineConfig
+    from repro.axe.system import MultiCardSystem
     from repro.graph.datasets import instantiate_dataset
 
     graph = instantiate_dataset("ls", max_nodes=args.max_nodes, seed=0)
@@ -142,7 +143,7 @@ def _cmd_system(args) -> None:
     print("cards  roots/s     remote%")
     for cards in (1, 2, 4):
         stats = MultiCardSystem(
-            graph, SystemConfig(num_cards=cards, output_link=None)
+            graph, EngineConfig(num_fpga_nodes=cards, output_link=None)
         ).run_batch(roots)
         print(f"{cards:>5}  {stats.roots_per_second:>10.0f}"
               f"  {100 * stats.remote_fraction:>6.1f}")

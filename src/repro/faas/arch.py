@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.errors import ConfigurationError
+from repro.memstore.links import get_link
 from repro.units import GB, US
 
 
@@ -50,7 +51,8 @@ class FaasArchitecture:
     local_bw_per_chip: float
     #: Graph shards live in host DRAM or in FPGA local DRAM (mem-opt).
     graph_in_fpga_dram: bool
-    #: Round-trip latency of the remote path (drives Eq. 3 core sizing).
+    #: Round-trip latency of the remote path. Descriptive only: no model
+    #: reads it, and ``axe_cores`` is the paper's count, not sized from it.
     remote_latency_s: float
     #: AxE cores per chip (the paper's Eq. 3 result per architecture).
     axe_cores: int
@@ -68,8 +70,9 @@ class FaasArchitecture:
         return f"{self.constraint}.{self.coupling}"
 
 
-_PCIE_HOST_BW = 16 * GB
-_FPGA_DRAM_BW = 102.4 * GB
+_PCIE_HOST_BW = get_link("pcie_host_dram").peak_bandwidth
+_FPGA_DRAM_BW = get_link("fpga_local_dram").peak_bandwidth
+_MOF_LATENCY_S = get_link("mof_fabric").base_latency_s
 _OUTPUT_BW = {
     OutputPath.PCIE_P2P: 16 * GB,
     OutputPath.FAST_LINK: 300 * GB,
@@ -109,10 +112,10 @@ EIGHT_ARCHITECTURES: Tuple[FaasArchitecture, ...] = (
     _arch("base", "decp", RemotePath.NIC, False, 30 * US, 3),
     _arch("cost-opt", "tc", RemotePath.NIC, False, 10 * US, 2),
     _arch("cost-opt", "decp", RemotePath.NIC, False, 10 * US, 2),
-    _arch("comm-opt", "tc", RemotePath.MOF, False, 1.2 * US, 2),
-    _arch("comm-opt", "decp", RemotePath.MOF, False, 1.2 * US, 2),
-    _arch("mem-opt", "tc", RemotePath.MOF, True, 1.2 * US, 10),
-    _arch("mem-opt", "decp", RemotePath.MOF, True, 1.2 * US, 2),
+    _arch("comm-opt", "tc", RemotePath.MOF, False, _MOF_LATENCY_S, 2),
+    _arch("comm-opt", "decp", RemotePath.MOF, False, _MOF_LATENCY_S, 2),
+    _arch("mem-opt", "tc", RemotePath.MOF, True, _MOF_LATENCY_S, 10),
+    _arch("mem-opt", "decp", RemotePath.MOF, True, _MOF_LATENCY_S, 2),
 )
 
 _BY_NAME: Dict[str, FaasArchitecture] = {a.name: a for a in EIGHT_ARCHITECTURES}

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
+from repro.axe.core import AXE_CLOCK_HZ
 from repro.cost.instances import (
     FAAS_CONFIGS,
     FaasInstanceConfig,
@@ -85,7 +86,6 @@ class FaasDse:
         cost_model: Optional[CostModel] = None,
         cpu_model: Optional[CpuSamplingModel] = None,
         footprint: Optional[FootprintModel] = None,
-        frequency_hz: float = 250e6,
         gpus_per_12gbps: float = 1.0,
         nic_efficiency: float = 1.0,
         mof_efficiency: float = 0.60,
@@ -96,7 +96,6 @@ class FaasDse:
         self.cost_model = cost_model or fit_cost_model()
         self.cpu_model = cpu_model or CpuSamplingModel()
         self.footprint = footprint or FootprintModel()
-        self.frequency_hz = frequency_hz
         self.gpus_per_12gbps = gpus_per_12gbps
         #: Goodput fractions of the nominal path bandwidths: the NIC
         #: quota is already enforced on goodput (1.0), MoF pays its
@@ -175,7 +174,7 @@ class FaasDse:
         # Engine pipeline rate (streaming sampler, Eq. 3-sized cores).
         cycles = workload.sampling_cycles_per_root()
         bounds["engine"] = (
-            arch.axe_cores * size.fpga_chips * self.frequency_hz / cycles
+            arch.axe_cores * size.fpga_chips * AXE_CLOCK_HZ / cycles
         )
         return bounds
 

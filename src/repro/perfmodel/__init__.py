@@ -2,7 +2,6 @@
 
 from repro.perfmodel.analytical import (
     AnalyticalModel,
-    ArchPoint,
     HardwareWorkload,
     ThroughputPrediction,
     axe_cores_needed,
@@ -17,7 +16,6 @@ from repro.perfmodel.poc import (
 
 __all__ = [
     "AnalyticalModel",
-    "ArchPoint",
     "HardwareWorkload",
     "ThroughputPrediction",
     "axe_cores_needed",

@@ -1,6 +1,6 @@
 """The in-house analytical performance model (§7.2).
 
-Predicts GNN sampling throughput for an architecture point from closed
+Predicts GNN sampling throughput of an :class:`EngineConfig` from closed
 form: the engine's pipeline rate, each memory path's achievable
 bandwidth (wire efficiency x concurrency limit, Equation 3), and the
 result-output path. The minimum over those bounds is the prediction;
@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.graph.datasets import SAMPLING_CONFIG, DatasetSpec
+from repro.axe.core import AXE_CLOCK_HZ, CoreConfig
+from repro.axe.engine import EngineConfig
+from repro.graph.datasets import DatasetSpec
 from repro.memstore.links import LinkModel
 
 
@@ -24,7 +26,8 @@ class HardwareWorkload:
     Unlike :class:`~repro.framework.cpu_model.WorkloadShape` (which
     counts the software store's logical accesses), this profile counts
     the hardware's actual memory requests: offset reads, coalesced
-    64B-line ID reads, and attribute-row bursts.
+    line-sized ID reads, and attribute-row bursts. Build it with
+    :meth:`from_spec`, which reads the request shapes off the core.
     """
 
     name: str
@@ -32,20 +35,18 @@ class HardwareWorkload:
     attr_nodes: int
     avg_degree: float
     attr_row_bytes: int
-    offset_read_bytes: int = 32
-    line_bytes: int = 64
-    id_bytes: int = 8
-    fetch_attributes: bool = True
+    offset_read_bytes: int
+    line_bytes: int
+    id_bytes: int
+    fetch_attributes: bool
 
     @classmethod
     def from_spec(
-        cls,
-        spec: DatasetSpec,
-        fanouts: Tuple[int, ...] = SAMPLING_CONFIG["fanouts"],
-        fetch_attributes: bool = True,
+        cls, spec: DatasetSpec, core: CoreConfig = CoreConfig()
     ) -> "HardwareWorkload":
-        if not fanouts:
-            raise ConfigurationError("fanouts must contain at least one hop")
+        """The profile of ``core`` sampling ``spec``'s graph: one
+        GetNeighbor per expanded node, one attribute row per node."""
+        fanouts = core.fanouts
         neighbor_ops = 1
         width = 1
         total = 1
@@ -60,11 +61,14 @@ class HardwareWorkload:
             attr_nodes=total,
             avg_degree=spec.avg_degree,
             attr_row_bytes=spec.attr_len * 4,
-            fetch_attributes=fetch_attributes,
+            offset_read_bytes=core.offset_read_bytes,
+            line_bytes=core.line_bytes,
+            id_bytes=core.id_bytes,
+            fetch_attributes=core.fetch_attributes,
         )
 
     def lines_per_list(self) -> float:
-        """Average 64B line reads per neighbor list."""
+        """Average line reads per neighbor list."""
         if self.avg_degree <= 0:
             return 0.0
         return max(1.0, self.avg_degree * self.id_bytes / self.line_bytes)
@@ -99,9 +103,7 @@ class HardwareWorkload:
         )
         return float(self.attr_nodes * per_node)
 
-    def sampling_cycles_per_root(
-        self, fanouts: Optional[Tuple[int, ...]] = None
-    ) -> float:
+    def sampling_cycles_per_root(self) -> float:
         """Streaming-sampler pipeline cycles per root (Tech-2: N cycles
         per GetNeighbor, at least K)."""
         per_op = max(self.avg_degree, 10.0)
@@ -109,38 +111,9 @@ class HardwareWorkload:
 
 
 @dataclass(frozen=True)
-class ArchPoint:
-    """One architecture configuration the model evaluates."""
-
-    name: str
-    local_link: LinkModel
-    num_local_channels: int
-    output_link: Optional[LinkModel]
-    remote_link: Optional[LinkModel] = None
-    #: Fraction of fetched bytes served by the local path.
-    local_fraction: float = 1.0
-    num_cores: int = 2
-    tags_per_core: int = 256
-    frequency_hz: float = 250e6
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.local_fraction <= 1.0:
-            raise ConfigurationError(
-                f"local_fraction must be in [0, 1], got {self.local_fraction}"
-            )
-        if self.local_fraction < 1.0 and self.remote_link is None:
-            raise ConfigurationError(
-                "remote traffic requires a remote link"
-            )
-        if self.num_cores <= 0 or self.num_local_channels <= 0:
-            raise ConfigurationError("core and channel counts must be positive")
-
-
-@dataclass(frozen=True)
 class ThroughputPrediction:
     """Model output: the binding bottleneck and all component bounds."""
 
-    arch: str
     workload: str
     roots_per_second: float
     bottleneck: str
@@ -151,7 +124,7 @@ class ThroughputPrediction:
 
 
 class AnalyticalModel:
-    """Closed-form throughput model over :class:`ArchPoint`s."""
+    """Closed-form throughput model of an :class:`EngineConfig`."""
 
     def _path_bandwidth(
         self,
@@ -176,14 +149,19 @@ class AnalyticalModel:
         return min(wire, concurrency)
 
     def predict(
-        self, arch: ArchPoint, workload: HardwareWorkload
+        self, config: EngineConfig, workload: HardwareWorkload
     ) -> ThroughputPrediction:
-        """Throughput bound for one (architecture, workload) pair."""
+        """Throughput bound of one engine on one workload.
+
+        The graph is hash-sharded over ``config.num_fpga_nodes`` cards,
+        so ``1 / num_fpga_nodes`` of the fetched bytes are local.
+        """
         fetch = workload.fetch_bytes_per_root
-        local_bytes = fetch * arch.local_fraction
+        local_fraction = 1.0 / config.num_fpga_nodes
+        local_bytes = fetch * local_fraction
         remote_bytes = fetch - local_bytes
         mean_request = workload.mean_request_bytes
-        total_tags = float(arch.num_cores * arch.tags_per_core)
+        total_tags = float(config.num_cores * config.core.max_tags)
         # Tags split across paths proportionally to their byte demand.
         local_tags = total_tags * (local_bytes / fetch) if fetch else total_tags
         remote_tags = total_tags - local_tags
@@ -191,32 +169,29 @@ class AnalyticalModel:
         bounds: Dict[str, float] = {}
         if local_bytes > 0:
             local_bw = self._path_bandwidth(
-                arch.local_link, arch.num_local_channels, mean_request, local_tags
+                config.local_link, config.num_local_channels, mean_request, local_tags
             )
             bounds["local_mem"] = local_bw / local_bytes
         if remote_bytes > 0:
             remote_bw = self._path_bandwidth(
-                arch.remote_link, 1, mean_request, remote_tags
+                config.remote_link, 1, mean_request, remote_tags
             )
             bounds["remote_mem"] = remote_bw / remote_bytes
-        if arch.output_link is not None and workload.output_bytes_per_root > 0:
+        if config.output_link is not None and workload.output_bytes_per_root > 0:
             out_bytes = workload.output_bytes_per_root
             out_bw = (
-                arch.output_link.peak_bandwidth
+                config.output_link.peak_bandwidth
                 * out_bytes
-                / (out_bytes + arch.output_link.packet_overhead_bytes)
+                / (out_bytes + config.output_link.packet_overhead_bytes)
             )
             bounds["output"] = out_bw / out_bytes
         engine_rate = (
-            arch.num_cores
-            * arch.frequency_hz
-            / workload.sampling_cycles_per_root()
+            config.num_cores * AXE_CLOCK_HZ / workload.sampling_cycles_per_root()
         )
         bounds["engine"] = engine_rate
 
         bottleneck = min(bounds, key=bounds.get)
         return ThroughputPrediction(
-            arch=arch.name,
             workload=workload.name,
             roots_per_second=bounds[bottleneck],
             bottleneck=bottleneck,
@@ -227,7 +202,7 @@ class AnalyticalModel:
 def axe_cores_needed(
     link: LinkModel,
     workload: HardwareWorkload,
-    tags_per_core: int = 256,
+    tags_per_core: int = CoreConfig.max_tags,
     target_bandwidth: Optional[float] = None,
 ) -> int:
     """Equation 3 core sizing: cores whose combined tag files hold

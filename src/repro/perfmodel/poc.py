@@ -8,6 +8,7 @@ validates the paper's model against the physical PoC.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -19,14 +20,15 @@ from repro.axe.engine import AxeEngine, EngineConfig
 from repro.axe.commands import sample_command
 from repro.framework.cpu_model import CpuSamplingModel, WorkloadShape
 from repro.graph.csr import CSRGraph
-from repro.graph.datasets import DATASET_ORDER, get_dataset, instantiate_dataset
+from repro.graph.datasets import (
+    DATASET_ORDER,
+    DatasetSpec,
+    get_dataset,
+    instantiate_dataset,
+)
 from repro.memstore.layout import FootprintModel
 from repro.memstore.links import get_link
-from repro.perfmodel.analytical import (
-    AnalyticalModel,
-    ArchPoint,
-    HardwareWorkload,
-)
+from repro.perfmodel.analytical import AnalyticalModel, HardwareWorkload
 
 #: Memory configurations on the Figure 15 x-axis legends.
 _MEMORY_CONFIGS = {
@@ -89,23 +91,6 @@ def build_poc_engine(
     return AxeEngine(graph, config)
 
 
-def analytical_point(
-    point: PocConfigPoint,
-    with_output_limit: bool = True,
-) -> ArchPoint:
-    """The matching analytical-model architecture point."""
-    link_name, channels = _MEMORY_CONFIGS[point.memory]
-    return ArchPoint(
-        name=point.label,
-        local_link=get_link(link_name),
-        num_local_channels=channels,
-        output_link=get_link("pcie_host_dram") if with_output_limit else None,
-        remote_link=get_link("mof_fabric") if point.num_fpga_nodes > 1 else None,
-        local_fraction=1.0 / point.num_fpga_nodes,
-        num_cores=point.num_cores,
-    )
-
-
 @dataclass(frozen=True)
 class ValidationRow:
     """One Figure 15 point: measured vs modeled throughput."""
@@ -134,25 +119,24 @@ def validate_model(
     fanouts: Tuple[int, ...] = (10, 10),
     seed: int = 0,
 ) -> List[ValidationRow]:
-    """Figure 15: run measurement (event sim) and model on each point."""
+    """Figure 15: run measurement (event sim) and model on each point.
+
+    The model predicts from the very :class:`EngineConfig` the event
+    simulation runs, on the graph's measured degree and row size.
+    """
     rng = np.random.default_rng(seed)
     model = AnalyticalModel()
-    avg_degree = graph.num_edges / graph.num_nodes
-    workload = HardwareWorkload(
-        name="poc",
-        neighbor_ops=1 + int(np.prod(fanouts[:-1])) if len(fanouts) > 1 else 1,
-        attr_nodes=_total_nodes(fanouts),
-        avg_degree=avg_degree,
-        attr_row_bytes=graph.attr_len * 4,
-    )
+    shape = DatasetSpec("poc", graph.num_nodes, graph.num_edges, graph.attr_len)
     rows: List[ValidationRow] = []
     for point in points:
         engine = build_poc_engine(graph, point, fanouts=fanouts)
         roots = rng.integers(0, graph.num_nodes, size=batch_size, dtype=np.int64)
         _results, stats = engine.run(sample_command(roots, fanouts))
-        predicted = model.predict(analytical_point(point), workload)
+        config = engine.config
+        workload = HardwareWorkload.from_spec(shape, config.core)
+        predicted = model.predict(config, workload)
         unbounded = model.predict(
-            analytical_point(point, with_output_limit=False), workload
+            dataclasses.replace(config, output_link=None), workload
         )
         rows.append(
             ValidationRow(
@@ -164,15 +148,6 @@ def validate_model(
             )
         )
     return rows
-
-
-def _total_nodes(fanouts: Tuple[int, ...]) -> int:
-    total = 1
-    width = 1
-    for fanout in fanouts:
-        width *= fanout
-        total += width
-    return total
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import pytest
 from repro.axe.commands import Command, CommandKind, sample_command
 from repro.axe.core import CoreConfig
 from repro.axe.engine import AxeEngine, EngineConfig
-from repro.axe.system import MultiCardSystem, SystemConfig
+from repro.axe.system import MultiCardSystem
 from repro.errors import CommandError, ConfigurationError
 from repro.graph.generators import power_law_graph
 from repro.graph.partition import HashPartitioner
@@ -35,8 +35,6 @@ class TestCoreConfig:
             CoreConfig(sampler="magic")
         with pytest.raises(ConfigurationError):
             CoreConfig(window=0)
-        with pytest.raises(ConfigurationError):
-            CoreConfig(frequency_hz=0)
 
 
 class TestEngineConfig:
@@ -336,7 +334,7 @@ def _command(graph, kind, nodes, **command):
 
 
 def _system(graph, **topology):
-    config = SystemConfig(num_cards=4, core=CoreConfig(fanouts=GOLDEN_FANOUTS))
+    config = EngineConfig(num_fpga_nodes=4, core=CoreConfig(fanouts=GOLDEN_FANOUTS))
     return MultiCardSystem(graph, config, **topology).run_batch(GOLDEN_ROOTS)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.axe.core import AXE_CLOCK_HZ
 from repro.axe.gemm import GemmConfig, GemmEngine
 from repro.axe.resources import VU13P_TOTALS, engine_resources, utilization
 from repro.axe.vpu import VectorUnit, VpuConfig, onfpga_aggregation_speedup
@@ -31,7 +32,7 @@ class TestGemmEngine:
         assert cycles == 4 * (4 + 16)
 
     def test_peak_tflops(self):
-        config = GemmConfig(array_rows=32, array_cols=32, frequency_hz=250e6)
+        config = GemmConfig(array_rows=32, array_cols=32)
         assert config.peak_tflops == pytest.approx(0.512)
 
     def test_achieved_below_peak(self):
@@ -50,8 +51,9 @@ class TestGemmEngine:
         assert config.peak_tflops < 3.0  # ...but is no GPU
 
     def test_time_for(self):
-        engine = GemmEngine(GemmConfig(array_rows=8, array_cols=8, frequency_hz=1e6))
-        assert engine.time_for(8, 10, 8) == pytest.approx(26e-6)
+        engine = GemmEngine(GemmConfig(array_rows=8, array_cols=8))
+        # 8 + 10 + 8 cycles at the AxE clock.
+        assert engine.time_for(8, 10, 8) == pytest.approx(26 / AXE_CLOCK_HZ)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.axe.core import CoreConfig
 from repro.axe.events import Simulator
 from repro.axe.loadunit import MemoryChannel
-from repro.axe.system import MultiCardSystem, PathChannel, SystemConfig
+from repro.axe.engine import EngineConfig
+from repro.axe.system import MultiCardSystem, PathChannel
 from repro.errors import ConfigurationError
 from repro.graph.generators import power_law_graph
 from repro.graph.partition import HashPartitioner
@@ -44,26 +44,26 @@ class TestPathChannel:
 
 class TestMultiCardSystem:
     def test_batch_completes(self, graph):
-        system = MultiCardSystem(graph, SystemConfig(num_cards=4))
+        system = MultiCardSystem(graph, EngineConfig(num_fpga_nodes=4))
         stats = system.run_batch(np.arange(64))
         assert stats.roots == 64
         assert sum(stats.per_card_roots) == 64
         assert stats.elapsed_s > 0
 
     def test_remote_traffic_crosses_fabric(self, graph):
-        system = MultiCardSystem(graph, SystemConfig(num_cards=4))
+        system = MultiCardSystem(graph, EngineConfig(num_fpga_nodes=4))
         stats = system.run_batch(np.arange(64))
         assert stats.remote_requests > 0
         assert sum(stats.fabric_bytes.values()) > 0
 
     def test_remote_fraction_near_three_quarters(self, graph):
         """Hash partitioning over 4 cards: ~75% of node touches remote."""
-        system = MultiCardSystem(graph, SystemConfig(num_cards=4))
+        system = MultiCardSystem(graph, EngineConfig(num_fpga_nodes=4))
         stats = system.run_batch(np.arange(128))
         assert 0.6 < stats.remote_fraction < 0.9
 
     def test_single_card_no_fabric(self, graph):
-        system = MultiCardSystem(graph, SystemConfig(num_cards=1))
+        system = MultiCardSystem(graph, EngineConfig(num_fpga_nodes=1))
         stats = system.run_batch(np.arange(32))
         assert stats.remote_requests == 0
         assert not stats.fabric_bytes or sum(stats.fabric_bytes.values()) == 0
@@ -72,10 +72,10 @@ class TestMultiCardSystem:
         """Scaling out: 4 cards sample the same batch faster than 1,
         despite ~75% of accesses crossing the fabric."""
         one = MultiCardSystem(
-            graph, SystemConfig(num_cards=1, output_link=None)
+            graph, EngineConfig(num_fpga_nodes=1, output_link=None)
         ).run_batch(np.arange(96))
         four = MultiCardSystem(
-            graph, SystemConfig(num_cards=4, output_link=None)
+            graph, EngineConfig(num_fpga_nodes=4, output_link=None)
         ).run_batch(np.arange(96))
         assert four.elapsed_s < one.elapsed_s
         assert four.roots_per_second > 2 * one.roots_per_second
@@ -83,7 +83,7 @@ class TestMultiCardSystem:
     def test_mesh_beats_ring(self, graph):
         """The PoC's full-mesh DAC fabric outperforms a ring with the
         same per-link bandwidth (multi-hop forwarding doubles load)."""
-        config = SystemConfig(num_cards=4, output_link=None)
+        config = EngineConfig(num_fpga_nodes=4, output_link=None)
         mesh_stats = MultiCardSystem(graph, config, topology=full_mesh(4)).run_batch(
             np.arange(96)
         )
@@ -93,23 +93,23 @@ class TestMultiCardSystem:
         assert mesh_stats.elapsed_s <= ring_stats.elapsed_s
 
     def test_fabric_load_balanced_on_mesh(self, graph):
-        system = MultiCardSystem(graph, SystemConfig(num_cards=4))
+        system = MultiCardSystem(graph, EngineConfig(num_fpga_nodes=4))
         stats = system.run_batch(np.arange(256))
         volumes = np.array(list(stats.fabric_bytes.values()), dtype=float)
         assert volumes.min() > 0.3 * volumes.mean()
 
     def test_deterministic(self, graph):
-        config = SystemConfig(num_cards=2, seed=7)
+        config = EngineConfig(num_fpga_nodes=2, seed=7)
         a = MultiCardSystem(graph, config).run_batch(np.arange(32))
         b = MultiCardSystem(graph, config).run_batch(np.arange(32))
         assert a.elapsed_s == b.elapsed_s
 
     def test_validation(self, graph):
         with pytest.raises(ConfigurationError):
-            SystemConfig(num_cards=0)
+            EngineConfig(num_fpga_nodes=0)
         with pytest.raises(ConfigurationError):
-            MultiCardSystem(graph, SystemConfig(num_cards=3), topology=full_mesh(4))
-        system = MultiCardSystem(graph, SystemConfig(num_cards=2))
+            MultiCardSystem(graph, EngineConfig(num_fpga_nodes=3), topology=full_mesh(4))
+        system = MultiCardSystem(graph, EngineConfig(num_fpga_nodes=2))
         with pytest.raises(ConfigurationError):
             system.run_batch(np.array([], dtype=np.int64))
 
@@ -117,7 +117,7 @@ class TestMultiCardSystem:
 def test_routing_makes_one_partitioner_call_per_batch(graph, monkeypatch):
     """Only the batch's roots go through the partitioner (data-local
     dispatch); every memory load routes through the owner table."""
-    system = MultiCardSystem(graph, SystemConfig(num_cards=4))
+    system = MultiCardSystem(graph, EngineConfig(num_fpga_nodes=4))
     calls = []
     original = HashPartitioner.partition_of
 

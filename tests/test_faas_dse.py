@@ -1,5 +1,8 @@
 """Tests for repro.faas.dse — the headline FaaS conclusions."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -39,6 +42,25 @@ def perf_geo(results):
 @pytest.fixture(scope="module")
 def ppd_geo(results, cpu_results):
     return arch_geomeans(results, cpu_results)
+
+
+def _hexed(value):
+    """Every float of a result record by ``float.hex``, field by field."""
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        return [(f.name, _hexed(getattr(value, f.name))) for f in dataclasses.fields(value)]
+    return value
+
+
+#: SHA-256 over every field of every Figures 17-21 record (the FaaS sweep
+#: and the CPU baseline). A refactor of the model must leave it equal.
+GOLDEN_DSE_DIGEST = "73f6d3246c7c158ea4c09027b78093129ed0f34e6a71f63adf0cea204e5f9eb3"
+
+
+def test_dse_records_bit_equal(results, cpu_results):
+    records = [_hexed(record) for record in results + cpu_results]
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == GOLDEN_DSE_DIGEST
 
 
 class TestSweepStructure:

@@ -16,7 +16,7 @@ from repro.axe.gemm import GemmConfig, GemmEngine
 from repro.axe.loadunit import LoadUnit, MemoryChannel
 from repro.axe.resources import engine_resources, sampler_savings, utilization
 from repro.axe.sampling import ReservoirSampler, StreamingSampler
-from repro.axe.system import MultiCardSystem, SystemConfig
+from repro.axe.system import MultiCardSystem
 from repro.axe.vpu import VectorUnit, onfpga_aggregation_speedup
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import instantiate_dataset
@@ -117,7 +117,7 @@ def tech4():
     nodes = np.random.default_rng(1).integers(0, graph.num_nodes, 2000).tolist()
     results = {}
     for label, capacity in (("8KB", 8 << 10), ("64KB", 64 << 10), ("1MB", 1 << 20)):
-        cache = CoalescingCache(capacity_bytes=capacity)
+        cache = CoalescingCache(CoreConfig.line_bytes, capacity_bytes=capacity)
         issued = sum(
             cache.access(int(graph.indptr[n]) * 8, graph.degree(n) * 8, element_bytes=8)
             for n in nodes if graph.degree(n)
@@ -359,7 +359,9 @@ def system():
     graph = instantiate_dataset("ls", max_nodes=6000, seed=0)
     return {
         label: MultiCardSystem(
-            graph, SystemConfig(num_cards=cards, output_link=None), topology=fabric
+            graph,
+            EngineConfig(num_fpga_nodes=cards, output_link=None),
+            topology=fabric,
         ).run_batch(np.arange(96))
         for label, cards, fabric in (
             ("1", 1, None), ("2", 2, None), ("4", 4, None), ("4ring", 4, ring(4))

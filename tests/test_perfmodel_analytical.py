@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.axe.core import CoreConfig
+from repro.axe.engine import EngineConfig
 from repro.errors import ConfigurationError
 from repro.graph.datasets import get_dataset
 from repro.memstore.links import get_link
 from repro.perfmodel.analytical import (
     AnalyticalModel,
-    ArchPoint,
     HardwareWorkload,
     axe_cores_needed,
 )
@@ -19,17 +20,8 @@ def workload():
 
 
 def make_arch(**overrides):
-    defaults = dict(
-        name="test",
-        local_link=get_link("local_dram"),
-        num_local_channels=4,
-        output_link=get_link("pcie_host_dram"),
-        remote_link=get_link("mof_fabric"),
-        local_fraction=0.25,
-        num_cores=2,
-    )
-    defaults.update(overrides)
-    return ArchPoint(**defaults)
+    """The 4-node PoC engine: a quarter of the fetched bytes are local."""
+    return EngineConfig(**{"num_fpga_nodes": 4, **overrides})
 
 
 class TestHardwareWorkload:
@@ -46,9 +38,16 @@ class TestHardwareWorkload:
     def test_output_includes_ids(self, workload):
         assert workload.output_bytes_per_root == 111 * (workload.attr_row_bytes + 8)
 
+    def test_request_shapes_come_from_the_core(self):
+        core = CoreConfig(offset_read_bytes=16, id_bytes=4, line_bytes=128)
+        workload = HardwareWorkload.from_spec(get_dataset("ls"), core)
+        assert (workload.offset_read_bytes, workload.id_bytes, workload.line_bytes) == (
+            16, 4, 128,
+        )
+
     def test_no_attribute_variant(self):
         workload = HardwareWorkload.from_spec(
-            get_dataset("ls"), fetch_attributes=False
+            get_dataset("ls"), CoreConfig(fetch_attributes=False)
         )
         assert workload.output_bytes_per_root == 111 * 8
         assert len(workload.requests_per_root()) == 2
@@ -60,17 +59,7 @@ class TestHardwareWorkload:
 
     def test_rejects_empty_fanouts(self):
         with pytest.raises(ConfigurationError):
-            HardwareWorkload.from_spec(get_dataset("ls"), fanouts=())
-
-
-class TestArchPoint:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            make_arch(local_fraction=1.5)
-        with pytest.raises(ConfigurationError):
-            make_arch(local_fraction=0.5, remote_link=None)
-        with pytest.raises(ConfigurationError):
-            make_arch(num_cores=0)
+            HardwareWorkload.from_spec(get_dataset("ls"), CoreConfig(fanouts=()))
 
 
 class TestPredictions:
@@ -83,15 +72,15 @@ class TestPredictions:
     def test_output_bound_when_output_slow(self, workload):
         """The PoC case: plenty of memory bandwidth, PCIe output binds."""
         model = AnalyticalModel()
-        arch = make_arch(local_fraction=1.0, remote_link=None)
+        arch = make_arch(num_fpga_nodes=1, remote_link=None)
         prediction = model.predict(arch, workload)
         assert prediction.bottleneck == "output"
 
     def test_removing_output_limit_raises_throughput(self, workload):
         model = AnalyticalModel()
-        bounded = model.predict(make_arch(local_fraction=1.0, remote_link=None), workload)
+        bounded = model.predict(make_arch(num_fpga_nodes=1, remote_link=None), workload)
         unbounded = model.predict(
-            make_arch(local_fraction=1.0, remote_link=None, output_link=None),
+            make_arch(num_fpga_nodes=1, remote_link=None, output_link=None),
             workload,
         )
         assert unbounded.roots_per_second > bounded.roots_per_second
@@ -99,11 +88,11 @@ class TestPredictions:
     def test_more_channels_helps_when_local_bound(self, workload):
         model = AnalyticalModel()
         slow = make_arch(
-            num_local_channels=1, local_fraction=1.0, remote_link=None,
+            num_local_channels=1, num_fpga_nodes=1, remote_link=None,
             output_link=None,
         )
         fast = make_arch(
-            num_local_channels=4, local_fraction=1.0, remote_link=None,
+            num_local_channels=4, num_fpga_nodes=1, remote_link=None,
             output_link=None,
         )
         assert (
@@ -115,8 +104,8 @@ class TestPredictions:
         """More remote traffic over a thin link lowers throughput."""
         model = AnalyticalModel()
         nic = get_link("rdma_remote_dram")
-        local_heavy = make_arch(remote_link=nic, local_fraction=0.9, output_link=None)
-        remote_heavy = make_arch(remote_link=nic, local_fraction=0.1, output_link=None)
+        local_heavy = make_arch(remote_link=nic, num_fpga_nodes=2, output_link=None)
+        remote_heavy = make_arch(remote_link=nic, num_fpga_nodes=8, output_link=None)
         assert (
             model.predict(local_heavy, workload).roots_per_second
             > model.predict(remote_heavy, workload).roots_per_second

@@ -8,11 +8,13 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.graph.datasets import instantiate_dataset
+from repro.perfmodel.analytical import AnalyticalModel
 from repro.perfmodel.poc import (
     POC_SWEEP,
     PocConfigPoint,
     build_poc_engine,
     geomean_equivalence,
+    validate_model,
 )
 
 
@@ -75,6 +77,69 @@ class TestValidation:
         assert len(rows) == len(points)
         output_bound = sum(1 for row in rows if row.bottleneck == "output")
         assert output_bound >= len(rows) / 2
+
+
+#: ``float.hex`` of (measured, modeled, unbounded) and the bottleneck of
+#: every Figure 15 row at ``conftest.fig15``'s parameters. A refactor of
+#: the simulator or the model must leave every bit of every row equal.
+GOLDEN_ROWS = {
+    "pcie/1n/1c": ("0x1.6ec622b5e0e4bp+18", "0x1.93d7938bdb203p+18", "0x1.93d7938bdb203p+18", "local_mem"),
+    "pcie/1n/2c": ("0x1.6272e198a6badp+18", "0x1.93d7938bdb203p+18", "0x1.93d7938bdb203p+18", "local_mem"),
+    "pcie/1n/4c": ("0x1.61e4cee65d1ccp+18", "0x1.93d7938bdb203p+18", "0x1.93d7938bdb203p+18", "local_mem"),
+    "pcie/4n/1c": ("0x1.8f1a68ad008f3p+18", "0x1.b71a284ee6b34p+18", "0x1.86b4da38b61c3p+20", "output"),
+    "pcie/4n/2c": ("0x1.7f2e18a2a27c8p+18", "0x1.b71a284ee6b34p+18", "0x1.93d7938bdb203p+20", "output"),
+    "pcie/4n/4c": ("0x1.815310018b2cep+18", "0x1.b71a284ee6b34p+18", "0x1.93d7938bdb203p+20", "output"),
+    "1-chn/1n/1c": ("0x1.45ab7ca1b6b32p+18", "0x1.5df679326368ep+18", "0x1.5df679326368ep+18", "local_mem"),
+    "1-chn/1n/2c": ("0x1.34b00c3589da2p+18", "0x1.5df679326368ep+18", "0x1.5df679326368ep+18", "local_mem"),
+    "1-chn/1n/4c": ("0x1.466379229481dp+18", "0x1.5df679326368ep+18", "0x1.5df679326368ep+18", "local_mem"),
+    "1-chn/4n/1c": ("0x1.94768a4edd958p+18", "0x1.b71a284ee6b34p+18", "0x1.5df679326368ep+20", "output"),
+    "1-chn/4n/2c": ("0x1.92bafcb099cefp+18", "0x1.b71a284ee6b34p+18", "0x1.5df679326368ep+20", "output"),
+    "1-chn/4n/4c": ("0x1.70d7dc2951f2fp+18", "0x1.b71a284ee6b34p+18", "0x1.5df679326368ep+20", "output"),
+    "2-chn/1n/1c": ("0x1.7499d7034d612p+18", "0x1.b71a284ee6b34p+18", "0x1.5df679326368ep+19", "output"),
+    "2-chn/1n/2c": ("0x1.6f66d27007f17p+18", "0x1.b71a284ee6b34p+18", "0x1.5df679326368ep+19", "output"),
+    "2-chn/1n/4c": ("0x1.61b19bcde4265p+18", "0x1.b71a284ee6b34p+18", "0x1.5df679326368ep+19", "output"),
+    "2-chn/4n/1c": ("0x1.99593b454a072p+18", "0x1.b71a284ee6b34p+18", "0x1.86b4da38b61c3p+20", "output"),
+    "2-chn/4n/2c": ("0x1.8e1bbdaefd266p+18", "0x1.b71a284ee6b34p+18", "0x1.5df679326368ep+21", "output"),
+    "2-chn/4n/4c": ("0x1.957af2857f629p+18", "0x1.b71a284ee6b34p+18", "0x1.5df679326368ep+21", "output"),
+    "4-chn/1n/1c": ("0x1.963a8587a7fd8p+18", "0x1.b71a284ee6b34p+18", "0x1.5df679326368ep+20", "output"),
+    "4-chn/1n/2c": ("0x1.817d2d36417b9p+18", "0x1.b71a284ee6b34p+18", "0x1.5df679326368ep+20", "output"),
+    "4-chn/1n/4c": ("0x1.81459dd5b72d9p+18", "0x1.b71a284ee6b34p+18", "0x1.5df679326368ep+20", "output"),
+    "4-chn/4n/1c": ("0x1.99fb4e245761dp+18", "0x1.b71a284ee6b34p+18", "0x1.86b4da38b61c3p+20", "output"),
+    "4-chn/4n/2c": ("0x1.95a48024ad137p+18", "0x1.b71a284ee6b34p+18", "0x1.86b4da38b61c3p+21", "output"),
+    "4-chn/4n/4c": ("0x1.99a305eedb7e0p+18", "0x1.b71a284ee6b34p+18", "0x1.bb6148a7caa7ep+21", "output"),
+}
+
+
+class TestGoldenRows:
+    def test_every_row_bit_equal(self, fig15):
+        rows = {
+            row.point.label: (
+                row.measured_roots_per_s.hex(),
+                row.modeled_roots_per_s.hex(),
+                row.modeled_unbounded_roots_per_s.hex(),
+                row.bottleneck,
+            )
+            for row in fig15
+        }
+        assert rows == GOLDEN_ROWS
+
+    def test_model_counts_every_expansion_at_three_hops(self, monkeypatch):
+        """At fanouts (5, 4, 3) the engine issues 1 + 5 + 20 GetNeighbor
+        ops per root; the model must be given the same count."""
+        seen = []
+        predict = AnalyticalModel.predict
+
+        def spy(self, config, workload):
+            seen.append(workload)
+            return predict(self, config, workload)
+
+        monkeypatch.setattr(AnalyticalModel, "predict", spy)
+        graph = instantiate_dataset("ls", max_nodes=500, seed=0)
+        validate_model(graph, POC_SWEEP[:1], batch_size=4, fanouts=(5, 4, 3))
+        assert seen
+        for workload in seen:
+            assert workload.neighbor_ops == 1 + 5 + 20
+            assert workload.attr_nodes == 1 + 5 + 20 + 60
 
 
 class TestBuildEngine:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.axe.cache import CoalescingCache
+from repro.axe.core import CoreConfig
 from repro.axe.sampling import ReservoirSampler, StreamingSampler
 from repro.axe.scoreboard import OrderingScoreboard
 from repro.framework.selectors import select_streaming, select_uniform
@@ -223,7 +224,7 @@ class TestCacheProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_requests_never_exceed_lines_spanned(self, accesses):
-        cache = CoalescingCache()
+        cache = CoalescingCache(CoreConfig.line_bytes)
         for addr, nbytes in accesses:
             issued = cache.access(addr, nbytes)
             assert 0 <= issued <= cache.requests_for(addr, nbytes)
