@@ -397,6 +397,7 @@ class GnnSession:
         from dataclasses import replace
 
         from repro.cluster import (
+            ARCHS,
             ClusterConfig,
             ClusterSim,
             flash_crowd_day,
@@ -413,7 +414,7 @@ class GnnSession:
         return ClusterSim(
             trace,
             config=config,
-            backend_factories={arch: factory for arch in config.archs},
+            backend_factories={arch: factory for arch in ARCHS},
         ).run()
 
     # ------------------------------------------------------ fixed model API

@@ -26,7 +26,7 @@ from repro.cluster.autoscaler import (
     get_policy,
     plan_min_cost_fleet,
 )
-from repro.cluster.health import HealthConfig, HealthMonitor
+from repro.cluster.health import HealthMonitor
 from repro.cluster.replica import (
     ClusterReplica,
     ModeledBackend,
@@ -39,8 +39,6 @@ from repro.cluster.replica import (
 from repro.cluster.report import (
     ClusterMetrics,
     ClusterReport,
-    TenantLedger,
-    TenantSummary,
     build_report,
     format_comparison,
 )
@@ -52,9 +50,9 @@ from repro.cluster.router import (
     get_router,
 )
 from repro.cluster.sim import (
+    ARCHS,
     ClusterConfig,
     ClusterSim,
-    DEFAULT_ARCHS,
     run_cluster,
 )
 from repro.cluster.trace import (
@@ -68,6 +66,7 @@ from repro.cluster.trace import (
 )
 
 __all__ = [
+    "ARCHS",
     "Autoscaler",
     "ClusterConfig",
     "ClusterMetrics",
@@ -77,10 +76,8 @@ __all__ = [
     "ClusterSnapshot",
     "ConsistentHashRouter",
     "CostModelPolicy",
-    "DEFAULT_ARCHS",
     "DemandForecast",
     "FlashCrowd",
-    "HealthConfig",
     "HealthMonitor",
     "LeastLoadedRouter",
     "ModeledBackend",
@@ -93,9 +90,7 @@ __all__ = [
     "ScalePlan",
     "ScalingPolicy",
     "StaticPolicy",
-    "TenantLedger",
     "TenantMix",
-    "TenantSummary",
     "TraceConfig",
     "build_report",
     "default_mix",

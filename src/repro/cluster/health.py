@@ -9,46 +9,29 @@ failure the cluster can act on: evacuate the stranded work onto
 surviving replicas and hot-restart the member.
 
 Detection is deliberately not instantaneous: a replica must miss
-``fail_threshold`` consecutive probes spaced ``probe_interval_s``
+``FAIL_THRESHOLD`` consecutive probes spaced ``PROBE_INTERVAL_S``
 apart, so the detection latency is bounded by
-``fail_threshold * probe_interval_s`` — the window the end-to-end kill
+``FAIL_THRESHOLD * PROBE_INTERVAL_S`` — the window the end-to-end kill
 test exercises.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.errors import ConfigurationError
 from repro.cluster.replica import ClusterReplica
 
 
-@dataclass(frozen=True)
-class HealthConfig:
-    """Probe cadence and failure-detection threshold."""
-
-    probe_interval_s: float = 0.05
-    fail_threshold: int = 2
-
-    def __post_init__(self) -> None:
-        if self.probe_interval_s <= 0:
-            raise ConfigurationError(
-                f"probe_interval_s must be positive, got "
-                f"{self.probe_interval_s}"
-            )
-        if self.fail_threshold < 1:
-            raise ConfigurationError(
-                f"fail_threshold must be at least 1, got "
-                f"{self.fail_threshold}"
-            )
-
-
 class HealthMonitor:
     """Consecutive-miss failure detector over watched replicas."""
 
-    def __init__(self, config: HealthConfig) -> None:
-        self.config = config
+    #: Probe cadence.
+    PROBE_INTERVAL_S = 0.05
+    #: Consecutive missed probes that mark a replica failed.
+    FAIL_THRESHOLD = 2
+
+    def __init__(self) -> None:
         self._watched: Dict[str, ClusterReplica] = {}
         self._strikes: Dict[str, int] = {}
         self.probes = 0
@@ -86,7 +69,7 @@ class HealthMonitor:
                 self._strikes[name] = 0
                 continue
             self._strikes[name] += 1
-            if self._strikes[name] >= self.config.fail_threshold:
+            if self._strikes[name] >= self.FAIL_THRESHOLD:
                 self.detected_failures += 1
                 newly_failed.append(replica)
                 self.unwatch(name)

@@ -33,6 +33,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.axe.events import Simulator
 from repro.serving.backends import BackendResult, ServingBackend, SoftwareBackend
 from repro.serving.gateway import GatewayConfig, GatewayLoad, ServingGateway
+from repro.serving.metrics import MetricsRegistry
 from repro.serving.workload import TenantSpec
 from repro.units import MS
 
@@ -217,18 +218,18 @@ class ClusterReplica:
         self.generation = 0
 
     # ----------------------------------------------------------- lifecycle
-    def attach(self, sim: Simulator) -> ServingGateway:
-        """Build a fresh gateway on the shared kernel (start/restart)."""
+    def attach(self, sim: Simulator, metrics: MetricsRegistry) -> None:
+        """Build a fresh gateway on the shared kernel (start/restart)
+        that records into the cluster's request ledger ``metrics``."""
         backends = list(self.backend_factory(self.name))
         gateway = ServingGateway(
             backends, self.tenants, config=self.gateway_config
         )
-        gateway.attach(sim, admission=False)
+        gateway.attach(sim, metrics, admission=False)
         self.gateway = gateway
         self.state = ReplicaState.STARTING
         self.alive = True
         self.generation += 1
-        return gateway
 
     def mark_healthy(self) -> None:
         if not self.alive or self.state is not ReplicaState.STARTING:

@@ -1,12 +1,16 @@
 """Cluster-level accounting and the policy-comparison report.
 
-The cluster owns its request ledger instead of summing replica
-gateway registries: replicas hot-restart with fresh gateways (their
-registries reset), and a request that is evacuated off a failed
-replica completes on a different gateway than the one that admitted
-it. Every offered request is accounted exactly once here —
-``offered == completed + shed + in flight at horizon`` — which is what
-the no-lost-requests invariant in the kill test checks.
+A cluster run keeps one request ledger, a
+:class:`~repro.serving.metrics.MetricsRegistry`: the cluster records
+each offer and each edge shed into it, and every replica gateway
+records its completions into the same registry. It survives hot
+restarts (a restarted replica's fresh gateway is handed the same
+registry), and a request evacuated off a failed replica completes on
+another gateway but in that same ledger. So every offered request is
+accounted exactly once — ``offered == completed + shed + in flight at
+horizon`` — which is what the no-lost-requests invariant in the kill
+test checks. :class:`ClusterMetrics` holds only what the registry does
+not: fleet lifecycle and billing counters.
 
 The headline artifact is :func:`format_comparison`: SLO attainment
 against fleet $/hr for each scaling policy over the same trace — the
@@ -15,51 +19,26 @@ ROADMAP item 1 deliverable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.cluster.replica import ReplicaFlavor
-from repro.serving.metrics import _percentile
+from repro.serving.metrics import ServingReport, TenantReport
 from repro.units import MS_PER_S, S_PER_HOUR
 
 
-@dataclass
-class TenantLedger:
-    """Per-tenant request accounting across the whole cluster."""
-
-    name: str
-    slo_s: float
-    offered: int = 0
-    completed: int = 0
-    within_slo: int = 0
-    shed_requests: int = 0
-    latencies_s: List[float] = field(default_factory=list)
-
-    @property
-    def attainment(self) -> float:
-        """Fraction of *offered* requests completed inside their SLO."""
-        if self.offered == 0:
-            return 1.0
-        return self.within_slo / self.offered
-
-    def p50(self) -> float:
-        return _percentile(self.latencies_s, 50.0)
-
-    def p99(self) -> float:
-        return _percentile(self.latencies_s, 99.0)
+def _attainment(within_slo: int, offered: int) -> float:
+    """Completed-within-SLO over *offered*; 1.0 when nothing was offered."""
+    if offered == 0:
+        return 1.0
+    return within_slo / offered
 
 
 class ClusterMetrics:
-    """Mutable accumulator the cluster simulation writes into."""
+    """Fleet and billing counters the cluster simulation writes into."""
 
     def __init__(self) -> None:
-        self.tenants: Dict[str, TenantLedger] = {}
-        self.offered = 0
-        self.completed = 0
-        self.within_slo = 0
-        self.shed_requests = 0
-        self.shed_reasons: Dict[str, int] = {}
         #: Router chose a dead-but-undetected replica; instantly re-routed.
         self.redirected_requests = 0
         #: Admitted work pulled off a failed replica and re-routed.
@@ -73,31 +52,6 @@ class ClusterMetrics:
         #: (time_s, active replica count) at each control tick.
         self.fleet_samples: List[Tuple[float, int]] = []
 
-    def register_tenant(self, name: str, slo_s: float) -> None:
-        if name in self.tenants:
-            raise ConfigurationError(f"tenant {name!r} already registered")
-        self.tenants[name] = TenantLedger(name=name, slo_s=slo_s)
-
-    # ------------------------------------------------------------- requests
-    def on_offered(self, tenant: str) -> None:
-        self.offered += 1
-        self.tenants[tenant].offered += 1
-
-    def on_shed(self, tenant: str, reason: str) -> None:
-        self.shed_requests += 1
-        self.shed_reasons[reason] = self.shed_reasons.get(reason, 0) + 1
-        self.tenants[tenant].shed_requests += 1
-
-    def on_completed(self, tenant: str, latency_s: float, slo_s: float) -> None:
-        ledger = self.tenants[tenant]
-        ledger.completed += 1
-        ledger.latencies_s.append(latency_s)
-        self.completed += 1
-        if latency_s <= slo_s:
-            self.within_slo += 1
-            ledger.within_slo += 1
-
-    # -------------------------------------------------------------- billing
     def on_replica_active_s(self, arch: str, seconds: float) -> None:
         self.replica_seconds[arch] = (
             self.replica_seconds.get(arch, 0.0) + seconds
@@ -109,18 +63,6 @@ class ClusterMetrics:
         for arch, seconds in self.replica_seconds.items():
             cost += catalog[arch].price_per_hour * seconds / S_PER_HOUR
         return cost
-
-
-@dataclass(frozen=True)
-class TenantSummary:
-    name: str
-    slo_ms: float
-    offered: int
-    completed: int
-    shed_requests: int
-    attainment: float
-    p50_ms: float
-    p99_ms: float
 
 
 @dataclass(frozen=True)
@@ -144,15 +86,14 @@ class ClusterReport:
     peak_replicas: int
     replica_seconds: Mapping[str, float]
     total_cost: float
-    tenants: Tuple[TenantSummary, ...]
+    #: The request ledger's per-tenant rows, in registration order.
+    tenants: Tuple[TenantReport, ...]
 
     @property
     def attainment(self) -> float:
         """Completed-within-SLO over offered — shed requests count
         against the cluster, not against the client."""
-        if self.offered == 0:
-            return 1.0
-        return self.within_slo / self.offered
+        return _attainment(self.within_slo, self.offered)
 
     @property
     def dollars_per_hour(self) -> float:
@@ -195,13 +136,15 @@ class ClusterReport:
             "tenants": [
                 {
                     "name": t.name,
-                    "slo_ms": t.slo_ms,
+                    "slo_ms": t.slo_s * MS_PER_S,
                     "offered": t.offered,
                     "completed": t.completed,
-                    "shed_requests": t.shed_requests,
-                    "attainment": t.attainment,
-                    "p50_ms": t.p50_ms,
-                    "p99_ms": t.p99_ms,
+                    "shed_requests": t.shed,
+                    "attainment": _attainment(
+                        t.completed - t.slo_misses, t.offered
+                    ),
+                    "p50_ms": t.p50 * MS_PER_S,
+                    "p99_ms": t.p99 * MS_PER_S,
                 }
                 for t in self.tenants
             ],
@@ -224,43 +167,36 @@ class ClusterReport:
             f"evacuated {self.evacuated_requests:,}",
         ]
         for t in self.tenants:
+            attainment = _attainment(t.completed - t.slo_misses, t.offered)
             lines.append(
-                f"  tenant {t.name:<8} slo {t.slo_ms:5.1f}ms  offered "
-                f"{t.offered:>7,}  attain {t.attainment:6.1%}  p50 "
-                f"{t.p50_ms:6.2f}ms  p99 {t.p99_ms:7.2f}ms"
+                f"  tenant {t.name:<8} slo {t.slo_s * MS_PER_S:5.1f}ms  "
+                f"offered {t.offered:>7,}  attain {attainment:6.1%}  p50 "
+                f"{t.p50 * MS_PER_S:6.2f}ms  p99 {t.p99 * MS_PER_S:7.2f}ms"
             )
         return "\n".join(lines)
 
 
 def build_report(
     metrics: ClusterMetrics,
+    requests: ServingReport,
     policy: str,
     router: str,
     duration_s: float,
     catalog: Mapping[str, ReplicaFlavor],
 ) -> ClusterReport:
+    """Reduce a run: request rows off the ledger's ``requests``
+    snapshot, fleet and billing off ``metrics``."""
     counts = [count for _t, count in metrics.fleet_samples]
-    tenants = tuple(
-        TenantSummary(
-            name=ledger.name,
-            slo_ms=ledger.slo_s * MS_PER_S,
-            offered=ledger.offered,
-            completed=ledger.completed,
-            shed_requests=ledger.shed_requests,
-            attainment=ledger.attainment,
-            p50_ms=ledger.p50() * MS_PER_S,
-            p99_ms=ledger.p99() * MS_PER_S,
-        )
-        for ledger in metrics.tenants.values()
-    )
+    # ``latency <= slo`` and ``latency > slo`` are complements.
+    slo_misses = sum(t.slo_misses for t in requests.tenants.values())
     return ClusterReport(
         policy=policy,
         router=router,
         duration_s=duration_s,
-        offered=metrics.offered,
-        completed=metrics.completed,
-        within_slo=metrics.within_slo,
-        shed_requests=metrics.shed_requests,
+        offered=requests.offered,
+        completed=requests.completed,
+        within_slo=requests.completed - slo_misses,
+        shed_requests=requests.shed,
         redirected_requests=metrics.redirected_requests,
         evacuated_requests=metrics.evacuated_requests,
         replica_launches=metrics.replica_launches,
@@ -271,7 +207,7 @@ def build_report(
         peak_replicas=max(counts) if counts else 0,
         replica_seconds=dict(metrics.replica_seconds),
         total_cost=metrics.total_cost(catalog),
-        tenants=tenants,
+        tenants=tuple(requests.tenants.values()),
     )
 
 
@@ -285,7 +221,7 @@ def format_comparison(reports: Sequence[ClusterReport]) -> str:
     )
     lines = [header, "-" * len(header)]
     for report in reports:
-        p99s = [t.p99_ms for t in report.tenants if t.completed]
+        p99s = [t.p99 * MS_PER_S for t in report.tenants if t.completed]
         worst_p99 = max(p99s) if p99s else float("nan")
         lines.append(
             f"{report.policy:<14} {report.attainment:>7.1%} "

@@ -10,6 +10,10 @@ sits where a real front door would:
   (replica gateways attach with ``admission=False``; admitting per
   replica would multiply every tenant's contract by the replica
   count);
+* **accounting** — one :class:`~repro.serving.metrics.MetricsRegistry`
+  for the run: the cluster records offers and edge sheds into it, and
+  every replica gateway, across restarts, records its completions into
+  the same registry;
 * **routing** — a pluggable :class:`~repro.cluster.router.Router` over
   the healthy members, with connection-level redirect when the router
   picks a dead-but-undetected replica and queue-pressure spill when the
@@ -27,7 +31,7 @@ is either completed or explicitly shed with a retry-after hint —
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
@@ -39,7 +43,7 @@ from repro.cluster.autoscaler import (
     ScalingPolicy,
     get_policy,
 )
-from repro.cluster.health import HealthConfig, HealthMonitor
+from repro.cluster.health import HealthMonitor
 from repro.cluster.replica import (
     BackendFactory,
     ClusterReplica,
@@ -47,14 +51,15 @@ from repro.cluster.replica import (
     flavor_catalog,
 )
 from repro.cluster.report import ClusterMetrics, ClusterReport, build_report
-from repro.cluster.router import Router, get_router
+from repro.cluster.router import get_router
 from repro.cluster.trace import TraceConfig, generate_trace
-from repro.serving.gateway import GatewayConfig, GatewayLoad, MicroBatch
+from repro.serving.gateway import GatewayConfig, GatewayLoad
+from repro.serving.metrics import MetricsRegistry
 from repro.serving.scheduler import TokenBucket
 from repro.serving.workload import Arrival
 
 #: Architectures offered to the autoscaler as replica flavors.
-DEFAULT_ARCHS = (
+ARCHS = (
     "base.tc",
     "base.decp",
     "cost-opt.tc",
@@ -64,56 +69,45 @@ DEFAULT_ARCHS = (
     "mem-opt.tc",
     "mem-opt.decp",
 )
+#: Workload point the flavors are rated and priced at.
+SIZE = "medium"
+DATASET = "ss"
+#: Maps fleet-scale architecture throughput onto the compressed trace's
+#: demand scale (same factor for every flavor).
+CAPACITY_SCALE = 0.03
+#: Every replica gateway's batching and queue bound.
+GATEWAY = GatewayConfig()
+#: Cluster-edge admission: tokens at ``ADMISSION_HEADROOM x`` each
+#: tenant's mean rate. Generous by design — it is overload protection,
+#: not a rate plan; the autoscaler is supposed to absorb the diurnal
+#: swing.
+ADMISSION_HEADROOM = 4.0
+ADMISSION_BURST = 64.0
+#: Cold-start delay before a spawned replica turns healthy.
+STARTUP_DELAY_S = 0.15
+#: Delay between failure detection and the hot restart.
+RESTART_DELAY_S = 0.2
+SCALE_DOWN_COOLDOWN_S = 0.5
 
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Everything a cluster run is a pure function of (plus the trace)."""
+    """The run's knobs; everything else a run depends on is a constant
+    above (plus the trace)."""
 
     policy: str = "cost"
     router: str = "least-loaded"
-    archs: Tuple[str, ...] = DEFAULT_ARCHS
-    size: str = "medium"
-    dataset: str = "ss"
-    #: Maps fleet-scale architecture throughput onto the compressed
-    #: trace's demand scale (same factor for every flavor).
-    capacity_scale: float = 0.03
-    gateway: GatewayConfig = field(default_factory=GatewayConfig)
-    #: Cluster-edge admission: tokens at ``headroom x`` each tenant's
-    #: mean rate. Generous by design — it is overload protection, not a
-    #: rate plan; the autoscaler is supposed to absorb the diurnal swing.
-    admission_headroom: float = 4.0
-    admission_burst: float = 64.0
     #: Autoscaler control loop cadence (also the observation window).
     tick_interval_s: float = 0.25
-    #: Cold-start delay before a spawned replica turns healthy.
-    startup_delay_s: float = 0.15
-    #: Delay between failure detection and the hot restart.
-    restart_delay_s: float = 0.2
-    health: HealthConfig = field(default_factory=HealthConfig)
-    scale_down_cooldown_s: float = 0.5
     #: Inject a replica kill at each listed virtual time.
     kill_at_s: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.archs:
-            raise ConfigurationError("at least one architecture is required")
-        if self.capacity_scale <= 0:
-            raise ConfigurationError(
-                f"capacity_scale must be positive, got {self.capacity_scale}"
-            )
-        if self.admission_headroom <= 0:
-            raise ConfigurationError(
-                f"admission_headroom must be positive, got "
-                f"{self.admission_headroom}"
-            )
         if self.tick_interval_s <= 0:
             raise ConfigurationError(
                 f"tick_interval_s must be positive, got "
                 f"{self.tick_interval_s}"
             )
-        if self.startup_delay_s < 0 or self.restart_delay_s < 0:
-            raise ConfigurationError("delays must be non-negative")
         for at_s in self.kill_at_s:
             if at_s < 0:
                 raise ConfigurationError(
@@ -129,18 +123,14 @@ class ClusterSim:
         trace_config: TraceConfig,
         config: Optional[ClusterConfig] = None,
         policy: Optional[ScalingPolicy] = None,
-        router: Optional[Router] = None,
         backend_factories: Optional[Dict[str, BackendFactory]] = None,
     ) -> None:
         self.trace_config = trace_config
         self.config = config or ClusterConfig()
         self.policy = policy or get_policy(self.config.policy)
-        self.router = router or get_router(self.config.router)
+        self.router = get_router(self.config.router)
         self.catalog: Dict[str, ReplicaFlavor] = flavor_catalog(
-            self.config.archs,
-            size=self.config.size,
-            dataset=self.config.dataset,
-            capacity_scale=self.config.capacity_scale,
+            ARCHS, size=SIZE, dataset=DATASET, capacity_scale=CAPACITY_SCALE
         )
         #: Optional per-arch backend factory override (session-backed
         #: replicas); default is the flavor's modeled backend.
@@ -148,15 +138,17 @@ class ClusterSim:
         self.autoscaler = Autoscaler(
             self.policy,
             self.catalog,
-            scale_down_cooldown_s=self.config.scale_down_cooldown_s,
+            scale_down_cooldown_s=SCALE_DOWN_COOLDOWN_S,
         )
+        #: The run's one request ledger; every replica gateway records
+        #: into it.
+        self.ledger = MetricsRegistry()
         self.metrics = ClusterMetrics()
         self.sim = Simulator()
         self.replicas: Dict[str, ClusterReplica] = {}
         self._spawn_order: List[str] = []
         self._spawn_counter = 0
-        self.health = HealthMonitor(self.config.health)
-        self._tenant_slo: Dict[str, float] = {}
+        self.health = HealthMonitor()
         self._admission: Dict[str, TokenBucket] = {}
         self._parked: List[Arrival] = []
         self._window_roots = 0
@@ -165,11 +157,9 @@ class ClusterSim:
         self._ran = False
 
         for spec in trace_config.tenant_specs():
-            self.metrics.register_tenant(spec.name, spec.slo_s)
-            self._tenant_slo[spec.name] = spec.slo_s
+            self.ledger.register_tenant(spec.name, spec.slo_s)
             self._admission[spec.name] = TokenBucket(
-                rate=spec.rate_rps * self.config.admission_headroom,
-                burst=self.config.admission_burst,
+                rate=spec.rate_rps * ADMISSION_HEADROOM, burst=ADMISSION_BURST
             )
 
     # -------------------------------------------------------------- billing
@@ -196,7 +186,7 @@ class ClusterSim:
             name,
             flavor,
             self.trace_config.tenant_specs(),
-            gateway_config=self.config.gateway,
+            gateway_config=GATEWAY,
             backend_factory=self.backend_factories.get(arch),
         )
         self.replicas[name] = replica
@@ -207,14 +197,13 @@ class ClusterSim:
             self._turn_healthy(replica)
         else:
             self.sim.after(
-                self.config.startup_delay_s,
+                STARTUP_DELAY_S,
                 lambda r=replica: self._turn_healthy(r),
             )
         return replica
 
     def _attach(self, replica: ClusterReplica) -> None:
-        gateway = replica.attach(self.sim)
-        gateway.on_batch_complete = self._on_batch_complete
+        replica.attach(self.sim, self.ledger)
         self._billing_start(replica)
 
     def _turn_healthy(self, replica: ClusterReplica) -> None:
@@ -243,7 +232,7 @@ class ClusterSim:
             self._billing_stop(replica)
             return
         self.sim.after(
-            self.config.gateway.max_wait_s,
+            GATEWAY.max_wait_s,
             lambda r=replica: self._check_drained(r),
         )
 
@@ -272,18 +261,16 @@ class ClusterSim:
         return best
 
     def _on_arrival(self, arrival: Arrival) -> None:
-        self.metrics.on_offered(arrival.tenant)
+        self.ledger.on_offered(arrival.tenant)
         self._window_roots += int(arrival.roots.size)
         now = self.sim.now
         bucket = self._admission[arrival.tenant]
         if not bucket.try_take(now):
-            self.metrics.on_shed(
-                arrival.tenant, "rate_limited"
-            )
+            self.ledger.on_shed(arrival.tenant, "rate_limited")
             return
         members = self._accepting_members()
         if not members:
-            self.metrics.on_shed(arrival.tenant, "no_capacity")
+            self.ledger.on_shed(arrival.tenant, "no_capacity")
             return
         loads = self._routed_loads()
         chosen = self.router.route(arrival.tenant, loads)
@@ -293,27 +280,15 @@ class ClusterSim:
             # still waits for the health monitor.
             self.metrics.redirected_requests += 1
             chosen = self._least_loaded(members, loads)
-        if loads[chosen].queue_depth >= self.config.gateway.queue_capacity:
+        if loads[chosen].queue_depth >= GATEWAY.queue_capacity:
             spill = self._least_loaded(members, loads)
-            if (
-                loads[spill].queue_depth
-                >= self.config.gateway.queue_capacity
-            ):
-                gateway = self.replicas[chosen].gateway
-                assert gateway is not None
-                self.metrics.on_shed(arrival.tenant, "queue_full")
+            if loads[spill].queue_depth >= GATEWAY.queue_capacity:
+                self.ledger.on_shed(arrival.tenant, "queue_full")
                 return
             chosen = spill
         gateway = self.replicas[chosen].gateway
         assert gateway is not None
         gateway.submit_admitted(arrival)
-
-    def _on_batch_complete(self, batch: MicroBatch, payload: object) -> None:
-        now = self.sim.now
-        for request in batch.requests:
-            self.metrics.on_completed(
-                request.tenant, now - request.time_s, request.slo_s
-            )
 
     # ------------------------------------------------------------- recovery
     def _inject_kill(self) -> None:
@@ -339,20 +314,20 @@ class ClusterSim:
             self.metrics.evacuated_requests += len(orphans)
             self._resubmit(orphans)
             self.sim.after(
-                self.config.restart_delay_s,
+                RESTART_DELAY_S,
                 lambda r=replica: self._restart(r),
             )
         watching_dead = any(
             not self.replicas[name].alive for name in self.health.watched
         )
         if self.sim.now < self._horizon_s or watching_dead:
-            self.sim.after(self.config.health.probe_interval_s, self._probe)
+            self.sim.after(HealthMonitor.PROBE_INTERVAL_S, self._probe)
 
     def _restart(self, replica: ClusterReplica) -> None:
         self.metrics.replica_restarts += 1
         self._attach(replica)
         self.sim.after(
-            self.config.startup_delay_s,
+            STARTUP_DELAY_S,
             lambda r=replica: self._turn_healthy(r),
         )
 
@@ -425,7 +400,7 @@ class ClusterSim:
             )
         for kill_s in self.config.kill_at_s:
             self.sim.at(kill_s, self._inject_kill)
-        self.sim.after(self.config.health.probe_interval_s, self._probe)
+        self.sim.after(HealthMonitor.PROBE_INTERVAL_S, self._probe)
         self.sim.after(self.config.tick_interval_s, self._tick)
         self.sim.run()
         if self._parked:
@@ -436,6 +411,7 @@ class ClusterSim:
         duration_s = max(self.sim.now, self.trace_config.duration_s)
         return build_report(
             self.metrics,
+            self.ledger.snapshot(duration_s=duration_s, drain_s=self.sim.now),
             policy=self.policy.name,
             router=self.router.policy,
             duration_s=duration_s,

@@ -183,18 +183,23 @@ class ServingGateway:
         self._fault_schedule[backend_name] = at_s
 
     # -------------------------------------------------------------- attach
-    def attach(self, sim: Simulator, admission: bool = True) -> None:
-        """Bind this gateway to an external event kernel.
+    def attach(
+        self, sim: Simulator, metrics: MetricsRegistry, admission: bool = True
+    ) -> None:
+        """Bind this gateway to an event kernel and a request ledger.
 
         Cluster mode: a :class:`~repro.cluster.sim.ClusterSim` runs many
-        gateways on one shared simulator and delivers arrivals itself
-        via :meth:`submit`. ``admission=False`` disables the per-tenant
-        token buckets (the cluster router admission-controls centrally
-        before routing); the queue-capacity backpressure stays local.
+        gateways on one shared simulator, delivers arrivals itself, and
+        passes every gateway the cluster's one ``metrics`` registry, so
+        a request evacuated off a failed replica completes in the same
+        ledger that counted its offer. ``admission=False`` disables the
+        per-tenant token buckets (the cluster router admission-controls
+        centrally before routing); the queue-capacity backpressure stays
+        local.
         """
         self._sim = sim
         self._admission = admission
-        self.metrics = MetricsRegistry()
+        self.metrics = metrics
         self.scheduler = SloScheduler()
         self.shed_responses = []
         self._groups: Dict[Tuple[int, ...], List[Arrival]] = {}
@@ -244,7 +249,7 @@ class ServingGateway:
                 f"duration_s must be positive, got {duration_s}"
             )
         sim = Simulator()
-        self.attach(sim)
+        self.attach(sim, MetricsRegistry())
         for name, at_s in self._fault_schedule.items():
             sim.at(at_s, lambda n=name: self._on_fault(n))
         for arrival in arrivals:
@@ -626,7 +631,7 @@ def serve_closed_loop(
     ]
     gateway = ServingGateway(backends, tenants, config=config)
     sim = Simulator()
-    gateway.attach(sim, admission=False)
+    gateway.attach(sim, MetricsRegistry(), admission=False)
     rng = np.random.default_rng(seed)
     remaining = {spec.name: batches_per_worker for spec in tenants}
     sequence = count()

@@ -19,6 +19,7 @@ from repro.serving.gateway import (
     serve_closed_loop,
     serve_workload,
 )
+from repro.serving.metrics import MetricsRegistry
 from repro.serving.workload import Arrival, TenantSpec, generate_arrivals
 
 
@@ -434,7 +435,7 @@ class TestClusterHooks:
         backend = backend or FakeBackend(service_s=10e-3)
         gateway = ServingGateway([backend], [tenant()], config(**cfg))
         sim = Simulator()
-        gateway.attach(sim, admission=admission)
+        gateway.attach(sim, MetricsRegistry(), admission=admission)
         return gateway, sim
 
     def test_load_reports_queue_and_in_flight(self):
@@ -545,7 +546,7 @@ class TestClusterHooks:
         survivor = ServingGateway(
             [FakeBackend(service_s=1e-3)], [tenant()], config()
         )
-        survivor.attach(sim, admission=False)
+        survivor.attach(sim, MetricsRegistry(), admission=False)
         for o in orphans:
             survivor.submit_admitted(o)
         sim.run()
