@@ -288,6 +288,8 @@ class ClusterSim:
             chosen = spill
         gateway = self.replicas[chosen].gateway
         assert gateway is not None
+        # Admitted here, once: a re-route after a kill is no admission.
+        self.ledger.on_admitted(arrival.tenant, loads[chosen].queue_depth + 1)
         gateway.submit_admitted(arrival)
 
     # ------------------------------------------------------------- recovery

@@ -122,13 +122,13 @@ class ReferenceWalkSampler:
             sampled = [self._sample_neighbors(int(node), fanout) for node in frontier]
             result.layers.append(np.concatenate(sampled).reshape(roots.size, -1))
         if request.with_attributes:
-            result.attributes = [
-                self._fetch_attributes(layer) for layer in result.layers
-            ]
+            fetched = [self._fetch_attributes(layer) for layer in result.layers]
+            result.attribute_rows, result.attribute_index = map(list, zip(*fetched))
         result.layers = [self.store.to_original(layer) for layer in result.layers]
         return result
 
-    def _fetch_attributes(self, layer: np.ndarray) -> np.ndarray:
+    def _fetch_attributes(self, layer: np.ndarray):
+        """``(rows, index)``: one row per position and an identity index."""
         flat = layer.reshape(-1)
         served = np.zeros(flat.size, dtype=bool)
         rows = np.empty((flat.size, self.store.graph.attr_len), dtype=np.float32)
@@ -150,7 +150,7 @@ class ReferenceWalkSampler:
                 for i, node, ok in zip(missing, flat[missing], fetched):
                     if ok:
                         self.cache.put_attributes(int(node), rows[i])
-        return rows.reshape(layer.shape + (self.store.graph.attr_len,))
+        return rows, np.arange(flat.size).reshape(layer.shape)
 
     def _fetch_missing(self, nodes: np.ndarray):
         """Fetch uncached attribute rows, degrading per node if allowed.

@@ -80,10 +80,23 @@ class SampleResult:
     sampled node IDs with shape ``(batch, prod(fanouts[:k]))``. Sampling
     pads under-full neighborhoods by resampling with replacement, so
     layer shapes are always dense.
+
+    Attributes travel deduplicated: ``attribute_rows[k]`` holds layer
+    ``k``'s distinct ``(rows, attr_len)`` rows and ``attribute_index[k]``
+    (shaped like ``layers[k]``) each occurrence's row. All three
+    attribute fields are ``None`` for a request without attributes.
     """
 
     layers: List[np.ndarray] = field(default_factory=list)
-    attributes: Optional[List[np.ndarray]] = None
+    attribute_rows: Optional[List[np.ndarray]] = None
+    attribute_index: Optional[List[np.ndarray]] = None
+
+    @property
+    def attributes(self) -> Optional[List[np.ndarray]]:
+        """Per-occurrence ``layers[k].shape + (attr_len,)`` arrays, built
+        on every read: fresh arrays the caller owns."""
+        rows, index = self.attribute_rows, self.attribute_index
+        return None if rows is None else [r[i] for r, i in zip(rows, index)]
 
     @property
     def num_hops(self) -> int:

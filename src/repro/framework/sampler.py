@@ -208,10 +208,8 @@ class MultiHopSampler:
         pin."""
         result = SampleResult()
         if request.with_attributes:
-            result.attributes = [
-                self._fetch_attributes(layer, dedup)
-                for layer, dedup in zip(layers, dedups)
-            ]
+            fetched = [self._fetch_attributes(*pair) for pair in zip(layers, dedups)]
+            result.attribute_rows, result.attribute_index = map(list, zip(*fetched))
         result.layers = [self.store.to_original(layer) for layer in layers]
         return result
 
@@ -387,12 +385,13 @@ class MultiHopSampler:
         )
         return values.astype(np.int64, copy=False), offsets, served
 
-    def _fetch_attributes(self, layer: np.ndarray, dedup) -> np.ndarray:
+    def _fetch_attributes(self, layer: np.ndarray, dedup):
         """Attribute rows of one sampled layer: dedup + one store batch call.
 
-        Returns a fresh ``layer.shape + (attr_len,)`` array. ``dedup``
-        is the layer's :func:`dedup_ids` triple when its hop expansion
-        already computed it, else ``None``.
+        Returns ``(rows, index)``: the layer's distinct rows, each gathered
+        once, and the dedup inverse shaped like ``layer``; ``rows[index]``
+        is built only when ``SampleResult.attributes`` is read. ``dedup`` is
+        the layer's :func:`dedup_ids` triple if already computed, else ``None``.
 
         Occurrence accounting matches the per-node walk: attribute cache
         inserts happen only after *all* lookups of a layer, so an uncached
@@ -400,7 +399,6 @@ class MultiHopSampler:
         ``c`` times. Degraded rows stay zero and are never cached: the shard
         may come back, and a poisoned entry would keep serving zeros.
         """
-        attr_len = self.store.graph.attr_len
         flat = layer.reshape(-1)
         unique, inverse, counts = (
             dedup_ids(flat, self.store.graph.num_nodes) if dedup is None else dedup
@@ -415,7 +413,7 @@ class MultiHopSampler:
             rows = batch.rows
             self.degraded_fallbacks += batch.fallbacks
         else:
-            rows = np.empty((unique.size, attr_len), dtype=np.float32)
+            rows = np.empty((unique.size, self.store.graph.attr_len), dtype=np.float32)
             hit_mask = np.zeros(unique.size, dtype=bool)
             for j, node in enumerate(unique):
                 hit = self.cache.get_attributes(int(node))
@@ -441,7 +439,7 @@ class MultiHopSampler:
                         self.cache.put_attributes(
                             int(unique[j]), batch.rows[position]
                         )
-        return rows[inverse].reshape(layer.shape + (attr_len,))
+        return rows, inverse.reshape(layer.shape)
 
     # ------------------------------------------------------ negative sample
     def _neighbors(self, node: int) -> np.ndarray:

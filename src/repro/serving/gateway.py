@@ -421,12 +421,13 @@ class ServingGateway:
         self._submit(arrival)
 
     def submit_admitted(self, arrival: Arrival) -> None:
-        """Accept an already-admitted request (failure re-route path).
+        """Accept a request the cluster admitted (routing or re-route).
 
-        Skips admission and the queue-capacity check: the request
-        passed both on the replica that died, and dropping it now would
-        turn an accepted request into a loss. Draining gateways still
-        refuse — re-routing must pick an accepting replica.
+        Skips admission and the queue-capacity check: the cluster ran
+        both, and dropping a re-routed request would turn an accepted
+        request into a loss. Records its queue depth, not an admission:
+        the cluster recorded that once. Draining gateways still refuse —
+        re-routing must pick an accepting replica.
         """
         if self._halted:
             raise SimulationError(
@@ -437,7 +438,7 @@ class ServingGateway:
                 f"submit_admitted on draining gateway for {arrival.tenant!r}"
             )
         self._pending += 1
-        self.metrics.on_admitted(arrival.tenant, self._pending)
+        self.metrics.on_queue_depth(self._pending)
         self._coalesce(arrival)
 
     def _submit(self, arrival: Arrival) -> None:

@@ -271,6 +271,8 @@ class MetricsRegistry:
         self.latencies_s: List[float] = []
         self.batch_request_sizes: List[int] = []
         self.batch_root_sizes: List[int] = []
+        #: Deepest gateway queue seen; in a cluster ledger, the maximum
+        #: over every replica's queue, not one queue's peak.
         self.max_queue_depth = 0
         self._tenants: Dict[str, TenantReport] = {}
         self._backends: Dict[str, BackendReport] = {}
@@ -295,6 +297,9 @@ class MetricsRegistry:
     def on_admitted(self, tenant: str, queue_depth: int) -> None:
         self.admitted += 1
         self._tenants[tenant].admitted += 1
+        self.on_queue_depth(queue_depth)
+
+    def on_queue_depth(self, queue_depth: int) -> None:
         self.max_queue_depth = max(self.max_queue_depth, queue_depth)
 
     def on_shed(self, tenant: str, reason: str) -> None:

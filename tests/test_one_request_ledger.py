@@ -19,7 +19,7 @@ import json
 import pytest
 
 from repro.api import GnnSession
-from repro.cluster import ClusterConfig, flash_crowd_day, run_cluster
+from repro.cluster import ClusterConfig, ClusterSim, flash_crowd_day, run_cluster
 from repro.graph.datasets import instantiate_dataset
 from repro.graph.generators import power_law_graph
 from repro.serving import SoftwareBackend, serve_closed_loop
@@ -147,3 +147,20 @@ def test_a_cluster_run_records_each_completion_once(monkeypatch):
     assert report.replica_restarts == 1
     assert len(built) == 1
     assert len(completions) == report.completed > 0
+
+
+def test_a_re_routed_request_is_admitted_once():
+    """The headline static run with two kills evacuates admitted work;
+    re-routing it to a survivor records its queue depth, not a second
+    admission, so the ledger never admits more than was offered."""
+    sim = ClusterSim(
+        flash_crowd_day(duration_s=10, users=1_000_000, seed=0),
+        config=ClusterConfig(policy="static", kill_at_s=(3.0, 6.5)),
+    )
+    sim.run()
+    assert sim.metrics.evacuated_requests > 0
+    ledger = sim.ledger.snapshot(duration_s=10.0, drain_s=sim.sim.now)
+    assert ledger.admitted <= ledger.offered
+    assert sum(t.admitted for t in ledger.tenants.values()) == ledger.admitted
+    assert ledger.admitted + ledger.shed == ledger.offered
+    assert ledger.completed == ledger.admitted
