@@ -11,7 +11,7 @@ memstore
     outstanding-request (Eq. 3) models.
 framework
     AliGraph-style sampling service: multi-hop/negative sampling,
-    hot-node cache, cluster scaling, and the vCPU cost model.
+    cluster scaling, and the vCPU cost model.
 gnn
     Mini-batch GNN compute (graphSAGE, DSSM) and the end-to-end
     application time model.

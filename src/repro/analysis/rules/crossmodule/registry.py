@@ -25,8 +25,6 @@ COUNTER_CLASSES: FrozenSet[str] = frozenset(
         "repro/memstore/store.py::AccessSummary",
         # Fault-injection / retry counters (reliability reporting).
         "repro/memstore/faults.py::FaultStats",
-        # Hot-node cache hit/miss/invalidation counters (calibration).
-        "repro/framework/cache.py::HotNodeCache",
         # Online-mutation ingest counters.
         "repro/memstore/ingest.py::IngestStats",
         # AxE coalescing-cache line counters.

@@ -18,7 +18,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.axe.commands import Command, CommandKind, sample_command
 from repro.axe.engine import AxeEngine, EngineConfig
-from repro.framework.cache import HotNodeCache
 from repro.framework.requests import (
     NegativeSampleRequest,
     SampleRequest,
@@ -48,9 +47,10 @@ if TYPE_CHECKING:
 class GnnSession:
     """One graph, every programming level above the ISA.
 
-    ``layout`` and ``cache_nodes`` compose behind one sampler contract,
-    original node IDs in and out; :attr:`sampler` is always the inline
-    :class:`~repro.framework.sampler.MultiHopSampler`. One rule remains:
+    ``layout`` sits behind one sampler contract, original node IDs in
+    and out; :attr:`sampler` is always the inline
+    :class:`~repro.framework.sampler.MultiHopSampler`, reading the store
+    uncached. One rule remains:
     a :class:`~repro.graph.dynamic.DynamicGraph` runs that sampler only
     (no ``layout`` or ``reliability``, no training, no hardware
     serving), because each of those reads an immutable CSR.
@@ -67,8 +67,6 @@ class GnnSession:
     sampling_method:
         "uniform" (software default) or "streaming" (the hardware's
         step-based method).
-    cache_nodes:
-        Optional hot-node cache capacity for the software path.
     reliability:
         Optional fault-tolerant remote-read path
         (:class:`~repro.memstore.faults.ReliableReadPath`) threaded
@@ -95,16 +93,11 @@ class GnnSession:
         num_partitions: int = 4,
         engine_config: Optional[EngineConfig] = None,
         sampling_method: str = "uniform",
-        cache_nodes: int = 0,
         seed: int = 0,
         reliability: Optional["ReliableReadPath"] = None,
         batched: bool = True,
         layout: Optional[str] = None,
     ) -> None:
-        if cache_nodes < 0:
-            raise ConfigurationError(
-                f"cache_nodes must be non-negative, got {cache_nodes}"
-            )
         if not batched:
             raise ConfigurationError(
                 "the software sampler has one (vectorized) path; the per-node "
@@ -142,15 +135,9 @@ class GnnSession:
             self.store = PartitionedStore(
                 stored, partitioner, reliability=reliability, relabeling=relabeling
             )
-        cache = HotNodeCache(cache_nodes) if cache_nodes else None
-        if cache is not None and self.dynamic is not None:
-            # Mutated nodes must drop out of the cache, or samples
-            # pinned to a fresh epoch would read pre-mutation data.
-            self.store.register_cache(cache)
         self.sampler = MultiHopSampler(
             self.store,
             seed=seed,
-            cache=cache,
             selector=get_selector(sampling_method),
             degraded_ok=reliability is not None,
         )
@@ -224,7 +211,7 @@ class GnnSession:
     ) -> SampleResult:
         """Software n-hop sampling (the AliGraph path)."""
         request = SampleRequest(
-            roots=np.asarray(roots, dtype=np.int64),
+            roots=np.asarray(roots),
             fanouts=tuple(fanouts),
             with_attributes=with_attributes,
         )
@@ -258,9 +245,7 @@ class GnnSession:
 
     def negative_sample(self, pairs: np.ndarray, rate: int) -> np.ndarray:
         """Software negative sampling (non-neighbors per pair)."""
-        request = NegativeSampleRequest(
-            pairs=np.asarray(pairs, dtype=np.int64), rate=rate
-        )
+        request = NegativeSampleRequest(pairs=np.asarray(pairs), rate=rate)
         return self.sampler.negative_sample(request)
 
     # ------------------------------------------------------- serving level

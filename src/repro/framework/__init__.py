@@ -2,7 +2,6 @@
 
 from repro.framework.requests import NegativeSampleRequest, SampleRequest, SampleResult
 from repro.framework.sampler import MultiHopSampler
-from repro.framework.cache import HotNodeCache
 from repro.framework.cpu_model import CpuSamplingModel, WorkloadShape
 from repro.framework.cluster import ClusterModel, ScalingPoint
 from repro.framework.tracing import characterize_access_mix
@@ -24,7 +23,6 @@ __all__ = [
     "SampleRequest",
     "SampleResult",
     "MultiHopSampler",
-    "HotNodeCache",
     "CpuSamplingModel",
     "WorkloadShape",
     "ClusterModel",

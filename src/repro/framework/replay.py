@@ -11,10 +11,10 @@ different layers and their ``AccessSummary`` totals legitimately differ
 (ID-block bytes depend on which nodes got sampled). The equivalence
 contract is therefore stated *conditionally*: for any fixed sampled
 layers, the sampler's accounting — access counts, bytes, locality
-split, cache hit/miss counters, degraded fallbacks — is identical to
-the walk's. :class:`ReplaySelector` feeds a result's own picks back
-through the walk, so the walk reproduces the exact same layers and its
-store/cache counters can be compared 1:1 with the sampler's. The tests
+split, degraded fallbacks — is identical to the walk's.
+:class:`ReplaySelector` feeds a result's own picks back through the
+walk, so the walk reproduces the exact same layers and its store
+counters can be compared 1:1 with the sampler's. The tests
 and the ``bench/`` workload checks lean on it.
 """
 
@@ -26,7 +26,6 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConfigurationError, GraphError, ReplicaUnavailableError
-from repro.framework.cache import HotNodeCache
 from repro.framework.requests import SampleRequest, SampleResult
 from repro.framework.selectors import select_uniform
 from repro.memstore.store import PartitionedStore
@@ -45,14 +44,12 @@ class ReferenceWalkSampler:
         self,
         store: PartitionedStore,
         seed: int = 0,
-        cache: Optional[HotNodeCache] = None,
         worker_partition: Optional[int] = None,
         selector=select_uniform,
         degraded_ok: bool = False,
     ) -> None:
         self.store = store
         self.rng = np.random.default_rng(seed)
-        self.cache = cache
         self.worker_partition = worker_partition
         self.selector = selector
         self.degraded_ok = degraded_ok
@@ -65,23 +62,15 @@ class ReferenceWalkSampler:
         )
 
     def _neighbors(self, node: int) -> np.ndarray:
-        if self.cache is not None:
-            hit = self.cache.get_neighbors(node)
-            if hit is not None:
-                return hit
         try:
-            neighbors = self.store.get_neighbors(node, self.worker_partition)
+            return self.store.get_neighbors(node, self.worker_partition)
         except ReplicaUnavailableError:
             if not self.degraded_ok:
                 raise
             # Degraded completion: treat the node as isolated, which
             # downstream becomes the zero-degree self-loop fallback.
-            # The empty list is NOT cached — the shard may come back.
             self.degraded_fallbacks += 1
             return np.empty(0, dtype=np.int64)
-        if self.cache is not None:
-            self.cache.put_neighbors(node, neighbors)
-        return neighbors
 
     def _sample_neighbors(self, node: int, fanout: int) -> np.ndarray:
         """Sample ``fanout`` neighbors of ``node`` through the selector.
@@ -128,53 +117,22 @@ class ReferenceWalkSampler:
         return result
 
     def _fetch_attributes(self, layer: np.ndarray):
-        """``(rows, index)``: one row per position and an identity index."""
+        """``(rows, index)``: one row per position and an identity index.
+        With ``degraded_ok``, a row whose shard is unreachable is zeros."""
         flat = layer.reshape(-1)
-        served = np.zeros(flat.size, dtype=bool)
-        rows = np.empty((flat.size, self.store.graph.attr_len), dtype=np.float32)
-        if self.cache is not None:
-            for i, node in enumerate(flat):
-                hit = self.cache.get_attributes(int(node))
-                if hit is not None:
-                    rows[i] = hit
-                    served[i] = True
-        missing = np.flatnonzero(~served)
-        if missing.size:
-            fetched_rows, fetched = self._fetch_missing(flat[missing])
-            rows[missing] = fetched_rows
-            if self.cache is not None:
-                # Inserts come after every lookup of the layer, and only
-                # for rows that were actually fetched: a degraded zero
-                # row must not outlive the outage (the shard may come
-                # back, and a poisoned entry would keep serving zeros).
-                for i, node, ok in zip(missing, flat[missing], fetched):
-                    if ok:
-                        self.cache.put_attributes(int(node), rows[i])
-        return rows, np.arange(flat.size).reshape(layer.shape)
-
-    def _fetch_missing(self, nodes: np.ndarray):
-        """Fetch uncached attribute rows, degrading per node if allowed.
-
-        Returns ``(rows, fetched)`` where ``fetched[i]`` is False for
-        rows that degraded to zeros (shard unreachable).
-        """
+        index = np.arange(flat.size).reshape(layer.shape)
         if not self.degraded_ok or self.store.reliability is None:
-            return (
-                self.store.get_attributes(nodes, self.worker_partition),
-                np.ones(nodes.size, dtype=bool),
-            )
+            return self.store.get_attributes(flat, self.worker_partition), index
         # Node by node, so one dead shard only blanks its own rows.
-        rows = np.zeros((nodes.size, self.store.graph.attr_len), dtype=np.float32)
-        fetched = np.zeros(nodes.size, dtype=bool)
-        for i, node in enumerate(nodes):
+        rows = np.zeros((flat.size, self.store.graph.attr_len), dtype=np.float32)
+        for i, node in enumerate(flat):
             try:
                 rows[i] = self.store.get_attributes(
                     np.asarray([node], dtype=np.int64), self.worker_partition
                 )[0]
-                fetched[i] = True
             except ReplicaUnavailableError:
                 self.degraded_fallbacks += 1
-        return rows, fetched
+        return rows, index
 
 
 def _parent_degrees(graph, parents: np.ndarray) -> np.ndarray:
@@ -243,7 +201,6 @@ def replay_reference(
     request: SampleRequest,
     store: PartitionedStore,
     worker_partition: Optional[int] = None,
-    cache: Optional[HotNodeCache] = None,
 ) -> SampleResult:
     """Re-run the reference walk pinned to ``result``'s sampled layers.
 
@@ -253,15 +210,14 @@ def replay_reference(
     violate). When the result was sampled through a locality layout,
     ``store`` must carry the same ``relabeling``: the recorded layers
     are in original IDs, the walk runs in the store's. After this returns,
-    ``store.summary`` and ``cache`` counters hold exactly what the
-    per-node reference walk charges for those layers, ready to compare
-    against the recorded run's.
+    ``store.summary`` holds exactly what the per-node reference walk
+    charges for those layers, ready to compare against the recorded
+    run's.
     """
     selector = ReplaySelector(result, request, store)
     sampler = ReferenceWalkSampler(
         store,
         seed=0,
-        cache=cache,
         worker_partition=worker_partition,
         selector=selector,
     )

@@ -15,6 +15,21 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 
+def _integer_array(values, name: str) -> np.ndarray:
+    """``values`` as int64, refusing any non-integer dtype (a float ID
+    would otherwise be truncated silently)."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise ConfigurationError(
+            f"{name} must be integer node IDs, got dtype {array.dtype}"
+        )
+    return array.astype(np.int64, copy=False)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def nodes_per_root(fanouts: Tuple[int, ...]) -> int:
     """Total nodes touched per root (root + every sampled hop)."""
     total = 1
@@ -34,12 +49,14 @@ class SampleRequest:
     with_attributes: bool = True
 
     def __post_init__(self) -> None:
-        roots = np.asarray(self.roots, dtype=np.int64)
+        roots = _integer_array(self.roots, "roots")
         object.__setattr__(self, "roots", roots)
         if roots.ndim != 1 or roots.size == 0:
             raise ConfigurationError("roots must be a non-empty 1-D array")
         if not self.fanouts:
             raise ConfigurationError("fanouts must contain at least one hop")
+        if not all(_is_integer(f) for f in self.fanouts):
+            raise ConfigurationError(f"fanouts must be integers, got {self.fanouts}")
         if any(f <= 0 for f in self.fanouts):
             raise ConfigurationError(f"fanouts must be positive, got {self.fanouts}")
 
@@ -64,10 +81,12 @@ class NegativeSampleRequest:
     rate: int
 
     def __post_init__(self) -> None:
-        pairs = np.asarray(self.pairs, dtype=np.int64)
+        pairs = _integer_array(self.pairs, "pairs")
         object.__setattr__(self, "pairs", pairs)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ConfigurationError("pairs must have shape (n, 2)")
+        if not _is_integer(self.rate):
+            raise ConfigurationError(f"rate must be an integer, got {self.rate!r}")
         if self.rate <= 0:
             raise ConfigurationError(f"rate must be positive, got {self.rate}")
 

@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConfigurationError, GraphError, ReplicaUnavailableError
-from repro.framework.cache import HotNodeCache
 from repro.framework.requests import (
     NegativeSampleRequest,
     SampleRequest,
@@ -62,11 +61,11 @@ class MultiHopSampler:
     Vectorized: one dedup per layer (shared by the hop expansion and
     the attribute fetch), one store batch call and one degree sort per
     hop, one ragged RNG pick per hop and RNG stream (weighted selectors
-    pick degree bucket by degree bucket), batched cache probes.
+    pick degree bucket by degree bucket).
     ``sample`` runs one stream; a shard expansion runs one per (shard,
     micro-batch) task.
     For the layers it samples, ``AccessSummary``
-    totals, cache counters and degraded-fallback counts equal the
+    totals and degraded-fallback counts equal the
     per-node walk's; its RNG consumption order differs, so the draws
     are statistically equivalent to the walk's, not stream-identical.
 
@@ -77,9 +76,6 @@ class MultiHopSampler:
         there.
     seed:
         RNG seed for reproducible sampling.
-    cache:
-        Optional hot-node cache; hits are served without touching the
-        store (AliGraph's system-level caching of frequent nodes).
     worker_partition:
         The partition the requesting worker is co-located with; used to
         attribute accesses as local or remote. ``None`` treats all
@@ -110,7 +106,6 @@ class MultiHopSampler:
         self,
         store: PartitionedStore,
         seed: int = 0,
-        cache: Optional[HotNodeCache] = None,
         worker_partition: Optional[int] = None,
         selector=select_uniform,
         degraded_ok: bool = False,
@@ -123,7 +118,6 @@ class MultiHopSampler:
             )
         self.store = store
         self.rng = np.random.default_rng(seed)
-        self.cache = cache
         self.worker_partition = worker_partition
         self.selector = selector
         self.degraded_ok = degraded_ok
@@ -312,78 +306,21 @@ class MultiHopSampler:
         return out
 
     def _neighbors_batch(self, unique: np.ndarray, counts: np.ndarray):
-        """Adjacency for deduplicated nodes: cache probe + one store batch.
+        """Adjacency for deduplicated nodes: one store batch.
 
         Returns ``(values, offsets, served)`` in concatenated-CSR form.
         Accounting matches the per-node walk occurrence for occurrence:
-        a cached node's ``c`` occurrences are ``c`` hits; an uncached
-        node that fetches is 1 miss + ``c - 1`` hits (the walk caches it
-        after the first occurrence) and touches the store once; a
-        degraded node is never cached, so all ``c`` occurrences miss and
-        retry the store.
+        a node's ``c`` occurrences are charged to the store as ``c``
+        reads through ``counts=``.
         """
-        if self.cache is None:
-            batch = self.store.get_neighbors_batch(
-                unique,
-                self.worker_partition,
-                counts=counts,
-                degraded_ok=self.degraded_ok,
-            )
-            self.degraded_fallbacks += batch.fallbacks
-            return batch.values, batch.offsets, batch.served
-        arrays: list = [None] * unique.size
-        hit_mask = np.zeros(unique.size, dtype=bool)
-        for j, node in enumerate(unique):
-            hit = self.cache.get_neighbors(int(node))
-            if hit is not None:
-                arrays[j] = hit
-                hit_mask[j] = True
-        if hit_mask.any():
-            self.cache.bump_neighbor_stats(hits=int((counts[hit_mask] - 1).sum()))
-        served = np.ones(unique.size, dtype=bool)
-        missing_indices = np.flatnonzero(~hit_mask)
-        if missing_indices.size:
-            missing = unique[missing_indices]
-            missing_counts = counts[missing_indices]
-            batch = self.store.get_neighbors_batch(
-                missing, self.worker_partition, degraded_ok=self.degraded_ok
-            )
-            self.degraded_fallbacks += batch.fallbacks
-            failed = ~batch.served
-            if failed.any():
-                # The walk retries (and fails) on every further
-                # occurrence of a node it could not cache.
-                extra = missing_counts[failed] - 1
-                retry_nodes = missing[failed][extra > 0]
-                if retry_nodes.size:
-                    retry = self.store.get_neighbors_batch(
-                        retry_nodes,
-                        self.worker_partition,
-                        counts=extra[extra > 0],
-                        degraded_ok=True,
-                    )
-                    self.degraded_fallbacks += retry.fallbacks
-            self.cache.bump_neighbor_stats(
-                hits=int((missing_counts[batch.served] - 1).sum()),
-                misses=int((missing_counts[failed] - 1).sum()),
-            )
-            for position, j in enumerate(missing_indices):
-                row = batch[position]
-                arrays[j] = row
-                served[j] = bool(batch.served[position])
-                if served[j]:
-                    self.cache.put_neighbors(int(unique[j]), row)
-        lengths = np.fromiter(
-            (a.size for a in arrays), dtype=np.int64, count=unique.size
+        batch = self.store.get_neighbors_batch(
+            unique,
+            self.worker_partition,
+            counts=counts,
+            degraded_ok=self.degraded_ok,
         )
-        offsets = np.zeros(unique.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        values = (
-            np.concatenate(arrays)
-            if arrays
-            else np.empty(0, dtype=np.int64)
-        )
-        return values.astype(np.int64, copy=False), offsets, served
+        self.degraded_fallbacks += batch.fallbacks
+        return batch.values, batch.offsets, batch.served
 
     def _fetch_attributes(self, layer: np.ndarray, dedup):
         """Attribute rows of one sampled layer: dedup + one store batch call.
@@ -393,74 +330,34 @@ class MultiHopSampler:
         is built only when ``SampleResult.attributes`` is read. ``dedup`` is
         the layer's :func:`dedup_ids` triple if already computed, else ``None``.
 
-        Occurrence accounting matches the per-node walk: attribute cache
-        inserts happen only after *all* lookups of a layer, so an uncached
-        node's ``c`` occurrences are ``c`` misses, and the store is touched
-        ``c`` times. Degraded rows stay zero and are never cached: the shard
-        may come back, and a poisoned entry would keep serving zeros.
+        Occurrence accounting matches the per-node walk: a node's ``c``
+        occurrences touch the store ``c`` times. Degraded rows stay zero.
         """
         flat = layer.reshape(-1)
         unique, inverse, counts = (
             dedup_ids(flat, self.store.graph.num_nodes) if dedup is None else dedup
         )
-        if self.cache is None:
-            batch = self.store.get_attributes_batch(
-                unique,
-                self.worker_partition,
-                counts=counts,
-                degraded_ok=self.degraded_ok,
-            )
-            rows = batch.rows
-            self.degraded_fallbacks += batch.fallbacks
-        else:
-            rows = np.empty((unique.size, self.store.graph.attr_len), dtype=np.float32)
-            hit_mask = np.zeros(unique.size, dtype=bool)
-            for j, node in enumerate(unique):
-                hit = self.cache.get_attributes(int(node))
-                if hit is not None:
-                    rows[j] = hit
-                    hit_mask[j] = True
-            self.cache.bump_attribute_stats(
-                hits=int((counts[hit_mask] - 1).sum()),
-                misses=int((counts[~hit_mask] - 1).sum()),
-            )
-            missing_indices = np.flatnonzero(~hit_mask)
-            if missing_indices.size:
-                batch = self.store.get_attributes_batch(
-                    unique[missing_indices],
-                    self.worker_partition,
-                    counts=counts[missing_indices],
-                    degraded_ok=self.degraded_ok,
-                )
-                self.degraded_fallbacks += batch.fallbacks
-                rows[missing_indices] = batch.rows
-                for position, j in enumerate(missing_indices):
-                    if batch.served[position]:
-                        self.cache.put_attributes(
-                            int(unique[j]), batch.rows[position]
-                        )
-        return rows, inverse.reshape(layer.shape)
+        batch = self.store.get_attributes_batch(
+            unique,
+            self.worker_partition,
+            counts=counts,
+            degraded_ok=self.degraded_ok,
+        )
+        self.degraded_fallbacks += batch.fallbacks
+        return batch.rows, inverse.reshape(layer.shape)
 
     # ------------------------------------------------------ negative sample
     def _neighbors(self, node: int) -> np.ndarray:
         # ``negative_sample`` only: a one-node read is not a batched
         # gather, so it must not charge the store's gather counters.
-        if self.cache is not None:
-            hit = self.cache.get_neighbors(node)
-            if hit is not None:
-                return hit
         try:
-            neighbors = self.store.get_neighbors(node, self.worker_partition)
+            return self.store.get_neighbors(node, self.worker_partition)
         except ReplicaUnavailableError:
             if not self.degraded_ok:
                 raise
-            # Degraded completion: treat the node as isolated. The empty
-            # list is NOT cached — the shard may come back.
+            # Degraded completion: treat the node as isolated.
             self.degraded_fallbacks += 1
             return np.empty(0, dtype=np.int64)
-        if self.cache is not None:
-            self.cache.put_neighbors(node, neighbors)
-        return neighbors
 
     def negative_sample(self, request: NegativeSampleRequest) -> np.ndarray:
         """Sample ``rate`` negatives per pair, rejecting true neighbors.
@@ -478,6 +375,8 @@ class MultiHopSampler:
                 "negative sampling needs at least 2 nodes in the graph"
             )
         rate = request.rate
+        if request.pairs.max(initial=-1) >= num_nodes or request.pairs.min(initial=0) < 0:
+            raise GraphError("negative-sample pairs outside [0, num_nodes)")
         # Rejection runs in store IDs (uniform over store IDs is uniform
         # over nodes); results map back at the end.
         pairs = self.store.to_internal(request.pairs)

@@ -20,12 +20,9 @@ Consistency model
 * Mutations applied while a view is pinned land in the underlying
   graph immediately but stay invisible to the pinned reader; the next
   unpinned read (or the next ``read_view``) observes them.
-* Every mutated source node is invalidated in each registered
-  :class:`~repro.framework.cache.HotNodeCache` (both facets). Nodes
-  mutated *while pinned* are re-invalidated when the pin is released:
-  the pinned sampler may legitimately re-cache pinned-epoch data after
-  the mutation-time invalidation ran, and without the unpin sweep that
-  stale entry would outlive the pin.
+* Nothing between the store and the samplers caches graph data, so
+  epochs and the delta log are the whole consistency story: there is
+  nothing to invalidate.
 
 Accounting
 ----------
@@ -49,7 +46,6 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.framework.cache import HotNodeCache
 from repro.graph.dynamic import DynamicGraph, GraphView
 from repro.graph.partition import Partitioner
 from repro.memstore.store import AccessKind, NeighborBatch, PartitionedStore
@@ -132,8 +128,6 @@ class IngestStats:
     mutations: int = 0
     edges_added: int = 0
     nodes_added: int = 0
-    #: Cache entries dropped across all registered caches.
-    cache_invalidations: int = 0
     #: Neighbor reads whose answer included uncompacted delta edges.
     delta_hits: int = 0
     #: Total delta edges returned by those reads (occurrence-weighted).
@@ -171,11 +165,7 @@ class DynamicPartitionedStore(PartitionedStore):
         self.dynamic = dynamic
         super().__init__(dynamic.view(), partitioner)
         self.ingest_stats = IngestStats()
-        self._caches: List[HotNodeCache] = []
         self._pin_depth = 0
-        #: Nodes mutated while a view was pinned: their cache entries
-        #: must be invalidated *again* on unpin (see module docstring).
-        self._touched_since_pin: Set[int] = set()
         #: Distinct epochs observed by reads inside the innermost
         #: pinned window — the "no torn multi-hop reads" witness.
         self._sample_epochs: Set[int] = set()
@@ -210,10 +200,7 @@ class DynamicPartitionedStore(PartitionedStore):
         On entry (outermost only) the live view is re-minted and
         frozen; every read inside the block resolves against it and
         records its epoch into the torn-read witness set. On exit the
-        pin is released, the live view refreshed, and any node mutated
-        during the window has its cache entries invalidated again —
-        the pinned reader may have re-cached pinned-epoch data after
-        the mutation-time invalidation.
+        pin is released and the live view refreshed.
         """
         if self._pin_depth == 0:
             self.graph = self.dynamic.view()
@@ -225,12 +212,6 @@ class DynamicPartitionedStore(PartitionedStore):
             self._pin_depth -= 1
             if self._pin_depth == 0:
                 self._last_sample_epochs = tuple(sorted(self._sample_epochs))
-                touched = self._touched_since_pin
-                self._touched_since_pin = set()
-                # Sorted sweep: cache_invalidations is occurrence-
-                # accounted, and set order varies per process.
-                for node in sorted(touched):
-                    self._invalidate_node(node)
                 self.graph = self.dynamic.view()
 
     @property
@@ -250,24 +231,11 @@ class DynamicPartitionedStore(PartitionedStore):
         if self._pin_depth:
             self._sample_epochs.add(self.graph.epoch)
 
-    # --------------------------------------------------------------- caches
-    def register_cache(self, cache: HotNodeCache) -> None:
-        """Subscribe a cache to invalidation on mutated nodes."""
-        if cache not in self._caches:
-            self._caches.append(cache)
-
-    def _invalidate_node(self, node: int) -> None:
-        for cache in self._caches:
-            if cache.invalidate(node):
-                self.ingest_stats.cache_invalidations += 1
-
     # ------------------------------------------------------------ mutations
     def apply(self, mutations: Iterable[Mutation]) -> int:
         """Apply a batch of mutations to the underlying graph.
 
-        Touched source nodes are invalidated in every registered cache
-        immediately (and again on unpin if a read is pinned). Returns
-        the number of mutations applied. Compaction may run mid-batch
+        Returns the number of mutations applied. Compaction may run mid-batch
         when the delta crosses its threshold; pinned views are immune
         by construction.
         """
@@ -279,11 +247,9 @@ class DynamicPartitionedStore(PartitionedStore):
                 if mutation.attach_to is not None:
                     self.dynamic.add_edge(new, mutation.attach_to)
                     self.ingest_stats.edges_added += 1
-                    self._note_touched(new)
             else:
                 self.dynamic.add_edge(mutation.src, mutation.dst)
                 self.ingest_stats.edges_added += 1
-                self._note_touched(mutation.src)
             applied += 1
         self.ingest_stats.mutations += applied
         if self.dynamic.compactions != self._seen_compactions:
@@ -294,11 +260,6 @@ class DynamicPartitionedStore(PartitionedStore):
         if applied:
             self.refresh()
         return applied
-
-    def _note_touched(self, node: int) -> None:
-        self._invalidate_node(node)
-        if self._pin_depth:
-            self._touched_since_pin.add(node)
 
     # --------------------------------------------------------------- reads
     def get_neighbors(

@@ -2,7 +2,7 @@
 
 :class:`ParallelSampler` is a :class:`~repro.framework.sampler.
 MultiHopSampler` — inherited root mapping, attribute gather, negative
-sampling, cache and ``store`` accounting — that replaces one step, hop
+sampling and ``store`` accounting — that replaces one step, hop
 expansion, by fanning every micro-batch out across shards: the
 partitioner splits the roots by owning partition and each shard slice
 becomes a :class:`~repro.parallel.worker.ShardTask` with its own RNG
@@ -46,7 +46,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, ParallelExecutionError
-from repro.framework.cache import HotNodeCache
 from repro.framework.requests import SampleRequest, SampleResult
 from repro.framework.sampler import MultiHopSampler
 from repro.framework.selectors import get_selector
@@ -117,11 +116,6 @@ class ParallelSampler(MultiHopSampler):
         Selector name (``uniform``/``streaming``/``weighted``).
     worker_partition:
         Locality attribution, as on :class:`MultiHopSampler`.
-    cache:
-        Optional hot-node cache in front of the *coordinator's* reads
-        (attribute gather, negative sampling). Shard-side structure
-        reads stay uncached, so the parity bar with a cache is
-        worker-count invariance, not equality with a cached oracle walk.
     """
 
     def __init__(
@@ -131,7 +125,6 @@ class ParallelSampler(MultiHopSampler):
         seed: int = 0,
         sampling_method: str = "uniform",
         worker_partition: Optional[int] = None,
-        cache: Optional[HotNodeCache] = None,
     ) -> None:
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
@@ -145,7 +138,6 @@ class ParallelSampler(MultiHopSampler):
         super().__init__(
             store,
             seed=derive_negative_seed(seed),
-            cache=cache,
             worker_partition=worker_partition,
             selector=get_selector(sampling_method),
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import GnnSession
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, GraphError
 from repro.graph.generators import power_law_graph
 
 
@@ -86,19 +86,28 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             GnnSession(graph, sampling_method="sorted")
 
-    def test_cache_enabled(self):
-        graph = power_law_graph(300, 6.0, attr_len=4, seed=1)
-        session = GnnSession(graph, cache_nodes=500, seed=1)
-        session.sample(np.arange(32), (5,))
-        before = session.store.summary.total_count
-        session.store.reset_trace()
-        session.sample(np.arange(32), (5,))
-        assert session.store.summary.total_count < before
 
-    def test_negative_cache_rejected(self):
-        graph = power_law_graph(100, 3.0, seed=0)
-        with pytest.raises(ConfigurationError):
-            GnnSession(graph, cache_nodes=-1)
+#: Inputs the request boundary must refuse, not truncate or wrap:
+#: ``(operation, arguments, error)``.
+BAD_REQUESTS = {
+    "float_roots": ("sample", (np.array([1.5, 2.7]), (2,)), ConfigurationError),
+    "float_fanout": ("sample", (np.array([1, 2]), (2.5,)), ConfigurationError),
+    "float_pairs": ("negative_sample", ([[0.5, 1.5]], 2), ConfigurationError),
+    "float_rate": ("negative_sample", ([[0, 1]], 2.5), ConfigurationError),
+    "pair_past_end": ("negative_sample", ([[0, 10**6]], 2), GraphError),
+    "negative_pair": ("negative_sample", ([[0, -1]], 2), GraphError),
+}
+
+
+@pytest.mark.parametrize("layout", [None, "ldg"])
+@pytest.mark.parametrize("case", sorted(BAD_REQUESTS))
+def test_request_boundary_refuses_bad_input(case, layout):
+    """The same input fails the same way whatever the store layout."""
+    operation, arguments, error = BAD_REQUESTS[case]
+    graph = power_law_graph(200, 4.0, attr_len=2, seed=0)
+    with GnnSession(graph, num_partitions=2, layout=layout) as session:
+        with pytest.raises(error):
+            getattr(session, operation)(*arguments)
 
 
 class TestServingLevel:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.framework.cache import HotNodeCache
 from repro.framework.requests import NegativeSampleRequest, SampleRequest
 from repro.framework.sampler import MultiHopSampler
 from repro.framework.selectors import select_streaming
@@ -98,34 +97,6 @@ class TestSampling:
         result = sampler.sample(request)
         neighbors = set(graph.neighbors(3).tolist()) or {3}
         assert set(result.layers[1].reshape(-1).tolist()) <= neighbors
-
-
-class TestCacheIntegration:
-    def test_cache_reduces_store_traffic(self):
-        graph = power_law_graph(100, 5.0, attr_len=4, seed=0)
-        store = PartitionedStore(graph, HashPartitioner(2))
-        cache = HotNodeCache(capacity_nodes=1000)
-        sampler = MultiHopSampler(store, seed=1, cache=cache)
-        request = SampleRequest(roots=np.arange(50), fanouts=(5,))
-        sampler.sample(request)
-        first_pass = store.summary.total_count
-        store.reset_trace()
-        sampler.sample(request)
-        assert store.summary.total_count < first_pass
-
-    def test_cache_preserves_results(self):
-        graph = power_law_graph(100, 5.0, attr_len=4, seed=0)
-        request = SampleRequest(roots=np.arange(20), fanouts=(3,))
-
-        def run(cache):
-            store = PartitionedStore(graph, HashPartitioner(2))
-            sampler = MultiHopSampler(store, seed=4, cache=cache)
-            return sampler.sample(request)
-
-        plain = run(None)
-        cached = run(HotNodeCache(capacity_nodes=500))
-        assert np.array_equal(plain.layers[1], cached.layers[1])
-        assert np.allclose(plain.attributes[1], cached.attributes[1])
 
 
 class TestNegativeSampling:

@@ -1,8 +1,8 @@
 """The vectorized sampler: equivalence with the reference walk.
 
 The contract under test: for any fixed sampled layers,
-``MultiHopSampler``'s accounting (AccessSummary, cache hit/miss
-counters, degraded fallbacks, fault stats) is identical to that of the
+``MultiHopSampler``'s accounting (AccessSummary, degraded fallbacks,
+fault stats) is identical to that of the
 per-node oracle ``ReferenceWalkSampler``, and the samples themselves
 are statistically equivalent (chi-squared per fanout). Replay
 (:mod:`repro.framework.replay`) pins the walk to the sampler's layers
@@ -17,7 +17,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import GnnSession
-from repro.framework.cache import HotNodeCache
 from repro.errors import ConfigurationError
 from repro.framework.replay import ReferenceWalkSampler, replay_reference
 from repro.framework.requests import NegativeSampleRequest, SampleRequest
@@ -83,43 +82,26 @@ def chain_graph(num_nodes: int = 10, attr_len: int = 4) -> CSRGraph:
     return CSRGraph(indptr=indptr, indices=indices, node_attr=attr)
 
 
-def cache_stats(cache):
-    return (
-        cache.neighbor_hits,
-        cache.neighbor_misses,
-        cache.attribute_hits,
-        cache.attribute_misses,
-    )
-
-
 class TestAccountingEquivalence:
     @pytest.mark.parametrize("selector_name", sorted(SELECTORS))
-    @pytest.mark.parametrize("cache_nodes", [0, 5000])
-    def test_summary_matches_replayed_reference(self, selector_name, cache_nodes):
+    def test_summary_matches_replayed_reference(self, selector_name):
         graph = power_law_graph(1500, 8.0, attr_len=12, seed=1)
         partitioner = HashPartitioner(4)
         roots = np.random.default_rng(0).integers(0, 1500, size=48)
         request = SampleRequest(roots=roots, fanouts=(5, 4), with_attributes=True)
 
         batched_store = PartitionedStore(graph, partitioner)
-        batched_cache = HotNodeCache(cache_nodes) if cache_nodes else None
         sampler = MultiHopSampler(
             batched_store,
             seed=7,
-            cache=batched_cache,
             worker_partition=0,
             selector=SELECTORS[selector_name],
         )
         result = sampler.sample(request)
 
         replay_store = PartitionedStore(graph, partitioner)
-        replay_cache = HotNodeCache(cache_nodes) if cache_nodes else None
-        replay_reference(
-            result, request, replay_store, worker_partition=0, cache=replay_cache
-        )
+        replay_reference(result, request, replay_store, worker_partition=0)
         assert batched_store.summary == replay_store.summary
-        if cache_nodes:
-            assert cache_stats(batched_cache) == cache_stats(replay_cache)
 
     def test_summary_matches_with_edge_weights(self):
         base = power_law_graph(800, 6.0, attr_len=6, seed=2)
@@ -247,7 +229,6 @@ FAULT_STAT_FIELDS = ("reads", "attempts", "retries", "timeouts", "failed_reads")
 
 def make_fault_run(
     sampler_cls,
-    cache_nodes=0,
     graph=None,
     partitioner=None,
     replication=1,
@@ -267,23 +248,21 @@ def make_fault_run(
     for partition, replica in kills:
         injector.kill_replica(partition, replica)
     store = PartitionedStore(graph, partitioner, reliability=path)
-    cache = HotNodeCache(cache_nodes) if cache_nodes else None
     sampler = sampler_cls(
         store,
         seed=5,
-        cache=cache,
         worker_partition=worker_partition,
         degraded_ok=True,
     )
-    return sampler, store, cache, injector
+    return sampler, store, injector
 
 
 def assert_live_runs_agree(requests, context=None, **fault_run):
     """Sample ``requests`` on the oracle and on the sampler, each over its
     own ``make_fault_run(**fault_run)``; on graphs whose layers do not
     depend on the RNG the two must agree down to every fault counter."""
-    walk, walk_store, walk_cache, _ = make_fault_run(ReferenceWalkSampler, **fault_run)
-    fast, fast_store, fast_cache, _ = make_fault_run(MultiHopSampler, **fault_run)
+    walk, walk_store, _ = make_fault_run(ReferenceWalkSampler, **fault_run)
+    fast, fast_store, _ = make_fault_run(MultiHopSampler, **fault_run)
     for request in requests:
         want, got = walk.sample(request), fast.sample(request)
         for a, b in zip(want.layers, got.layers):
@@ -296,25 +275,22 @@ def assert_live_runs_agree(requests, context=None, **fault_run):
         assert getattr(walk_store.fault_stats, name) == getattr(
             fast_store.fault_stats, name
         ), (context, name)
-    if walk_cache is not None:
-        assert cache_stats(walk_cache) == cache_stats(fast_cache), context
     return walk
 
 
 class TestDegradedParity:
-    @pytest.mark.parametrize("cache_nodes", [0, 100])
-    def test_degraded_run_matches_reference(self, cache_nodes):
+    def test_degraded_run_matches_reference(self):
         request = SampleRequest(
             roots=np.array([0, 3, 7, 7, 8]), fanouts=(2, 2), with_attributes=True
         )
         # The chain graph pins the layers, so the two live runs are
         # directly comparable.
-        walk = assert_live_runs_agree([request], cache_nodes=cache_nodes)
+        walk = assert_live_runs_agree([request])
         assert walk.degraded_fallbacks > 0
 
     @both_samplers
     def test_degraded_reads_degrade_not_raise(self, sampler_cls):
-        sampler, _store, _cache, _ = make_fault_run(sampler_cls)
+        sampler, _store, _ = make_fault_run(sampler_cls)
         request = SampleRequest(
             roots=np.array([7, 8]), fanouts=(2,), with_attributes=True
         )
@@ -323,44 +299,6 @@ class TestDegradedParity:
         # Dead-shard roots degrade to self-loops and zero rows.
         assert (result.layers[1] == request.roots[:, None]).all()
         assert (result.attributes[1] == 0).all()
-
-
-class TestCachePoisoningRegression:
-    @both_samplers
-    def test_recovered_shard_serves_real_attributes(self, sampler_cls):
-        """Kill shard -> sample -> restore -> real attributes again.
-
-        Degraded zero rows must not be cached: before the fix the first
-        degraded run poisoned HotNodeCache and kept serving zeros after
-        the shard came back.
-        """
-        sampler, _store, cache, injector = make_fault_run(sampler_cls, cache_nodes=100)
-        graph = sampler.store.graph
-        request = SampleRequest(
-            roots=np.array([7, 8]), fanouts=(1,), with_attributes=True
-        )
-        degraded = sampler.sample(request)
-        assert (degraded.attributes[0] == 0).all()  # shard down: zero rows
-        injector.restore_replica(1, 0)
-        recovered = sampler.sample(request)
-        expected = graph.node_attr[request.roots]
-        assert np.array_equal(recovered.attributes[0], expected)
-        assert (recovered.attributes[0] != 0).any()
-        # And the cache now holds the real rows, not zeros.
-        for root in request.roots:
-            row = cache.get_attributes(int(root))
-            assert row is not None and (row != 0).any()
-
-    @both_samplers
-    def test_recovered_shard_serves_real_neighbors(self, sampler_cls):
-        sampler, _store, cache, injector = make_fault_run(sampler_cls, cache_nodes=100)
-        request = SampleRequest(roots=np.array([7]), fanouts=(2,))
-        degraded = sampler.sample(request)
-        assert (degraded.layers[1] == 7).all()  # self-loop fallback
-        injector.restore_replica(1, 0)
-        recovered = sampler.sample(request)
-        assert (recovered.layers[1] == 8).all()  # chain: 7 -> 8
-        assert cache.get_neighbors(7) is not None
 
 
 def random_graph(rng, weighted):
@@ -419,17 +357,13 @@ class TestSeededParitySweep:
             graph = random_graph(rng, weighted=bool(rng.integers(0, 2)))
             num_partitions = int(rng.integers(1, 5))
             layout = [None, None, "ldg", "hash", "range"][rng.integers(0, 5)]
-            # Capacity above the node count: the cache never thrashes.
-            cache_nodes = graph.num_nodes + 1 if rng.integers(0, 2) else 0
             requests = random_requests(rng, graph.num_nodes, max_hops=2)
             if seed < 2:
                 # Two of the inputs are sessions built the default way.
-                cache_nodes = graph.num_nodes + 1
                 sampler = GnnSession(
                     graph,
                     num_partitions=num_partitions,
                     sampling_method=selector_name,
-                    cache_nodes=cache_nodes,
                     layout="ldg" if seed else None,
                 ).sampler
             else:
@@ -441,7 +375,6 @@ class TestSeededParitySweep:
                 sampler = MultiHopSampler(
                     PartitionedStore(graph, partitioner, relabeling=relabeling),
                     seed=seed,
-                    cache=HotNodeCache(cache_nodes) if cache_nodes else None,
                     worker_partition=[None, 0, num_partitions - 1][rng.integers(0, 3)],
                     selector=SELECTORS[selector_name],
                 )
@@ -449,18 +382,14 @@ class TestSeededParitySweep:
             replay_store = PartitionedStore(
                 store.graph, store.partitioner, relabeling=store.relabeling
             )
-            replay_cache = HotNodeCache(cache_nodes) if cache_nodes else None
             for request in requests:
                 replay_reference(
                     sampler.sample(request),
                     request,
                     replay_store,
                     worker_partition=sampler.worker_partition,
-                    cache=replay_cache,
                 )
             assert store.summary == replay_store.summary, seed
-            if cache_nodes:
-                assert cache_stats(sampler.cache) == cache_stats(replay_cache), seed
 
     def test_live_runs_agree_under_replica_kills(self):
         for seed in range(60):
@@ -471,7 +400,6 @@ class TestSeededParitySweep:
             assert_live_runs_agree(
                 random_requests(rng, graph.num_nodes, max_hops=3),
                 context=seed,
-                cache_nodes=graph.num_nodes + 1 if rng.integers(0, 2) else 0,
                 graph=graph,
                 partitioner=HashPartitioner(num_partitions),
                 replication=replication,
@@ -501,10 +429,9 @@ class TestOnePath:
 
 
 class TestPartiallyUnservedBatch:
-    @pytest.mark.parametrize("cache_nodes", [0, 100])
-    def test_unserved_rows_zero_and_never_cached(self, cache_nodes):
+    def test_unserved_rows_zero(self):
         """One attribute batch with a live and a dead shard in it."""
-        sampler, _store, cache, _ = make_fault_run(MultiHopSampler, cache_nodes)
+        sampler, _store, _ = make_fault_run(MultiHopSampler)
         graph = sampler.store.graph
         # Range partitioner: 0..4 live on the worker's shard, 5..9 on
         # the dead one.
@@ -516,9 +443,6 @@ class TestPartiallyUnservedBatch:
         assert np.array_equal(rows[[0, 2]], graph.node_attr[[0, 2]])
         assert (rows[[1, 3]] == 0).all()
         assert sampler.degraded_fallbacks > 0
-        if cache_nodes:
-            assert cache.get_attributes(0) is not None
-            assert cache.get_attributes(7) is None
 
 
 #: SHA-256 over the int64 bytes of every sampled layer of
@@ -628,8 +552,7 @@ class TestDedupParity:
 
 
 class TestAttributeOwnership:
-    @pytest.mark.parametrize("cache_nodes", [0, 2000])
-    def test_result_arrays_alias_nothing(self, cache_nodes):
+    def test_result_arrays_alias_nothing(self):
         """The caller owns ``result.attributes``: scribbling on one layer
         reaches neither the graph, nor another layer, nor a later sample."""
         graph = power_law_graph(400, 6.0, attr_len=5, seed=9)
@@ -642,8 +565,7 @@ class TestAttributeOwnership:
             return MultiHopSampler(
                 PartitionedStore(graph, HashPartitioner(2)),
                 seed=4,
-                cache=HotNodeCache(cache_nodes) if cache_nodes else None,
-                )
+            )
 
         sampler = make()
         first = sampler.sample(request)
@@ -656,7 +578,7 @@ class TestAttributeOwnership:
             assert np.array_equal(graph.node_attr, pristine)
             for j in range(i + 1, len(saved)):
                 assert np.array_equal(first.attributes[j], saved[j])
-        # Same sampler again (cache now warm) and a fresh twin: both
+        # Same sampler again and a fresh twin: both
         # serve real rows, untouched by the scribbling above.
         again = sampler.sample(request)
         for layer, attrs in zip(again.layers, again.attributes):

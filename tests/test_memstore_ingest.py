@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.framework.cache import HotNodeCache
 from repro.framework.replay import ReferenceWalkSampler, replay_reference
 from repro.framework.requests import SampleRequest
 from repro.framework.sampler import MultiHopSampler
@@ -57,6 +56,14 @@ class TestMutation:
             growth_trace(10, -1)
         with pytest.raises(ConfigurationError):
             growth_trace(10, 10, new_node_probability=2.0)
+
+    def test_node_mutation_with_attach(self):
+        store = make_store(CSRGraph.from_edges(4, [(0, 1)]))
+        store.apply([Mutation(NODE, attach_to=1)])
+        assert store.view.num_nodes == 5
+        assert store.get_neighbors(4).tolist() == [1]
+        assert store.ingest_stats.nodes_added == 1
+        assert store.ingest_stats.edges_added == 1
 
 
 class TestConstruction:
@@ -114,43 +121,6 @@ class TestRateZeroParity:
         result = MultiHopSampler(dynamic, seed=0).sample(request)
         fresh = make_store(graph)
         replay_reference(result, request, fresh)
-        assert fresh.summary == dynamic.summary
-
-    def test_batched_parity_with_registered_cache(self):
-        """A hot-node cache registered for invalidation changes nothing
-        at rate zero: warm-cache batches match the static store's."""
-        graph = make_graph()
-        static = PartitionedStore(graph, HashPartitioner(2))
-        dynamic = make_store(graph)
-        static_cache, dynamic_cache = HotNodeCache(32), HotNodeCache(32)
-        dynamic.register_cache(dynamic_cache)
-        samplers = [
-            MultiHopSampler(store, seed=1, cache=cache)
-            for store, cache in ((static, static_cache), (dynamic, dynamic_cache))
-        ]
-        rng = np.random.default_rng(0)
-        for _ in range(3):
-            request = SampleRequest(
-                roots=rng.integers(0, graph.num_nodes, size=16), fanouts=(5, 2)
-            )
-            res_s, res_d = (sampler.sample(request) for sampler in samplers)
-            for a, b in zip(res_s.layers, res_d.layers):
-                assert np.array_equal(a, b)
-            for a, b in zip(res_s.attributes, res_d.attributes):
-                assert np.array_equal(a, b)
-        assert static.summary == dynamic.summary
-        assert static_cache.neighbor_hits == dynamic_cache.neighbor_hits > 0
-        assert dynamic.ingest_stats.cache_invalidations == 0
-
-    def test_replay_parity_rate_zero_with_cache(self):
-        graph = make_graph()
-        dynamic = make_store(graph)
-        cache = HotNodeCache(1000)
-        dynamic.register_cache(cache)
-        request = SampleRequest(roots=np.arange(8), fanouts=(4, 3))
-        result = MultiHopSampler(dynamic, seed=0, cache=cache).sample(request)
-        fresh = make_store(graph)
-        replay_reference(result, request, fresh, cache=HotNodeCache(1000))
         assert fresh.summary == dynamic.summary
 
 
@@ -289,36 +259,3 @@ class TestPinning:
                 assert store.pinned
             assert store.pinned
         assert not store.pinned
-
-
-class TestCacheInvalidation:
-    def test_mutation_invalidates_cache(self):
-        store = make_store(CSRGraph.from_edges(4, [(0, 1)]))
-        cache = HotNodeCache(capacity_nodes=4)
-        store.register_cache(cache)
-        cache.put_neighbors(0, store.get_neighbors(0))
-        assert cache.get_neighbors(0) is not None
-        store.apply([Mutation(EDGE, src=0, dst=2)])
-        assert cache.get_neighbors(0) is None
-        assert store.ingest_stats.cache_invalidations == 1
-
-    def test_unpin_reinvalidates_touched_nodes(self):
-        """Regression: a pinned sampler can re-cache pinned-epoch data
-        *after* the mutation-time invalidation; unpin must sweep it."""
-        store = make_store(CSRGraph.from_edges(4, [(0, 1)]))
-        cache = HotNodeCache(capacity_nodes=4)
-        store.register_cache(cache)
-        with store.read_view():
-            store.apply([Mutation(EDGE, src=0, dst=2)])
-            # The pinned reader re-caches the old adjacency.
-            cache.put_neighbors(0, store.get_neighbors(0))
-            assert cache.get_neighbors(0).tolist() == [1]
-        assert cache.get_neighbors(0) is None  # swept on unpin
-
-    def test_node_mutation_with_attach_invalidates_new_node(self):
-        store = make_store(CSRGraph.from_edges(4, [(0, 1)]))
-        store.apply([Mutation(NODE, attach_to=1)])
-        assert store.view.num_nodes == 5
-        assert store.get_neighbors(4).tolist() == [1]
-        assert store.ingest_stats.nodes_added == 1
-        assert store.ingest_stats.edges_added == 1

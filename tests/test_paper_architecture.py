@@ -3,6 +3,8 @@
 Each test asserts the paper's shape and checks its row (tests/experiments_doc).
 """
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,23 @@ def test_tech4_coalescing_cache(tech4):
         joined((e / i for i, e in tech4.values()), "{:.2f}"),
         joined(i for i, _ in tech4.values()),
     ))
+
+
+def test_tech4_random_batches_have_no_reuse():
+    """Tech-4's premise: random 512-root batches over a large graph give
+    a hardware-sized (1,024-node) LRU almost no temporal reuse."""
+    rng = np.random.default_rng(0)
+    lru, hits, capacity = OrderedDict(), 0, 1024
+    draws = [rng.integers(0, 1_000_000, 512) for _ in range(20)]
+    for node in np.concatenate(draws).tolist():
+        if node in lru:
+            hits += 1
+            lru.move_to_end(node)
+        else:
+            lru[node] = None
+            if len(lru) > capacity:
+                lru.popitem(last=False)
+    assert hits / (20 * 512) < 0.01
 
 
 def test_table5_packing():

@@ -6,6 +6,8 @@
 tensor on read. The golden digests below were taken over ``layers``
 and the dense ``attributes`` bytes when every sampler still built that
 tensor eagerly, so they pin that the payload change moved no bit.
+``second`` is the same sampler sampling one request twice: its second
+result draws on the advanced RNG stream.
 """
 
 import hashlib
@@ -13,7 +15,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.framework.cache import HotNodeCache
 from repro.framework.replay import ReferenceWalkSampler
 from repro.framework.requests import SampleRequest
 from repro.framework.sampler import MultiHopSampler
@@ -33,10 +34,8 @@ FANOUTS = (10, 10)
 
 GOLDEN = {
     "plain": "2bcb3aac92f57718b0f370505b04a9b1e1b95dbd159e5f9d18f5945265420ae6",
-    "cached_first": "2bcb3aac92f57718b0f370505b04a9b1e1b95dbd159e5f9d18f5945265420ae6",
-    "cached_second": "6c8ee4219c6ec66403c1ffc291c78a191248a028681b3f3aa005dddcf7df0e2e",
+    "second": "6c8ee4219c6ec66403c1ffc291c78a191248a028681b3f3aa005dddcf7df0e2e",
     "degraded": "a981d1677dbd1abd196191ad2904abe1c09021455c6eefc9c1b9f648d4362c65",
-    "degraded_cached": "a981d1677dbd1abd196191ad2904abe1c09021455c6eefc9c1b9f648d4362c65",
     "dynamic": "b57dee13bd8af716e7d2961775f57f17c756177ef1dbee297be89bd51a3f18a2",
     "parallel_w0": "1e38522d5c5bde9d0cf949a5f7aa4726a8512652bdc0176d522f93cb3418a57a",
     "walk": "caca9f5363efd4886e0b5d76eddfb15c6c5a26ef3f1f4f133c979d35480894e2",
@@ -66,7 +65,7 @@ def digest(result):
     return h.hexdigest()
 
 
-def degraded_sampler(graph, cache=None):
+def degraded_sampler(graph):
     """Partition 1 of 2 has its only replica dead; reads degrade."""
     partitioner = RangePartitioner(2, graph.num_nodes)
     injector = FaultInjector()
@@ -76,9 +75,7 @@ def degraded_sampler(graph, cache=None):
     )
     injector.kill_replica(1, 0)
     store = PartitionedStore(graph, partitioner, reliability=path)
-    return MultiHopSampler(
-        store, seed=3, cache=cache, worker_partition=0, degraded_ok=True
-    )
+    return MultiHopSampler(store, seed=3, worker_partition=0, degraded_ok=True)
 
 
 def sample_case(name, graph):
@@ -87,20 +84,13 @@ def sample_case(name, graph):
     if name == "plain":
         store = PartitionedStore(graph, HashPartitioner(4))
         return MultiHopSampler(store, seed=0, worker_partition=0).sample(request)
-    if name in ("cached_first", "cached_second"):
+    if name == "second":
         store = PartitionedStore(graph, HashPartitioner(4))
-        sampler = MultiHopSampler(
-            store, seed=0, worker_partition=0, cache=HotNodeCache(1000)
-        )
-        first = sampler.sample(request)
-        if name == "cached_first":
-            return first
-        second = sampler.sample(request)
-        assert sampler.cache.attribute_hits > 0
-        return second
-    if name in ("degraded", "degraded_cached"):
-        cache = HotNodeCache(1000) if name == "degraded_cached" else None
-        sampler = degraded_sampler(graph, cache)
+        sampler = MultiHopSampler(store, seed=0, worker_partition=0)
+        sampler.sample(request)
+        return sampler.sample(request)
+    if name == "degraded":
+        sampler = degraded_sampler(graph)
         result = sampler.sample(wide_request(graph.num_nodes, roots=64))
         assert sampler.degraded_fallbacks > 0
         assert any((layer == 0).all(axis=-1).any() for layer in result.attributes)
@@ -133,7 +123,7 @@ def test_golden_payload(graph, name):
     assert digest(sample_case(name, graph)) == GOLDEN[name]
 
 
-def wide_sampler(graph, layout=False, cache=False):
+def wide_sampler(graph, layout=False):
     """An undegraded sampler over ``graph``, through a locality layout
     (store IDs differ from the caller's) when ``layout``."""
     if layout:
@@ -143,16 +133,13 @@ def wide_sampler(graph, layout=False, cache=False):
         )
     else:
         store = PartitionedStore(graph, HashPartitioner(4))
-    return MultiHopSampler(
-        store, seed=1, worker_partition=0, cache=HotNodeCache(500) if cache else None
-    )
+    return MultiHopSampler(store, seed=1, worker_partition=0)
 
 
 class TestPayloadShape:
-    @pytest.mark.parametrize("cache", [False, True], ids=["uncached", "cached"])
     @pytest.mark.parametrize("layout", [False, True], ids=["plain", "layout"])
-    def test_distinct_rows_and_layer_shaped_index(self, graph, layout, cache):
-        sampler = wide_sampler(graph, layout, cache)
+    def test_distinct_rows_and_layer_shaped_index(self, graph, layout):
+        sampler = wide_sampler(graph, layout)
         store = sampler.store
         request = wide_request(graph.num_nodes, roots=64, seed=2)
         for result in (sampler.sample(request), sampler.sample(request)):

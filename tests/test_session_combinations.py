@@ -1,10 +1,10 @@
 """Generated ``GnnSession`` combination matrix.
 
-``layout`` and ``cache_nodes`` compose behind one sampler contract, and
-the sharded engine (``ParallelSampler``, built beside a session over its
-store and cache) keeps that contract at every worker count. Every tuple
-of the three is run over one request stream and held to the bars the
-single features already meet: bit-identity across worker counts,
+Every ``layout`` sits behind one sampler contract, and the sharded
+engine (``ParallelSampler``, built beside a session over its store)
+keeps that contract at every worker count. Every (layout, workers)
+pair is run over one request stream and held to the bars the single
+features already meet: bit-identity across worker counts,
 original IDs in and out, replay parity with the per-node walk, and
 equal training digests. The one refusal left in
 ``GnnSession.__init__`` (a ``DynamicGraph`` runs the inline software
@@ -38,9 +38,7 @@ SEED = 3
 FANOUTS = (4, 3)
 NEGATIVE_RATE = 3
 
-LAYOUTS = (None, "ldg")
-#: Off, and a capacity above the node count (the cache never thrashes).
-CACHE_NODES = (0, NUM_NODES + 1)
+LAYOUTS = (None, "ldg", "hash", "range")
 WORKERS = (0, 1, 2)
 
 
@@ -56,57 +54,40 @@ def root_batches(graph):
 
 def positive_pairs(graph):
     sources = np.random.default_rng(2).integers(0, graph.num_nodes, size=10)
-    # A repeated source: its second read is a neighbor-cache hit.
+    # A repeated source: negative sampling reads its adjacency twice.
     sources[-1] = sources[0]
     return np.stack([sources, (sources + 1) % graph.num_nodes], axis=1)
 
 
-def open_session(graph, layout, cache_nodes, workers):
+def open_session(graph, layout, workers):
     """A session whose sampler is the sharded engine at ``workers``.
 
     A session samples inline with ``MultiHopSampler`` (its own RNG
     stream), so for the worker-count comparison the engine — at
     ``workers=0`` the same shard tasks with no processes — takes its
-    place over the session's own store and cache; ``session.close()``
-    releases its pool.
+    place over the session's own store; ``session.close()`` releases
+    its pool.
     """
-    session = GnnSession(
-        graph,
-        num_partitions=PARTITIONS,
-        seed=SEED,
-        layout=layout,
-        cache_nodes=cache_nodes,
-    )
-    session.sampler = ParallelSampler(
-        session.store, workers=workers, seed=SEED, cache=session.sampler.cache
-    )
+    session = GnnSession(graph, num_partitions=PARTITIONS, seed=SEED, layout=layout)
+    session.sampler = ParallelSampler(session.store, workers=workers, seed=SEED)
     return session
 
 
-#: What :func:`observe` returns; ``counters`` is ``None`` without a cache.
-Run = namedtuple("Run", "results negatives summary counters")
+Run = namedtuple("Run", "results negatives summary")
 
 
 def observe(session, graph):
     """Everything a caller can see of one run of the fixed stream."""
     results = [session.sample(roots, FANOUTS) for roots in root_batches(graph)]
     negatives = session.negative_sample(positive_pairs(graph), NEGATIVE_RATE)
-    cache = session.sampler.cache
-    counters = None if cache is None else (
-        cache.neighbor_hits,
-        cache.neighbor_misses,
-        cache.attribute_hits,
-        cache.attribute_misses,
-        cache.invalidations,
-    )
-    return Run(results, negatives, copy.copy(session.store.summary), counters)
+    return Run(results, negatives, copy.copy(session.store.summary))
 
 
 @pytest.fixture(scope="module")
 def matrix(graph):
-    """``(layout, cache_nodes, workers) -> observe(...)`` for every tuple."""
+    """``(layout, workers) -> observe(...)`` for every pair."""
     runs = {}
-    for key in itertools.product(LAYOUTS, CACHE_NODES, WORKERS):
+    for key in itertools.product(LAYOUTS, WORKERS):
         with open_session(graph, *key) as session:
             runs[key] = observe(session, graph)
     return runs
@@ -119,32 +100,23 @@ def assert_same_values(mine, theirs):
     np.testing.assert_array_equal(mine.negatives, theirs.negatives)
 
 
-@pytest.mark.parametrize("cache_nodes", CACHE_NODES)
 @pytest.mark.parametrize("layout", LAYOUTS)
 class TestEveryTuple:
-    def test_worker_counts_are_bit_identical(self, matrix, layout, cache_nodes):
-        reference = matrix[layout, cache_nodes, 0]
+    def test_worker_counts_are_bit_identical(self, matrix, layout):
+        reference = matrix[layout, 0]
         for workers in WORKERS[1:]:
-            run = matrix[layout, cache_nodes, workers]
+            run = matrix[layout, workers]
             assert_same_values(reference, run)
             assert run.summary == reference.summary, workers
-            assert run.counters == reference.counters, workers
-        if cache_nodes:
-            neighbor_hits, _, attribute_hits, _, _ = reference.counters
-            assert neighbor_hits > 0 and attribute_hits > 0
 
     @pytest.mark.parametrize("workers", (0, 2))
-    def test_original_ids_in_and_out(self, graph, matrix, layout, cache_nodes, workers):
+    def test_original_ids_in_and_out(self, graph, matrix, layout, workers):
         if workers:
-            run = matrix[layout, cache_nodes, workers]
+            run = matrix[layout, workers]
         else:
             # The inline sampler a default session really runs.
             with GnnSession(
-                graph,
-                num_partitions=PARTITIONS,
-                seed=SEED,
-                layout=layout,
-                cache_nodes=cache_nodes,
+                graph, num_partitions=PARTITIONS, seed=SEED, layout=layout
             ) as session:
                 run = observe(session, graph)
         for roots, result in zip(root_batches(graph), run.results):
@@ -158,12 +130,6 @@ class TestEveryTuple:
                 np.testing.assert_array_equal(rows, graph.node_attr[layer])
         for (source, _), row in zip(positive_pairs(graph), run.negatives):
             assert not set(row.tolist()) & set(graph.neighbors(int(source)).tolist())
-
-
-def test_cache_changes_the_accounting_not_the_values(matrix):
-    off, on = matrix["ldg", 0, 2], matrix["ldg", NUM_NODES + 1, 2]
-    assert_same_values(off, on)
-    assert on.summary.attribute_count < off.summary.attribute_count
 
 
 @pytest.mark.parametrize("worker_partition", (None, 0))
@@ -218,9 +184,9 @@ def test_training_is_worker_count_invariant(graph, layout):
 
 
 def test_composed_session_serves(graph):
-    """A layout + cache session behind the serving gateway, its
-    sampler the 2-worker engine."""
-    with open_session(graph, "ldg", NUM_NODES + 1, 2) as session:
+    """A layout session behind the serving gateway, its sampler the
+    2-worker engine."""
+    with open_session(graph, "ldg", 2) as session:
         report = session.serve(duration_s=0.05, include_hardware=False)
     assert report.completed > 0
     assert report.offered == report.completed + report.shed
