@@ -21,12 +21,12 @@ from repro.framework.sampler import MultiHopSampler
 from repro.graph.datasets import instantiate_dataset
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.partition import HashPartitioner, RangePartitioner
-from repro.memstore.faults import FaultInjector, ReliableReadPath
+from repro.memstore.faults import FaultInjector, FaultStats, ReliableReadPath
 from repro.memstore.ingest import DynamicPartitionedStore, growth_trace
 from repro.memstore.locality import build_locality_layout
 from repro.memstore.replication import ReplicaPlacement
 from repro.memstore.retry import RetryPolicy
-from repro.memstore.store import PartitionedStore
+from repro.memstore.store import AccessSummary, PartitionedStore
 from repro.parallel import ParallelSampler
 
 NODES = 2000
@@ -121,6 +121,36 @@ def sample_case(name, graph):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_payload(graph, name):
     assert digest(sample_case(name, graph)) == GOLDEN[name]
+
+
+def test_reliable_loop_pin(graph):
+    """The store's per-occurrence reliable-read loop, pinned bit-exact.
+
+    Request loss, hedging and latency jitter all draw on the fault
+    path's generators, so any change in the order the loop issues its
+    remote reads moves the fault counters, the fallbacks, and with them
+    the sampled layers and zeroed rows.
+    """
+    injector = FaultInjector(seed=0, loss_rate=0.2)
+    path = ReliableReadPath(ReplicaPlacement(4, 2), RetryPolicy(), injector, seed=0)
+    injector.kill_replica(1, 0)
+    store = PartitionedStore(graph, HashPartitioner(4), reliability=path)
+    sampler = MultiHopSampler(store, seed=5, worker_partition=0, degraded_ok=True)
+    result = sampler.sample(wide_request(graph.num_nodes, roots=64))
+    assert digest(result) == (
+        "2c49ed9b62cccaccb91e7411fbe429c4af9d346f358b09b5906f037e475d93fe"
+    )
+    assert store.summary == AccessSummary(
+        structure_count=9173, structure_bytes=236704,
+        attribute_count=7061, attribute_bytes=4293088,
+        remote_count=12331, remote_bytes=3447032,
+    )
+    assert path.stats == FaultStats(
+        reads=12392, attempts=15501, retries=3109, timeouts=3152,
+        hedges=5901, hedge_wins=2771, failovers=4882, failed_reads=43,
+        busy_s=0.5754089539416681,
+    )
+    assert sampler.degraded_fallbacks == 43
 
 
 def wide_sampler(graph, layout=False):
