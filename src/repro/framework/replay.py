@@ -136,19 +136,10 @@ class ReferenceWalkSampler:
 
 
 def _parent_degrees(graph, parents: np.ndarray) -> np.ndarray:
-    """Out-degrees of ``parents`` on a CSR graph or a dynamic GraphView.
-
-    ``neighbor_slices`` is the vectorized CSR path; snapshot views
-    (whose adjacency spans base + append log) expose ``degree`` only.
-    """
-    if hasattr(graph, "neighbor_slices"):
-        starts, stops = graph.neighbor_slices(parents)
-        return stops - starts
-    return np.fromiter(
-        (graph.degree(int(p)) for p in parents),
-        dtype=np.int64,
-        count=parents.size,
-    )
+    """Out-degrees of ``parents`` on a CSR graph or a dynamic GraphView
+    (base block plus append-log prefix)."""
+    _values, _offsets, base, delta = graph.gather(parents)
+    return base + delta
 
 
 class ReplaySelector:

@@ -228,7 +228,7 @@ class MultiHopSampler:
         if flat.size == 0:
             return out
         unique, inverse, counts = dedup
-        values, offsets, _served = self._neighbors_batch(unique, counts)
+        values, offsets = self._neighbors_batch(unique, counts)
         degrees = offsets[1:] - offsets[:-1]
         position_degrees = degrees[inverse]
         zero = position_degrees == 0
@@ -308,7 +308,8 @@ class MultiHopSampler:
     def _neighbors_batch(self, unique: np.ndarray, counts: np.ndarray):
         """Adjacency for deduplicated nodes: one store batch.
 
-        Returns ``(values, offsets, served)`` in concatenated-CSR form.
+        Returns ``(values, offsets)`` in concatenated-CSR form; a degraded
+        node owns an empty slice.
         Accounting matches the per-node walk occurrence for occurrence:
         a node's ``c`` occurrences are charged to the store as ``c``
         reads through ``counts=``.
@@ -320,7 +321,7 @@ class MultiHopSampler:
             degraded_ok=self.degraded_ok,
         )
         self.degraded_fallbacks += batch.fallbacks
-        return batch.values, batch.offsets, batch.served
+        return batch.values, batch.offsets
 
     def _fetch_attributes(self, layer: np.ndarray, dedup):
         """Attribute rows of one sampled layer: dedup + one store batch call.

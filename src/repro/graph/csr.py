@@ -135,6 +135,25 @@ class CSRGraph:
             raise GraphError("node batch contains IDs outside [0, num_nodes)")
         return self.indptr[nodes], self.indptr[nodes + 1]
 
+    def gather(
+        self, nodes: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Batch adjacency in concatenated-CSR form.
+
+        Returns ``(values, offsets, base_degrees, delta_degrees)``, the
+        surface :meth:`repro.graph.dynamic.GraphView.gather` shares:
+        node ``i`` owns ``values[offsets[i]:offsets[i + 1]]``. A static
+        graph has no append log, so every delta degree is zero.
+        """
+        starts, stops = self.neighbor_slices(nodes)
+        degrees = stops - starts
+        offsets = np.zeros(degrees.size + 1, dtype=np.int64)
+        np.cumsum(degrees, out=offsets[1:])
+        positions = np.repeat(starts - offsets[:-1], degrees) + np.arange(
+            offsets[-1], dtype=np.int64
+        )
+        return self.indices[positions], offsets, degrees, np.zeros_like(degrees)
+
     def attributes(self, nodes: Sequence[int]) -> np.ndarray:
         """Attribute rows for a batch of nodes."""
         if self.node_attr is None:

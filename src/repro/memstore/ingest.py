@@ -41,14 +41,14 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.graph.dynamic import DynamicGraph, GraphView
 from repro.graph.partition import Partitioner
-from repro.memstore.store import AccessKind, NeighborBatch, PartitionedStore
+from repro.memstore.store import AccessKind, PartitionedStore
 
 #: Mutation kinds accepted by :meth:`DynamicPartitionedStore.apply`.
 EDGE = "edge"
@@ -141,10 +141,12 @@ class DynamicPartitionedStore(PartitionedStore):
 
     ``self.graph`` is always a :class:`~repro.graph.dynamic.GraphView`:
     the *live* view (refreshed after each mutation batch) when no read
-    is pinned, or the *pinned* snapshot inside :meth:`read_view`. All
-    inherited attribute-path code works unchanged against the view's
-    CSR-compatible surface; the neighbor path is overridden because the
-    base implementation indexes the CSR arrays directly.
+    is pinned, or the *pinned* snapshot inside :meth:`read_view`. The
+    batch reads are the base class's, which read adjacency only through
+    the ``gather`` surface a view shares with a CSR graph; this class
+    adds the epoch witness, the append-log counters (through the
+    base's ``_observe_epoch`` / ``_count_delta`` hooks) and its
+    per-node adjacency read.
 
     The fault-injection ``reliability`` path is not supported on the
     mutable store (replicated append logs are future work) — pass
@@ -290,85 +292,7 @@ class DynamicPartitionedStore(PartitionedStore):
             self.ingest_stats.delta_edges_read += delta_deg
         return neighbors
 
-    def get_neighbors_batch(
-        self,
-        nodes: Sequence[int],
-        from_partition: Optional[int] = None,
-        counts: Optional[np.ndarray] = None,
-        degraded_ok: bool = False,
-    ) -> NeighborBatch:
-        """Vectorized adjacency gather against the current view.
-
-        Per node the accounting equals ``counts[i]`` calls of
-        :meth:`get_neighbors` (index + offset + base ID block + delta
-        ID block where non-empty); every node is served — there is no
-        reliability path to degrade.
-        """
-        self._observe_epoch()
-        view = self.graph
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if counts is None:
-            counts = np.ones(nodes.shape, dtype=np.int64)
-        else:
-            counts = np.asarray(counts, dtype=np.int64)
-            if counts.shape != nodes.shape:
-                raise ConfigurationError(
-                    f"counts shape {counts.shape} != nodes shape {nodes.shape}"
-                )
-        values, offsets, base_deg, delta_deg = view.gather(nodes)
-        locality = self._locality(nodes, from_partition)
-        self._record_batch(
-            AccessKind.STRUCTURE,
-            self.index_entry_bytes,
-            locality,
-            counts,
-        )
-        self._record_batch(
-            AccessKind.STRUCTURE,
-            self.offset_entry_bytes,
-            locality,
-            counts,
-        )
-        has_base = base_deg > 0
-        if has_base.any():
-            self._record_batch(
-                AccessKind.STRUCTURE,
-                base_deg[has_base] * self.id_bytes,
-                locality[has_base],
-                counts[has_base],
-            )
-        has_delta = delta_deg > 0
-        if has_delta.any():
-            self._record_batch(
-                AccessKind.STRUCTURE,
-                delta_deg[has_delta] * self.id_bytes,
-                locality[has_delta],
-                counts[has_delta],
-            )
-            self.ingest_stats.delta_hits += int(counts[has_delta].sum())
-            self.ingest_stats.delta_edges_read += int(
-                (delta_deg[has_delta] * counts[has_delta]).sum()
-            )
-        served = np.ones(nodes.shape, dtype=bool)
-        return NeighborBatch(nodes, values, offsets, served, 0)
-
-    def get_attributes_batch(
-        self,
-        nodes: Sequence[int],
-        from_partition: Optional[int] = None,
-        counts: Optional[np.ndarray] = None,
-        degraded_ok: bool = False,
-    ):
-        self._observe_epoch()
-        return super().get_attributes_batch(
-            nodes, from_partition=from_partition, counts=counts,
-            degraded_ok=degraded_ok,
-        )
-
-    def get_attributes(
-        self,
-        nodes: Sequence[int],
-        from_partition: Optional[int] = None,
-    ) -> np.ndarray:
-        self._observe_epoch()
-        return super().get_attributes(nodes, from_partition=from_partition)
+    def _count_delta(self, delta_degrees: np.ndarray, counts: np.ndarray) -> None:
+        hit = delta_degrees > 0
+        self.ingest_stats.delta_hits += int(counts[hit].sum())
+        self.ingest_stats.delta_edges_read += int(delta_degrees @ counts)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import contextlib
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -337,52 +337,50 @@ class PartitionedStore:
 
     def _record_batch(
         self,
-        kind: AccessKind,
-        nbytes,
         local: np.ndarray,
-        counts: Optional[np.ndarray] = None,
+        counts: np.ndarray,
+        accesses: Sequence[Tuple[AccessKind, Union[int, np.ndarray]]],
     ) -> None:
-        """Record a whole group of same-kind accesses in O(1) summary updates.
+        """Charge one batched gather to the summary in one pass.
 
-        ``local`` is per-entry; ``nbytes`` is per-entry too, or one
-        scalar when every entry moves the same number of bytes (index
-        and offset lookups, attribute rows); ``counts`` is the number of
-        identical accesses each entry stands for (occurrence
-        multiplicity after dedup). Totals match issuing each access
+        Entry ``i`` stands for ``counts[i]`` reads of one node, each
+        local or remote per ``local[i]``. Every read issues one access
+        per ``(kind, nbytes)`` pair of ``accesses``; ``nbytes`` is one
+        size for every entry (index and offset lookups, attribute rows)
+        or a per-entry array, and an access of 0 bytes is not issued
+        (an isolated node's ID block). Totals match issuing each access
         through :meth:`_record`; only the trace *ordering* may differ
         from the per-node walk.
         """
-        local = np.asarray(local, dtype=bool)
-        if counts is None:
-            counts = np.ones(local.shape, dtype=np.int64)
-        else:
-            counts = np.asarray(counts, dtype=np.int64)
+        remote_counts = np.where(local, 0, counts)
         total = int(counts.sum())
         if total == 0:
             return
-        remote = ~local
-        remote_total = int(counts[remote].sum())
-        if np.ndim(nbytes) == 0:
-            total_bytes = int(nbytes) * total
-            remote_bytes = int(nbytes) * remote_total
-        else:
-            nbytes = np.asarray(nbytes, dtype=np.int64)
-            total_bytes = int((nbytes * counts).sum())
-            remote_bytes = int((nbytes[remote] * counts[remote]).sum())
-        if kind is AccessKind.STRUCTURE:
-            self._summary.structure_count += total
-            self._summary.structure_bytes += total_bytes
-        else:
-            self._summary.attribute_count += total
-            self._summary.attribute_bytes += total_bytes
-        self._summary.remote_count += remote_total
-        self._summary.remote_bytes += remote_bytes
+        remote_total = int(remote_counts.sum())
+        summary = self._summary
+        for kind, nbytes in accesses:
+            if np.ndim(nbytes) == 0:
+                issued = total if nbytes else 0
+                remote_issued = remote_total if nbytes else 0
+                moved, remote_moved = nbytes * total, nbytes * remote_total
+            else:
+                issued = int(counts @ (nbytes > 0))
+                remote_issued = int(remote_counts @ (nbytes > 0))
+                moved, remote_moved = counts @ nbytes, remote_counts @ nbytes
+            if kind is AccessKind.STRUCTURE:
+                summary.structure_count += issued
+                summary.structure_bytes += int(moved)
+            else:
+                summary.attribute_count += issued
+                summary.attribute_bytes += int(moved)
+            summary.remote_count += remote_issued
+            summary.remote_bytes += int(remote_moved)
         if self.tracing:
-            per_entry = np.broadcast_to(nbytes, local.shape)
-            for b, loc, c in zip(per_entry, local, counts):
-                if c:
-                    record = AccessRecord(kind, int(b), bool(loc))
-                    self._trace.extend([record] * int(c))
+            for kind, nbytes in accesses:
+                for b, loc, c in zip(np.broadcast_to(nbytes, local.shape), local, counts):
+                    if b and c:
+                        record = AccessRecord(kind, int(b), bool(loc))
+                        self._trace.extend([record] * int(c))
 
     def record_gather(self, nodes: np.ndarray, entry_bytes: int) -> None:
         """Account the contiguity of one batched gather (opt-in).
@@ -418,6 +416,15 @@ class PartitionedStore:
         """
         if self.reliability is not None:
             self.reliability.read(owner, nbytes)
+
+    def _observe_epoch(self) -> None:
+        """Hook run by the batch reads and :meth:`get_attributes` (the
+        dynamic store's torn-read witness). A static graph has one
+        epoch, so there is nothing to witness."""
+
+    def _count_delta(self, delta_degrees: np.ndarray, counts: np.ndarray) -> None:
+        """Hook run by an adjacency gather that read append-log edges,
+        with each node's charged occurrences; a static graph has none."""
 
     @property
     def fault_stats(self):
@@ -465,90 +472,35 @@ class PartitionedStore:
     ) -> NeighborBatch:
         """Vectorized adjacency gather for a batch of nodes.
 
-        Locality and ownership are computed once for the whole batch,
-        and accesses are recorded in bulk. Per node the accounting is
-        identical to ``counts[i]`` calls of :meth:`get_neighbors`
-        (``counts`` defaults to one each): an index lookup, an
-        offset-pair read, and — for non-isolated nodes — an ID-block
-        read, each per *successful* occurrence. On the reliable path a
-        failed occurrence records nothing; with ``degraded_ok`` it is
-        tallied in ``fallbacks`` instead of raising, and a node whose
-        every occurrence failed comes back with an empty slice and
-        ``served[i] == False``. Without ``degraded_ok`` the failure
-        flushes the accesses that did complete and re-raises, mirroring
-        the per-node walk stopping at the failing node.
+        Per node the accounting is identical to ``counts[i]`` calls of
+        :meth:`get_neighbors` (``counts`` defaults to one each): an
+        index lookup, an offset-pair read, and — for non-isolated nodes
+        — an ID-block read, plus one more for a non-empty append-log
+        block on a dynamic graph. Failure handling is
+        :meth:`_read_batch`'s; a node whose every occurrence failed
+        comes back with an empty slice and ``served[i] == False``.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        if counts is None:
-            counts = np.ones(nodes.shape, dtype=np.int64)
-        else:
-            counts = np.asarray(counts, dtype=np.int64)
-            if counts.shape != nodes.shape:
-                raise ConfigurationError(
-                    f"counts shape {counts.shape} != nodes shape {nodes.shape}"
-                )
-        starts, stops = self.graph.neighbor_slices(nodes)
-        degrees = (stops - starts).astype(np.int64)
-        self.record_gather(nodes, self.offset_entry_bytes)
-        locality = self._locality(nodes, from_partition)
-        served = np.ones(nodes.shape, dtype=bool)
-        recorded = counts.copy()
-        fallbacks = 0
-
-        def _emit(recorded: np.ndarray) -> None:
-            self._record_batch(
-                AccessKind.STRUCTURE,
-                self.index_entry_bytes,
-                locality,
-                recorded,
-            )
-            self._record_batch(
-                AccessKind.STRUCTURE,
-                self.offset_entry_bytes,
-                locality,
-                recorded,
-            )
-            has_block = degrees > 0
-            if has_block.any():
-                self._record_batch(
-                    AccessKind.STRUCTURE,
-                    degrees[has_block] * self.id_bytes,
-                    locality[has_block],
-                    recorded[has_block],
-                )
-
-        if self.reliability is not None and not locality.all():
-            owners = self.partitioner.partition_of(nodes)
-            for i in np.flatnonzero(~locality):
-                owner = int(owners[i])
-                successes = 0
-                for _ in range(int(counts[i])):
-                    try:
-                        self._remote_read(owner, self.index_entry_bytes)
-                        self._remote_read(owner, self.offset_entry_bytes)
-                        if degrees[i]:
-                            self._remote_read(owner, int(degrees[i]) * self.id_bytes)
-                    except ReplicaUnavailableError:
-                        if not degraded_ok:
-                            recorded[i] = successes
-                            recorded[i + 1 :] = 0
-                            _emit(recorded)
-                            raise
-                        fallbacks += 1
-                    else:
-                        successes += 1
-                recorded[i] = successes
-                served[i] = successes > 0
-        _emit(recorded)
-
-        effective = np.where(served, degrees, 0)
-        offsets = np.zeros(nodes.size + 1, dtype=np.int64)
-        np.cumsum(effective, out=offsets[1:])
-        total = int(offsets[-1])
-        positions = np.repeat(starts - offsets[:-1], effective) + np.arange(
-            total, dtype=np.int64
+        values, offsets, base, delta = self.graph.gather(nodes)
+        accesses = [
+            (AccessKind.STRUCTURE, self.index_entry_bytes),
+            (AccessKind.STRUCTURE, self.offset_entry_bytes),
+            (AccessKind.STRUCTURE, base * self.id_bytes),
+        ]
+        has_delta = bool(delta.any())
+        if has_delta:
+            accesses.append((AccessKind.STRUCTURE, delta * self.id_bytes))
+        charged, served, fallbacks = self._read_batch(
+            nodes, from_partition, counts, degraded_ok,
+            self.offset_entry_bytes, accesses,
         )
-        values = self.graph.indices[positions]
+        if has_delta:
+            self._count_delta(delta, charged)
+        if not served.all():
+            degrees = np.where(served, offsets[1:] - offsets[:-1], 0)
+            values = values[np.repeat(served, offsets[1:] - offsets[:-1])]
+            offsets = np.zeros_like(offsets)
+            np.cumsum(degrees, out=offsets[1:])
         return NeighborBatch(nodes, values, offsets, served, fallbacks)
 
     def get_attributes_batch(
@@ -563,68 +515,92 @@ class PartitionedStore:
         Per node the accounting is identical to ``counts[i]`` calls of
         :meth:`get_attributes` on a single node: one index lookup plus
         one attribute-row transfer per successful occurrence. Failure
-        handling mirrors :meth:`get_neighbors_batch`; a node whose every
+        handling is :meth:`_read_batch`'s; a node whose every
         occurrence failed comes back as a zero row with
         ``served[i] == False``.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
+        rows = self.graph.attributes(nodes)
+        row_bytes = self.graph.attr_len * 4
+        accesses = [
+            (AccessKind.STRUCTURE, self.index_entry_bytes),
+            (AccessKind.ATTRIBUTE, row_bytes),
+        ]
+        _charged, served, fallbacks = self._read_batch(
+            nodes, from_partition, counts, degraded_ok, row_bytes, accesses
+        )
+        rows[~served] = 0.0
+        return AttributeBatch(nodes, rows, served, fallbacks)
+
+    def _read_batch(
+        self,
+        nodes: np.ndarray,
+        from_partition: Optional[int],
+        counts: Optional[np.ndarray],
+        degraded_ok: bool,
+        entry_bytes: int,
+        accesses: List[Tuple[AccessKind, Union[int, np.ndarray]]],
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """The one accounted batch read, after its caller fetched the
+        data (so a bad node ID or a missing attribute matrix has raised
+        before anything is charged).
+
+        Each of node ``i``'s ``counts[i]`` occurrences issues
+        ``accesses`` (see :meth:`_record_batch`). On the reliable path
+        every remote occurrence runs them in order through
+        :meth:`_remote_read`, and a failed occurrence is not charged:
+        with ``degraded_ok`` it is tallied as a fallback, and a node
+        with no successful occurrence is not ``served``; without it the
+        occurrences that completed before it are charged and the error
+        re-raised, mirroring the per-node walk stopping at the failing
+        node. Returns ``(charged, served, fallbacks)``, ``charged``
+        being the occurrences charged per node.
+        """
         if counts is None:
             counts = np.ones(nodes.shape, dtype=np.int64)
         else:
-            counts = np.asarray(counts, dtype=np.int64)
+            counts = np.asarray(counts)
             if counts.shape != nodes.shape:
                 raise ConfigurationError(
                     f"counts shape {counts.shape} != nodes shape {nodes.shape}"
                 )
-        self.record_gather(nodes, self.graph.attr_len * 4)
-        locality = self._locality(nodes, from_partition)
-        row_bytes = self.graph.attr_len * 4
+            if counts.dtype.kind not in "iu" or (counts.size and counts.min() < 0):
+                raise ConfigurationError(
+                    f"counts must be non-negative integers, got {counts}"
+                )
+            counts = counts.astype(np.int64, copy=False)
+        self._observe_epoch()
+        self.record_gather(nodes, entry_bytes)
+        local = self._locality(nodes, from_partition)
         served = np.ones(nodes.shape, dtype=bool)
-        recorded = counts.copy()
         fallbacks = 0
-
-        def _emit(recorded: np.ndarray) -> None:
-            self._record_batch(
-                AccessKind.STRUCTURE,
-                self.index_entry_bytes,
-                locality,
-                recorded,
-            )
-            self._record_batch(
-                AccessKind.ATTRIBUTE,
-                row_bytes,
-                locality,
-                recorded,
-            )
-
-        if self.reliability is not None and not locality.all():
+        if self.reliability is not None and not local.all():
+            counts = counts.copy()
             owners = self.partitioner.partition_of(nodes)
-            for i in np.flatnonzero(~locality):
-                owner = int(owners[i])
+            sizes = np.stack(
+                [np.broadcast_to(nbytes, nodes.shape) for _kind, nbytes in accesses],
+                axis=1,
+            )
+            for i in np.flatnonzero(~local):
+                reads = [int(nbytes) for nbytes in sizes[i] if nbytes]
                 successes = 0
                 for _ in range(int(counts[i])):
                     try:
-                        self._remote_read(owner, self.index_entry_bytes)
-                        self._remote_read(owner, row_bytes)
+                        for nbytes in reads:
+                            self._remote_read(int(owners[i]), nbytes)
                     except ReplicaUnavailableError:
                         if not degraded_ok:
-                            recorded[i] = successes
-                            recorded[i + 1 :] = 0
-                            _emit(recorded)
+                            counts[i] = successes
+                            counts[i + 1 :] = 0
+                            self._record_batch(local, counts, accesses)
                             raise
                         fallbacks += 1
                     else:
                         successes += 1
-                recorded[i] = successes
+                counts[i] = successes
                 served[i] = successes > 0
-        _emit(recorded)
-
-        if served.all():
-            rows = self.graph.attributes(nodes)
-        else:
-            rows = np.zeros((nodes.size, self.graph.attr_len), dtype=np.float32)
-            rows[served] = self.graph.attributes(nodes[served])
-        return AttributeBatch(nodes, rows, served, fallbacks)
+        self._record_batch(local, counts, accesses)
+        return counts, served, fallbacks
 
     def get_attributes(
         self,
@@ -637,7 +613,9 @@ class PartitionedStore:
         row transfer; :meth:`get_attributes_batch` is the deduplicated
         form with the same summary totals.
         """
+        self._observe_epoch()
         nodes = np.asarray(nodes, dtype=np.int64)
+        rows = self.graph.attributes(nodes)
         locality = self._locality(nodes, from_partition)
         row_bytes = self.graph.attr_len * 4
         if self.reliability is not None and not locality.all():
@@ -651,11 +629,11 @@ class PartitionedStore:
                     self._remote_read(int(owner), row_bytes)
                 self._record(AccessKind.STRUCTURE, self.index_entry_bytes, bool(local))
                 self._record(AccessKind.ATTRIBUTE, row_bytes, bool(local))
-            return self.graph.attributes(nodes)
+            return rows
         for local in locality:
             self._record(AccessKind.STRUCTURE, self.index_entry_bytes, bool(local))
             self._record(AccessKind.ATTRIBUTE, row_bytes, bool(local))
-        return self.graph.attributes(nodes)
+        return rows
 
     def partition_sizes(self) -> np.ndarray:
         """Number of nodes owned by each partition."""

@@ -428,6 +428,44 @@ class TestOnePath:
             GnnSession(star_graph(4), batched=False)
 
 
+class TestOneRecordPerGather:
+    """A sample charges the store once per store gather: one
+    ``_record_batch`` per hop's adjacency gather and one per layer's
+    attribute gather, whatever the batch size, the partition count, or
+    whether the graph has an append log."""
+
+    @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+    @pytest.mark.parametrize("partitions", [1, 4])
+    def test_record_calls_per_sample(self, monkeypatch, dynamic, partitions):
+        graph = power_law_graph(500, 8.0, attr_len=4, seed=0)
+        if dynamic:
+            store = DynamicPartitionedStore(
+                DynamicGraph(graph), HashPartitioner(partitions)
+            )
+            store.apply(Mutation(NODE, attach_to=n) for n in range(0, 500, 5))
+            assert store.graph.delta_edges == 100
+        else:
+            store = PartitionedStore(graph, HashPartitioner(partitions))
+        calls = []
+        inner = store._record_batch
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(store, "_record_batch", counted)
+        sampler = MultiHopSampler(store, seed=0, worker_partition=0)
+        fanouts = (10, 10)
+        for roots in (1, 32, 256):
+            calls.clear()
+            sampler.sample(SampleRequest(
+                roots=np.arange(roots) % store.graph.num_nodes,
+                fanouts=fanouts,
+                with_attributes=True,
+            ))
+            assert len(calls) == len(fanouts) + len(fanouts) + 1, roots
+
+
 class TestPartiallyUnservedBatch:
     def test_unserved_rows_zero(self):
         """One attribute batch with a live and a dead shard in it."""
@@ -652,7 +690,7 @@ def per_range_hop(sampler, flat, fanout, dedup, streams):
     if flat.size == 0:
         return out
     unique, inverse, counts = dedup
-    values, offsets, _served = sampler._neighbors_batch(unique, counts)
+    values, offsets = sampler._neighbors_batch(unique, counts)
     degrees = offsets[1:] - offsets[:-1]
     position_degrees = degrees[inverse]
     zero = position_degrees == 0

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError, GraphError
 from repro.graph.csr import CSRGraph
+from repro.graph.dynamic import DynamicGraph
 from repro.graph.partition import HashPartitioner, RangePartitioner
-from repro.memstore.store import AccessKind, PartitionedStore
+from repro.memstore.ingest import DynamicPartitionedStore
+from repro.memstore.store import AccessKind, AccessSummary, PartitionedStore
 
 
 @pytest.fixture
@@ -168,9 +171,9 @@ class TestRecordBatchScalarBytes:
         local = np.array([True, False, False, True, False])
         counts = np.array([2, 0, 3, 1, 1])
         for kind, nbytes in ((AccessKind.STRUCTURE, 16), (AccessKind.ATTRIBUTE, 608)):
-            for c in (counts, None, np.zeros(5, dtype=np.int64)):
-                store._record_batch(kind, nbytes, local, c)
-                twin._record_batch(kind, np.full(local.shape, nbytes), local, c)
+            for c in (counts, np.ones(5, dtype=np.int64), np.zeros(5, dtype=np.int64)):
+                store._record_batch(local, c, [(kind, nbytes)])
+                twin._record_batch(local, c, [(kind, np.full(local.shape, nbytes))])
         assert store.summary == twin.summary
         assert store.trace == twin.trace
         assert store.summary.remote_count == 2 * (3 + 1 + 3)
@@ -190,3 +193,39 @@ class TestRecordBatchScalarBytes:
                 twin.get_attributes([int(node)], 0)
         assert store.summary == twin.summary
         assert sorted(store.trace, key=repr) == sorted(twin.trace, key=repr)
+
+
+def ten_node_store(kind, attributes=True):
+    attrs = np.arange(40, dtype=np.float32).reshape(10, 4) if attributes else None
+    graph = CSRGraph.from_edges(
+        10, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)], node_attr=attrs
+    )
+    if kind == "dynamic":
+        return DynamicPartitionedStore(DynamicGraph(graph), HashPartitioner(2))
+    return PartitionedStore(graph, HashPartitioner(2), track_locality=True)
+
+
+class TestFailedReadsChargeNothing:
+    """A read that raises on its input has issued no access: node IDs,
+    attribute presence and ``counts`` are checked before anything is
+    recorded, in the summary or in the gather counters."""
+
+    @pytest.mark.parametrize("kind", ["static", "dynamic"])
+    @pytest.mark.parametrize("form", ["batch", "per-node"])
+    @pytest.mark.parametrize("fault", ["out-of-range", "attribute-less"])
+    def test_attribute_read(self, kind, form, fault):
+        store = ten_node_store(kind, attributes=fault != "attribute-less")
+        nodes = [3, 10**6] if fault == "out-of-range" else [3]
+        read = store.get_attributes_batch if form == "batch" else store.get_attributes
+        with pytest.raises(GraphError):
+            read(nodes, 0)
+        assert store.summary == AccessSummary()
+
+    @pytest.mark.parametrize("kind", ["static", "dynamic"])
+    @pytest.mark.parametrize("read", ["get_neighbors_batch", "get_attributes_batch"])
+    @pytest.mark.parametrize("counts", [[-5, 1], [1.5, 1]], ids=["negative", "fractional"])
+    def test_bad_counts(self, kind, read, counts):
+        store = ten_node_store(kind)
+        with pytest.raises(ConfigurationError):
+            getattr(store, read)([1, 2], 0, counts=np.array(counts))
+        assert store.summary == AccessSummary()
