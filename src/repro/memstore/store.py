@@ -364,8 +364,8 @@ class PartitionedStore:
                 remote_issued = remote_total if nbytes else 0
                 moved, remote_moved = nbytes * total, nbytes * remote_total
             else:
-                issued = int(counts @ (nbytes > 0))
-                remote_issued = int(remote_counts @ (nbytes > 0))
+                nonzero = nbytes > 0
+                issued, remote_issued = int(counts @ nonzero), int(remote_counts @ nonzero)
                 moved, remote_moved = counts @ nbytes, remote_counts @ nbytes
             if kind is AccessKind.STRUCTURE:
                 summary.structure_count += issued
@@ -497,10 +497,10 @@ class PartitionedStore:
         if has_delta:
             self._count_delta(delta, charged)
         if not served.all():
-            degrees = np.where(served, offsets[1:] - offsets[:-1], 0)
-            values = values[np.repeat(served, offsets[1:] - offsets[:-1])]
+            degrees = base + delta
+            values = values[np.repeat(served, degrees)]
             offsets = np.zeros_like(offsets)
-            np.cumsum(degrees, out=offsets[1:])
+            np.cumsum(np.where(served, degrees, 0), out=offsets[1:])
         return NeighborBatch(nodes, values, offsets, served, fallbacks)
 
     def get_attributes_batch(
