@@ -566,7 +566,8 @@ class PartitionedStore:
                 )
             if counts.dtype.kind not in "iu" or (counts.size and counts.min() < 0):
                 raise ConfigurationError(
-                    f"counts must be non-negative integers, got {counts}"
+                    "counts must be non-negative integers, got dtype "
+                    f"{counts.dtype}, min {counts.min(initial=0)}"
                 )
             counts = counts.astype(np.int64, copy=False)
         self._observe_epoch()
