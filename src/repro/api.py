@@ -31,7 +31,6 @@ from repro.graph.partition import HashPartitioner
 from repro.gnn.pipeline import PipelinedTrainer, TrainReport
 from repro.memstore.faults import ReliableReadPath
 from repro.memstore.ingest import DynamicPartitionedStore, Mutation, growth_trace
-from repro.memstore.locality import build_locality_layout
 from repro.memstore.store import PartitionedStore
 from repro.serving.backends import HardwareBackend, SoftwareBackend
 from repro.serving.gateway import GatewayConfig, serve_workload
@@ -47,12 +46,11 @@ if TYPE_CHECKING:
 class GnnSession:
     """One graph, every programming level above the ISA.
 
-    ``layout`` sits behind one sampler contract, original node IDs in
-    and out; :attr:`sampler` is always the inline
+    :attr:`sampler` is always the inline
     :class:`~repro.framework.sampler.MultiHopSampler`, reading the store
-    uncached. One rule remains:
-    a :class:`~repro.graph.dynamic.DynamicGraph` runs that sampler only
-    (no ``layout`` or ``reliability``, no training, no hardware
+    uncached, with node IDs the graph's own in and out. One rule
+    remains: a :class:`~repro.graph.dynamic.DynamicGraph` runs that
+    sampler only (no ``reliability``, no training, no hardware
     serving), because each of those reads an immutable CSR.
 
     Parameters
@@ -77,14 +75,6 @@ class GnnSession:
         Selects nothing: the software sampler has one (vectorized)
         path. Accepted only because the frozen ``bench/`` still spells
         ``batched=True``; ``False`` raises.
-    layout:
-        Locality-preserving physical layout for the store: ``"ldg"``,
-        ``"hash"``, or ``"range"`` (see
-        :func:`~repro.memstore.locality.build_locality_layout`). The
-        graph is renumbered partition-block-contiguous with hot
-        high-degree nodes front-loaded, and the store maps IDs at its
-        boundary, so callers keep speaking original IDs. ``None``
-        (the default) keeps the historical hash layout bit-for-bit.
     """
 
     def __init__(
@@ -96,7 +86,6 @@ class GnnSession:
         seed: int = 0,
         reliability: Optional["ReliableReadPath"] = None,
         batched: bool = True,
-        layout: Optional[str] = None,
     ) -> None:
         if not batched:
             raise ConfigurationError(
@@ -104,36 +93,23 @@ class GnnSession:
                 "walk is the oracle repro.framework.replay.ReferenceWalkSampler"
             )
         self.graph = graph
-        self.layout = layout
         #: The mutable graph when the session is dynamic, else ``None``.
         self.dynamic: Optional[DynamicGraph] = (
             graph if isinstance(graph, DynamicGraph) else None
         )
         if self.dynamic is not None:
-            given = {
-                "layout": layout is not None,
-                "reliability": reliability is not None,
-            }
-            if any(given.values()):
-                refused = ", ".join(name for name in given if given[name])
+            if reliability is not None:
                 raise ConfigurationError(
-                    f"{refused} cannot be combined with a "
-                    "DynamicGraph: a mutable graph runs the inline software "
-                    "sampler only (layout renumbers, and replicas and the "
-                    "AxE model serve, an immutable CSR)"
+                    "reliability cannot be combined with a DynamicGraph: a "
+                    "mutable graph runs the inline software sampler only "
+                    "(replicas and the AxE model serve an immutable CSR)"
                 )
             self.store: PartitionedStore = DynamicPartitionedStore(
                 self.dynamic, HashPartitioner(num_partitions)
             )
         else:
-            stored, partitioner, relabeling = graph, HashPartitioner(num_partitions), None
-            if layout is not None:
-                built = build_locality_layout(graph, num_partitions, method=layout)
-                stored, partitioner, relabeling = (
-                    built.graph, built.partitioner, built.relabeling
-                )
             self.store = PartitionedStore(
-                stored, partitioner, reliability=reliability, relabeling=relabeling
+                graph, HashPartitioner(num_partitions), reliability=reliability
             )
         self.sampler = MultiHopSampler(
             self.store,
@@ -154,12 +130,6 @@ class GnnSession:
         self.engine = AxeEngine(engine_graph, engine_config)
         self._seed = seed
         self._sampling_method = sampling_method
-
-    @property
-    def relabeling(self):
-        """The store's ID bijection when a locality layout is active,
-        else ``None``."""
-        return self.store.relabeling
 
     # -------------------------------------------------------- mutation level
     def mutate(self, mutations: Sequence[Mutation]) -> int:
@@ -420,8 +390,7 @@ class GnnSession:
 
         The fixed-model API of Section 5: a :class:`~repro.gnn.pipeline.
         PipelinedTrainer` over this session's store (the caller closes
-        it). ``labels`` has one row per node; labels and roots are
-        original IDs under every layout. Requires a static session.
+        it). ``labels`` has one row per node. Requires a static session.
         """
         if self.dynamic is not None:
             raise ConfigurationError(

@@ -103,9 +103,7 @@ class ReferenceWalkSampler:
         roots = request.roots
         if roots.max(initial=-1) >= self.store.graph.num_nodes or roots.min(initial=0) < 0:
             raise GraphError("request roots outside [0, num_nodes)")
-        # The walk runs in store IDs; callers speak original IDs. Map
-        # in here, map every layer back below.
-        result.layers.append(self.store.to_internal(roots).copy())
+        result.layers.append(roots.copy())
         for fanout in request.fanouts:
             frontier = result.layers[-1].reshape(-1)
             sampled = [self._sample_neighbors(int(node), fanout) for node in frontier]
@@ -113,7 +111,6 @@ class ReferenceWalkSampler:
         if request.with_attributes:
             fetched = [self._fetch_attributes(layer) for layer in result.layers]
             result.attribute_rows, result.attribute_index = map(list, zip(*fetched))
-        result.layers = [self.store.to_original(layer) for layer in result.layers]
         return result
 
     def _fetch_attributes(self, layer: np.ndarray):
@@ -159,12 +156,8 @@ class ReplaySelector:
     ) -> None:
         self._rows = []
         for hop, fanout in enumerate(request.fanouts):
-            # Recorded layers are in original IDs; the walk (and the
-            # store's graph) run in store IDs.
-            parents = store.to_internal(result.layers[hop].reshape(-1))
-            picks = store.to_internal(
-                result.layers[hop + 1].reshape(parents.size, fanout)
-            )
+            parents = result.layers[hop].reshape(-1)
+            picks = result.layers[hop + 1].reshape(parents.size, fanout)
             degrees = _parent_degrees(store.graph, parents)
             for i in np.flatnonzero(degrees > 0):
                 self._rows.append(picks[i].astype(np.int64))
@@ -198,12 +191,9 @@ def replay_reference(
     ``store`` should be a fresh store over the same graph/partitioner
     (and typically no reliability path — replay assumes every position's
     neighbor list has its full graph degree, which degraded completions
-    violate). When the result was sampled through a locality layout,
-    ``store`` must carry the same ``relabeling``: the recorded layers
-    are in original IDs, the walk runs in the store's. After this returns,
-    ``store.summary`` holds exactly what the per-node reference walk
-    charges for those layers, ready to compare against the recorded
-    run's.
+    violate). After this returns, ``store.summary`` holds exactly what
+    the per-node reference walk charges for those layers, ready to
+    compare against the recorded run's.
     """
     selector = ReplaySelector(result, request, store)
     sampler = ReferenceWalkSampler(

@@ -96,10 +96,8 @@ class MultiHopSampler:
         Selects nothing; accepted only because the frozen ``bench/``
         still spells ``batched=True``. ``False`` raises.
 
-    Callers speak original node IDs throughout: roots go through
-    ``store.to_internal`` on the way in and sampled layers through
-    ``store.to_original`` on the way out (both the identity unless the
-    store carries a locality-layout relabeling).
+    Callers and the store share one ID space: roots, sampled layers and
+    negatives are store node IDs throughout.
     """
 
     def __init__(
@@ -152,22 +150,22 @@ class MultiHopSampler:
         hops. On the static store the pin is a no-op.
         """
         with self.store.read_view():
-            roots = self._internal_roots(request)
+            roots = self._checked_roots(request)
             layers, dedups = self._expand(
                 roots, request.fanouts, [(self.rng, roots.size)]
             )
             return self._finish_result(request, layers, dedups)
 
-    def _internal_roots(self, request: SampleRequest) -> np.ndarray:
-        """The request's roots in store IDs: layer 0 of its result, a
+    def _checked_roots(self, request: SampleRequest) -> np.ndarray:
+        """The request's range-checked roots: layer 0 of its result, a
         fresh array."""
         roots = request.roots
         if roots.max(initial=-1) >= self.store.graph.num_nodes or roots.min(initial=0) < 0:
             raise GraphError("request roots outside [0, num_nodes)")
-        return self.store.to_internal(roots).copy()
+        return roots.copy()
 
     def _expand(self, roots: np.ndarray, fanouts, streams):
-        """Hop expansion in store IDs: ``(layers, dedups)``.
+        """Hop expansion: ``(layers, dedups)``.
 
         ``streams`` is a list of ``(generator, root count)`` pairs that
         split the roots into contiguous ranges, in root order: each
@@ -197,14 +195,13 @@ class MultiHopSampler:
         return layers, dedups
 
     def _finish_result(self, request: SampleRequest, layers, dedups) -> SampleResult:
-        """Attribute fetch in store IDs, then the layers back in the
-        caller's IDs. The caller must hold the store's ``read_view()``
-        pin."""
+        """Attribute fetch for the expanded layers. The caller must hold
+        the store's ``read_view()`` pin."""
         result = SampleResult()
         if request.with_attributes:
             fetched = [self._fetch_attributes(*pair) for pair in zip(layers, dedups)]
             result.attribute_rows, result.attribute_index = map(list, zip(*fetched))
-        result.layers = [self.store.to_original(layer) for layer in layers]
+        result.layers = layers
         return result
 
     def _sample_neighbors_batch(
@@ -378,14 +375,11 @@ class MultiHopSampler:
         rate = request.rate
         if request.pairs.max(initial=-1) >= num_nodes or request.pairs.min(initial=0) < 0:
             raise GraphError("negative-sample pairs outside [0, num_nodes)")
-        # Rejection runs in store IDs (uniform over store IDs is uniform
-        # over nodes); results map back at the end.
-        pairs = self.store.to_internal(request.pairs)
-        out = np.empty((pairs.shape[0], rate), dtype=np.int64)
+        out = np.empty((request.pairs.shape[0], rate), dtype=np.int64)
         # RNG consumption is row-by-row in pair order, drawn in
         # rejection blocks per row: each row is an independent uniform
         # rejection sampler over the non-neighbor set.
-        for row, (src, _dst) in enumerate(pairs):
+        for row, (src, _dst) in enumerate(request.pairs):
             src = int(src)
             forbidden = np.union1d(
                 self._neighbors(src), np.asarray([src], dtype=np.int64)
@@ -411,4 +405,4 @@ class MultiHopSampler:
                 take = min(accepted.size, need)
                 out[row, filled : filled + take] = accepted[:take]
                 filled += take
-        return self.store.to_original(out)
+        return out

@@ -244,12 +244,10 @@ class PipelinedTrainer:
     store:
         The coordinator's :class:`PartitionedStore`; its partitioner
         also shards the embedding table, so embedding ownership is
-        fixed across worker counts. Feature rows are addressed in
-        store IDs (``store.to_internal``), so a locality-layout store
-        trains like any other.
+        fixed across worker counts.
     labels:
         ``(num_nodes, num_labels)`` multi-label targets, one row per
-        original (caller) node ID, like ``roots``.
+        node ID, like ``roots``.
     fanouts:
         Hop fanouts of the sampled neighborhoods.
     embedding_dim:
@@ -472,12 +470,10 @@ class PipelinedTrainer:
         return self._train_step(layers, self.labels[plan.roots])
 
     def _features(self, layers: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-        """``(nodes, rows)``: the hop layers' IDs stacked slot-major in
-        store IDs, and the encoder's input block — one ``lookup``, or one
-        attribute gather charged once per occurrence."""
-        # Layers arrive in caller IDs; the embedding table follows the
-        # store's partitioner, which owns store IDs.
-        nodes = self.store.to_internal(self.encoder.stack(layers))
+        """``(nodes, rows)``: the hop layers' IDs stacked slot-major, and
+        the encoder's input block — one ``lookup``, or one attribute
+        gather charged once per occurrence."""
+        nodes = self.encoder.stack(layers)
         if self.embeddings is not None:
             return nodes, self.embeddings.lookup(nodes)
         unique, inverse, counts = np.unique(

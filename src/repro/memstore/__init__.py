@@ -19,14 +19,6 @@ from repro.memstore.store import (
     AccessSummary,
     PartitionedStore,
 )
-from repro.memstore.locality import (
-    BlockPartitioner,
-    LocalityLayout,
-    Relabeling,
-    apply_layout,
-    build_locality_layout,
-    locality_order,
-)
 from repro.memstore.ingest import (
     DynamicPartitionedStore,
     IngestStats,
@@ -57,12 +49,6 @@ __all__ = [
     "AccessRecord",
     "AccessSummary",
     "PartitionedStore",
-    "BlockPartitioner",
-    "LocalityLayout",
-    "Relabeling",
-    "apply_layout",
-    "build_locality_layout",
-    "locality_order",
     "DynamicPartitionedStore",
     "IngestStats",
     "Mutation",

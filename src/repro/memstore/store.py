@@ -20,7 +20,6 @@ import numpy as np
 from repro.errors import ConfigurationError, PartitionError, ReplicaUnavailableError
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import Partitioner
-from repro.memstore.locality import Relabeling
 
 if TYPE_CHECKING:  # import cycle: faults rides the axe event kernel
     from repro.memstore.faults import ReliableReadPath
@@ -54,7 +53,7 @@ class AccessSummary:
     attribute_bytes: int = 0
     remote_count: int = 0
     remote_bytes: int = 0
-    #: Locality-layout accounting (populated only on stores constructed
+    #: Gather-contiguity accounting (populated only on stores constructed
     #: with ``track_locality=True``; zero otherwise so summary equality
     #: against untracked stores still holds). Each batched gather of
     #: ``n`` distinct nodes contributes ``n`` to ``gather_nodes``, its
@@ -128,8 +127,7 @@ class AccessSummary:
         """Average contiguous-run length across tracked gathers.
 
         1.0 means every gathered node was an island; higher means hop
-        frontiers landed on consecutive array entries (the locality
-        layout's win condition).
+        frontiers landed on consecutive array entries.
         """
         if self.gather_runs == 0:
             return 0.0
@@ -208,17 +206,9 @@ class PartitionedStore:
         Record gather-contiguity counters (``gather_nodes`` /
         ``gather_runs`` / ``gather_span_bytes``) for every batched
         adjacency/attribute gather. ``False`` (the default) leaves the
-        counters at zero so summaries stay comparable with stores that
-        predate the locality layout — the batched gather pattern is not
-        reproduced by the per-node replay walk, so parity checks must
-        compare untracked stores.
-    relabeling:
-        The :class:`~repro.memstore.locality.Relabeling` that produced
-        ``graph`` when a locality layout renumbered it. The store owns
-        its ID space: every read method, the partitioner and the shard
-        workers run in store IDs, and :meth:`to_internal` /
-        :meth:`to_original` are the one boundary to the original IDs
-        callers speak. ``None``: the two spaces coincide.
+        counters at zero: the per-node replay walk does not reproduce
+        the batched gather pattern, so parity checks compare untracked
+        stores.
     """
 
     #: Size of one node-index lookup (hash bucket entry).
@@ -234,33 +224,14 @@ class PartitionedStore:
         partitioner: Partitioner,
         reliability: Optional["ReliableReadPath"] = None,
         track_locality: bool = False,
-        relabeling: Optional[Relabeling] = None,
     ) -> None:
-        if relabeling is not None and relabeling.num_nodes != graph.num_nodes:
-            raise ConfigurationError(
-                f"relabeling covers {relabeling.num_nodes} nodes, the graph "
-                f"has {graph.num_nodes}"
-            )
         self.graph = graph
         self.partitioner = partitioner
         self.reliability = reliability
         self.track_locality = track_locality
-        self.relabeling = relabeling
         self._trace: List[AccessRecord] = []
         self._summary = AccessSummary()
         self.tracing = False
-
-    def to_internal(self, nodes: np.ndarray) -> np.ndarray:
-        """Original (caller) IDs -> store IDs; identity without a layout."""
-        if self.relabeling is None:
-            return nodes
-        return self.relabeling.to_internal(nodes)
-
-    def to_original(self, nodes: np.ndarray) -> np.ndarray:
-        """Store IDs -> original (caller) IDs; identity without a layout."""
-        if self.relabeling is None:
-            return nodes
-        return self.relabeling.to_original(nodes)
 
     @property
     def num_partitions(self) -> int:
@@ -388,8 +359,8 @@ class PartitionedStore:
         ``nodes`` is the batch's distinct node set; ``entry_bytes`` is
         the per-node footprint in the array being gathered. Runs are
         maximal stretches of consecutive IDs; the span is the byte
-        distance covering the whole batch. Both shrink as the layout
-        packs co-accessed nodes together. Public for the sharded
+        distance covering the whole batch. Both shrink as co-accessed
+        nodes sit closer together in the arrays. Public for the sharded
         engine, which records each shard's adjacency gathers here
         because its shard workers expand several shards in one gather.
         """

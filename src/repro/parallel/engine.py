@@ -74,8 +74,8 @@ class _Pending:
     request: SampleRequest
     members: Dict[int, np.ndarray]
     remaining: Set[int]
-    #: Every layer in store IDs: the roots, then one array per hop that
-    #: the shards' rows are merged into.
+    #: Every layer: the roots, then one array per hop that the shards'
+    #: rows are merged into.
     layers: List[np.ndarray] = field(default_factory=list)
     #: First shard failure reported for this batch; raised by the
     #: batch's own collect/discard once every shard has reported.
@@ -90,7 +90,7 @@ class _Pending:
 
 class ParallelSampler(MultiHopSampler):
     """A :class:`MultiHopSampler` whose hop expansion runs on shard workers:
-    ``submit`` splits the inherited ``_internal_roots`` into shard tasks
+    ``submit`` splits the inherited ``_checked_roots`` into shard tasks
     and dispatches them (one message per worker; inline, it queues
     them), ``collect`` merges the hop layers and ends in the inherited
     ``_finish_result``; everything else is the base class's.
@@ -100,10 +100,10 @@ class ParallelSampler(MultiHopSampler):
     store:
         The coordinator's :class:`PartitionedStore`. All accounting —
         shard structure deltas and coordinator attribute gathers —
-        lands in this store's summary. Shard workers run in store IDs
-        over ``store.graph``, so a locality-layout store composes. Must
-        not carry a ``reliability`` path (shard workers run the
-        zero-fault fast path only).
+        lands in this store's summary. Shard workers sample
+        ``store.graph`` under ``store.partitioner``. Must not carry a
+        ``reliability`` path (shard workers run the zero-fault fast
+        path only).
     workers:
         Worker process count. ``0`` executes the identical shard tasks
         inline (no processes) — the determinism reference for any
@@ -270,7 +270,7 @@ class ParallelSampler(MultiHopSampler):
         """
         if self._closed:
             raise ParallelExecutionError("engine is closed")
-        roots = self._internal_roots(request)
+        roots = self._checked_roots(request)
         self._ensure_pool()
         owners = self.store.partitioner.partition_of(roots)
         members = {

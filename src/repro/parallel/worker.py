@@ -51,10 +51,10 @@ def shard_seed(seed: int, shard: int, seq: int) -> np.random.SeedSequence:
 class WorkerConfig:
     """Everything a worker needs to reconstruct its sampling stack.
 
-    The graph is the coordinator store's own (in store IDs); the
-    partitioner is shipped verbatim so the worker's shadow store
-    attributes every access local or remote exactly as the
-    coordinator's store would have.
+    The graph is the coordinator store's own; the partitioner is
+    shipped verbatim so the worker's shadow store attributes every
+    access local or remote exactly as the coordinator's store would
+    have.
     """
 
     graph: CSRGraph
@@ -110,8 +110,7 @@ class ShardRuntime:
     def from_config(cls, config: WorkerConfig) -> "ShardRuntime":
         """Runtime over ``config.graph`` with a *private* store, so task
         accounting starts from zero and merges through the shard-summary
-        path whether it runs in a worker or inline. Shard tasks run in
-        store IDs, so the shadow carries no relabeling."""
+        path whether it runs in a worker or inline."""
         store = PartitionedStore(config.graph, config.partitioner)
         sampler = MultiHopSampler(store, selector=get_selector(config.sampling_method))
         return cls(store, sampler)

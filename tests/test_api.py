@@ -99,13 +99,11 @@ BAD_REQUESTS = {
 }
 
 
-@pytest.mark.parametrize("layout", [None, "ldg"])
 @pytest.mark.parametrize("case", sorted(BAD_REQUESTS))
-def test_request_boundary_refuses_bad_input(case, layout):
-    """The same input fails the same way whatever the store layout."""
+def test_request_boundary_refuses_bad_input(case):
     operation, arguments, error = BAD_REQUESTS[case]
     graph = power_law_graph(200, 4.0, attr_len=2, seed=0)
-    with GnnSession(graph, num_partitions=2, layout=layout) as session:
+    with GnnSession(graph, num_partitions=2) as session:
         with pytest.raises(error):
             getattr(session, operation)(*arguments)
 

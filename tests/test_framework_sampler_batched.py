@@ -32,7 +32,6 @@ from repro.graph.generators import power_law_graph
 from repro.graph.partition import HashPartitioner, RangePartitioner
 from repro.memstore.faults import FaultInjector, ReliableReadPath
 from repro.memstore.ingest import NODE, DynamicPartitionedStore, Mutation
-from repro.memstore.locality import build_locality_layout
 from repro.memstore.replication import ReplicaPlacement
 from repro.memstore.retry import RetryPolicy
 from repro.memstore.store import PartitionedStore
@@ -356,7 +355,6 @@ class TestSeededParitySweep:
             selector_name = sorted(SELECTORS)[seed % len(SELECTORS)]
             graph = random_graph(rng, weighted=bool(rng.integers(0, 2)))
             num_partitions = int(rng.integers(1, 5))
-            layout = [None, None, "ldg", "hash", "range"][rng.integers(0, 5)]
             requests = random_requests(rng, graph.num_nodes, max_hops=2)
             if seed < 2:
                 # Two of the inputs are sessions built the default way.
@@ -364,24 +362,16 @@ class TestSeededParitySweep:
                     graph,
                     num_partitions=num_partitions,
                     sampling_method=selector_name,
-                    layout="ldg" if seed else None,
                 ).sampler
             else:
-                partitioner, relabeling = HashPartitioner(num_partitions), None
-                if layout is not None:
-                    built = build_locality_layout(graph, num_partitions, method=layout)
-                    graph, partitioner = built.graph, built.partitioner
-                    relabeling = built.relabeling
                 sampler = MultiHopSampler(
-                    PartitionedStore(graph, partitioner, relabeling=relabeling),
+                    PartitionedStore(graph, HashPartitioner(num_partitions)),
                     seed=seed,
                     worker_partition=[None, 0, num_partitions - 1][rng.integers(0, 3)],
                     selector=SELECTORS[selector_name],
                 )
             store = sampler.store
-            replay_store = PartitionedStore(
-                store.graph, store.partitioner, relabeling=store.relabeling
-            )
+            replay_store = PartitionedStore(store.graph, store.partitioner)
             for request in requests:
                 replay_reference(
                     sampler.sample(request),

@@ -453,7 +453,7 @@ def test_float32_losses_track_float64_reference():
         table = ref.embeddings.to_dense().astype(np.float64)
 
         def step64(layers, batch_labels):
-            nodes = ref.store.to_internal(ref.encoder.stack(layers))
+            nodes = ref.encoder.stack(layers)
 
             def grad_fn(embeddings):
                 logits = ref.head.forward(embeddings)

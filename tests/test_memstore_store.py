@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError, GraphError
 from repro.graph.csr import CSRGraph
+from repro.graph.datasets import instantiate_dataset
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.partition import HashPartitioner, RangePartitioner
 from repro.memstore.ingest import DynamicPartitionedStore
@@ -193,6 +194,31 @@ class TestRecordBatchScalarBytes:
                 twin.get_attributes([int(node)], 0)
         assert store.summary == twin.summary
         assert sorted(store.trace, key=repr) == sorted(twin.trace, key=repr)
+
+
+class TestLocalityTracking:
+    """Exact gather-contiguity counters on hand-built batches."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return instantiate_dataset("ll", max_nodes=800, seed=0)
+
+    def test_counters_off_by_default(self, graph):
+        store = PartitionedStore(graph, HashPartitioner(4))
+        store.get_neighbors_batch(np.arange(32))
+        assert store.summary.gather_nodes == 0
+        assert store.summary.gather_runs == 0
+        assert store.summary.mean_run_length == 0.0
+
+    def test_counters_track_contiguity(self, graph):
+        store = PartitionedStore(graph, HashPartitioner(4), track_locality=True)
+        store.get_neighbors_batch(np.arange(32))  # one contiguous run
+        assert store.summary.gather_nodes == 32
+        assert store.summary.gather_runs == 1
+        assert store.summary.mean_run_length == 32.0
+        store.get_neighbors_batch(np.array([100, 102, 104]))  # three runs
+        assert store.summary.gather_runs == 4
+        assert store.summary.gather_span_bytes > 0
 
 
 def ten_node_store(kind, attributes=True):

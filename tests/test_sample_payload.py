@@ -23,7 +23,6 @@ from repro.graph.dynamic import DynamicGraph
 from repro.graph.partition import HashPartitioner, RangePartitioner
 from repro.memstore.faults import FaultInjector, FaultStats, ReliableReadPath
 from repro.memstore.ingest import DynamicPartitionedStore, growth_trace
-from repro.memstore.locality import build_locality_layout
 from repro.memstore.replication import ReplicaPlacement
 from repro.memstore.retry import RetryPolicy
 from repro.memstore.store import AccessSummary, PartitionedStore
@@ -153,35 +152,23 @@ def test_reliable_loop_pin(graph):
     assert sampler.degraded_fallbacks == 43
 
 
-def wide_sampler(graph, layout=False):
-    """An undegraded sampler over ``graph``, through a locality layout
-    (store IDs differ from the caller's) when ``layout``."""
-    if layout:
-        built = build_locality_layout(graph, 4)
-        store = PartitionedStore(
-            built.graph, built.partitioner, relabeling=built.relabeling
-        )
-    else:
-        store = PartitionedStore(graph, HashPartitioner(4))
+def wide_sampler(graph):
+    """An undegraded sampler over ``graph``."""
+    store = PartitionedStore(graph, HashPartitioner(4))
     return MultiHopSampler(store, seed=1, worker_partition=0)
 
 
 class TestPayloadShape:
-    @pytest.mark.parametrize("layout", [False, True], ids=["plain", "layout"])
-    def test_distinct_rows_and_layer_shaped_index(self, graph, layout):
-        sampler = wide_sampler(graph, layout)
-        store = sampler.store
+    def test_distinct_rows_and_layer_shaped_index(self, graph):
+        sampler = wide_sampler(graph)
         request = wide_request(graph.num_nodes, roots=64, seed=2)
         for result in (sampler.sample(request), sampler.sample(request)):
             assert len(result.attribute_rows) == len(result.layers) == 3
             for k, layer in enumerate(result.layers):
-                internal = store.to_internal(layer)
                 rows = result.attribute_rows[k]
-                assert rows.shape == (np.unique(internal).size, graph.attr_len)
+                assert rows.shape == (np.unique(layer).size, graph.attr_len)
                 assert result.attribute_index[k].shape == layer.shape
-                assert np.array_equal(
-                    result.attributes[k], store.graph.node_attr[internal]
-                )
+                assert np.array_equal(result.attributes[k], graph.node_attr[layer])
 
     def test_parallel_collect_carries_the_payload(self, graph):
         store = PartitionedStore(graph, HashPartitioner(4))

@@ -1,18 +1,17 @@
 """Generated ``GnnSession`` combination matrix.
 
-Every ``layout`` sits behind one sampler contract, and the sharded
-engine (``ParallelSampler``, built beside a session over its store)
-keeps that contract at every worker count. Every (layout, workers)
-pair is run over one request stream and held to the bars the single
-features already meet: bit-identity across worker counts,
-original IDs in and out, replay parity with the per-node walk, and
-equal training digests. The one refusal left in
+The sharded engine (``ParallelSampler``, built beside a session over
+its store) keeps the session's sampler contract at every worker count,
+and a ``DynamicGraph`` session with no mutations is its static twin.
+Each is run over one request stream and held to the bars the single
+features already meet: bit-identity across worker counts and graph
+kinds, real edges and attribute rows, replay parity with the per-node
+walk, and equal training digests. The one refusal left in
 ``GnnSession.__init__`` (a ``DynamicGraph`` runs the inline software
-sampler only) is checked argument by argument at the end.
+sampler only) is checked at the end.
 """
 
 import copy
-import itertools
 from collections import namedtuple
 
 import numpy as np
@@ -24,8 +23,8 @@ from repro.framework.replay import replay_reference
 from repro.framework.requests import SampleRequest
 from repro.graph.datasets import instantiate_dataset
 from repro.graph.dynamic import DynamicGraph
+from repro.graph.partition import HashPartitioner
 from repro.memstore.faults import FaultInjector, ReliableReadPath
-from repro.memstore.locality import build_locality_layout
 from repro.memstore.replication import ReplicaPlacement
 from repro.memstore.retry import RetryPolicy
 from repro.gnn.pipeline import PipelinedTrainer
@@ -38,7 +37,6 @@ SEED = 3
 FANOUTS = (4, 3)
 NEGATIVE_RATE = 3
 
-LAYOUTS = (None, "ldg", "hash", "range")
 WORKERS = (0, 1, 2)
 
 
@@ -52,6 +50,10 @@ def root_batches(graph):
     return [rng.integers(0, graph.num_nodes, size=size) for size in (48, 17)]
 
 
+def plain_store(graph):
+    return PartitionedStore(graph, HashPartitioner(PARTITIONS))
+
+
 def positive_pairs(graph):
     sources = np.random.default_rng(2).integers(0, graph.num_nodes, size=10)
     # A repeated source: negative sampling reads its adjacency twice.
@@ -59,7 +61,7 @@ def positive_pairs(graph):
     return np.stack([sources, (sources + 1) % graph.num_nodes], axis=1)
 
 
-def open_session(graph, layout, workers):
+def open_session(graph, workers):
     """A session whose sampler is the sharded engine at ``workers``.
 
     A session samples inline with ``MultiHopSampler`` (its own RNG
@@ -68,7 +70,7 @@ def open_session(graph, layout, workers):
     place over the session's own store; ``session.close()`` releases
     its pool.
     """
-    session = GnnSession(graph, num_partitions=PARTITIONS, seed=SEED, layout=layout)
+    session = GnnSession(graph, num_partitions=PARTITIONS, seed=SEED)
     session.sampler = ParallelSampler(session.store, workers=workers, seed=SEED)
     return session
 
@@ -85,11 +87,11 @@ def observe(session, graph):
 
 @pytest.fixture(scope="module")
 def matrix(graph):
-    """``(layout, workers) -> observe(...)`` for every pair."""
+    """``workers -> observe(...)`` for every worker count."""
     runs = {}
-    for key in itertools.product(LAYOUTS, WORKERS):
-        with open_session(graph, *key) as session:
-            runs[key] = observe(session, graph)
+    for workers in WORKERS:
+        with open_session(graph, workers) as session:
+            runs[workers] = observe(session, graph)
     return runs
 
 
@@ -100,82 +102,77 @@ def assert_same_values(mine, theirs):
     np.testing.assert_array_equal(mine.negatives, theirs.negatives)
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
-class TestEveryTuple:
-    def test_worker_counts_are_bit_identical(self, matrix, layout):
-        reference = matrix[layout, 0]
-        for workers in WORKERS[1:]:
-            run = matrix[layout, workers]
-            assert_same_values(reference, run)
-            assert run.summary == reference.summary, workers
+def test_worker_counts_are_bit_identical(matrix):
+    reference = matrix[0]
+    for workers in WORKERS[1:]:
+        run = matrix[workers]
+        assert_same_values(reference, run)
+        assert run.summary == reference.summary, workers
 
-    @pytest.mark.parametrize("workers", (0, 2))
-    def test_original_ids_in_and_out(self, graph, matrix, layout, workers):
-        if workers:
-            run = matrix[layout, workers]
-        else:
-            # The inline sampler a default session really runs.
-            with GnnSession(
-                graph, num_partitions=PARTITIONS, seed=SEED, layout=layout
-            ) as session:
-                run = observe(session, graph)
-        for roots, result in zip(root_batches(graph), run.results):
-            np.testing.assert_array_equal(result.layers[0], roots)
-            # Every hop-1 pick is a neighbour of its root (or the
-            # zero-degree self-loop) in the ORIGINAL graph.
-            for root, picks in zip(roots, result.layers[1]):
-                allowed = set(graph.neighbors(int(root)).tolist()) | {int(root)}
-                assert set(picks.tolist()) <= allowed
-            for layer, rows in zip(result.layers, result.attributes):
-                np.testing.assert_array_equal(rows, graph.node_attr[layer])
-        for (source, _), row in zip(positive_pairs(graph), run.negatives):
-            assert not set(row.tolist()) & set(graph.neighbors(int(source)).tolist())
+
+def test_dynamic_rate_zero_is_its_static_twin(graph):
+    """The inline sampler over an unmutated ``DynamicGraph`` returns the
+    static session's layers, attributes and negatives, and charges the
+    same ``AccessSummary``."""
+    runs = []
+    for served in (graph, DynamicGraph(graph)):
+        with GnnSession(served, num_partitions=PARTITIONS, seed=SEED) as session:
+            runs.append(observe(session, graph))
+    static, dynamic = runs
+    assert_same_values(static, dynamic)
+    assert dynamic.summary == static.summary
+
+
+@pytest.mark.parametrize("workers", (0, 2))
+def test_layers_are_real_edges(graph, matrix, workers):
+    if workers:
+        run = matrix[workers]
+    else:
+        # The inline sampler a default session really runs.
+        with GnnSession(graph, num_partitions=PARTITIONS, seed=SEED) as session:
+            run = observe(session, graph)
+    for roots, result in zip(root_batches(graph), run.results):
+        np.testing.assert_array_equal(result.layers[0], roots)
+        # Every hop-1 pick is a neighbour of its root (or the
+        # zero-degree self-loop).
+        for root, picks in zip(roots, result.layers[1]):
+            allowed = set(graph.neighbors(int(root)).tolist()) | {int(root)}
+            assert set(picks.tolist()) <= allowed
+        for layer, rows in zip(result.layers, result.attributes):
+            np.testing.assert_array_equal(rows, graph.node_attr[layer])
+    for (source, _), row in zip(positive_pairs(graph), run.negatives):
+        assert not set(row.tolist()) & set(graph.neighbors(int(source)).tolist())
 
 
 @pytest.mark.parametrize("worker_partition", (None, 0))
 @pytest.mark.parametrize("workers", (0, 2))
-def test_replay_parity_through_layout_and_workers(graph, workers, worker_partition):
-    """The per-node walk charges a fresh layout store exactly what the
-    shard workers + coordinator charged theirs for the same layers."""
-    built = build_locality_layout(graph, PARTITIONS)
-
-    def layout_store():
-        return PartitionedStore(
-            built.graph, built.partitioner, relabeling=built.relabeling
-        )
-
+def test_replay_parity_through_workers(graph, workers, worker_partition):
+    """The per-node walk charges a fresh store exactly what the shard
+    workers + coordinator charged theirs for the same layers."""
     request = SampleRequest(roots=root_batches(graph)[0], fanouts=FANOUTS)
-    store = layout_store()
+    store = plain_store(graph)
     with ParallelSampler(
         store, workers=workers, seed=SEED, worker_partition=worker_partition
     ) as engine:
         result = engine.sample(request)
-    fresh = layout_store()
+    fresh = plain_store(graph)
     replay_reference(result, request, fresh, worker_partition=worker_partition)
     assert store.summary == fresh.summary
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
-def test_training_is_worker_count_invariant(graph, layout):
+def test_training_is_worker_count_invariant(graph):
     labels = (
         np.random.default_rng(4).random((graph.num_nodes, 3)) < 0.3
     ).astype(np.float32)
     roots = np.arange(0, graph.num_nodes, 5)
 
-    def layout_store():
-        return GnnSession(
-            graph, num_partitions=PARTITIONS, seed=SEED, layout=layout
-        ).store
-
     reports = []
     for workers in (0, 2):
         with PipelinedTrainer(
-            layout_store(), labels, FANOUTS, seed=SEED, workers=workers
+            plain_store(graph), labels, FANOUTS, seed=SEED, workers=workers
         ) as trainer:
             reports.append(trainer.train(roots, epochs=2))
-    with GnnSession(
-        graph, num_partitions=PARTITIONS, seed=SEED, layout=layout
-    ) as session:
+    with GnnSession(graph, num_partitions=PARTITIONS, seed=SEED) as session:
         reports.append(session.train(labels, FANOUTS, roots=roots, epochs=2))
     assert reports[0].epoch_losses == reports[1].epoch_losses == reports[2].epoch_losses
     assert reports[0].weights_digest == reports[1].weights_digest
@@ -184,37 +181,19 @@ def test_training_is_worker_count_invariant(graph, layout):
 
 
 def test_composed_session_serves(graph):
-    """A layout session behind the serving gateway, its sampler the
-    2-worker engine."""
-    with open_session(graph, "ldg", 2) as session:
+    """A session behind the serving gateway, its sampler the 2-worker
+    engine."""
+    with open_session(graph, 2) as session:
         report = session.serve(duration_s=0.05, include_hardware=False)
     assert report.completed > 0
     assert report.offered == report.completed + report.shed
 
 
 # ------------------------------------------------------- the one refusal
-def refused_with_dynamic():
-    """One value per argument a ``DynamicGraph`` session refuses."""
+def test_dynamic_graph_refuses_reliability(graph):
     placement = ReplicaPlacement(num_partitions=PARTITIONS, replication_factor=1)
     path = ReliableReadPath(
         placement, RetryPolicy(hedge=False), FaultInjector(), seed=0
     )
-    return {"layout": "ldg", "reliability": path}
-
-
-def named_by_refusal(graph, **arguments):
-    """The arguments the ``DynamicGraph`` refusal names, in its order."""
-    with pytest.raises(ConfigurationError, match="inline software sampler") as info:
-        GnnSession(DynamicGraph(graph), num_partitions=PARTITIONS, **arguments)
-    return str(info.value).split(" cannot be combined")[0].split(", ")
-
-
-@pytest.mark.parametrize("argument", ("layout", "reliability"))
-def test_dynamic_graph_refuses(graph, argument):
-    value = refused_with_dynamic()[argument]
-    assert named_by_refusal(graph, **{argument: value}) == [argument]
-
-
-def test_dynamic_graph_refusal_names_every_argument(graph):
-    arguments = refused_with_dynamic()
-    assert named_by_refusal(graph, **arguments) == list(arguments)
+    with pytest.raises(ConfigurationError, match="reliability cannot be combined"):
+        GnnSession(DynamicGraph(graph), num_partitions=PARTITIONS, reliability=path)
