@@ -2,9 +2,13 @@
 
 E-commerce graphs grow continuously ("the data size keeps expanding",
 §3.1); AliGraph supports dynamic graphs. :class:`DynamicGraph` keeps a
-compact CSR base plus an append-friendly delta, answers neighbor
-queries over the union, and periodically *compacts* the delta into a
-fresh CSR — the standard LSM-like recipe for in-memory graph services.
+compact CSR base plus an append log, answers neighbor queries over the
+union, and periodically *compacts* the log into a fresh CSR — the
+standard LSM-like recipe for in-memory graph services.
+
+The log is two append-only ``int64`` arrays, ``src`` and ``dst``, grown
+by doubling, plus a length; the attribute rows of added nodes live in
+one ``float32`` block grown the same way.
 
 Two version counters with distinct meanings:
 
@@ -17,33 +21,46 @@ Two version counters with distinct meanings:
     *Layout* version: advances on every compaction (the base CSR
     object was swapped).
 
-:meth:`DynamicGraph.view` mints a :class:`GraphView` — an immutable
-snapshot token pinning one epoch. Views stay valid across concurrent
-mutations *and* compactions: the delta lists are append-only, each
-compaction installs a fresh delta dict instead of clearing the old one
-in place, and the view holds references to the base/delta objects it
-was minted against plus the per-node delta lengths at mint time.
+:meth:`DynamicGraph.view` mints a :class:`GraphView` in O(1) — an
+immutable snapshot token pinning one epoch. It holds the base and log
+arrays plus the log length at mint time. Later appends write past that
+length, and a regrow or a compaction allocates new arrays the view does
+not see, so views stay valid across mutations *and* compactions by
+construction. A view sorts its log prefix by source once, on its first
+read, and answers every adjacency query from that index.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, GraphError
 from repro.graph.csr import CSRGraph
 
+#: Rows a fresh append log (or attribute block) holds before it doubles.
+_INITIAL_CAPACITY = 64
 
-def _block_ranges(counts: np.ndarray) -> np.ndarray:
-    """``[0..c0), [0..c1), ...`` concatenated (per-block aranges)."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    exclusive = np.zeros(counts.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=exclusive[1:])
-    return np.arange(total, dtype=np.int64) - np.repeat(exclusive, counts)
+
+def _block_positions(
+    starts: np.ndarray, counts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions of the blocks ``[starts[i], starts[i] + counts[i])``,
+    concatenated, and each block's offset in that concatenation."""
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    positions = np.repeat(starts - offsets[:-1], counts) + np.arange(
+        offsets[-1], dtype=np.int64
+    )
+    return positions, offsets
+
+
+def _grown(block: np.ndarray, used: int) -> np.ndarray:
+    """A block of twice ``block``'s capacity holding ``block[:used]``."""
+    bigger = np.empty((2 * block.shape[0],) + block.shape[1:], dtype=block.dtype)
+    bigger[:used] = block[:used]
+    return bigger
 
 
 class GraphView:
@@ -53,9 +70,9 @@ class GraphView:
     ``epoch``, no matter how many mutations or compactions land on the
     underlying graph after the view was minted. Duck-types the subset
     of :class:`~repro.graph.csr.CSRGraph` the sampler and store read
-    (``num_nodes``, ``neighbors``, ``attributes``, ``attr_len``,
-    ``edge_attr``), so a view can stand in for a static graph on the
-    read path.
+    (``num_nodes``, ``neighbors``, ``gather``, ``attributes``,
+    ``attr_len``, ``edge_attr``), so a view can stand in for a static
+    graph on the read path.
     """
 
     #: Views never expose per-edge weights: delta edges carry none, and
@@ -65,18 +82,23 @@ class GraphView:
     def __init__(
         self,
         base: CSRGraph,
-        delta: Dict[int, List[int]],
-        delta_lens: Dict[int, int],
-        extra_attr: Tuple[np.ndarray, ...],
+        src: np.ndarray,
+        dst: np.ndarray,
+        length: int,
+        extra_attr: Optional[np.ndarray],
         num_nodes: int,
         epoch: int,
     ) -> None:
         self._base = base
-        self._delta = delta
-        self._delta_lens = delta_lens
+        self._src = src
+        self._dst = dst
+        self._length = length
         self._extra_attr = extra_attr
         self._num_nodes = num_nodes
         self.epoch = epoch
+        #: ``(dst sorted by src, per-node delta degrees, their starts)``,
+        #: built on the first read that needs it.
+        self._index: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------ shape
     @property
@@ -90,12 +112,12 @@ class GraphView:
 
     @property
     def num_edges(self) -> int:
-        return self._base.num_edges + sum(self._delta_lens.values())
+        return self._base.num_edges + self._length
 
     @property
     def delta_edges(self) -> int:
         """Edges this view reads from the append log, not the base."""
-        return sum(self._delta_lens.values())
+        return self._length
 
     @property
     def attr_len(self) -> int:
@@ -105,6 +127,25 @@ class GraphView:
         if not 0 <= node < self._num_nodes:
             raise GraphError(f"node {node} outside [0, {self._num_nodes})")
 
+    def _check_nodes(self, nodes: Sequence[int]) -> np.ndarray:
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if nodes.size and (nodes.min() < 0 or nodes.max() >= self._num_nodes):
+            raise GraphError("node batch contains IDs outside [0, num_nodes)")
+        return nodes
+
+    def _delta_index(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The log prefix sorted by source (stable, so each node's
+        appends keep their insertion order), with per-node degrees and
+        start offsets into it."""
+        if self._index is None:
+            src = self._src[: self._length]
+            order = np.argsort(src, kind="stable")
+            degrees = np.bincount(src, minlength=self._num_nodes)
+            starts = np.zeros(self._num_nodes + 1, dtype=np.int64)
+            np.cumsum(degrees, out=starts[1:])
+            self._index = (self._dst[: self._length][order], degrees, starts)
+        return self._index
+
     # ---------------------------------------------------------- queries
     def base_degree(self, node: int) -> int:
         if node < self._base.num_nodes:
@@ -112,7 +153,9 @@ class GraphView:
         return 0
 
     def delta_degree(self, node: int) -> int:
-        return self._delta_lens.get(node, 0)
+        if not self._length:
+            return 0
+        return int(self._delta_index()[1][node])
 
     def degree(self, node: int) -> int:
         self._check_node(node)
@@ -121,19 +164,14 @@ class GraphView:
     def neighbors(self, node: int) -> np.ndarray:
         """Union adjacency as of this view's epoch (delta edges last)."""
         self._check_node(node)
-        parts = []
         if node < self._base.num_nodes:
             block = self._base.neighbors(node)
-            if block.size:
-                parts.append(block)
-        take = self._delta_lens.get(node, 0)
-        if take:
-            parts.append(np.asarray(self._delta[node][:take], dtype=np.int64))
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts)
+        else:
+            block = np.empty(0, dtype=np.int64)
+        if not self._length:
+            return block
+        values, _degrees, starts = self._delta_index()
+        return np.concatenate([block, values[starts[node] : starts[node + 1]]])
 
     def gather(
         self, nodes: Sequence[int]
@@ -142,40 +180,30 @@ class GraphView:
 
         Returns ``(values, offsets, base_degrees, delta_degrees)``:
         node ``i`` owns ``values[offsets[i]:offsets[i + 1]]``, its base
-        block first, then its delta prefix. The base blocks are copied
-        vectorized; delta prefixes (typically few nodes) fill in a
-        short loop.
+        block first, then its appends in insertion order. The base
+        blocks are one positional read of the CSR; the appends are one
+        read of the sorted log, inserted after each node's base block.
         """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= self._num_nodes):
-            raise GraphError("node batch contains IDs outside [0, num_nodes)")
-        base_deg = np.zeros(nodes.size, dtype=np.int64)
-        starts = np.zeros(nodes.size, dtype=np.int64)
-        in_base = nodes < self._base.num_nodes
-        if in_base.any():
-            b_starts, b_stops = self._base.neighbor_slices(nodes[in_base])
-            starts[in_base] = b_starts
-            base_deg[in_base] = b_stops - b_starts
-        if self._delta_lens:
-            delta_deg = np.fromiter(
-                (self._delta_lens.get(int(n), 0) for n in nodes),
-                dtype=np.int64,
-                count=nodes.size,
+        base_n = self._base.num_nodes
+        if not self._length and self._num_nodes == base_n:
+            return self._base.gather(nodes)
+        nodes = self._check_nodes(nodes)
+        indptr = self._base.indptr
+        starts = indptr[np.minimum(nodes, base_n)]
+        base_deg = indptr[np.minimum(nodes + 1, base_n)] - starts
+        positions, base_offsets = _block_positions(starts, base_deg)
+        values = self._base.indices[positions]
+        if self._length:
+            log, degrees, log_starts = self._delta_index()
+            delta_deg = degrees[nodes]
+            positions, _ = _block_positions(log_starts[nodes], delta_deg)
+            values = np.insert(
+                values, np.repeat(base_offsets[1:], delta_deg), log[positions]
             )
         else:
             delta_deg = np.zeros(nodes.size, dtype=np.int64)
         offsets = np.zeros(nodes.size + 1, dtype=np.int64)
         np.cumsum(base_deg + delta_deg, out=offsets[1:])
-        values = np.empty(int(offsets[-1]), dtype=np.int64)
-        if base_deg.sum():
-            src = np.repeat(starts, base_deg) + _block_ranges(base_deg)
-            dst = np.repeat(offsets[:-1], base_deg) + _block_ranges(base_deg)
-            values[dst] = self._base.indices[src]
-        if delta_deg.any():
-            for i in np.flatnonzero(delta_deg):
-                node = int(nodes[i])
-                lo = offsets[i] + base_deg[i]
-                values[lo : offsets[i + 1]] = self._delta[node][: int(delta_deg[i])]
         return values, offsets, base_deg, delta_deg
 
     def attributes(self, nodes: Sequence[int]) -> np.ndarray:
@@ -183,18 +211,14 @@ class GraphView:
         ingest-time rows."""
         if self._base.node_attr is None:
             raise GraphError("graph carries no node attributes")
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= self._num_nodes):
-            raise GraphError("node batch contains IDs outside [0, num_nodes)")
+        nodes = self._check_nodes(nodes)
         base_n = self._base.num_nodes
-        in_base = nodes < base_n
-        if in_base.all():
+        added = nodes >= base_n
+        if not added.any():
             return self._base.attributes(nodes)
-        rows = np.zeros((nodes.size, self.attr_len), dtype=np.float32)
-        if in_base.any():
-            rows[in_base] = self._base.attributes(nodes[in_base])
-        for i in np.flatnonzero(~in_base):
-            rows[i] = self._extra_attr[int(nodes[i]) - base_n]
+        rows = np.empty((nodes.size, self.attr_len), dtype=np.float32)
+        rows[~added] = self._base.attributes(nodes[~added])
+        rows[added] = self._extra_attr[nodes[added] - base_n]
         return rows
 
     def __repr__(self) -> str:
@@ -205,14 +229,14 @@ class GraphView:
 
 
 class DynamicGraph:
-    """CSR base + delta adjacency with explicit compaction.
+    """CSR base + append log with explicit compaction.
 
     Parameters
     ----------
     base:
         Initial snapshot (may be empty).
     compact_threshold:
-        Automatic compaction once the delta holds this many edges.
+        Automatic compaction once the log holds this many edges.
     """
 
     def __init__(self, base: CSRGraph, compact_threshold: int = 100_000) -> None:
@@ -221,12 +245,17 @@ class DynamicGraph:
                 f"compact_threshold must be positive, got {compact_threshold}"
             )
         self._base = base
-        self._delta: Dict[int, List[int]] = defaultdict(list)
-        self._delta_edges = 0
         self._num_nodes = base.num_nodes
+        self._src = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
+        self._dst = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
+        self._length = 0
         #: Attribute rows of nodes added since the last compaction
         #: (only when the base carries attributes).
-        self._extra_attr: List[np.ndarray] = []
+        self._extra_attr: Optional[np.ndarray] = None
+        if base.attr_len:
+            self._extra_attr = np.empty(
+                (_INITIAL_CAPACITY, base.attr_len), dtype=np.float32
+            )
         self.compact_threshold = compact_threshold
         self.compactions = 0
         #: Layout version: bumps on every compaction (base swap).
@@ -241,16 +270,16 @@ class DynamicGraph:
 
     @property
     def num_edges(self) -> int:
-        return self._base.num_edges + self._delta_edges
+        return self._base.num_edges + self._length
 
     @property
     def delta_edges(self) -> int:
         """Edges not yet compacted into the CSR base."""
-        return self._delta_edges
+        return self._length
 
     @property
     def base(self) -> CSRGraph:
-        """The current CSR base (read-only; excludes the delta)."""
+        """The current CSR base (read-only; excludes the log)."""
         return self._base
 
     @property
@@ -259,26 +288,11 @@ class DynamicGraph:
         return self._base.attr_len
 
     def degree(self, node: int) -> int:
-        self._check_node(node)
-        base_degree = (
-            self._base.degree(node) if node < self._base.num_nodes else 0
-        )
-        return base_degree + len(self._delta.get(node, ()))
+        return self.view().degree(node)
 
     def neighbors(self, node: int) -> np.ndarray:
-        """Union of base and delta adjacency (delta edges last)."""
-        self._check_node(node)
-        parts = []
-        if node < self._base.num_nodes:
-            base = self._base.neighbors(node)
-            if base.size:
-                parts.append(base)
-        delta = self._delta.get(node)
-        if delta:
-            parts.append(np.asarray(delta, dtype=np.int64))
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        """Union of base and log adjacency (log edges last)."""
+        return self.view().neighbors(node)
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self._num_nodes:
@@ -286,19 +300,15 @@ class DynamicGraph:
 
     # ------------------------------------------------------------ snapshots
     def view(self) -> GraphView:
-        """Mint a snapshot token for the current epoch.
-
-        O(nodes-with-delta-entries): records the per-node append-log
-        lengths, so later appends (and compactions, which swap rather
-        than clear the delta) never leak into the view.
-        """
+        """Mint a snapshot token for the current epoch, in O(1)."""
         return GraphView(
-            base=self._base,
-            delta=self._delta,
-            delta_lens={node: len(extra) for node, extra in self._delta.items()},
-            extra_attr=tuple(self._extra_attr),
-            num_nodes=self._num_nodes,
-            epoch=self.epoch,
+            self._base,
+            self._src,
+            self._dst,
+            self._length,
+            self._extra_attr,
+            self._num_nodes,
+            self.epoch,
         )
 
     # ------------------------------------------------------------ updates
@@ -308,17 +318,19 @@ class DynamicGraph:
         When the base carries attributes the new node needs a row too:
         ``attr_row`` (length ``attr_len``) or zeros by default.
         """
-        if self._base.attr_len:
-            if attr_row is None:
-                row = np.zeros(self._base.attr_len, dtype=np.float32)
-            else:
+        if self._extra_attr is not None:
+            row = 0.0
+            if attr_row is not None:
                 row = np.asarray(attr_row, dtype=np.float32).reshape(-1)
                 if row.size != self._base.attr_len:
                     raise ConfigurationError(
                         f"attr_row has {row.size} values, expected "
                         f"{self._base.attr_len}"
                     )
-            self._extra_attr.append(row)
+            added = self._num_nodes - self._base.num_nodes
+            if added == self._extra_attr.shape[0]:
+                self._extra_attr = _grown(self._extra_attr, added)
+            self._extra_attr[added] = row
         elif attr_row is not None:
             raise ConfigurationError(
                 "attr_row given but the base graph carries no attributes"
@@ -332,10 +344,14 @@ class DynamicGraph:
         """Append a directed edge (src and dst must exist)."""
         self._check_node(src)
         self._check_node(dst)
-        self._delta[src].append(dst)
-        self._delta_edges += 1
+        if self._length == self._src.size:
+            self._src = _grown(self._src, self._length)
+            self._dst = _grown(self._dst, self._length)
+        self._src[self._length] = src
+        self._dst[self._length] = dst
+        self._length += 1
         self.epoch += 1
-        if self._delta_edges >= self.compact_threshold:
+        if self._length >= self.compact_threshold:
             self.compact()
 
     def add_edges(self, edges: Iterable[Tuple[int, int]]) -> None:
@@ -344,62 +360,42 @@ class DynamicGraph:
 
     # --------------------------------------------------------- compaction
     def compact(self) -> None:
-        """Merge the delta into a fresh CSR base (a new layout).
+        """Merge the log into a fresh CSR base (a new layout).
 
-        Preserves per-node neighbor order (base block first, delta
-        appends after, in insertion order), node attributes (base rows
-        plus the rows recorded by :meth:`add_node`), and — when the
-        base carries per-edge attributes — edge attributes, with delta
-        edges assigned weight 1. Outstanding :class:`GraphView` tokens
-        keep reading their original base and delta objects.
+        One stable sort of the log by source and one insert into the
+        base's ``indices``: each node keeps its base block first, then
+        its appends in insertion order. Node attributes are the base
+        rows plus the rows recorded by :meth:`add_node`; when the base
+        carries per-edge attributes, log edges get weight 1.
+        Outstanding :class:`GraphView` tokens keep reading the arrays
+        they were minted against: the log and attribute block are
+        replaced, not cleared.
         """
-        if self._delta_edges == 0 and self._base.num_nodes == self._num_nodes:
+        base = self._base
+        n = self._num_nodes
+        if not self._length and base.num_nodes == n:
             return
-        counts = np.zeros(self._num_nodes, dtype=np.int64)
-        old_n = self._base.num_nodes
-        counts[:old_n] = self._base.degrees()
-        for node, extra in self._delta.items():
-            counts[node] += len(extra)
-        indptr = np.zeros(self._num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
+        src = self._src[: self._length]
+        order = np.argsort(src, kind="stable")
+        ends = np.full(n + 1, base.num_edges, dtype=np.int64)
+        ends[: base.num_nodes + 1] = base.indptr
+        positions = ends[src[order] + 1]
+        indices = np.insert(base.indices, positions, self._dst[: self._length][order])
+        indptr = ends
+        indptr[1:] += np.cumsum(np.bincount(src, minlength=n))
         edge_attr = None
-        if self._base.edge_attr is not None:
-            edge_attr = np.ones(
-                (int(indptr[-1]),) + self._base.edge_attr.shape[1:],
-                dtype=np.float32,
-            )
-        cursor = indptr[:-1].copy()
-        for node in range(old_n):
-            base = self._base.neighbors(node)
-            if base.size:
-                indices[cursor[node] : cursor[node] + base.size] = base
-                if edge_attr is not None:
-                    lo = int(self._base.indptr[node])
-                    edge_attr[cursor[node] : cursor[node] + base.size] = (
-                        self._base.edge_attr[lo : lo + base.size]
-                    )
-                cursor[node] += base.size
-        for node, extra in self._delta.items():
-            block = np.asarray(extra, dtype=np.int64)
-            indices[cursor[node] : cursor[node] + block.size] = block
-            cursor[node] += block.size
-        node_attr = None
-        if self._base.node_attr is not None:
-            if self._extra_attr:
-                node_attr = np.concatenate(
-                    [self._base.node_attr, np.stack(self._extra_attr)]
-                )
-            else:
-                node_attr = self._base.node_attr
-        self._base = CSRGraph(
-            indptr, indices, node_attr=node_attr, edge_attr=edge_attr
-        )
-        # Install fresh delta state instead of clearing in place, so
-        # outstanding GraphView tokens keep their pre-compaction data.
-        self._delta = defaultdict(list)
-        self._delta_edges = 0
-        self._extra_attr = []
+        if base.edge_attr is not None:
+            edge_attr = np.insert(base.edge_attr, positions, 1.0, axis=0)
+        node_attr = base.node_attr
+        added = n - base.num_nodes
+        if node_attr is not None and added:
+            node_attr = np.concatenate([node_attr, self._extra_attr[:added]])
+        self._base = CSRGraph(indptr, indices, node_attr=node_attr, edge_attr=edge_attr)
+        self._src = np.empty_like(self._src)
+        self._dst = np.empty_like(self._dst)
+        self._length = 0
+        if self._extra_attr is not None:
+            self._extra_attr = np.empty_like(self._extra_attr)
         self.compactions += 1
         self.version += 1
 

@@ -1,7 +1,11 @@
 """Tests for repro.graph.dynamic."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, GraphError
 from repro.graph.csr import CSRGraph
@@ -311,3 +315,180 @@ class TestGrowthSimulation:
         graph = DynamicGraph(CSRGraph.from_edges(1, []))
         with pytest.raises(ConfigurationError):
             simulate_growth(graph, 10, new_node_probability=1.5)
+
+
+def oracle_compact(base, delta, extra_attr, num_nodes):
+    """The per-node merge loop ``DynamicGraph.compact`` was first written
+    as, kept as the oracle: ``delta`` maps a node to its appended
+    destinations in insertion order, ``extra_attr`` lists the rows of
+    the nodes added since ``base``."""
+    counts = np.zeros(num_nodes, dtype=np.int64)
+    old_n = base.num_nodes
+    counts[:old_n] = base.degrees()
+    for node, extra in delta.items():
+        counts[node] += len(extra)
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    edge_attr = None
+    if base.edge_attr is not None:
+        edge_attr = np.ones(
+            (int(indptr[-1]),) + base.edge_attr.shape[1:], dtype=np.float32
+        )
+    cursor = indptr[:-1].copy()
+    for node in range(old_n):
+        block = base.neighbors(node)
+        if block.size:
+            indices[cursor[node] : cursor[node] + block.size] = block
+            if edge_attr is not None:
+                lo = int(base.indptr[node])
+                edge_attr[cursor[node] : cursor[node] + block.size] = (
+                    base.edge_attr[lo : lo + block.size]
+                )
+            cursor[node] += block.size
+    for node, extra in delta.items():
+        block = np.asarray(extra, dtype=np.int64)
+        indices[cursor[node] : cursor[node] + block.size] = block
+        cursor[node] += block.size
+    node_attr = base.node_attr
+    if node_attr is not None and extra_attr:
+        node_attr = np.concatenate([node_attr, np.stack(extra_attr)])
+    return CSRGraph(indptr, indices, node_attr=node_attr, edge_attr=edge_attr)
+
+
+class OracleGraph:
+    """``DynamicGraph``'s contract on a dict-of-lists log, compacted by
+    :func:`oracle_compact` at the same threshold."""
+
+    def __init__(self, base, compact_threshold):
+        self.base = base
+        self.compact_threshold = compact_threshold
+        self.num_nodes = base.num_nodes
+        self.delta = defaultdict(list)
+        self.extra_attr = []
+
+    def add_node(self, attr_row):
+        if self.base.attr_len:
+            self.extra_attr.append(
+                np.zeros(self.base.attr_len, dtype=np.float32)
+                if attr_row is None
+                else np.asarray(attr_row, dtype=np.float32)
+            )
+        self.num_nodes += 1
+
+    def add_edge(self, src, dst):
+        self.delta[src].append(dst)
+        if sum(map(len, self.delta.values())) >= self.compact_threshold:
+            self.compact()
+
+    def compact(self):
+        if self.delta or self.base.num_nodes != self.num_nodes:
+            self.base = oracle_compact(
+                self.base, self.delta, self.extra_attr, self.num_nodes
+            )
+            self.delta = defaultdict(list)
+            self.extra_attr = []
+
+    def blocks(self):
+        """Per node, ``(base block, appends)`` as lists."""
+        return [
+            (
+                self.base.neighbors(node).tolist() if node < self.base.num_nodes else [],
+                list(self.delta.get(node, ())),
+            )
+            for node in range(self.num_nodes)
+        ]
+
+
+ORACLE_BASE_EDGES = [(0, 1), (0, 2), (1, 2), (3, 0), (3, 4), (3, 4), (4, 0)]
+ids = st.integers(0, 10**6)
+oracle_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("edge"), ids, ids),
+        st.tuples(st.just("node"), st.booleans()),
+        st.just(("compact",)),
+        st.just(("view",)),
+    ),
+    max_size=60,
+)
+
+
+def oracle_base(node_attr, edge_attr):
+    graph = CSRGraph.from_edges(6, ORACLE_BASE_EDGES)
+    return CSRGraph(
+        graph.indptr,
+        graph.indices,
+        node_attr=(
+            np.arange(18, dtype=np.float32).reshape(6, 3) if node_attr else None
+        ),
+        edge_attr=(
+            np.arange(2 * graph.num_edges, dtype=np.float32).reshape(-1, 2) + 2
+            if edge_attr
+            else None
+        ),
+    )
+
+
+def bytes_equal(mine, theirs):
+    if mine is None or theirs is None:
+        return mine is None and theirs is None
+    return (mine.dtype, mine.shape, mine.tobytes()) == (
+        theirs.dtype,
+        theirs.shape,
+        theirs.tobytes(),
+    )
+
+
+class TestCompactionOracle:
+    """The array log against the per-node loop it replaced: byte-equal
+    snapshots, and views that keep answering their epoch."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ops=oracle_ops,
+        threshold=st.integers(1, 25),
+        node_attr=st.booleans(),
+        edge_attr=st.booleans(),
+        shuffle_seed=ids,
+    )
+    def test_matches_per_node_loop(
+        self, ops, threshold, node_attr, edge_attr, shuffle_seed
+    ):
+        base = oracle_base(node_attr, edge_attr)
+        graph = DynamicGraph(base, compact_threshold=threshold)
+        oracle = OracleGraph(base, threshold)
+        views = []
+        for op in ops:
+            if op[0] == "edge":
+                src, dst = op[1] % graph.num_nodes, op[2] % graph.num_nodes
+                graph.add_edge(src, dst)
+                oracle.add_edge(src, dst)
+            elif op[0] == "node":
+                row = None
+                if node_attr and op[1]:
+                    row = np.full(3, graph.num_nodes, dtype=np.float32)
+                graph.add_node(row)
+                oracle.add_node(row)
+            elif op[0] == "compact":
+                graph.compact()
+                oracle.compact()
+            else:
+                views.append((graph.view(), oracle.blocks()))
+            assert graph.num_nodes == oracle.num_nodes
+            assert graph.delta_edges == sum(map(len, oracle.delta.values()))
+        views.append((graph.view(), oracle.blocks()))
+        rng = np.random.default_rng(shuffle_seed)
+        for view, blocks in views:
+            nodes = rng.integers(0, view.num_nodes, size=2 * view.num_nodes)
+            values, offsets, base_deg, delta_deg = view.gather(nodes)
+            expected = [blocks[node][0] + blocks[node][1] for node in nodes]
+            assert values.tolist() == [v for block in expected for v in block]
+            assert offsets.tolist() == np.cumsum([0] + list(map(len, expected))).tolist()
+            assert base_deg.tolist() == [len(blocks[node][0]) for node in nodes]
+            assert delta_deg.tolist() == [len(blocks[node][1]) for node in nodes]
+            for node in range(view.num_nodes):
+                assert view.neighbors(node).tolist() == sum(blocks[node], [])
+        snapshot = graph.snapshot()
+        oracle.compact()
+        for field in ("indptr", "indices", "edge_attr", "node_attr"):
+            assert bytes_equal(getattr(snapshot, field), getattr(oracle.base, field)), field

@@ -3,10 +3,13 @@
 Every ``from repro... import ...`` in a README python block must
 resolve, and every keyword a snippet passes to a sampler or session
 constructor must be a parameter of that constructor, so a snippet
-cannot outlive an argument the code no longer takes.
+cannot outlive an argument the code no longer takes. Each block's case
+id comes from its own text, so adding or removing a block renames no
+other block's case.
 """
 
 import ast
+import hashlib
 import importlib
 import inspect
 import re
@@ -31,22 +34,40 @@ def python_blocks():
     return [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", text, re.S)]
 
 
+def block_case(block):
+    """The block as a case named by its first ``repro`` import plus a
+    short hash of its code."""
+    module = next(
+        (
+            node.module
+            for node in ast.walk(block)
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("repro")
+        ),
+        "no-repro-import",
+    )
+    digest = hashlib.sha256(ast.unparse(block).encode()).hexdigest()[:8]
+    return pytest.param(block, id=f"{module}-{digest}")
+
+
+BLOCKS = [block_case(block) for block in python_blocks()]
+
+
 def test_readme_has_python_blocks():
     assert python_blocks()
 
 
-@pytest.mark.parametrize("index", range(len(python_blocks())))
-def test_imports_resolve(index):
-    for node in ast.walk(python_blocks()[index]):
+@pytest.mark.parametrize("block", BLOCKS)
+def test_imports_resolve(block):
+    for node in ast.walk(block):
         if isinstance(node, ast.ImportFrom) and node.module.startswith("repro"):
             module = importlib.import_module(node.module)
             for alias in node.names:
                 assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
 
 
-@pytest.mark.parametrize("index", range(len(python_blocks())))
-def test_constructor_keywords_exist(index):
-    for node in ast.walk(python_blocks()[index]):
+@pytest.mark.parametrize("block", BLOCKS)
+def test_constructor_keywords_exist(block):
+    for node in ast.walk(block):
         if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
             continue
         constructor = CONSTRUCTORS.get(node.func.id)
